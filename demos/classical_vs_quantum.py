@@ -7,7 +7,7 @@ tree-exact classical numbers by Monte Carlo on concrete large graphs.
 Run: python3 demos/classical_vs_quantum.py  (about 10 seconds)
 """
 
-from localmaxcut import (exact_prob_d3, make_cycle, make_random_regular,
+from localmaxcut import (exact_prob, make_cycle, make_random_regular,
                          monte_carlo, optimal_preset, optimize_classical,
                          optimize_qaoa)
 
@@ -46,4 +46,4 @@ print(f"  C_10000:            mean {s2.mean:.4f} +- {s2.stderr:.4f} "
 g3 = make_random_regular(1000, 3, min_girth=5, seed=0)
 s3 = monte_carlo(g3, optimal_preset(3), trials=200, seed=0)
 print(f"  random cubic n=1000: mean {s3.mean:.4f} +- {s3.stderr:.4f} "
-      f"(tree-exact {exact_prob_d3(optimal_preset(3)):.4f})")
+      f"(tree-exact {exact_prob(3, optimal_preset(3)):.4f})")

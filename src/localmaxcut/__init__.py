@@ -8,12 +8,9 @@ Monte-Carlo evaluation of the classical threshold-flip algorithm
 and `cli` packages everything behind one command.
 """
 
-from .classical import (ClassicalParams, RunStats, agreeing_count,
-                        exact_prob_d2, exact_prob_d3,
-                        exact_prob_d3_conditional, exact_prob_d3_grouped,
-                        flip_prob, four_path_form_d2, hrss_preset,
-                        monte_carlo, neighborhood_oracle_prob, optimal_preset,
-                        prob_satisfied_initial, q2_star, reduced_objective_d2,
+from .classical import (ClassicalParams, RunStats, agreeing_count, exact_prob,
+                        hrss_preset, monte_carlo, neighborhood_oracle_prob,
+                        optimal_preset, prob_satisfied_initial, q2_star,
                         run_one_round, satisfied)
 from .graph import (NAMED_CUBIC, Graph, girth, load_edge_list, make_cycle,
                     make_named, make_random_regular, neighborhood,
@@ -27,9 +24,7 @@ from .optimize import (GridSweep, OptimizationReport, grid_sweep, nelder_mead,
                        optimize_classical, optimize_qaoa, report_to_json)
 from .qaoa_engine import (QaoaAngles, ZkBreakdown, breakdown_to_json,
                           closed_form_f2, closed_form_f3, expectation_full,
-                          expectation_zk, odd_intersection_terms,
-                          solution_families, tree_patch, zk_ball_d3,
-                          zk_edge_d2, zk_edge_d3, zk_pair_d2)
+                          expectation_zk)
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, qaoa_expectation_sv, uniform_state)
 
@@ -40,18 +35,14 @@ __all__ = [
     "MAX_QUBITS", "NAMED_CUBIC", "OptimizationReport", "QaoaAngles",
     "RunStats", "ZkBreakdown", "agreeing_count", "apply_mixer", "apply_phase",
     "breakdown_to_json", "build_localmaxcut_hamiltonian", "closed_form_f2",
-    "closed_form_f3", "evaluate_all", "evaluate_classical", "exact_prob_d2",
-    "exact_prob_d3", "exact_prob_d3_conditional", "exact_prob_d3_grouped",
-    "expectation_full", "expectation_sv", "expectation_zk", "flip_prob",
-    "four_path_form_d2", "fourier_encode_clause", "girth", "grid_sweep",
-    "hamiltonian_to_json", "hrss_preset", "load_edge_list",
-    "local_satisfaction_clause", "make_cycle", "make_hamiltonian",
-    "make_named", "make_random_regular", "mask_of", "monte_carlo",
-    "neighborhood", "neighborhood_oracle_prob", "nelder_mead",
-    "odd_intersection_terms", "optimal_preset", "optimize_classical",
-    "optimize_qaoa", "prob_satisfied_initial", "q2_star",
-    "qaoa_expectation_sv", "reduced_objective_d2", "report_to_json",
-    "run_one_round", "satisfied", "save_edge_list", "solution_families",
-    "tree_patch", "uniform_state", "vertices_of", "zk_ball_d3", "zk_edge_d2",
-    "zk_edge_d3", "zk_pair_d2",
+    "closed_form_f3", "evaluate_all", "evaluate_classical", "exact_prob",
+    "expectation_full", "expectation_sv", "expectation_zk",
+    "fourier_encode_clause", "girth", "grid_sweep", "hamiltonian_to_json",
+    "hrss_preset", "load_edge_list", "local_satisfaction_clause",
+    "make_cycle", "make_hamiltonian", "make_named", "make_random_regular",
+    "mask_of", "monte_carlo", "neighborhood", "neighborhood_oracle_prob",
+    "nelder_mead", "optimal_preset", "optimize_classical", "optimize_qaoa",
+    "prob_satisfied_initial", "q2_star", "qaoa_expectation_sv",
+    "report_to_json", "run_one_round", "satisfied", "save_edge_list",
+    "uniform_state", "vertices_of",
 ]

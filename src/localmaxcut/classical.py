@@ -12,10 +12,11 @@ with probability p.
 
 Three independent evaluation routes are provided and cross-checked in the
 test suite: a brute-force enumeration oracle on the radius-2 tree
-(`neighborhood_oracle_prob`, the arbiter), closed-form polynomials for
-degree 2 and 3, and seeded Monte Carlo on concrete graphs.  Randomness is
-counter-based (Philox keyed by master seed and trial index) so runs are
-reproducible and trial order is irrelevant.
+(`neighborhood_oracle_prob`, the arbiter), the exact sum over the initial
+assignments of a vertex's closed neighborhood (`exact_prob`, every degree
+up to EXACT_MAX_DEGREE), and seeded Monte Carlo on concrete graphs.
+Randomness is counter-based (Philox keyed by master seed and trial index)
+so runs are reproducible and trial order is irrelevant.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 ORACLE_MAX_DEGREE = 5  # radius-2 tree has 1 + d + d(d-1) <= 26 vertices
+EXACT_MAX_DEGREE = 10  # the sum visits about 4^(d+1) ball pairs: ~5 s at d = 10
 
 
 class ClassicalParams(NamedTuple):
@@ -145,45 +147,10 @@ def prob_satisfied_initial(d: int, p: float = 0.5) -> float:
     return sum(math.comb(d, j) for j in range(d // 2 + 1)) / 2 ** d
 
 
-def flip_prob(a: int, b: int, params, d: int) -> float:
-    """f_ab: probability that a vertex with own bit b flips, given one
-    visible neighbor with bit a, marginalized over its d-1 hidden neighbors.
-    """
-    if d not in (2, 3):
-        raise ValueError(f"flip_prob covers d in {{2, 3}}, got {d}")
-    p, q = params
-    _check_params(params, d)
-    agree_hidden = p if b == 1 else 1 - p
-    total = 0.0
-    for k in range(d):
-        weight = math.comb(d - 1, k) * agree_hidden ** k * (1 - agree_hidden) ** (d - 1 - k)
-        total += weight * q[(1 if a == b else 0) + k]
-    return total
-
-
-def exact_prob_d2(params) -> float:
-    """Pr[v satisfied after one round] on a large-girth 2-regular graph.
-
-    Full conditional sum over the 8 initial assignments of (v, v1, v2),
-    mirroring the degree-3 calculation.  Agrees with the brute-force
-    oracle for every (p, q); collapses to the four-path form below when
-    q0 = q1 = 0.
-    """
-    p, q = params
-    _check_params(params, 2)
-    total = 0.0
-    for t in range(8):
-        abc = (t >> 2 & 1, t >> 1 & 1, t & 1)
-        ones = sum(abc)
-        weight = p ** ones * (1 - p) ** (3 - ones)
-        total += weight * _conditional_prob(abc, p, q, 2)
-    return total
-
-
 def four_path_form_d2(params) -> float:
     """One minus the four ways an all-agreeing path stays all-agreeing.
 
-    Exact (equal to exact_prob_d2) precisely when q0 = q1 = 0, because
+    Exact (equal to exact_prob(2, .)) precisely when q0 = q1 = 0, because
     only then is a satisfied vertex guaranteed to stay satisfied.  With
     q0 or q1 positive it overestimates: it ignores the satisfied initial
     assignments that flow to unsatisfied ones.  Its maximizer analysis
@@ -200,7 +167,7 @@ def four_path_form_d2(params) -> float:
 
 
 def q2_star(p: float, q1: float) -> float:
-    """The q2 that zeroes d(exact_prob_d2)/dq2 at fixed (p, q1)."""
+    """The q2 that zeroes d(exact_prob(2, .))/dq2 at fixed (p, q1)."""
     den = -6 + 26 * p - 44 * p ** 2 + 36 * p ** 3 - 18 * p ** 4
     if den == 0.0:
         raise ZeroDivisionError(f"stationarity denominator vanishes at p={p}")
@@ -210,7 +177,7 @@ def q2_star(p: float, q1: float) -> float:
 
 
 def reduced_objective_d2(p: float) -> float:
-    """exact_prob_d2 at q1 = 0 and q2 = q2_star(p, 0), as one rational function."""
+    """exact_prob(2, .) at q1 = 0 and q2 = q2_star(p, 0), as one rational function."""
     num = (9 - 30 * p + 19 * p ** 2 + 42 * p ** 3 - 55 * p ** 4 - 4 * p ** 5
            + 76 * p ** 6 - 64 * p ** 7 + 16 * p ** 8)
     den = 12 - 52 * p + 88 * p ** 2 - 72 * p ** 3 + 36 * p ** 4
@@ -220,7 +187,10 @@ def reduced_objective_d2(p: float) -> float:
 
 
 def _fab(a: int, b: int, p: float, q, d: int) -> float:
-    """flip_prob without the public validation (hot path helper)."""
+    """f_ab: probability that a vertex with own bit b flips, given one
+    visible neighbor with bit a, marginalized over its d-1 hidden neighbors.
+    Unvalidated: callers check the parameters once per evaluation.
+    """
     agree = p if b == 1 else 1 - p
     ell0 = 1 if a == b else 0
     total = 0.0
@@ -231,14 +201,20 @@ def _fab(a: int, b: int, p: float, q, d: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _satisfying_assignments(d: int):
-    """Final ball assignments (center, neighbors...) leaving the center satisfied."""
-    return [
-        bits
+def _initial_balls(d: int):
+    """Every ball assignment (center, neighbors...) in counting order, with its popcount."""
+    return tuple(
+        (bits, sum(bits))
         for t in range(2 ** (d + 1))
         for bits in [tuple(t >> (d - j) & 1 for j in range(d + 1))]
-        if sum(1 for b in bits[1:] if b == bits[0]) <= d // 2
-    ]
+    )
+
+
+@lru_cache(maxsize=None)
+def _satisfying_assignments(d: int):
+    """Final ball assignments (center, neighbors...) leaving the center satisfied."""
+    return [bits for bits, _ in _initial_balls(d)
+            if sum(1 for b in bits[1:] if b == bits[0]) <= d // 2]
 
 
 def _conditional_prob(ball, p: float, q, d: int) -> float:
@@ -255,31 +231,26 @@ def _conditional_prob(ball, p: float, q, d: int) -> float:
     return total
 
 
-def exact_prob_d3_conditional(abcd, params) -> float:
-    """Pr[v satisfied after one round | tau_0(B(v)) = abcd] on the 3-regular tree."""
-    p, q = params
-    return _conditional_prob(tuple(abcd), p, q, 3)
+def exact_prob(d: int, params) -> float:
+    """Pr[v satisfied after one round] on a locally tree-like d-regular graph.
 
-
-def exact_prob_d3(params) -> float:
-    """Pr[v satisfied after one round] on a locally tree-like 3-regular graph.
-
-    Direct sum over the 16 initial assignments of B(v); the symmetry-
-    collapsed grouping below is kept as a cross-check only.
+    Direct sum over the 2^(d+1) initial assignments of B(v), each weighted
+    by its probability under the biased initial cut.  Agrees with the
+    brute-force oracle for every (p, q).
     """
+    if not 1 <= d <= EXACT_MAX_DEGREE:
+        raise ValueError(f"exact sum covers 1 <= d <= {EXACT_MAX_DEGREE}, got {d}")
     p, q = params
-    _check_params(params, 3)
+    _check_params(params, d)
     total = 0.0
-    for t in range(16):
-        abcd = (t >> 3 & 1, t >> 2 & 1, t >> 1 & 1, t & 1)
-        ones = sum(abcd)
-        weight = p ** ones * (1 - p) ** (4 - ones)
-        total += weight * exact_prob_d3_conditional(abcd, params)
+    for ball, ones in _initial_balls(d):
+        weight = p ** ones * (1 - p) ** (d + 1 - ones)
+        total += weight * _conditional_prob(ball, p, q, d)
     return total
 
 
 def exact_prob_d3_grouped(params) -> float:
-    """exact_prob_d3 collapsed to 8 cases by the complement (p <-> 1-p) and
+    """exact_prob(3, .) collapsed to 8 cases by the complement (p <-> 1-p) and
     neighbor-permutation symmetries; representatives 0000, 0001, 0011, 0111.
     """
     p, q = params
@@ -288,7 +259,7 @@ def exact_prob_d3_grouped(params) -> float:
     def case(abcd, pp):
         ones = sum(abcd)
         weight = pp ** ones * (1 - pp) ** (4 - ones)
-        return weight * exact_prob_d3_conditional(abcd, ClassicalParams(pp, q))
+        return weight * _conditional_prob(abcd, pp, q, 3)
 
     return (case((0, 0, 0, 0), p) + case((0, 0, 0, 0), 1 - p)
             + 3 * (case((0, 0, 0, 1), p) + case((0, 0, 0, 1), 1 - p))
@@ -303,7 +274,7 @@ def neighborhood_oracle_prob(d: int, params, ball_condition=None) -> float:
     center, its d neighbors, and their d-1 children each) and every flip
     pattern of the center and neighbors, accumulating exact probability.
     No independence factorization or closed form is reused, which is what
-    makes this the arbiter for the formulas above.
+    makes this the arbiter for the sums above.
 
     With `ball_condition` = bits (a, b, ...) the initial assignment of
     (v, neighbors) is fixed instead of random and the result is the

@@ -34,7 +34,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -42,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classical import (ClassicalParams, exact_prob_d2, exact_prob_d3,
+from .classical import (EXACT_MAX_DEGREE, ClassicalParams, exact_prob,
                         monte_carlo, optimal_preset, q2_star)
 from .graph import (Graph, girth, load_edge_list, make_cycle, make_named,
                     make_random_regular, save_edge_list)
@@ -56,7 +55,6 @@ from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
 
 VERIFY_TOL = 1e-9
 SLOW_QUBITS = 20
-THREADS_ENV = "LOCALMAXCUT_THREADS"
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,6 @@ class RunConfig:
     resolution: int | None = None
     tol: float | None = None
     seed: int = 0
-    threads: int = 1
     out: str | None = None
     format: str = "json"
 
@@ -109,13 +106,8 @@ def parse_graph_spec(spec: str) -> Graph:
 
 def _resolve(args, command, subcommand=None, fmt="json", **fields) -> RunConfig:
     seed = args.seed if args.seed is not None else 0
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV, "1"))
-    if threads < 1:
-        raise ValueError(f"--threads must be >= 1, got {threads}")
     return RunConfig(command=command, subcommand=subcommand, seed=seed,
-                     threads=threads, out=args.out, format=fmt, **fields)
+                     out=args.out, format=fmt, **fields)
 
 
 def _parse_q(text: str) -> tuple[float, ...]:
@@ -173,8 +165,8 @@ def cmd_reproduce(args) -> int:
     lines = []
     ok = True
     for d in degrees:
-        rc = optimize_classical(d, workers=cfg.threads)
-        rq = optimize_qaoa(d, workers=cfg.threads)
+        rc = optimize_classical(d)
+        rq = optimize_qaoa(d)
         winner = "classical" if rc.value > rq.value else "quantum"
         if d == 2:
             holds = rc.value > 0.94 and rq.value < 0.94
@@ -205,7 +197,7 @@ def cmd_sweep(args) -> int:
     cfg = _resolve(args, "sweep", degree=args.degree,
                    resolution=args.resolution, fmt="csv")
     sweep = grid_sweep(qaoa_objective(args.degree), QAOA_BOX, args.resolution,
-                       include_endpoint=False, workers=cfg.threads)
+                       include_endpoint=False)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["gamma", "beta", "value"])
@@ -268,8 +260,7 @@ def cmd_classical_run(args) -> int:
     cfg = _resolve(args, "classical", "run", graph=args.graph, p=params.p,
                    q=params.q, trials=args.trials)
     stats = monte_carlo(g, params, args.trials, seed=cfg.seed)
-    tree = (exact_prob_d2(params) if d == 2
-            else exact_prob_d3(params) if d == 3 else None)
+    tree = exact_prob(d, params) if d <= EXACT_MAX_DEGREE else None
     payload = {"degree": d, "stats": {"trials": stats.trials, "mean": stats.mean,
                                       "stderr": stats.stderr}}
     lines = [f"mean {_fmt(stats.mean)} stderr {stats.stderr:.6e} "
@@ -288,16 +279,17 @@ def cmd_classical_exact(args) -> int:
     params = _params(args, d)
     cfg = _resolve(args, "classical", "exact", degree=d, p=params.p,
                    q=params.q)
-    value = exact_prob_d2(params) if d == 2 else exact_prob_d3(params)
+    value = exact_prob(d, params)
     _emit(cfg, args, {"value": value}, [f"value {_fmt(value)}"])
     return 0
 
 
 def _curve_value(d: int, p: float) -> float:
     if d == 2:
-        q2 = min(1.0, max(0.0, q2_star(p, 0.0)))
-        return exact_prob_d2(ClassicalParams(p, (0.0, 0.0, q2)))
-    return exact_prob_d3(ClassicalParams(p, (0.0, 0.0, 0.0, 1.0)))
+        q = (0.0, 0.0, min(1.0, max(0.0, q2_star(p, 0.0))))
+    else:
+        q = (0.0, 0.0, 0.0, 1.0)
+    return exact_prob(d, ClassicalParams(p, q))
 
 
 def cmd_classical_curve(args) -> int:
@@ -364,8 +356,6 @@ def _common() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="RNG seed; defaults to 0 and is echoed back")
-    common.add_argument("--threads", type=int, default=None,
-                        help=f"worker bound (default ${THREADS_ENV} or 1)")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write the CSV/JSON artifact here")
     common.add_argument("--json", action="store_true",

@@ -9,6 +9,7 @@ immutable after construction and safe to share between workers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,10 +56,15 @@ class Graph:
 
 
 def build_graph(n, edges) -> Graph:
-    """Validate an edge list and assemble a Graph with sorted adjacency."""
+    """Validate an edge list and assemble a Graph with sorted adjacency.
+
+    Vertex ids become Python ints, so numpy integers from the generators
+    do not leak into the stored edges.
+    """
     seen = set()
     adj = [[] for _ in range(n)]
     for u, v in edges:
+        u, v = operator.index(u), operator.index(v)
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:

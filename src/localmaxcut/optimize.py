@@ -13,13 +13,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .classical import ClassicalParams, exact_prob_d2, exact_prob_d3
+from .classical import ClassicalParams, exact_prob
 from .qaoa_engine import closed_form_f2, closed_form_f3
 
 DEFAULT_TOL = 1e-9
@@ -52,8 +51,8 @@ class OptimizationReport:
     maxima: tuple[tuple[tuple[float, ...], float], ...]
 
 
-def grid_sweep(objective, box, resolution, include_endpoint: bool = False,
-               workers: int = 1) -> GridSweep:
+def grid_sweep(objective, box, resolution,
+               include_endpoint: bool = False) -> GridSweep:
     """Evaluate `objective` on a regular grid over `box`.
 
     `box` is a sequence of (lo, hi) pairs and `resolution` an int or a
@@ -78,11 +77,7 @@ def grid_sweep(objective, box, resolution, include_endpoint: bool = False,
         for (lo, hi), r in zip(box, resolution)
     )
     points = itertools.product(*(tuple(float(t) for t in ax) for ax in axes))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(objective, points, chunksize=64))
-    else:
-        flat = [objective(pt) for pt in points]
+    flat = [objective(pt) for pt in points]
     values = np.array(flat, dtype=float).reshape(resolution)
     idx = np.unravel_index(int(np.argmax(values)), resolution)
     argmax = tuple(float(axes[j][idx[j]]) for j in range(len(axes)))
@@ -125,11 +120,11 @@ def nelder_mead(objective, start, box=None, tol: float = DEFAULT_TOL,
                               maxima=((argmax, value),))
 
 
-def _multistart(objective, box, resolution, include_endpoint, workers,
+def _multistart(objective, box, resolution, include_endpoint,
                 tol, max_iters, report_margin):
     """Grid sweep, refine the TOP_K cells, merge coincident maxima."""
     sweep = grid_sweep(objective, box, resolution,
-                       include_endpoint=include_endpoint, workers=workers)
+                       include_endpoint=include_endpoint)
     shape = sweep.values.shape
     order = np.argsort(-sweep.values.ravel(), kind="stable")[:TOP_K]
     reports = []
@@ -168,22 +163,15 @@ def qaoa_objective(d: int):
 
 def classical_objective(d: int):
     """Satisfaction probability as a function of the packed point (p, q0..qd)."""
-    if d == 2:
-        return lambda x: exact_prob_d2(
-            ClassicalParams(x[0], (x[1], x[2], x[3])))
-    if d == 3:
-        return lambda x: exact_prob_d3(
-            ClassicalParams(x[0], (x[1], x[2], x[3], x[4])))
-    raise ValueError(f"exact forms cover d in {{2, 3}}, got {d}")
+    return lambda x: exact_prob(d, ClassicalParams(x[0], tuple(x[1:])))
 
 
-def optimize_qaoa(d: int, resolution: int = 256, workers: int = 1,
+def optimize_qaoa(d: int, resolution: int = 256,
                   tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
                   report_margin: float = 0.1) -> OptimizationReport:
     """Maximize the per-vertex one-round expectation over one angle period."""
     return _multistart(qaoa_objective(d), QAOA_BOX, resolution,
-                       include_endpoint=False, workers=workers,
-                       tol=tol, max_iters=max_iters,
+                       include_endpoint=False, tol=tol, max_iters=max_iters,
                        report_margin=report_margin)
 
 
@@ -201,7 +189,7 @@ def _canonical_classical(x):
                for qq in (q, tuple(1.0 - t for t in q)))
 
 
-def optimize_classical(d: int, resolution: int | None = None, workers: int = 1,
+def optimize_classical(d: int, resolution: int | None = None,
                        tol: float = DEFAULT_TOL,
                        max_iters: int = DEFAULT_MAX_ITERS,
                        report_margin: float = 0.1) -> OptimizationReport:
@@ -218,8 +206,7 @@ def optimize_classical(d: int, resolution: int | None = None, workers: int = 1,
         resolution = 11 if d == 2 else 7
     box = ((0.0, 1.0),) * (d + 2)
     report = _multistart(objective, box, resolution,
-                         include_endpoint=True, workers=workers,
-                         tol=tol, max_iters=max_iters,
+                         include_endpoint=True, tol=tol, max_iters=max_iters,
                          report_margin=report_margin)
     argmax = _canonical_classical(report.argmax)
     maxima = []

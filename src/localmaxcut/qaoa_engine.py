@@ -25,8 +25,10 @@ angle-independent combinatorics of each (H, K) pair are compiled once and
 cached, making repeated evaluation at many angles cheap.
 
 Closed-form trigonometric polynomials for the degree-2 and degree-3
-LocalMaxCut expectations are provided alongside, together with the
-truncated-tree patches on which the generic engine reproduces them.
+LocalMaxCut expectations are provided alongside.  <Z_K> depends only on
+the terms that meet K (the light-cone argument of Farhi, Goldstone and
+Gutmann, arXiv:1411.4028), so on any girth >= 7 graph the generic engine
+reproduces each of them term by term.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .hamiltonian import DiagonalHamiltonian, make_hamiltonian, mask_of, vertices_of
+from .hamiltonian import DiagonalHamiltonian, vertices_of
 
 FAMILY_CAP = 25
 IMAG_TOL = 1e-9
@@ -196,8 +198,7 @@ def breakdown_to_json(bd: ZkBreakdown) -> dict:
 
 # ----------------------------------------------------------------------
 # Closed forms for degree-2 and degree-3 LocalMaxCut on girth >= 7 graphs.
-# Each is a verbatim trigonometric polynomial in (gamma, beta); the tree
-# patches below let the generic engine reproduce them term by term.
+# Each is a verbatim trigonometric polynomial in (gamma, beta).
 
 def zk_edge_d2(angles) -> float:
     """<Z_uv> for an edge uv of a 2-regular graph with tree-like surroundings."""
@@ -259,60 +260,3 @@ def closed_form_f3(n, angles) -> float:
     return (n / 2
             - 3 * n / 4 * zk_edge_d3(angles)
             + n / 4 * zk_ball_d3(angles))
-
-
-# ----------------------------------------------------------------------
-# Tree patches: truncated regular-tree neighborhoods carrying exactly the
-# terms that can enter O(L) for L inside K.  Edge terms (-1/2) cover every
-# patch edge; pair terms (-1/4, degree 2) and ball terms (+1/4, degree 3)
-# are attached to each vertex whose full neighborhood lies in the patch.
-# Vertices deeper than that exist solely to complete those neighborhoods,
-# and their own pair/ball terms could never intersect K.
-
-def _patch(n, edges, centers, center_weight, d):
-    adj = {v: [] for v in range(n)}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    weights = {}
-    for u, v in edges:
-        weights[mask_of((u, v))] = -0.5
-    for c in centers:
-        if d == 2:
-            m = mask_of(adj[c])  # the two outer neighbors
-        else:
-            m = mask_of([c] + adj[c])  # the closed neighborhood
-        weights[m] = weights.get(m, 0.0) + center_weight
-    return make_hamiltonian(n, weights)
-
-
-def tree_patch(d: int, kind: str) -> tuple[DiagonalHamiltonian, int]:
-    """Truncated d-regular-tree neighborhood and the subset K it certifies.
-
-    Valid combinations: (2, "EDGE") the edge of a path fragment,
-    (2, "PAIR") the distance-2 pair around a path vertex, (3, "EDGE") the
-    edge of a depth-2 binary-branching fragment, (3, "BALL") the closed
-    neighborhood of the root of a depth-3 fragment.
-    """
-    kind = kind.upper()
-    if d == 2 and kind == "EDGE":
-        # path u'' u' u v v' v'' with K = {u, v}
-        edges = [(i, i + 1) for i in range(5)]
-        return _patch(6, edges, range(1, 5), -0.25, 2), mask_of((2, 3))
-    if d == 2 and kind == "PAIR":
-        # path w1'' w1' w1 w w2 w2' w2'' with K = {w1, w2}
-        edges = [(i, i + 1) for i in range(6)]
-        return _patch(7, edges, range(1, 6), -0.25, 2), mask_of((2, 4))
-    if d == 3 and kind == "EDGE":
-        # u = 0, v = 1, two branches below each, K = {u, v}
-        edges = [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5)]
-        edges += [(parent, 2 * parent + 2) for parent in range(2, 6)]
-        edges += [(parent, 2 * parent + 3) for parent in range(2, 6)]
-        return _patch(14, edges, range(6), 0.25, 3), mask_of((0, 1))
-    if d == 3 and kind == "BALL":
-        # root u = 0 with neighbors 1, 2, 3, branching to depth 3; K = B(u)
-        edges = [(0, 1), (0, 2), (0, 3)]
-        edges += [(parent, 2 * parent + 2) for parent in range(1, 10)]
-        edges += [(parent, 2 * parent + 3) for parent in range(1, 10)]
-        return _patch(22, edges, range(10), 0.25, 3), mask_of((0, 1, 2, 3))
-    raise ValueError(f"no tree patch for d={d}, kind={kind!r}")

@@ -18,16 +18,17 @@ import numpy as np
 import pytest
 
 from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
-                         closed_form_f2, closed_form_f3, exact_prob_d2,
-                         exact_prob_d3, expectation_full, expectation_zk,
+                         closed_form_f2, closed_form_f3, exact_prob,
+                         expectation_full, expectation_zk,
                          fourier_encode_clause, girth,
-                         local_satisfaction_clause, make_cycle,
-                         make_hamiltonian, make_named, make_random_regular,
-                         mask_of, monte_carlo, neighborhood_oracle_prob,
+                         local_satisfaction_clause, make_cycle, make_named,
+                         make_random_regular, mask_of, monte_carlo,
+                         neighborhood, neighborhood_oracle_prob,
                          optimal_preset, prob_satisfied_initial,
-                         qaoa_expectation_sv, tree_patch, zk_ball_d3,
-                         zk_edge_d2, zk_edge_d3, zk_pair_d2)
+                         qaoa_expectation_sv)
 from localmaxcut.cli import main
+from localmaxcut.qaoa_engine import (zk_ball_d3, zk_edge_d2, zk_edge_d3,
+                                     zk_pair_d2)
 
 
 def check(num, ok, desc, detail=""):
@@ -125,25 +126,29 @@ def test_criterion_05_slow_mcgee_statevector():
 def test_criterion_06_closed_form_fidelity():
     gammas = [2 * math.pi * i / 32 for i in range(32)]
     betas = [math.pi * j / 32 for j in range(32)]
-    worst_patch = 0.0
-    for (d, kind), fn in [((2, "EDGE"), zk_edge_d2), ((2, "PAIR"), zk_pair_d2),
-                          ((3, "EDGE"), zk_edge_d3), ((3, "BALL"), zk_ball_d3)]:
-        h, K = tree_patch(d, kind)
+    gm = make_named("MCGEE")
+    assert girth(gm) == 7  # the closed forms need girth >= 7
+    h7 = build_localmaxcut_hamiltonian(make_cycle(7))
+    hm = build_localmaxcut_hamiltonian(gm)
+    # <Z_K> sees only the terms meeting K, so on girth 7 each term equals
+    # its value on the infinite regular tree
+    certificates = [(h7, mask_of((2, 3)), zk_edge_d2),
+                    (h7, mask_of((2, 4)), zk_pair_d2),
+                    (hm, mask_of((0, gm.adjacency[0][0])), zk_edge_d3),
+                    (hm, mask_of(neighborhood(gm, 0)), zk_ball_d3)]
+    worst_term = 0.0
+    for h, K, fn in certificates:
         for g, b in itertools.product(gammas, betas):
             engine, _ = expectation_zk(h, K, (g, b))
-            worst_patch = max(worst_patch, abs(engine - fn((g, b))))
+            worst_term = max(worst_term, abs(engine - fn((g, b))))
     angles = [(g, b) for g in gammas[::4] for b in betas[::4]]
-    h7 = build_localmaxcut_hamiltonian(make_cycle(7))
     worst_f2 = max(abs(expectation_full(h7, a) - closed_form_f2(7, a))
                    for a in angles)
-    gm = make_named("MCGEE")
-    assert girth(gm) == 7  # the degree-3 assembly needs girth >= 7
-    hm = build_localmaxcut_hamiltonian(gm)
     worst_f3 = max(abs(expectation_full(hm, a) - closed_form_f3(24, a))
                    for a in angles)
-    ok = worst_patch <= 1e-9 and worst_f2 <= 1e-9 and worst_f3 <= 1e-9
-    check(6, ok, "tree patches and full closed forms on C7 / MCGEE",
-          f"patch={worst_patch:.2e} f2={worst_f2:.2e} f3={worst_f3:.2e}")
+    ok = worst_term <= 1e-9 and worst_f2 <= 1e-9 and worst_f3 <= 1e-9
+    check(6, ok, "per-term and full closed forms on C7 / MCGEE",
+          f"term={worst_term:.2e} f2={worst_f2:.2e} f3={worst_f3:.2e}")
 
 
 def test_criterion_07_encoder_goldens():
@@ -162,12 +167,12 @@ def test_criterion_08_exact_forms_match_oracle():
     for _ in range(200):
         prm = ClassicalParams(float(rng.uniform()),
                               tuple(float(t) for t in rng.uniform(size=3)))
-        worst2 = max(worst2, abs(exact_prob_d2(prm)
+        worst2 = max(worst2, abs(exact_prob(2, prm)
                                  - neighborhood_oracle_prob(2, prm)))
     for _ in range(200):
         prm = ClassicalParams(float(rng.uniform()),
                               tuple(float(t) for t in rng.uniform(size=4)))
-        worst3 = max(worst3, abs(exact_prob_d3(prm)
+        worst3 = max(worst3, abs(exact_prob(3, prm)
                                  - neighborhood_oracle_prob(3, prm)))
     seconds = time.perf_counter() - t0
     ok = worst2 <= 1e-12 and worst3 <= 1e-12 and seconds < 30.0
@@ -190,7 +195,7 @@ def test_criterion_10_monte_carlo_concordance():
     s2 = monte_carlo(make_cycle(10000), optimal_preset(2), trials=200, seed=0)
     dev2 = abs(s2.mean - 0.95)
     g3 = make_random_regular(1000, 3, min_girth=5, seed=0)
-    exact3 = exact_prob_d3(optimal_preset(3))
+    exact3 = exact_prob(3, optimal_preset(3))
     s3 = monte_carlo(g3, optimal_preset(3), trials=500, seed=0)
     dev3 = abs(s3.mean - exact3)
     seconds = time.perf_counter() - t0

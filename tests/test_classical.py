@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localmaxcut import (ClassicalParams, exact_prob_d2, exact_prob_d3,
-                         exact_prob_d3_conditional, exact_prob_d3_grouped,
-                         flip_prob, four_path_form_d2, hrss_preset,
+from localmaxcut import (ClassicalParams, exact_prob, hrss_preset,
                          make_cycle, make_random_regular, monte_carlo,
                          neighborhood_oracle_prob, optimal_preset,
-                         prob_satisfied_initial, q2_star,
-                         reduced_objective_d2, run_one_round, satisfied)
-from localmaxcut.classical import _one_round, _trial_rng
+                         prob_satisfied_initial, q2_star, run_one_round,
+                         satisfied)
+from localmaxcut.classical import (EXACT_MAX_DEGREE, _conditional_prob, _fab,
+                                   _one_round, _trial_rng,
+                                   exact_prob_d3_grouped, four_path_form_d2,
+                                   reduced_objective_d2)
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -26,13 +27,16 @@ def params_strategy(d):
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        exact_prob_d2(ClassicalParams(1.5, (0.0, 0.0, 0.0)))
+        exact_prob(2, ClassicalParams(1.5, (0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
-        exact_prob_d2(ClassicalParams(0.5, (0.0, -0.1, 0.0)))
+        exact_prob(2, ClassicalParams(0.5, (0.0, -0.1, 0.0)))
     with pytest.raises(ValueError):
-        exact_prob_d2(ClassicalParams(0.5, (0.0, 0.0)))  # needs d+1 entries
+        exact_prob(2, ClassicalParams(0.5, (0.0, 0.0)))  # needs d+1 entries
     with pytest.raises(ValueError):
-        exact_prob_d3(ClassicalParams(0.5, (0.0, 0.0, 0.0)))
+        exact_prob(3, ClassicalParams(0.5, (0.0, 0.0, 0.0)))
+    for d in (0, EXACT_MAX_DEGREE + 1):
+        with pytest.raises(ValueError):
+            exact_prob(d, ClassicalParams(0.5, (0.0,) * (d + 1)))
 
 
 def test_hrss_preset_thresholds():
@@ -45,15 +49,15 @@ def test_hrss_preset_thresholds():
 
 
 def test_hrss_values():
-    assert exact_prob_d2(hrss_preset(2)) == pytest.approx(15 / 16, abs=1e-12)
-    assert exact_prob_d3(hrss_preset(3)) == pytest.approx(197 / 256, abs=1e-12)
+    assert exact_prob(2, hrss_preset(2)) == pytest.approx(15 / 16, abs=1e-12)
+    assert exact_prob(3, hrss_preset(3)) == pytest.approx(197 / 256, abs=1e-12)
 
 
 def test_optimal_presets():
     assert optimal_preset(2) == ClassicalParams(0.5, (0.0, 0.0, 0.8))
     assert optimal_preset(3).q == (0.0, 0.0, 0.0, 1.0)
-    assert exact_prob_d2(optimal_preset(2)) == pytest.approx(0.95, abs=1e-12)
-    assert exact_prob_d3(optimal_preset(3)) == pytest.approx(
+    assert exact_prob(2, optimal_preset(2)) == pytest.approx(0.95, abs=1e-12)
+    assert exact_prob(3, optimal_preset(3)) == pytest.approx(
         0.7725678954133012, abs=1e-12)
     with pytest.raises(ValueError):
         optimal_preset(4)
@@ -77,43 +81,50 @@ def test_prob_satisfied_initial_matches_oracle():
 def test_flip_prob_hand_case():
     # d = 2, visible neighbor agrees (a = b = 1): the hidden neighbor
     # agrees w.p. p, so f_11 = (1-p) q_1 + p q_2
-    prm = ClassicalParams(0.5, (0.0, 0.0, 0.8))
-    assert flip_prob(1, 1, prm, 2) == pytest.approx(0.4, abs=1e-15)
-    assert flip_prob(0, 1, prm, 2) == pytest.approx(
+    p, q = 0.5, (0.0, 0.0, 0.8)
+    assert _fab(1, 1, p, q, 2) == pytest.approx(0.4, abs=1e-15)
+    assert _fab(0, 1, p, q, 2) == pytest.approx(
         0.5 * 0.0 + 0.5 * 0.0, abs=1e-15)
-    with pytest.raises(ValueError):
-        flip_prob(0, 0, prm, 4)
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 1), st.integers(0, 1), params_strategy(3))
 def test_flip_prob_complement_symmetry(a, b, prm):
     # complementing every bit swaps p and 1-p but preserves agreement
-    mirrored = ClassicalParams(1.0 - prm.p, prm.q)
-    assert flip_prob(a, b, prm, 3) == pytest.approx(
-        flip_prob(1 - a, 1 - b, mirrored, 3), abs=1e-12)
-    assert 0.0 <= flip_prob(a, b, prm, 3) <= 1.0
+    p, q = prm
+    assert _fab(a, b, p, q, 3) == pytest.approx(
+        _fab(1 - a, 1 - b, 1.0 - p, q, 3), abs=1e-12)
+    assert 0.0 <= _fab(a, b, p, q, 3) <= 1.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(params_strategy(2))
 def test_exact_d2_matches_oracle(prm):
-    assert exact_prob_d2(prm) == pytest.approx(
+    assert exact_prob(2, prm) == pytest.approx(
         neighborhood_oracle_prob(2, prm), abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(params_strategy(3))
 def test_exact_d3_matches_oracle(prm):
-    assert exact_prob_d3(prm) == pytest.approx(
+    assert exact_prob(3, prm) == pytest.approx(
         neighborhood_oracle_prob(3, prm), abs=1e-12)
+
+
+def test_exact_d4_matches_oracle():
+    rng = np.random.Generator(np.random.Philox(key=[0, 4]))
+    for _ in range(10):
+        prm = ClassicalParams(float(rng.uniform()),
+                              tuple(float(t) for t in rng.uniform(size=5)))
+        assert exact_prob(4, prm) == pytest.approx(
+            neighborhood_oracle_prob(4, prm), abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(params_strategy(3))
 def test_d3_grouped_route_agrees(prm):
     assert exact_prob_d3_grouped(prm) == pytest.approx(
-        exact_prob_d3(prm), abs=1e-12)
+        exact_prob(3, prm), abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,16 +136,16 @@ def test_d3_conditional_decomposition(prm):
     total = 0.0
     for ball in itertools.product((0, 1), repeat=4):
         weight = math.prod(p if b == 1 else 1.0 - p for b in ball)
-        cond = exact_prob_d3_conditional(ball, prm)
+        cond = _conditional_prob(ball, prm.p, prm.q, 3)
         assert -1e-12 <= cond <= 1 + 1e-12
         total += weight * cond
-    assert total == pytest.approx(exact_prob_d3(prm), abs=1e-12)
+    assert total == pytest.approx(exact_prob(3, prm), abs=1e-12)
 
 
 def test_d3_conditional_matches_oracle_conditionals():
     prm = ClassicalParams(0.37, (0.1, 0.0, 0.4, 0.9))
     for ball in itertools.product((0, 1), repeat=4):
-        assert exact_prob_d3_conditional(ball, prm) == pytest.approx(
+        assert _conditional_prob(ball, prm.p, prm.q, 3) == pytest.approx(
             neighborhood_oracle_prob(3, prm, ball_condition=ball), abs=1e-12)
 
 
@@ -143,22 +154,22 @@ def test_d3_conditional_matches_oracle_conditionals():
 def test_objective_reflection_symmetries_d2(prm):
     # complementing the initial cut (p -> 1-p) or the final cut
     # (q -> 1-q componentwise) cannot change any satisfaction event
-    base = exact_prob_d2(prm)
-    assert exact_prob_d2(ClassicalParams(1.0 - prm.p, prm.q)) \
+    base = exact_prob(2, prm)
+    assert exact_prob(2, ClassicalParams(1.0 - prm.p, prm.q)) \
         == pytest.approx(base, abs=1e-12)
     flipped = tuple(1.0 - t for t in prm.q)
-    assert exact_prob_d2(ClassicalParams(prm.p, flipped)) \
+    assert exact_prob(2, ClassicalParams(prm.p, flipped)) \
         == pytest.approx(base, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(params_strategy(3))
 def test_objective_reflection_symmetries_d3(prm):
-    base = exact_prob_d3(prm)
-    assert exact_prob_d3(ClassicalParams(1.0 - prm.p, prm.q)) \
+    base = exact_prob(3, prm)
+    assert exact_prob(3, ClassicalParams(1.0 - prm.p, prm.q)) \
         == pytest.approx(base, abs=1e-12)
     flipped = tuple(1.0 - t for t in prm.q)
-    assert exact_prob_d3(ClassicalParams(prm.p, flipped)) \
+    assert exact_prob(3, ClassicalParams(prm.p, flipped)) \
         == pytest.approx(base, abs=1e-12)
 
 
@@ -178,14 +189,14 @@ def test_reflection_symmetry_holds_for_oracle_d4():
 @given(probs, probs)
 def test_four_path_form_exact_when_no_weak_flips(p, q2):
     prm = ClassicalParams(p, (0.0, 0.0, q2))
-    assert four_path_form_d2(prm) == pytest.approx(exact_prob_d2(prm), abs=1e-12)
+    assert four_path_form_d2(prm) == pytest.approx(exact_prob(2, prm), abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
 @given(params_strategy(2))
 def test_four_path_form_upper_bounds_exact(prm):
     # with q0 or q1 > 0 it ignores satisfied-to-unsatisfied flow
-    assert four_path_form_d2(prm) >= exact_prob_d2(prm) - 1e-12
+    assert four_path_form_d2(prm) >= exact_prob(2, prm) - 1e-12
 
 
 def test_q2_star_is_stationary():
@@ -193,8 +204,8 @@ def test_q2_star_is_stationary():
         q2 = q2_star(p, 0.0)
         assert 0.0 <= q2 <= 1.0
         eps = 1e-6
-        up = exact_prob_d2(ClassicalParams(p, (0.0, 0.0, q2 + eps)))
-        down = exact_prob_d2(ClassicalParams(p, (0.0, 0.0, q2 - eps)))
+        up = exact_prob(2, ClassicalParams(p, (0.0, 0.0, q2 + eps)))
+        down = exact_prob(2, ClassicalParams(p, (0.0, 0.0, q2 - eps)))
         assert abs(up - down) / (2 * eps) < 1e-8
     assert q2_star(0.5, 0.0) == pytest.approx(0.8, abs=1e-12)
 
@@ -203,7 +214,7 @@ def test_q2_star_is_stationary():
 @given(st.floats(min_value=0.3, max_value=0.7))
 def test_reduced_objective_matches_substitution(p):
     prm = ClassicalParams(p, (0.0, 0.0, q2_star(p, 0.0)))
-    assert reduced_objective_d2(p) == pytest.approx(exact_prob_d2(prm), abs=1e-12)
+    assert reduced_objective_d2(p) == pytest.approx(exact_prob(2, prm), abs=1e-12)
 
 
 def test_reduced_objective_peak():

@@ -6,9 +6,10 @@ import math
 
 import pytest
 
-from localmaxcut import (closed_form_f2, exact_prob_d3, girth, load_edge_list,
-                         make_named, optimal_preset, zk_edge_d2)
+from localmaxcut import (closed_form_f2, exact_prob, girth, hrss_preset,
+                         load_edge_list, make_named)
 from localmaxcut.cli import main, parse_graph_spec
+from localmaxcut.qaoa_engine import zk_edge_d2
 
 
 def run_cli(capsys, *argv):
@@ -45,7 +46,6 @@ def test_usage_errors_exit_2(capsys):
                    "--q", "a,b,c")[0] == 2
     assert run_cli(capsys, "classical", "curve", "--degree", "2",
                    "--resolution", "1")[0] == 2
-    assert run_cli(capsys, "verify", "--graph", "cycle:7", "--threads", "0")[0] == 2
     rc, _, err = run_cli(capsys, "classical", "run", "--graph", "cycle:5",
                          "--q", "0,0,1.5")
     assert rc == 2
@@ -59,18 +59,23 @@ def test_config_echo_and_seed_default(capsys):
     assert cfg["command"] == "classical"
     assert cfg["subcommand"] == "exact"
     assert cfg["seed"] == 0
-    assert cfg["threads"] == 1
     assert cfg["p"] == 0.5
     assert cfg["q"] == [0.0, 0.0, 0.8]
     assert "timestamp" not in doc
     assert doc["value"] == pytest.approx(0.95, abs=1e-12)
 
 
-def test_threads_env_fallback(capsys, monkeypatch):
+def test_threads_flag_refused(capsys, monkeypatch):
+    # the worker pool is gone: the flag is a usage error and the old
+    # environment variable has no effect
+    with pytest.raises(SystemExit) as exc:
+        main(["classical", "exact", "--degree", "2", "--threads", "1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
     monkeypatch.setenv("LOCALMAXCUT_THREADS", "2")
     rc, doc, _ = run_json(capsys, "classical", "exact", "--degree", "2")
     assert rc == 0
-    assert doc["config"]["threads"] == 2
+    assert "threads" not in doc["config"]
 
 
 def test_byte_stable_output(capsys):
@@ -107,6 +112,17 @@ def test_classical_run(capsys):
     rc2, _, _ = run_cli(capsys, "classical", "run", "--graph", "named:PETERSEN",
                         "--q", "0,0,1")
     assert rc2 == 2  # q has 3 entries but degree 3 wants 4
+
+
+def test_classical_run_degree_4(capsys):
+    # girth 3: the pairing model finds no girth >= 4 graph at d = 4 in
+    # its 1000 attempts
+    rc, doc, _ = run_json(capsys, "classical", "run", "--graph",
+                          "random:100,4,3,0", "--p", "0.5",
+                          "--q", "0,0,0,1,1", "--trials", "20")
+    assert rc == 0
+    assert doc["degree"] == 4
+    assert doc["tree_value"] == exact_prob(4, hrss_preset(4))
 
 
 def test_classical_curve_csv(capsys, tmp_path):

@@ -79,6 +79,12 @@ def test_random_regular_basic():
     assert girth(g) >= 4
 
 
+def test_random_regular_holds_python_ints():
+    g = make_random_regular(20, 3, min_girth=4, seed=11)
+    assert all(type(v) is int for e in g.edges for v in e)
+    assert all(type(v) is int for nbrs in g.adjacency for v in nbrs)
+
+
 def test_random_regular_deterministic():
     a = make_random_regular(30, 3, min_girth=3, seed=5)
     b = make_random_regular(30, 3, min_girth=3, seed=5)

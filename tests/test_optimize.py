@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from localmaxcut import (ClassicalParams, exact_prob_d2, exact_prob_d3,
-                         grid_sweep, nelder_mead, q2_star, report_to_json)
+from localmaxcut import (ClassicalParams, exact_prob, grid_sweep, nelder_mead,
+                         q2_star, report_to_json)
 from localmaxcut.optimize import (DISTINCT_TOL, QAOA_BOX, _canonical_classical,
                                   classical_objective, qaoa_objective)
 
@@ -34,12 +34,6 @@ def test_grid_values_are_row_major():
 def test_grid_tie_goes_to_first_cell():
     sweep = grid_sweep(lambda x: 1.0, ((0.0, 1.0), (2.0, 3.0)), 3)
     assert sweep.argmax == (0.0, 2.0)
-
-
-def test_grid_workers_agree():
-    serial = grid_sweep(paraboloid, ((0.0, 1.0), (0.0, 1.0)), 16)
-    threaded = grid_sweep(paraboloid, ((0.0, 1.0), (0.0, 1.0)), 16, workers=4)
-    assert np.array_equal(serial.values, threaded.values)
 
 
 def test_grid_validation():
@@ -103,13 +97,15 @@ def test_canonical_classical():
 def test_objective_factories():
     prm = ClassicalParams(0.4, (0.1, 0.2, 0.3))
     assert classical_objective(2)((0.4, 0.1, 0.2, 0.3)) \
-        == pytest.approx(exact_prob_d2(prm))
+        == pytest.approx(exact_prob(2, prm))
     assert classical_objective(3)((0.5,) + (0.25,) * 4) == pytest.approx(
-        exact_prob_d3(ClassicalParams(0.5, (0.25,) * 4)))
+        exact_prob(3, ClassicalParams(0.5, (0.25,) * 4)))
+    assert classical_objective(4)((0.5,) + (0.25,) * 5) == exact_prob(
+        4, ClassicalParams(0.5, (0.25,) * 5))
     with pytest.raises(ValueError):
         qaoa_objective(4)
     with pytest.raises(ValueError):
-        classical_objective(4)
+        classical_objective(3)((0.5,) + (0.25,) * 3)  # q needs d+1 entries
 
 
 def test_optimize_qaoa_d2(qaoa_d2):

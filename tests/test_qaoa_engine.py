@@ -12,12 +12,28 @@ from hypothesis import given, settings, strategies as st
 from localmaxcut import (build_localmaxcut_hamiltonian, closed_form_f2,
                          closed_form_f3, expectation_full, expectation_zk,
                          make_cycle, make_hamiltonian, make_named, mask_of,
-                         odd_intersection_terms, qaoa_expectation_sv,
-                         solution_families, tree_patch, vertices_of,
-                         zk_ball_d3, zk_edge_d2, zk_edge_d3, zk_pair_d2)
-from localmaxcut.qaoa_engine import FAMILY_CAP, breakdown_to_json
+                         neighborhood, qaoa_expectation_sv, vertices_of)
+from localmaxcut.qaoa_engine import (FAMILY_CAP, breakdown_to_json,
+                                     odd_intersection_terms,
+                                     solution_families, zk_ball_d3,
+                                     zk_edge_d2, zk_edge_d3, zk_pair_d2)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
+
+
+def girth7_certificate(d, kind):
+    """A girth-7 LocalMaxCut Hamiltonian and the subset K whose <Z_K> has a
+    closed form.  <Z_K> sees only the terms that meet K, so on girth >= 7
+    it equals its value on the infinite d-regular tree.
+    """
+    if d == 2:
+        h = build_localmaxcut_hamiltonian(make_cycle(7))
+        return h, mask_of((2, 3) if kind == "EDGE" else (2, 4))
+    g = make_named("MCGEE")
+    h = build_localmaxcut_hamiltonian(g)
+    if kind == "EDGE":
+        return h, mask_of((0, g.adjacency[0][0]))
+    return h, mask_of(neighborhood(g, 0))
 
 
 def brute_families(masks, K):
@@ -34,7 +50,7 @@ def brute_families(masks, K):
 
 
 def test_odd_intersection_on_path_patch():
-    h, K = tree_patch(2, "EDGE")
+    h, K = girth7_certificate(2, "EDGE")
     assert K == mask_of((2, 3))
     o = odd_intersection_terms(h, mask_of([2]))
     assert sorted(vertices_of(m) for m in o) == [[0, 2], [1, 2], [2, 3], [2, 4]]
@@ -45,7 +61,7 @@ def test_odd_intersection_on_path_patch():
 
 
 def test_solution_families_golden():
-    h, K = tree_patch(2, "EDGE")
+    h, K = girth7_certificate(2, "EDGE")
     o = odd_intersection_terms(h, mask_of([2]))
     # only the edge term itself can produce the symmetric difference {2,3}
     assert solution_families(o, K) == [(mask_of((2, 3)),)]
@@ -78,7 +94,7 @@ def test_expectation_zk_rejects_bad_subsets():
 
 
 def test_breakdown_structure():
-    h, K = tree_patch(2, "EDGE")
+    h, K = girth7_certificate(2, "EDGE")
     gamma, beta = 0.37, 0.21
     value, bd = expectation_zk(h, K, (gamma, beta))
     assert bd.K == K
@@ -100,7 +116,7 @@ def test_breakdown_structure():
 
 
 def test_breakdown_json():
-    h, K = tree_patch(2, "EDGE")
+    h, K = girth7_certificate(2, "EDGE")
     _, bd = expectation_zk(h, K, (0.5, 0.25))
     doc = breakdown_to_json(bd)
     assert doc["K"] == [2, 3]
@@ -110,24 +126,6 @@ def test_breakdown_json():
     assert all(len(z) == 2 for z in rec["alphas"])
 
 
-def test_patch_shapes():
-    cases = {
-        (2, "EDGE"): (6, 9, (2, 3)),
-        (2, "PAIR"): (7, 11, (2, 4)),
-        (3, "EDGE"): (14, 19, (0, 1)),
-        (3, "BALL"): (22, 31, (0, 1, 2, 3)),
-    }
-    for (d, kind), (n, terms, K_vertices) in cases.items():
-        h, K = tree_patch(d, kind)
-        assert h.n == n
-        assert len(h.nonconstant_terms()) == terms
-        assert K == mask_of(K_vertices)
-    with pytest.raises(ValueError):
-        tree_patch(2, "BALL")
-    with pytest.raises(ValueError):
-        tree_patch(4, "EDGE")
-
-
 @pytest.mark.parametrize("d,kind,closed_form", [
     (2, "EDGE", zk_edge_d2),
     (2, "PAIR", zk_pair_d2),
@@ -135,7 +133,7 @@ def test_patch_shapes():
     (3, "BALL", zk_ball_d3),
 ])
 def test_patch_reproduces_closed_form(d, kind, closed_form):
-    h, K = tree_patch(d, kind)
+    h, K = girth7_certificate(d, kind)
     for angles in ANGLES:
         engine, _ = expectation_zk(h, K, angles)
         assert engine == pytest.approx(closed_form(angles), abs=1e-12)
@@ -147,6 +145,24 @@ def test_engine_vs_statevector_smoke():
         for angles in ANGLES:
             assert expectation_full(h, angles) == pytest.approx(
                 qaoa_expectation_sv(h, angles), abs=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_engine_vs_statevector_random_hamiltonians(data):
+    # arbitrary diagonal Hamiltonians, not only LocalMaxCut ones; at most
+    # 8 terms keeps every |O(L)| under FAMILY_CAP
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    masks = data.draw(st.lists(st.integers(min_value=1, max_value=2**n - 1),
+                               min_size=1, max_size=8, unique=True))
+    weights = data.draw(st.lists(
+        st.floats(min_value=-2.0, max_value=2.0).filter(lambda w: w != 0.0),
+        min_size=len(masks), max_size=len(masks)))
+    h = make_hamiltonian(n, dict(zip(masks, weights)))
+    angles = (data.draw(st.floats(min_value=0.0, max_value=2 * math.pi)),
+              data.draw(st.floats(min_value=0.0, max_value=math.pi)))
+    assert expectation_full(h, angles) == pytest.approx(
+        qaoa_expectation_sv(h, angles), abs=1e-9)
 
 
 def test_closed_form_f2_on_high_girth_cycles():
