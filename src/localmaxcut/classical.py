@@ -12,15 +12,17 @@ with probability p.
 
 Three independent evaluation routes are provided and cross-checked in the
 test suite: a brute-force enumeration oracle on the radius-2 tree
-(`neighborhood_oracle_prob`, the arbiter), the exact sum over the initial
-assignments of a vertex's closed neighborhood (`exact_prob`, every degree
-up to EXACT_MAX_DEGREE), and seeded Monte Carlo on concrete graphs.
+(`neighborhood_oracle_prob`, the arbiter), the exact sum over a vertex's
+initial bit and agreeing-neighbor count (`exact_prob`, every degree up to
+EXACT_MAX_DEGREE, on scalars or numpy batches), and seeded Monte Carlo on
+concrete graphs.
 Randomness is counter-based (Philox keyed by master seed and trial index)
 so runs are reproducible and trial order is irrelevant.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 ORACLE_MAX_DEGREE = 5  # radius-2 tree has 1 + d + d(d-1) <= 26 vertices
-EXACT_MAX_DEGREE = 10  # the sum visits about 4^(d+1) ball pairs: ~5 s at d = 10
+EXACT_MAX_DEGREE = 10  # the sum has O(d^3) terms: under 1 ms per point at d = 10
 
 
 class ClassicalParams(NamedTuple):
@@ -37,9 +39,16 @@ class ClassicalParams(NamedTuple):
     q: tuple[float, ...]
 
 
+def _is_probability(x) -> bool:
+    """Whether x, or every entry of an array x, lies in [0,1] (NaN does not)."""
+    if isinstance(x, np.ndarray):
+        return bool(np.all((x >= 0.0) & (x <= 1.0)))
+    return 0.0 <= x <= 1.0
+
+
 def _check_params(params, d=None):
     p, q = params
-    if not 0.0 <= p <= 1.0 or any(not 0.0 <= qi <= 1.0 for qi in q):
+    if not all(_is_probability(x) for x in (p, *q)):
         raise ValueError(f"probabilities must lie in [0,1], got p={p}, q={q}")
     if d is not None and len(q) != d + 1:
         raise ValueError(f"flip vector has {len(q)} entries, expected d+1={d + 1}")
@@ -201,24 +210,18 @@ def _fab(a: int, b: int, p: float, q, d: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _initial_balls(d: int):
-    """Every ball assignment (center, neighbors...) in counting order, with its popcount."""
-    return tuple(
-        (bits, sum(bits))
-        for t in range(2 ** (d + 1))
-        for bits in [tuple(t >> (d - j) & 1 for j in range(d + 1))]
-    )
-
-
-@lru_cache(maxsize=None)
 def _satisfying_assignments(d: int):
     """Final ball assignments (center, neighbors...) leaving the center satisfied."""
-    return [bits for bits, _ in _initial_balls(d)
+    return [bits for bits in itertools.product((0, 1), repeat=d + 1)
             if sum(1 for b in bits[1:] if b == bits[0]) <= d // 2]
 
 
 def _conditional_prob(ball, p: float, q, d: int) -> float:
-    """Pr[center satisfied after one round | tau_0(B(v)) = ball] on the d-regular tree."""
+    """Pr[center satisfied after one round | tau_0(B(v)) = ball] on the d-regular tree.
+
+    A cross-check route for `exact_prob`: it walks every satisfying final
+    assignment of the ball instead of counting agreeing neighbors.
+    """
     a = ball[0]
     ell = sum(1 for b in ball[1:] if b == a)
     flip = (_fab(a, 0, p, q, d), _fab(a, 1, p, q, d))
@@ -231,21 +234,48 @@ def _conditional_prob(ball, p: float, q, d: int) -> float:
     return total
 
 
-def exact_prob(d: int, params) -> float:
+def _binomial_pmf(n: int, r):
+    """[Pr[Bin(n, r) = k] for k = 0..n]."""
+    return [math.comb(n, k) * r ** k * (1 - r) ** (n - k) for k in range(n + 1)]
+
+
+def _pmf_of_sum(x, y):
+    """Distribution of X + Y for independent X, Y given as pmf lists."""
+    out = [0.0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[i + j] += xi * yj
+    return out
+
+
+def exact_prob(d: int, params):
     """Pr[v satisfied after one round] on a locally tree-like d-regular graph.
 
-    Direct sum over the 2^(d+1) initial assignments of B(v), each weighted
-    by its probability under the biased initial cut.  Agrees with the
+    Sums over the center's initial bit a and its agreeing-neighbor count l,
+    weighted p_a^(l+1) (1-p_a)^(d-l) C(d, l).  Given both, each neighbor
+    flips independently (with f_aa if it agreed, f_ab if not), so the
+    number S of neighbors ending on side a is Bin(l, 1 - f_aa) +
+    Bin(d - l, f_ab).  The center stays with probability 1 - q_l and is
+    then satisfied iff S <= floor(d/2); it moves with probability q_l and
+    is then satisfied iff d - S <= floor(d/2).  O(d^3) terms of plain
+    arithmetic, so p and the q entries may be floats or numpy arrays of
+    one shape, and the result has that shape.  Agrees with the
     brute-force oracle for every (p, q).
     """
     if not 1 <= d <= EXACT_MAX_DEGREE:
         raise ValueError(f"exact sum covers 1 <= d <= {EXACT_MAX_DEGREE}, got {d}")
     p, q = params
     _check_params(params, d)
+    m = d // 2
     total = 0.0
-    for ball, ones in _initial_balls(d):
-        weight = p ** ones * (1 - p) ** (d + 1 - ones)
-        total += weight * _conditional_prob(ball, p, q, d)
+    for a, pa in ((0, 1 - p), (1, p)):
+        f_same, f_diff = _fab(a, a, p, q, d), _fab(a, 1 - a, p, q, d)
+        for l in range(d + 1):
+            s = _pmf_of_sum(_binomial_pmf(l, 1 - f_same),
+                            _binomial_pmf(d - l, f_diff))
+            weight = math.comb(d, l) * pa ** (l + 1) * (1 - pa) ** (d - l)
+            total += weight * ((1 - q[l]) * sum(s[:m + 1])
+                               + q[l] * sum(s[d - m:]))
     return total
 
 

@@ -96,13 +96,33 @@ def make_named(name: str) -> Graph:
     return build_graph(1 + max(max(e) for e in edges), edges)
 
 
+def _moore_bound(d: int, g: int, limit: int) -> int:
+    """Fewest vertices a d-regular graph of girth >= g can have.
+
+    The ball of radius floor((g-1)/2) around a vertex (odd g) or around an
+    edge (even g) is a tree, so its vertices are distinct.  Counting stops
+    at the first layer that takes the count past `limit`, which keeps the
+    arithmetic small for huge girths and leaves the comparison with any n
+    <= limit unchanged.
+    """
+    k, odd = divmod(g, 2)
+    count, layer = (1, d) if odd else (0, 2)
+    for _ in range(k):
+        if count > limit:
+            break
+        count += layer
+        layer *= d - 1
+    return count
+
+
 def make_random_regular(n: int, d: int, min_girth: int = 3, seed: int = 0,
                         max_attempts: int = 1000) -> Graph:
     """Random d-regular graph with girth >= min_girth via the pairing model.
 
     Each attempt shuffles the n*d stub list, pairs consecutive stubs, and
     rejects on self-loops, parallel edges, or short cycles.  Deterministic
-    for a fixed (n, d, min_girth, seed).
+    for a fixed (n, d, min_girth, seed).  An n below the Moore bound is
+    refused before any sampling.
     """
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
@@ -110,6 +130,10 @@ def make_random_regular(n: int, d: int, min_girth: int = 3, seed: int = 0,
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     if n <= d:
         raise ValueError(f"need n > d for a simple d-regular graph, got n={n}, d={d}")
+    bound = _moore_bound(d, min_girth, limit=n)
+    if n < bound:
+        raise ValueError(f"no {d}-regular graph on {n} vertices has girth >= "
+                         f"{min_girth}: the Moore bound needs n >= {bound}")
     rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
     stubs = np.repeat(np.arange(n), d)
     for _ in range(max_attempts):

@@ -6,12 +6,17 @@ keep the best handful of cells, refine each with a bounded Nelder-Mead
 simplex, and report every distinct local maximum found.  Ties between
 equal grid cells go to the lowest row-major index so golden outputs are
 stable across runs.
+
+An objective is a function of one packed point x written in numpy
+arithmetic, so the same function serves both stages: the simplex passes
+x as a vector of floats, one point per call, and the grid passes a tuple
+of coordinate arrays of the grid's shape and gets every cell back from a
+single call.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,13 +58,16 @@ class OptimizationReport:
 
 def grid_sweep(objective, box, resolution,
                include_endpoint: bool = False) -> GridSweep:
-    """Evaluate `objective` on a regular grid over `box`.
+    """Evaluate `objective` on a regular grid over `box` in one call.
 
     `box` is a sequence of (lo, hi) pairs and `resolution` an int or a
-    per-axis sequence, at least 2 everywhere.  Angle domains are periodic,
-    so the default grid is half-open (hi excluded); probability boxes want
-    `include_endpoint=True` to land on the corners.  The best cell is the
-    first (lowest row-major index) among equal maxima.
+    per-axis sequence, at least 2 everywhere.  The objective receives the
+    whole grid as one packed point whose coordinates are arrays of the
+    grid's shape (`np.meshgrid(..., indexing="ij")`) and must return the
+    values in that shape, or anything that broadcasts to it.  Angle
+    domains are periodic, so the default grid is half-open (hi excluded);
+    probability boxes want `include_endpoint=True` to land on the corners.
+    The best cell is the first (lowest row-major index) among equal maxima.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     for lo, hi in box:
@@ -76,9 +84,8 @@ def grid_sweep(objective, box, resolution,
         else lo + (hi - lo) * np.arange(r) / r
         for (lo, hi), r in zip(box, resolution)
     )
-    points = itertools.product(*(tuple(float(t) for t in ax) for ax in axes))
-    flat = [objective(pt) for pt in points]
-    values = np.array(flat, dtype=float).reshape(resolution)
+    grid = tuple(np.meshgrid(*axes, indexing="ij"))
+    values = np.array(np.broadcast_to(objective(grid), resolution), dtype=float)
     idx = np.unravel_index(int(np.argmax(values)), resolution)
     argmax = tuple(float(axes[j][idx[j]]) for j in range(len(axes)))
     return GridSweep(axes=axes, values=values, argmax=argmax,

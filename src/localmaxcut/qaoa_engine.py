@@ -38,6 +38,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .hamiltonian import DiagonalHamiltonian, vertices_of
 
 FAMILY_CAP = 25
@@ -198,60 +200,61 @@ def breakdown_to_json(bd: ZkBreakdown) -> dict:
 
 # ----------------------------------------------------------------------
 # Closed forms for degree-2 and degree-3 LocalMaxCut on girth >= 7 graphs.
-# Each is a verbatim trigonometric polynomial in (gamma, beta).
+# Each is a verbatim trigonometric polynomial in (gamma, beta), written in
+# numpy arithmetic so the angles may be floats or arrays of one shape.
 
-def zk_edge_d2(angles) -> float:
+def zk_edge_d2(angles):
     """<Z_uv> for an edge uv of a 2-regular graph with tree-like surroundings."""
     g, b = angles
-    return (-2 * math.cos(2 * b) * math.sin(2 * b)
-            * math.cos(g) * math.sin(g) * math.cos(g / 2) ** 2
-            + 2 * math.sin(2 * b) ** 2
-            * math.cos(g) * math.sin(g) * math.cos(g / 2) ** 3 * math.sin(g / 2))
+    return (-2 * np.cos(2 * b) * np.sin(2 * b)
+            * np.cos(g) * np.sin(g) * np.cos(g / 2) ** 2
+            + 2 * np.sin(2 * b) ** 2
+            * np.cos(g) * np.sin(g) * np.cos(g / 2) ** 3 * np.sin(g / 2))
 
 
-def zk_pair_d2(angles) -> float:
+def zk_pair_d2(angles):
     """<Z_{w1 w2}> for the two neighbors w1, w2 of a common degree-2 vertex."""
     g, b = angles
-    return (-2 * math.cos(2 * b) * math.sin(2 * b)
-            * math.cos(g) ** 2 * math.cos(g / 2) * math.sin(g / 2)
-            + math.sin(2 * b) ** 2
-            * math.cos(g) ** 2 * math.sin(g) ** 2 * math.cos(g / 2) ** 2)
+    return (-2 * np.cos(2 * b) * np.sin(2 * b)
+            * np.cos(g) ** 2 * np.cos(g / 2) * np.sin(g / 2)
+            + np.sin(2 * b) ** 2
+            * np.cos(g) ** 2 * np.sin(g) ** 2 * np.cos(g / 2) ** 2)
 
 
-def zk_edge_d3(angles) -> float:
+def zk_edge_d3(angles):
     """<Z_uv> for an edge uv of a 3-regular graph with tree-like surroundings."""
     g, b = angles
-    return (-2 * math.cos(2 * b) * math.sin(2 * b)
-            * math.sin(g) * math.cos(g) * math.cos(g / 2) ** 4)
+    return (-2 * np.cos(2 * b) * np.sin(2 * b)
+            * np.sin(g) * np.cos(g) * np.cos(g / 2) ** 4)
 
 
-def zk_ball_d3(angles) -> float:
+def zk_ball_d3(angles):
     """<Z_B(u)> for the closed neighborhood of a degree-3 vertex u."""
     g, b = angles
-    s2b, c2b = math.sin(2 * b), math.cos(2 * b)
-    ch = math.cos(g / 2)
-    sh = math.sin(g / 2)
+    s2b, c2b = np.sin(2 * b), np.cos(2 * b)
+    ch = np.cos(g / 2)
+    sh = np.sin(g / 2)
     return (s2b * c2b ** 3 * ch ** 3
-            * (3 * math.sin(3 * g / 2) - math.sin(5 * g / 2)) / 4
+            * (3 * np.sin(3 * g / 2) - np.sin(5 * g / 2)) / 4
             + 3 * s2b * c2b ** 3 * sh * ch ** 2
-            * (3 * math.cos(3 * g / 2) + math.cos(5 * g / 2)) / 4
-            - 3 * s2b ** 3 * c2b * sh * math.cos(g) ** 5 * ch ** 5
+            * (3 * np.cos(3 * g / 2) + np.cos(5 * g / 2)) / 4
+            - 3 * s2b ** 3 * c2b * sh * np.cos(g) ** 5 * ch ** 5
             - s2b ** 3 * c2b * ch ** 6
-            * (sh * (3 * math.cos(3 * g / 2) + math.cos(5 * g / 2)) ** 3 / 64
-               + math.sin(g) ** 3 * math.cos(g) ** 3 * ch ** 4))
+            * (sh * (3 * np.cos(3 * g / 2) + np.cos(5 * g / 2)) ** 3 / 64
+               + np.sin(g) ** 3 * np.cos(g) ** 3 * ch ** 4))
 
 
-def closed_form_f2(n, angles) -> float:
+def closed_form_f2(n, angles):
     """Full degree-2 expectation F(gamma, beta) per vertex count n (girth >= 7)."""
     g, b = angles
     return (3 * n / 4
-            + n / 32 * math.sin(4 * b)
-            * (3 * math.sin(g) + 4 * math.sin(2 * g) + 3 * math.sin(3 * g))
-            - n / 16 * math.sin(2 * b) ** 2 * math.sin(g) * math.cos(g / 2) ** 2
-            * (math.sin(g) + 4 * math.sin(2 * g) + math.sin(3 * g)))
+            + n / 32 * np.sin(4 * b)
+            * (3 * np.sin(g) + 4 * np.sin(2 * g) + 3 * np.sin(3 * g))
+            - n / 16 * np.sin(2 * b) ** 2 * np.sin(g) * np.cos(g / 2) ** 2
+            * (np.sin(g) + 4 * np.sin(2 * g) + np.sin(3 * g)))
 
 
-def closed_form_f3(n, angles) -> float:
+def closed_form_f3(n, angles):
     """Full degree-3 expectation: n/2 - (3n/4) <Z_uv> + (n/4) <Z_B(u)>.
 
     Assembled from the per-term closed forms with |E| = 3n/2 edges and n

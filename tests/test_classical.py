@@ -39,6 +39,19 @@ def test_params_validation():
             exact_prob(d, ClassicalParams(0.5, (0.0,) * (d + 1)))
 
 
+def test_params_validation_checks_every_batch_entry():
+    p = np.full(6, 0.5)
+    q = tuple(np.full(6, 0.25) for _ in range(3))
+    bad_q = q[:2] + (np.where(np.arange(6) == 4, 1.5, 0.25),)
+    with pytest.raises(ValueError, match=r"probabilities must lie in \[0,1\]"):
+        exact_prob(2, ClassicalParams(p, bad_q))
+    with pytest.raises(ValueError, match=r"probabilities must lie in \[0,1\]"):
+        exact_prob(2, ClassicalParams(np.where(np.arange(6) == 1, np.nan, p), q))
+    with pytest.raises(ValueError, match=r"probabilities must lie in \[0,1\]"):
+        exact_prob(2, ClassicalParams(math.nan, (0.0, 0.0, 0.0)))
+    assert exact_prob(2, ClassicalParams(p, q)).shape == (6,)
+
+
 def test_hrss_preset_thresholds():
     # r_d = ceil((d + sqrt(d)) / 2): 2, 3, 3 for d = 2, 3, 4
     assert hrss_preset(2) == ClassicalParams(0.5, (0.0, 0.0, 1.0))
@@ -118,6 +131,42 @@ def test_exact_d4_matches_oracle():
                               tuple(float(t) for t in rng.uniform(size=5)))
         assert exact_prob(4, prm) == pytest.approx(
             neighborhood_oracle_prob(4, prm), abs=1e-12)
+
+
+def _random_batch(d, size, key):
+    """Seeded (p, q) batch whose first point sits on a corner of the box."""
+    rng = np.random.Generator(np.random.Philox(key=[key, d]))
+    x = rng.uniform(size=(d + 2, size))
+    x[:, 0] = rng.integers(0, 2, size=d + 2)
+    return ClassicalParams(x[0], tuple(x[1:]))
+
+
+def _per_ball_prob(d, prm):
+    """exact_prob by the walk over every initial ball and final assignment."""
+    total = 0.0
+    for ball in itertools.product((0, 1), repeat=d + 1):
+        weight = math.prod(prm.p if b == 1 else 1.0 - prm.p for b in ball)
+        total += weight * _conditional_prob(ball, prm.p, prm.q, d)
+    return total
+
+
+@pytest.mark.parametrize("d", range(1, EXACT_MAX_DEGREE + 1))
+def test_exact_batch_matches_pointwise(d):
+    prm = _random_batch(d, 32, key=1)
+    batch = exact_prob(d, prm)
+    assert batch.shape == (32,)
+    for k in range(32):
+        point = ClassicalParams(float(prm.p[k]), tuple(float(t[k]) for t in prm.q))
+        assert abs(batch[k] - exact_prob(d, point)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_exact_matches_per_ball_route(d):
+    prm = _random_batch(d, 4 if d <= 6 else 2, key=2)
+    batch = exact_prob(d, prm)
+    for k in range(len(prm.p)):
+        point = ClassicalParams(float(prm.p[k]), tuple(float(t[k]) for t in prm.q))
+        assert batch[k] == pytest.approx(_per_ball_prob(d, point), abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)

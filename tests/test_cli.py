@@ -52,6 +52,12 @@ def test_usage_errors_exit_2(capsys):
     assert err.startswith("error:")
 
 
+def test_random_spec_below_moore_bound_exits_2(capsys):
+    rc, _, err = run_cli(capsys, "graph", "gen", "--graph", "random:8,3,5,0")
+    assert rc == 2
+    assert "Moore bound needs n >= 10" in err
+
+
 def test_config_echo_and_seed_default(capsys):
     rc, doc, _ = run_json(capsys, "classical", "exact", "--degree", "2")
     assert rc == 0

@@ -100,9 +100,23 @@ def test_random_regular_rejects_impossible():
         make_random_regular(9, 3)  # odd n*d
     with pytest.raises(ValueError):
         make_random_regular(3, 3)  # n <= d
-    with pytest.raises(RuntimeError):
+    with pytest.raises(ValueError):
         # C_4 is the only 2-regular graph on 4 vertices and has girth 4
         make_random_regular(4, 2, min_girth=5, max_attempts=10)
+    with pytest.raises(RuntimeError):
+        # the Petersen graph is the only girth-5 cubic graph on 10 vertices,
+        # and the pairing model almost never draws it
+        make_random_regular(10, 3, min_girth=5, max_attempts=10)
+
+
+def test_random_regular_refuses_below_moore_bound():
+    # girth 5 needs the center, its 3 neighbors and their 6 children distinct
+    with pytest.raises(ValueError, match=r"Moore bound needs n >= 10"):
+        make_random_regular(8, 3, min_girth=5, max_attempts=1)
+    # a huge girth is refused without building the astronomical bound
+    with pytest.raises(ValueError, match=r"Moore bound needs n >= \d{4}$"):
+        make_random_regular(1000, 3, min_girth=10**12, max_attempts=1)
+    assert girth(make_random_regular(10, 2, min_girth=10)) == 10
 
 
 def test_edge_list_roundtrip():

@@ -31,6 +31,21 @@ def test_grid_values_are_row_major():
     assert sweep.value == pytest.approx(11.0)
 
 
+def test_grid_calls_objective_once():
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return x[0] * x[1] - x[2]
+
+    sweep = grid_sweep(counting, ((0.0, 1.0),) * 3, (3, 4, 5),
+                       include_endpoint=True)
+    assert len(calls) == 1
+    assert [c.shape for c in calls[0]] == [(3, 4, 5)] * 3
+    assert sweep.argmax == (1.0, 1.0, 0.0)
+    assert sweep.value == 1.0
+
+
 def test_grid_tie_goes_to_first_cell():
     sweep = grid_sweep(lambda x: 1.0, ((0.0, 1.0), (2.0, 3.0)), 3)
     assert sweep.argmax == (0.0, 2.0)

@@ -165,6 +165,17 @@ def test_engine_vs_statevector_random_hamiltonians(data):
         qaoa_expectation_sv(h, angles), abs=1e-9)
 
 
+def test_closed_forms_batch_matches_scalar():
+    gammas, betas = np.meshgrid(np.linspace(0.0, 2 * math.pi, 9),
+                                np.linspace(0.0, math.pi, 7), indexing="ij")
+    for closed_form in (closed_form_f2, closed_form_f3):
+        batch = closed_form(1, (gammas, betas))
+        assert batch.shape == gammas.shape
+        for g, b, v in zip(gammas.ravel(), betas.ravel(), batch.ravel()):
+            assert v == pytest.approx(closed_form(1, (float(g), float(b))),
+                                      abs=1e-12)
+
+
 def test_closed_form_f2_on_high_girth_cycles():
     for n in (7, 8, 9):
         h = build_localmaxcut_hamiltonian(make_cycle(n))
