@@ -24,7 +24,7 @@ from .optimize import (GridSweep, OptimizationReport, grid_sweep, nelder_mead,
                        optimize_classical, optimize_qaoa, report_to_json)
 from .qaoa_engine import (QaoaAngles, ZkBreakdown, breakdown_to_json,
                           closed_form_f2, closed_form_f3, expectation_full,
-                          expectation_zk)
+                          expectation_zk, explain_zk)
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, qaoa_expectation_sv, uniform_state)
 
@@ -36,7 +36,7 @@ __all__ = [
     "RunStats", "ZkBreakdown", "agreeing_count", "apply_mixer", "apply_phase",
     "breakdown_to_json", "build_localmaxcut_hamiltonian", "closed_form_f2",
     "closed_form_f3", "evaluate_all", "evaluate_classical", "exact_prob",
-    "expectation_full", "expectation_sv", "expectation_zk",
+    "expectation_full", "expectation_sv", "expectation_zk", "explain_zk",
     "fourier_encode_clause", "girth", "grid_sweep", "hamiltonian_to_json",
     "hrss_preset", "load_edge_list", "local_satisfaction_clause",
     "make_cycle", "make_hamiltonian", "make_named", "make_random_regular",

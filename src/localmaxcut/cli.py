@@ -45,15 +45,16 @@ from .classical import (EXACT_MAX_DEGREE, ClassicalParams, exact_prob,
                         monte_carlo, optimal_preset, q2_star)
 from .graph import (Graph, girth, load_edge_list, make_cycle, make_named,
                     make_random_regular, save_edge_list)
-from .hamiltonian import (build_localmaxcut_hamiltonian, hamiltonian_to_json,
-                          make_hamiltonian, mask_of)
+from .hamiltonian import (_walsh_coefficients, build_localmaxcut_hamiltonian,
+                          hamiltonian_to_json, mask_of)
 from .optimize import (QAOA_BOX, grid_sweep, optimize_classical,
                        optimize_qaoa, qaoa_objective, report_to_json)
-from .qaoa_engine import breakdown_to_json, expectation_full, expectation_zk
+from .qaoa_engine import breakdown_to_json, expectation_zk, explain_zk
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, uniform_state)
 
 VERIFY_TOL = 1e-9
+VERIFY_BLOCK = 64  # angle pairs per batched engine call in verify
 SLOW_QUBITS = 20
 
 
@@ -212,7 +213,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    """Compare engine and statevector on seeded random angles; 0 iff they agree."""
+    """Compare engine and statevector on seeded random angles; 0 iff they agree.
+
+    The angle pairs go VERIFY_BLOCK at a time, so memory does not grow
+    with --samples.  One batched engine call per term gives each <Z_m> for
+    the whole block, and the full value is constant + sum_m w_m <Z_m>.  On
+    the statevector side one Walsh-Hadamard transform of |amp|^2 gives
+    every <Z_m> of a sample, and expectation_sv gives the full value.
+    """
+    if args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
     g = parse_graph_spec(args.graph)
     if g.n > MAX_QUBITS:
         raise ValueError(f"graph has {g.n} vertices; statevector caps at "
@@ -224,18 +236,28 @@ def cmd_verify(args) -> int:
         print(f"note: statevector on {g.n} qubits is slow", file=sys.stderr)
     h = build_localmaxcut_hamiltonian(g)
     rng = np.random.Generator(np.random.Philox(key=[cfg.seed & (2**64 - 1), 0]))
-    unit = {mask: make_hamiltonian(h.n, {mask: 1.0})
-            for mask, _ in h.nonconstant_terms()}
+    terms = h.nonconstant_terms()
+    masks = [m for m, _ in terms]
     max_full = 0.0
     max_term = 0.0
-    for _ in range(args.samples):
-        angles = (rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, math.pi))
-        state = apply_mixer(angles[1], apply_phase(h, angles[0], uniform_state(g.n)))
-        max_full = max(max_full, abs(expectation_full(h, angles)
-                                     - expectation_sv(h, state)))
-        for mask, _ in h.nonconstant_terms():
-            engine, _bd = expectation_zk(h, mask, angles)
-            max_term = max(max_term, abs(engine - expectation_sv(unit[mask], state)))
+    for start in range(0, args.samples, VERIFY_BLOCK):
+        # row j is sample start + j; gamma is drawn before beta, as one
+        # uniform(0, 2 pi) and one uniform(0, pi) call per sample would
+        block = rng.random((min(VERIFY_BLOCK, args.samples - start), 2))
+        gammas, betas = (block * (2.0 * math.pi, math.pi)).T
+        engine = np.zeros((len(terms), len(gammas)))
+        full = np.full(len(gammas), h.constant)
+        for t, (mask, w) in enumerate(terms):
+            engine[t] = expectation_zk(h, mask, (gammas, betas))
+            full += w * engine[t]
+        for j, (gamma, beta) in enumerate(zip(gammas, betas)):
+            state = apply_mixer(beta, apply_phase(h, gamma, uniform_state(g.n)))
+            probs = np.abs(state.amplitudes) ** 2
+            sv_terms = 2.0 ** g.n * _walsh_coefficients(probs)[masks]
+            max_term = max(max_term, float(np.max(
+                np.abs(engine[:, j] - sv_terms), initial=0.0)))
+            max_full = max(max_full, abs(float(full[j])
+                                         - expectation_sv(h, state)))
     ok = max_full <= args.tol and max_term <= args.tol
     payload = {
         "graph": {"n": g.n, "edges": len(g.edges), "degree": g.degree,
@@ -342,10 +364,15 @@ def cmd_qaoa_explain(args) -> int:
     """Show the full family decomposition behind one <Z_K> value."""
     g = parse_graph_spec(args.graph)
     subset = tuple(int(t) for t in args.subset.split(","))
+    if min(subset) < 0:
+        raise ValueError(f"--subset has a negative vertex id: {args.subset}")
+    if len(set(subset)) < len(subset):
+        raise ValueError(f"--subset repeats a vertex: {args.subset}")
     cfg = _resolve(args, "qaoa", "explain", graph=args.graph, subset=subset,
                    gamma=args.gamma, beta=args.beta)
     h = build_localmaxcut_hamiltonian(g)
-    value, bd = expectation_zk(h, mask_of(subset), (args.gamma, args.beta))
+    bd = explain_zk(h, mask_of(subset), (args.gamma, args.beta))
+    value = bd.total
     lines = [f"<Z_{{{','.join(map(str, subset))}}}> = {value:.12f} "
              f"({len(bd.contributions)} contributing subsets L)"]
     _emit(cfg, args, {"value": value, "breakdown": breakdown_to_json(bd)}, lines)

@@ -16,13 +16,22 @@ then <Z_K> is the sum over L of
                * prod_{N in O(L) \\ F} cos(2 gamma W_N).
 
 The complex arithmetic is carried verbatim (including sin(-2 gamma W)
-rather than -sin(2 gamma W)); the total must come out real and the
-imaginary residue is checked before being discarded.
+rather than -sin(2 gamma W), and each alpha_F multiplied out in term
+order); the total must come out real and the imaginary residue is
+checked before being discarded.
 
-The family search is exponential in |O(L)| in the worst case, so it is
-capped (default 25; locally tree-like instances stay well under).  The
+O_K(L) is the solution set of a linear system over GF(2): one family
+whose symmetric difference is K, XOR every combination of a basis of the
+families whose symmetric difference is empty.  Gaussian elimination
+finds both, and the coset is then listed directly, so the cost is
+proportional to the number of families found rather than to the 2^|O(L)|
+candidates.  |O(L)| is still capped (default 25; locally tree-like
+instances stay well under) because the coset can be that large.  The
 angle-independent combinatorics of each (H, K) pair are compiled once and
-cached, making repeated evaluation at many angles cheap.
+cached as arrays: per L, the O(L) masks and weights and a (families x
+terms) boolean matrix.  Evaluation is numpy arithmetic on that plan, so
+the angles may be floats or arrays of one shape and a whole batch of
+angle pairs costs one call.
 
 Closed-form trigonometric polynomials for the degree-2 and degree-3
 LocalMaxCut expectations are provided alongside.  <Z_K> depends only on
@@ -33,7 +42,6 @@ reproduces each of them term by term.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -72,47 +80,61 @@ def odd_intersection_terms(h: DiagonalHamiltonian, L: int) -> list[int]:
     return [m for m, _ in h.nonconstant_terms() if (m & L).bit_count() % 2 == 1]
 
 
-def _family_indices(masks, K: int):
-    """All index subsets of `masks` whose XOR is K, in depth-first order.
+def _family_matrix(masks, K: int) -> np.ndarray:
+    """Boolean (families x terms) matrix of the index subsets of `masks`
+    whose XOR is K, rows in depth-first order (term i left out before it
+    is put in).
 
-    Prunes a branch as soon as the accumulated difference disagrees with K
-    on bits that no remaining mask can touch.
+    Each term enters Gauss-Jordan elimination as one integer: its vertex
+    mask in the high bits and the family {i} in the low T bits, at bit
+    T-1-i, so that depth-first order is ascending order.  The vertex part
+    of every basis vector stays the XOR of its family.  Reducing K leaves
+    a particular family, or a nonzero vertex part when there is none; the
+    basis vectors with no vertex part span the families with empty XOR.
+    The basis is fully reduced, so doubling the list once per such vector
+    in ascending pivot order lists the coset in ascending order.
     """
     size = len(masks)
-    suffix = [0] * (size + 1)
-    for i in range(size - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    out = []
-    chosen = []
-
-    def rec(i, acc):
-        if (acc ^ K) & ~suffix[i]:
-            return
-        if i == size:
-            out.append(tuple(chosen))
-            return
-        rec(i + 1, acc)
-        chosen.append(i)
-        rec(i + 1, acc ^ masks[i])
-        chosen.pop()
-
-    rec(0, 0)
-    return out
+    basis = {}  # pivot bit -> fully reduced vector
+    for i, m in enumerate(masks):
+        v = m << size | 1 << (size - 1 - i)
+        for bit, b in basis.items():
+            if v >> bit & 1:
+                v ^= b
+        pivot = v.bit_length() - 1  # bit T-1-i survives, so v != 0
+        for bit, b in basis.items():
+            if b >> pivot & 1:
+                basis[bit] = b ^ v
+        basis[pivot] = v
+    target = K << size
+    for bit, b in basis.items():
+        if target >> bit & 1:
+            target ^= b
+    if target >> size:
+        return np.zeros((0, size), dtype=bool)
+    families = np.array([target], dtype=np.int64)
+    for bit in sorted(bit for bit in basis if bit < size):
+        families = np.concatenate([families, families ^ basis[bit]])
+    shifts = np.arange(size - 1, -1, -1, dtype=np.int64)
+    return (families[:, None] >> shifts & 1).astype(bool)
 
 
 def solution_families(terms, K: int, cap: int = FAMILY_CAP) -> list[tuple[int, ...]]:
-    """All families F of `terms` with symmetric difference exactly K."""
+    """All families F of `terms` with symmetric difference exactly K,
+    in depth-first order."""
     masks = list(terms)
     if len(masks) > cap:
         raise ValueError(
             f"|O(L)| = {len(masks)} exceeds the enumeration cap {cap}; "
             "instance is outside tractable locality")
-    return [tuple(masks[i] for i in idx) for idx in _family_indices(masks, K)]
+    return [tuple(masks[i] for i in np.flatnonzero(row))
+            for row in _family_matrix(masks, K)]
 
 
 @lru_cache(maxsize=None)
 def _compile_zk(h: DiagonalHamiltonian, K: int):
-    """Angle-independent plan: per L, the O(L) weights and family index sets."""
+    """Angle-independent plan: per L, the O(L) masks and weights and the
+    family matrix of O_K(L); arrays only."""
     plan = []
     sub = K
     while True:
@@ -122,8 +144,10 @@ def _compile_zk(h: DiagonalHamiltonian, K: int):
             raise ValueError(
                 f"|O(L)| = {len(o_terms)} exceeds the enumeration cap "
                 f"{FAMILY_CAP} at L = {vertices_of(sub)}")
-        families = _family_indices([m for m, _ in o_terms], K)
-        plan.append((sub, tuple(o_terms), tuple(families)))
+        masks = [m for m, _ in o_terms]
+        plan.append((sub, np.array(masks, dtype=np.uint64),
+                     np.array([w for _, w in o_terms]),
+                     _family_matrix(masks, K)))
         if sub == 0:
             break
         sub = (sub - 1) & K
@@ -131,49 +155,77 @@ def _compile_zk(h: DiagonalHamiltonian, K: int):
     return tuple(plan)
 
 
-def expectation_zk(h: DiagonalHamiltonian, K: int, angles) -> tuple[float, ZkBreakdown]:
-    """<gamma,beta| Z_K |gamma,beta> plus its per-L breakdown record."""
+def _contributions(h: DiagonalHamiltonian, K: int, gamma, beta):
+    """Per L of the plan: (L, O(L) masks, family matrix, nu, alphas, rho).
+
+    gamma and beta are 1-D arrays of one length B; nu and rho have shape
+    (B,) and alphas (families, B).
+    """
     if K == 0:
         raise ValueError("K must be nonempty; <Z_empty> = 1 trivially")
     if K >> h.n:
         raise ValueError(f"K = {K:#x} not within 0..{h.n - 1}")
-    gamma, beta = angles
-    s2b, c2b = math.sin(2 * beta), math.cos(2 * beta)
+    s2b, c2b = np.sin(2 * beta), np.cos(2 * beta)
     k_bits = K.bit_count()
-    contributions = []
-    total = 0j
-    for L, o_terms, families in _compile_zk(h, K):
+    for L, masks, weights, families in _compile_zk(h, K):
         l_bits = L.bit_count()
         nu = (1j * s2b) ** l_bits * c2b ** (k_bits - l_bits)
-        sines = [1j * math.sin(-2 * gamma * w) for _, w in o_terms]
-        cosines = [math.cos(2 * gamma * w) for _, w in o_terms]
-        alphas = []
-        for idx in families:
-            idx_set = set(idx)
-            alpha = 1 + 0j
-            for i in range(len(o_terms)):
-                alpha *= sines[i] if i in idx_set else cosines[i]
-            alphas.append(alpha)
-        rho = nu * sum(alphas, start=0j)
+        alphas = np.ones((len(families), len(gamma)), dtype=complex)
+        if len(families):  # about half the plans of a cubic graph have none
+            sines = 1j * np.sin(-2 * gamma * weights[:, None])
+            cosines = np.cos(2 * gamma * weights[:, None])
+            for i in range(len(weights)):
+                alphas *= np.where(families[:, i, None], sines[i], cosines[i])
+        yield L, masks, families, nu, alphas, nu * alphas.sum(axis=0)
+
+
+def _real(total: np.ndarray) -> np.ndarray:
+    """The real part of a summed <Z_K>, refusing any entry whose imaginary
+    residue is above IMAG_TOL or not a number."""
+    residue = np.abs(total.imag)
+    if not np.all(residue <= IMAG_TOL):
+        raise ArithmeticError(
+            f"imaginary residue {np.max(residue):.3e} in <Z_K>; "
+            "the decomposition must sum to a real number")
+    return total.real
+
+
+def expectation_zk(h: DiagonalHamiltonian, K: int, angles):
+    """<gamma,beta| Z_K |gamma,beta>.
+
+    gamma and beta may be floats (a float comes back) or arrays of one
+    shape (an array of that shape comes back).
+    """
+    gamma, beta = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                        for a in angles))
+    total = np.zeros(gamma.size, dtype=complex)
+    for *_, rho in _contributions(h, K, gamma.ravel(), beta.ravel()):
+        total += rho
+    value = _real(total).reshape(gamma.shape)
+    return float(value) if value.ndim == 0 else value
+
+
+def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> ZkBreakdown:
+    """The per-L record behind expectation_zk at one angle pair."""
+    gamma, beta = (np.array([a], dtype=float) for a in angles)
+    total = np.zeros(1, dtype=complex)
+    contributions = []
+    for L, masks, families, nu, alphas, rho in _contributions(h, K, gamma, beta):
         total += rho
         contributions.append(LContribution(
-            L=L, nu=nu,
-            families=tuple(tuple(o_terms[i][0] for i in idx) for idx in families),
-            alphas=tuple(alphas), rho=rho))
-    if abs(total.imag) > IMAG_TOL:
-        raise ArithmeticError(
-            f"imaginary residue {total.imag:.3e} in <Z_K>; "
-            "the decomposition must sum to a real number")
-    return total.real, ZkBreakdown(K=K, contributions=tuple(contributions),
-                                   total=total.real)
+            L=L, nu=complex(nu[0]),
+            families=tuple(tuple(int(m) for m in masks[row]) for row in families),
+            alphas=tuple(complex(a) for a in alphas[:, 0]), rho=complex(rho[0])))
+    return ZkBreakdown(K=K, contributions=tuple(contributions),
+                       total=float(_real(total)[0]))
 
 
-def expectation_full(h: DiagonalHamiltonian, angles) -> float:
-    """F(gamma, beta) = <gamma,beta| H |gamma,beta> via the Z_K decomposition."""
+def expectation_full(h: DiagonalHamiltonian, angles):
+    """F(gamma, beta) = <gamma,beta| H |gamma,beta> via the Z_K decomposition;
+    floats or arrays of one shape, as for expectation_zk."""
     total = h.constant
     for m, w in h.nonconstant_terms():
-        value, _ = expectation_zk(h, m, angles)
-        total += w * value
+        total = total + w * expectation_zk(h, m, angles)
     return total
 
 

@@ -139,7 +139,7 @@ def test_criterion_06_closed_form_fidelity():
     worst_term = 0.0
     for h, K, fn in certificates:
         for g, b in itertools.product(gammas, betas):
-            engine, _ = expectation_zk(h, K, (g, b))
+            engine = expectation_zk(h, K, (g, b))
             worst_term = max(worst_term, abs(engine - fn((g, b))))
     angles = [(g, b) for g in gammas[::4] for b in betas[::4]]
     worst_f2 = max(abs(expectation_full(h7, a) - closed_form_f2(7, a))

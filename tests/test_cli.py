@@ -6,8 +6,10 @@ import math
 
 import pytest
 
-from localmaxcut import (closed_form_f2, exact_prob, girth, hrss_preset,
-                         load_edge_list, make_named)
+from localmaxcut import (build_localmaxcut_hamiltonian, closed_form_f2,
+                         exact_prob, girth, hrss_preset, load_edge_list,
+                         make_cycle, make_named)
+from localmaxcut import cli
 from localmaxcut.cli import main, parse_graph_spec
 from localmaxcut.qaoa_engine import zk_edge_d2
 
@@ -42,6 +44,9 @@ def test_graph_spec_file(tmp_path):
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "verify", "--graph", "mesh:4")[0] == 2
     assert run_cli(capsys, "verify", "--graph", "cycle:27")[0] == 2  # over the cap
+    for bad in ("--samples=0", "--samples=-3", "--tol=nan", "--tol=inf",
+                "--tol=-1e-9"):
+        assert run_cli(capsys, "verify", "--graph", "cycle:5", bad)[0] == 2
     assert run_cli(capsys, "classical", "exact", "--degree", "2",
                    "--q", "a,b,c")[0] == 2
     assert run_cli(capsys, "classical", "curve", "--degree", "2",
@@ -180,6 +185,42 @@ def test_verify_cycle(capsys):
     assert doc["config"]["tol"] == 1e-9
 
 
+def _counting_engine(monkeypatch, shift=None):
+    """Replace cli.expectation_zk with a wrapper that records the batch
+    size of each call and, for K == shift, adds 1e-6 to the value."""
+    sizes = []
+    engine = cli.expectation_zk
+
+    def counted(h, K, angles):
+        sizes.append(len(angles[0]))
+        value = engine(h, K, angles)
+        return value + 1e-6 if K == shift else value
+
+    monkeypatch.setattr(cli, "expectation_zk", counted)
+    return sizes
+
+
+def test_verify_calls_engine_once_per_term_per_block(capsys, monkeypatch):
+    sizes = _counting_engine(monkeypatch)
+    terms = len(build_localmaxcut_hamiltonian(make_cycle(7)).nonconstant_terms())
+    samples = cli.VERIFY_BLOCK + 1
+    rc, doc, _ = run_json(capsys, "verify", "--graph", "cycle:7",
+                          "--samples", str(samples))
+    assert rc == 0 and doc["ok"] is True
+    assert sizes == [cli.VERIFY_BLOCK] * terms + [1] * terms
+
+
+def test_verify_fails_on_one_shifted_term(capsys, monkeypatch):
+    h = build_localmaxcut_hamiltonian(make_cycle(7))
+    _counting_engine(monkeypatch, shift=h.nonconstant_terms()[3][0])
+    rc, doc, _ = run_json(capsys, "verify", "--graph", "cycle:7",
+                          "--samples", "3")
+    assert rc == 1
+    assert doc["ok"] is False
+    assert doc["max_abs_diff_term"] == pytest.approx(1e-6, rel=1e-6)
+    assert doc["max_abs_diff_full"] > 1e-7
+
+
 def test_graph_gen_roundtrip(capsys, tmp_path):
     out = tmp_path / "petersen.txt"
     rc, stdout, _ = run_cli(capsys, "graph", "gen", "--graph",
@@ -213,6 +254,26 @@ def test_qaoa_explain(capsys):
     assert doc["breakdown"]["K"] == [0, 1]
     assert doc["config"]["subset"] == [0, 1]
     assert len(doc["breakdown"]["contributions"]) == 4
+
+
+def test_qaoa_explain_refuses_bad_subsets(capsys):
+    # {0, 0} used to report <Z_{0}> while echoing [0, 0], and -1 failed
+    # with "negative shift count"
+    explain = ("qaoa", "explain", "--graph", "cycle:7", "--gamma", "0.37",
+               "--beta", "0.21", "--subset")
+    rc, _, err = run_cli(capsys, *explain, "0,0")
+    assert rc == 2 and "repeats a vertex" in err
+    rc, _, err = run_cli(capsys, *explain, "1,-1")
+    assert rc == 2 and "negative vertex id" in err
+    rc, _, err = run_cli(capsys, *explain, "0,7")
+    assert rc == 2 and err.startswith("error:")
+
+
+def test_qaoa_explain_refuses_nan_angle(capsys):
+    # used to print "= nan" and exit 0
+    rc, _, err = run_cli(capsys, "qaoa", "explain", "--graph", "cycle:7",
+                         "--subset", "0,1", "--gamma", "nan", "--beta", "0.21")
+    assert rc == 2 and "imaginary residue nan" in err
 
 
 def test_out_writes_json_file(capsys, tmp_path):

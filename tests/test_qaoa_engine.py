@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from localmaxcut import (build_localmaxcut_hamiltonian, closed_form_f2,
                          closed_form_f3, expectation_full, expectation_zk,
-                         make_cycle, make_hamiltonian, make_named, mask_of,
-                         neighborhood, qaoa_expectation_sv, vertices_of)
+                         explain_zk, make_cycle, make_hamiltonian, make_named,
+                         mask_of, neighborhood, qaoa_expectation_sv,
+                         vertices_of)
 from localmaxcut.qaoa_engine import (FAMILY_CAP, breakdown_to_json,
                                      odd_intersection_terms,
                                      solution_families, zk_ball_d3,
@@ -37,15 +38,16 @@ def girth7_certificate(d, kind):
 
 
 def brute_families(masks, K):
-    """Reference implementation: filter the full powerset by XOR."""
+    """Reference implementation: filter the full powerset by XOR, in
+    depth-first order (each term left out before it is put in)."""
     out = []
-    for r in range(len(masks) + 1):
-        for combo in itertools.combinations(range(len(masks)), r):
-            acc = 0
-            for i in combo:
-                acc ^= masks[i]
-            if acc == K:
-                out.append(tuple(masks[i] for i in combo))
+    for chosen in itertools.product((False, True), repeat=len(masks)):
+        family = tuple(m for m, c in zip(masks, chosen) if c)
+        acc = 0
+        for m in family:
+            acc ^= m
+        if acc == K:
+            out.append(family)
     return out
 
 
@@ -82,7 +84,8 @@ def test_solution_families_cap():
 @given(st.lists(st.integers(min_value=1, max_value=63), min_size=0, max_size=9),
        st.integers(min_value=0, max_value=63))
 def test_solution_families_complete(masks, K):
-    assert sorted(solution_families(masks, K)) == sorted(brute_families(masks, K))
+    # the same families in the same order, which `qaoa explain` prints
+    assert solution_families(masks, K) == brute_families(masks, K)
 
 
 def test_expectation_zk_rejects_bad_subsets():
@@ -96,7 +99,8 @@ def test_expectation_zk_rejects_bad_subsets():
 def test_breakdown_structure():
     h, K = girth7_certificate(2, "EDGE")
     gamma, beta = 0.37, 0.21
-    value, bd = expectation_zk(h, K, (gamma, beta))
+    value = expectation_zk(h, K, (gamma, beta))
+    bd = explain_zk(h, K, (gamma, beta))
     assert bd.K == K
     assert bd.total == value
     # one record per subset L of K, ordered by popcount
@@ -117,7 +121,7 @@ def test_breakdown_structure():
 
 def test_breakdown_json():
     h, K = girth7_certificate(2, "EDGE")
-    _, bd = expectation_zk(h, K, (0.5, 0.25))
+    bd = explain_zk(h, K, (0.5, 0.25))
     doc = breakdown_to_json(bd)
     assert doc["K"] == [2, 3]
     assert doc["total"] == bd.total
@@ -135,7 +139,7 @@ def test_breakdown_json():
 def test_patch_reproduces_closed_form(d, kind, closed_form):
     h, K = girth7_certificate(d, kind)
     for angles in ANGLES:
-        engine, _ = expectation_zk(h, K, angles)
+        engine = expectation_zk(h, K, angles)
         assert engine == pytest.approx(closed_form(angles), abs=1e-12)
 
 
@@ -174,6 +178,36 @@ def test_closed_forms_batch_matches_scalar():
         for g, b, v in zip(gammas.ravel(), betas.ravel(), batch.ravel()):
             assert v == pytest.approx(closed_form(1, (float(g), float(b))),
                                       abs=1e-12)
+
+
+@pytest.mark.parametrize("graph", ["C7", "K33", "PETERSEN"])
+def test_engine_batch_matches_scalar(graph):
+    g = make_cycle(7) if graph == "C7" else make_named(graph)
+    h = build_localmaxcut_hamiltonian(g)
+    gammas, betas = np.meshgrid(np.linspace(0.0, 2 * math.pi, 9),
+                                np.linspace(0.0, math.pi, 7), indexing="ij")
+    points = list(zip(gammas.ravel().tolist(), betas.ravel().tolist()))
+    for K, _ in h.nonconstant_terms():
+        batch = expectation_zk(h, K, (gammas, betas))
+        assert batch.shape == gammas.shape
+        scalar = [expectation_zk(h, K, a) for a in points]
+        assert all(isinstance(v, float) for v in scalar)
+        assert np.max(np.abs(batch.ravel() - scalar)) <= 1e-12
+    batch = expectation_full(h, (gammas, betas))
+    scalar = [expectation_full(h, a) for a in points]
+    assert np.max(np.abs(batch.ravel() - scalar)) <= 1e-12
+
+
+def test_nan_angle_refused_by_residue_check():
+    # |imag| > IMAG_TOL is False for NaN, so the check is written as
+    # not (|imag| <= IMAG_TOL) and must refuse every NaN entry of a batch
+    h, K = girth7_certificate(2, "EDGE")
+    with pytest.raises(ArithmeticError):
+        expectation_zk(h, K, (math.nan, 0.2))
+    with pytest.raises(ArithmeticError):
+        explain_zk(h, K, (0.3, math.nan))
+    with pytest.raises(ArithmeticError):
+        expectation_zk(h, K, (np.array([0.3, math.nan, 0.5]), 0.2))
 
 
 def test_closed_form_f2_on_high_girth_cycles():
