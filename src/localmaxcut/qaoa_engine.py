@@ -28,8 +28,8 @@ proportional to the number of families found rather than to the 2^|O(L)|
 candidates.  |O(L)| is still capped (default 25; locally tree-like
 instances stay well under) because the coset can be that large.  The
 angle-independent combinatorics of each (H, K) pair are compiled once and
-cached as arrays: per L, the O(L) masks and weights and a (families x
-terms) boolean matrix.  Evaluation is numpy arithmetic on that plan, so
+cached: per L, the O(L) masks, an array of their weights and a (families
+x terms) boolean matrix, with no per-family objects.  Evaluation is numpy arithmetic on that plan, so
 the angles may be floats or arrays of one shape and a whole batch of
 angle pairs costs one call.
 
@@ -133,8 +133,8 @@ def solution_families(terms, K: int, cap: int = FAMILY_CAP) -> list[tuple[int, .
 
 @lru_cache(maxsize=None)
 def _compile_zk(h: DiagonalHamiltonian, K: int):
-    """Angle-independent plan: per L, the O(L) masks and weights and the
-    family matrix of O_K(L); arrays only."""
+    """Angle-independent plan: per L, the O(L) masks (Python ints, so any
+    vertex count works), their weights and the family matrix of O_K(L)."""
     plan = []
     sub = K
     while True:
@@ -144,9 +144,8 @@ def _compile_zk(h: DiagonalHamiltonian, K: int):
             raise ValueError(
                 f"|O(L)| = {len(o_terms)} exceeds the enumeration cap "
                 f"{FAMILY_CAP} at L = {vertices_of(sub)}")
-        masks = [m for m, _ in o_terms]
-        plan.append((sub, np.array(masks, dtype=np.uint64),
-                     np.array([w for _, w in o_terms]),
+        masks = tuple(m for m, _ in o_terms)
+        plan.append((sub, masks, np.array([w for _, w in o_terms]),
                      _family_matrix(masks, K)))
         if sub == 0:
             break
@@ -214,7 +213,8 @@ def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> ZkBreakdown:
         total += rho
         contributions.append(LContribution(
             L=L, nu=complex(nu[0]),
-            families=tuple(tuple(int(m) for m in masks[row]) for row in families),
+            families=tuple(tuple(m for m, r in zip(masks, row) if r)
+                           for row in families),
             alphas=tuple(complex(a) for a in alphas[:, 0]), rho=complex(rho[0])))
     return ZkBreakdown(K=K, contributions=tuple(contributions),
                        total=float(_real(total)[0]))

@@ -10,7 +10,6 @@ expensive optimizer runs come from session-scoped fixtures shared with
 the unit tests, timed where they actually ran.
 """
 
-import itertools
 import math
 import time
 
@@ -136,16 +135,14 @@ def test_criterion_06_closed_form_fidelity():
                     (h7, mask_of((2, 4)), zk_pair_d2),
                     (hm, mask_of((0, gm.adjacency[0][0])), zk_edge_d3),
                     (hm, mask_of(neighborhood(gm, 0)), zk_ball_d3)]
-    worst_term = 0.0
-    for h, K, fn in certificates:
-        for g, b in itertools.product(gammas, betas):
-            engine = expectation_zk(h, K, (g, b))
-            worst_term = max(worst_term, abs(engine - fn((g, b))))
-    angles = [(g, b) for g in gammas[::4] for b in betas[::4]]
-    worst_f2 = max(abs(expectation_full(h7, a) - closed_form_f2(7, a))
-                   for a in angles)
-    worst_f3 = max(abs(expectation_full(hm, a) - closed_form_f3(24, a))
-                   for a in angles)
+    grid = np.meshgrid(gammas, betas, indexing="ij")
+    worst_term = max(np.max(np.abs(expectation_zk(h, K, grid) - fn(grid)))
+                     for h, K, fn in certificates)
+    coarse = np.meshgrid(gammas[::4], betas[::4], indexing="ij")
+    worst_f2 = np.max(np.abs(expectation_full(h7, coarse)
+                             - closed_form_f2(7, coarse)))
+    worst_f3 = np.max(np.abs(expectation_full(hm, coarse)
+                             - closed_form_f3(24, coarse)))
     ok = worst_term <= 1e-9 and worst_f2 <= 1e-9 and worst_f3 <= 1e-9
     check(6, ok, "per-term and full closed forms on C7 / MCGEE",
           f"term={worst_term:.2e} f2={worst_f2:.2e} f3={worst_f3:.2e}")

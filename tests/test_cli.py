@@ -256,6 +256,18 @@ def test_qaoa_explain(capsys):
     assert len(doc["breakdown"]["contributions"]) == 4
 
 
+def test_qaoa_explain_at_64_vertices(capsys):
+    # 64 is the largest n make_hamiltonian takes; 63 is the top mask bit
+    for subset in ("62,63", "0,63"):
+        rc, doc, _ = run_json(capsys, "qaoa", "explain", "--graph",
+                              "cycle:64", "--subset", subset,
+                              "--gamma", "0.37", "--beta", "0.21")
+        assert rc == 0
+        assert doc["value"] == pytest.approx(zk_edge_d2((0.37, 0.21)),
+                                             abs=1e-12)
+        assert doc["breakdown"]["K"] == [int(v) for v in subset.split(",")]
+
+
 def test_qaoa_explain_refuses_bad_subsets(capsys):
     # {0, 0} used to report <Z_{0}> while echoing [0, 0], and -1 failed
     # with "negative shift count"

@@ -14,6 +14,7 @@ from localmaxcut import (build_localmaxcut_hamiltonian, closed_form_f2,
                          explain_zk, make_cycle, make_hamiltonian, make_named,
                          mask_of, neighborhood, qaoa_expectation_sv,
                          vertices_of)
+from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.qaoa_engine import (FAMILY_CAP, breakdown_to_json,
                                      odd_intersection_terms,
                                      solution_families, zk_ball_d3,
@@ -216,6 +217,28 @@ def test_closed_form_f2_on_high_girth_cycles():
         for angles in ANGLES:
             assert expectation_full(h, angles) == pytest.approx(
                 closed_form_f2(n, angles), abs=1e-10)
+
+
+def test_engine_beyond_64_vertices():
+    # The engine keeps term masks as Python ints, so it has no 64-vertex
+    # limit of its own (make_hamiltonian still caps n at 64).  Moving the
+    # C7 certificate to vertices 90..96 of a 100-vertex Hamiltonian must
+    # change nothing but the labels.
+    h, K = girth7_certificate(2, "EDGE")
+    shift = 90
+    far = DiagonalHamiltonian(n=100, terms=tuple((m << shift, w)
+                                                 for m, w in h.terms))
+    for angles in ANGLES:
+        assert abs(expectation_zk(far, K << shift, angles)
+                   - zk_edge_d2(angles)) <= 1e-12
+    assert abs(expectation_full(far, ANGLES[1])
+               - closed_form_f2(7, ANGLES[1])) <= 1e-12
+    near, moved = (explain_zk(hh, KK, ANGLES[0])
+                   for hh, KK in ((h, K), (far, K << shift)))
+    assert abs(moved.total - near.total) <= 1e-12
+    assert [[tuple(m << shift for m in fam) for fam in rec.families]
+            for rec in near.contributions] == \
+        [list(rec.families) for rec in moved.contributions]
 
 
 def test_closed_form_f2_fails_below_girth_threshold():
