@@ -30,7 +30,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-ORACLE_MAX_DEGREE = 5  # radius-2 tree has 1 + d + d(d-1) <= 26 vertices
+# The oracle holds one uint64 array of 2^V entries per vertex of the radius-2
+# tree, V = 1 + d + d(d-1): 17 MiB at d = 4, but about 13 GiB at d = 5.
+ORACLE_MAX_DEGREE = 4
 EXACT_MAX_DEGREE = 10  # the sum has O(d^3) terms: under 1 ms per point at d = 10
 
 
@@ -99,14 +101,14 @@ def _adjacency_array(g, d):
     return np.array(g.adjacency, dtype=np.int64).reshape(g.n, d)
 
 
-def _one_round(g, params, d, rng):
-    """One trial; returns (tau_0, tau_1, satisfied count under tau_1)."""
+def _one_round(adj, params, rng):
+    """One trial on the (n, d) array adj: (tau_0, tau_1, satisfied count)."""
     p, q = params
-    adj = _adjacency_array(g, d)
+    n, d = adj.shape
     qv = np.asarray(q)
-    tau0 = np.where(rng.random(g.n) < p, 1, -1)
+    tau0 = np.where(rng.random(n) < p, 1, -1)
     ell0 = np.sum(tau0[adj] == tau0[:, None], axis=1)
-    flips = rng.random(g.n) < qv[ell0]
+    flips = rng.random(n) < qv[ell0]
     tau1 = np.where(flips, -tau0, tau0)
     ell1 = np.sum(tau1[adj] == tau1[:, None], axis=1)
     return tau0, tau1, int(np.sum(ell1 <= d // 2))
@@ -122,7 +124,8 @@ def run_one_round(g, params, seed: int = 0):
     if d is None:
         raise ValueError("graph is not regular")
     _check_params(params, d)
-    _, tau1, count = _one_round(g, params, d, _trial_rng(seed, 0))
+    _, tau1, count = _one_round(_adjacency_array(g, d), params,
+                                _trial_rng(seed, 0))
     return tau1, count
 
 
@@ -135,24 +138,23 @@ def monte_carlo(g, params, trials: int, seed: int = 0,
     if d is None:
         raise ValueError("graph is not regular")
     _check_params(params, d)
+    adj = _adjacency_array(g, d)
     fractions = np.empty(trials)
     for t in range(trials):
-        _, _, count = _one_round(g, params, d, _trial_rng(seed, t))
+        _, _, count = _one_round(adj, params, _trial_rng(seed, t))
         fractions[t] = count / g.n
     stderr = float(np.std(fractions, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return RunStats(trials=trials, mean=float(np.mean(fractions)), stderr=stderr,
                     per_trial=tuple(fractions) if keep_trials else None)
 
 
-def prob_satisfied_initial(d: int, p: float = 0.5) -> float:
+def prob_satisfied_initial(d: int) -> float:
     """Probability a vertex starts satisfied under the uniform initial cut.
 
     Equals 2^-d sum_{j <= floor(d/2)} C(d, j): both center assignments times
     the ways to place at most floor(d/2) agreeing neighbors.  Only p = 1/2
     has this closed form; other biases go through the oracle.
     """
-    if p != 0.5:
-        raise ValueError("closed form only covers p = 1/2; use the oracle otherwise")
     return sum(math.comb(d, j) for j in range(d // 2 + 1)) / 2 ** d
 
 

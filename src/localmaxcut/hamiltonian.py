@@ -2,16 +2,19 @@
 
 A diagonal Hamiltonian on n qubits is a map from vertex subsets S to real
 weights W_S, representing H = sum_S W_S Z_S.  Subsets are bitmasks: bit v
-corresponds to vertex/qubit v, so n is capped at 64.  On a basis state x
-(also a bitmask, bit v = assignment of vertex v, with bit 1 standing for
-the +1 side of a cut) the term Z_S evaluates to the parity character
-chi_S(x) = (-1)^{|S & x|}.
+corresponds to vertex/qubit v, and masks are Python ints of any width.  On
+a basis state x (also a bitmask, bit v = assignment of vertex v, with bit
+1 standing for the +1 side of a cut) the term Z_S evaluates to the parity
+character chi_S(x) = (-1)^{|S & x|}.
 
+`walsh_transform` is the one place where terms and basis values meet.
 Boolean clauses enter through their Walsh-Hadamard expansion
-C(x) = sum_S C_hat(S) chi_S(x), and clause weights accumulate per subset
-when clauses overlap.  Terms whose accumulated weight is exactly zero are
-dropped, so the stored term list realizes the nonzero support M directly.
-The empty-set term (identity coefficient) is kept separately from M.
+C(x) = sum_S C_hat(S) chi_S(x), and the same transform, run the other
+way, turns a term map into its 2^n diagonal.  Clause weights accumulate
+per subset when clauses overlap.  Terms whose accumulated weight is
+exactly zero are dropped, so the stored term list realizes the nonzero
+support M directly.  The empty-set term (identity coefficient) is kept
+separately from M.
 
 Clause truth tables are indexed little-endian: entry t is the clause value
 on the assignment where support[j] takes bit j of t.
@@ -71,8 +74,6 @@ class Clause:
 
 def make_hamiltonian(n: int, weights: dict) -> DiagonalHamiltonian:
     """Assemble a DiagonalHamiltonian from a mask -> weight map, dropping zeros."""
-    if n > 64:
-        raise ValueError(f"bitmask subsets cap n at 64, got {n}")
     for m in weights:
         if m >> n:
             raise ValueError(f"subset {m:#x} not within 0..{n - 1}")
@@ -80,24 +81,22 @@ def make_hamiltonian(n: int, weights: dict) -> DiagonalHamiltonian:
     return DiagonalHamiltonian(n=n, terms=terms)
 
 
-def _walsh_coefficients(truth_table) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform: out[s] = 2^-k sum_t f[t] (-1)^{|s&t|}."""
-    a = np.asarray(truth_table, dtype=float).copy()
-    size = len(a)
+def walsh_transform(values) -> np.ndarray:
+    """Normalized Walsh-Hadamard transform of 2^k values:
+    out[s] = 2^-k sum_t f[t] (-1)^{|s&t|}.  Applied twice it gives
+    2^-k f, so 2^k times the transform inverts it."""
+    a = np.array(values, dtype=float)
     h = 1
-    while h < size:
-        a = a.reshape(-1, 2 * h)
-        left = a[:, :h].copy()
-        a[:, :h] += a[:, h:]
-        a[:, h:] = left - a[:, h:]
-        a = a.reshape(size)
+    while h < len(a):
+        lo, hi = a.reshape(-1, 2, h).transpose(1, 0, 2)  # views into a
+        lo[:], hi[:] = lo + hi, lo - hi
         h *= 2
-    return a / size
+    return a / len(a)
 
 
 def fourier_encode_clause(c: Clause) -> DiagonalHamiltonian:
     """Encode one clause as a diagonal Hamiltonian on its support vertices."""
-    coeffs = _walsh_coefficients(c.truth_table)
+    coeffs = walsh_transform(c.truth_table)
     weights = {}
     for s, w in enumerate(coeffs):
         if w != 0.0:
@@ -165,13 +164,12 @@ def evaluate_classical(h: DiagonalHamiltonian, x) -> float:
 
 
 def evaluate_all(h: DiagonalHamiltonian) -> np.ndarray:
-    """Vector of evaluate_classical over all 2^n basis states, basis order."""
-    x = np.arange(2 ** h.n, dtype=np.uint64)
-    values = np.zeros(2 ** h.n)
+    """The diagonal: evaluate_classical over all 2^n basis states, in basis
+    order, as 2^n times the transform of the weights placed at their masks."""
+    weights = np.zeros(2 ** h.n)
     for m, w in h.terms:
-        parity = np.bitwise_count(x & np.uint64(m)) & np.uint64(1)
-        values += w * (1.0 - 2.0 * parity)
-    return values
+        weights[m] = w
+    return 2.0 ** h.n * walsh_transform(weights)
 
 
 def hamiltonian_to_json(h: DiagonalHamiltonian) -> dict:

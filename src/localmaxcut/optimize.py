@@ -30,6 +30,8 @@ DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 2000
 TOP_K = 8           # grid cells carried into refinement
 DISTINCT_TOL = 1e-3  # refined points closer than this count as one maximum
+REPORT_MARGIN = 0.1  # maxima reported down to this far below the best
+QAOA_RESOLUTION = 256  # grid cells per angle axis
 
 QAOA_BOX = ((0.0, 2.0 * math.pi), (0.0, math.pi))
 
@@ -127,8 +129,7 @@ def nelder_mead(objective, start, box=None, tol: float = DEFAULT_TOL,
                               maxima=((argmax, value),))
 
 
-def _multistart(objective, box, resolution, include_endpoint,
-                tol, max_iters, report_margin):
+def _multistart(objective, box, resolution, include_endpoint):
     """Grid sweep, refine the TOP_K cells, merge coincident maxima."""
     sweep = grid_sweep(objective, box, resolution,
                        include_endpoint=include_endpoint)
@@ -138,8 +139,7 @@ def _multistart(objective, box, resolution, include_endpoint,
     for f in order:
         idx = np.unravel_index(int(f), shape)
         seed = tuple(float(sweep.axes[j][idx[j]]) for j in range(len(shape)))
-        reports.append(nelder_mead(objective, seed, box=box,
-                                   tol=tol, max_iters=max_iters))
+        reports.append(nelder_mead(objective, seed, box=box))
     best = reports[0]
     for r in reports[1:]:
         if r.value > best.value:
@@ -149,12 +149,12 @@ def _multistart(objective, box, resolution, include_endpoint,
         if all(math.dist(r.argmax, k.argmax) > DISTINCT_TOL for k in kept):
             kept.append(r)
     maxima = tuple((r.argmax, r.value) for r in kept
-                   if r.value >= best.value - report_margin)
+                   if r.value >= best.value - REPORT_MARGIN)
     return OptimizationReport(argmax=best.argmax, value=best.value,
                               grid_resolution=tuple(shape),
                               grid_value=sweep.value,
                               iterations=sum(r.iterations for r in reports),
-                              converged=best.converged, tol=tol,
+                              converged=best.converged, tol=DEFAULT_TOL,
                               tolerance_achieved=best.tolerance_achieved,
                               maxima=maxima)
 
@@ -173,13 +173,10 @@ def classical_objective(d: int):
     return lambda x: exact_prob(d, ClassicalParams(x[0], tuple(x[1:])))
 
 
-def optimize_qaoa(d: int, resolution: int = 256,
-                  tol: float = DEFAULT_TOL, max_iters: int = DEFAULT_MAX_ITERS,
-                  report_margin: float = 0.1) -> OptimizationReport:
+def optimize_qaoa(d: int) -> OptimizationReport:
     """Maximize the per-vertex one-round expectation over one angle period."""
-    return _multistart(qaoa_objective(d), QAOA_BOX, resolution,
-                       include_endpoint=False, tol=tol, max_iters=max_iters,
-                       report_margin=report_margin)
+    return _multistart(qaoa_objective(d), QAOA_BOX, QAOA_RESOLUTION,
+                       include_endpoint=False)
 
 
 def _canonical_classical(x):
@@ -196,25 +193,19 @@ def _canonical_classical(x):
                for qq in (q, tuple(1.0 - t for t in q)))
 
 
-def optimize_classical(d: int, resolution: int | None = None,
-                       tol: float = DEFAULT_TOL,
-                       max_iters: int = DEFAULT_MAX_ITERS,
-                       report_margin: float = 0.1) -> OptimizationReport:
+def optimize_classical(d: int) -> OptimizationReport:
     """Maximize the one-round satisfaction probability over (p, q0..qd).
 
-    The closed grid over [0,1]^(d+2) is coarse (the default lands on the
-    known corner structure and on p = 1/2) and exists only to seed the
-    simplex refinements; the reported optimum comes from those.  Argmax
-    and maxima are canonicalized per `_canonical_classical`, collapsing
-    reflection-equivalent copies of the same maximum.
+    The closed grid over [0,1]^(d+2) is coarse (11 or 7 points per axis
+    land on the known corner structure and on p = 1/2) and exists only to
+    seed the simplex refinements; the reported optimum comes from those.
+    Argmax and maxima are canonicalized per `_canonical_classical`,
+    collapsing reflection-equivalent copies of the same maximum.
     """
     objective = classical_objective(d)
-    if resolution is None:
-        resolution = 11 if d == 2 else 7
     box = ((0.0, 1.0),) * (d + 2)
-    report = _multistart(objective, box, resolution,
-                         include_endpoint=True, tol=tol, max_iters=max_iters,
-                         report_margin=report_margin)
+    report = _multistart(objective, box, 11 if d == 2 else 7,
+                         include_endpoint=True)
     argmax = _canonical_classical(report.argmax)
     maxima = []
     for x, _ in report.maxima:

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,11 +51,6 @@ from .hamiltonian import DiagonalHamiltonian, vertices_of
 
 FAMILY_CAP = 25
 IMAG_TOL = 1e-9
-
-
-class QaoaAngles(NamedTuple):
-    gamma: float
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -119,13 +113,13 @@ def _family_matrix(masks, K: int) -> np.ndarray:
     return (families[:, None] >> shifts & 1).astype(bool)
 
 
-def solution_families(terms, K: int, cap: int = FAMILY_CAP) -> list[tuple[int, ...]]:
+def solution_families(terms, K: int) -> list[tuple[int, ...]]:
     """All families F of `terms` with symmetric difference exactly K,
     in depth-first order."""
     masks = list(terms)
-    if len(masks) > cap:
+    if len(masks) > FAMILY_CAP:
         raise ValueError(
-            f"|O(L)| = {len(masks)} exceeds the enumeration cap {cap}; "
+            f"|O(L)| = {len(masks)} exceeds the enumeration cap {FAMILY_CAP}; "
             "instance is outside tractable locality")
     return [tuple(masks[i] for i in np.flatnonzero(row))
             for row in _family_matrix(masks, K)]

@@ -3,7 +3,9 @@
 Serves as the exact oracle for the analytic expectation engine.  Basis
 state x (an index into the amplitude array) assigns vertex v the bit
 (x >> v) & 1, matching the bitmask convention of the hamiltonian module.
-States are mutated in place by the gate functions and returned for
+The phase gate and the expectation take H as its diagonal, the 2^n
+values `hamiltonian.evaluate_all` gives, so a caller that applies the
+same H at many angles builds it once.  States are mutated in place by the gate functions and returned for
 chaining; a State belongs to one worker at a time.
 """
 
@@ -32,11 +34,12 @@ def uniform_state(n: int) -> State:
     return State(n=n, amplitudes=amp)
 
 
-def apply_phase(h: DiagonalHamiltonian, gamma: float, state: State) -> State:
+def apply_phase(diagonal: np.ndarray, gamma: float, state: State) -> State:
     """Apply exp(-i gamma H): scale amplitude x by exp(-i gamma H(x))."""
-    if h.n != state.n:
-        raise ValueError(f"hamiltonian on {h.n} qubits, state on {state.n}")
-    state.amplitudes *= np.exp(-1j * gamma * evaluate_all(h))
+    if len(diagonal) != 2 ** state.n:
+        raise ValueError(f"{len(diagonal)} diagonal values, state on "
+                         f"{state.n} qubits")
+    state.amplitudes *= np.exp(-1j * gamma * diagonal)
     return state
 
 
@@ -53,16 +56,19 @@ def apply_mixer(beta: float, state: State) -> State:
     return state
 
 
-def expectation_sv(h: DiagonalHamiltonian, state: State) -> float:
+def expectation_sv(diagonal: np.ndarray, state: State) -> float:
     """<state| H |state> = sum_x |amp_x|^2 H(x)."""
-    if h.n != state.n:
-        raise ValueError(f"hamiltonian on {h.n} qubits, state on {state.n}")
+    if len(diagonal) != 2 ** state.n:
+        raise ValueError(f"{len(diagonal)} diagonal values, state on "
+                         f"{state.n} qubits")
     probs = np.abs(state.amplitudes) ** 2
-    return float(probs @ evaluate_all(h))
+    return float(probs @ diagonal)
 
 
 def qaoa_expectation_sv(h: DiagonalHamiltonian, angles) -> float:
     """F(gamma, beta) evaluated by direct simulation of U_M U_C |s>."""
     gamma, beta = angles
-    state = apply_mixer(beta, apply_phase(h, gamma, uniform_state(h.n)))
-    return expectation_sv(h, state)
+    state = uniform_state(h.n)  # refuses n > MAX_QUBITS before the diagonal
+    diagonal = evaluate_all(h)
+    apply_mixer(beta, apply_phase(diagonal, gamma, state))
+    return expectation_sv(diagonal, state)

@@ -12,10 +12,11 @@ from localmaxcut import (ClassicalParams, exact_prob, hrss_preset,
                          neighborhood_oracle_prob, optimal_preset,
                          prob_satisfied_initial, q2_star, run_one_round,
                          satisfied)
-from localmaxcut.classical import (EXACT_MAX_DEGREE, _conditional_prob, _fab,
-                                   _one_round, _trial_rng,
-                                   exact_prob_d3_grouped, four_path_form_d2,
-                                   reduced_objective_d2)
+from localmaxcut import classical
+from localmaxcut.classical import (EXACT_MAX_DEGREE, _adjacency_array,
+                                   _conditional_prob, _fab, _one_round,
+                                   _trial_rng, exact_prob_d3_grouped,
+                                   four_path_form_d2, reduced_objective_d2)
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -80,8 +81,6 @@ def test_prob_satisfied_initial():
     assert prob_satisfied_initial(2) == pytest.approx(3 / 4, abs=1e-15)
     assert prob_satisfied_initial(3) == pytest.approx(1 / 2, abs=1e-15)
     assert prob_satisfied_initial(4) == pytest.approx(11 / 16, abs=1e-15)
-    with pytest.raises(ValueError):
-        prob_satisfied_initial(2, p=0.6)
 
 
 def test_prob_satisfied_initial_matches_oracle():
@@ -274,6 +273,8 @@ def test_oracle_rejects_out_of_range_degree():
     with pytest.raises(ValueError):
         neighborhood_oracle_prob(1, ClassicalParams(0.5, (0.0, 0.0)))
     with pytest.raises(ValueError):
+        neighborhood_oracle_prob(5, ClassicalParams(0.5, (0.0,) * 6))
+    with pytest.raises(ValueError):
         neighborhood_oracle_prob(6, ClassicalParams(0.5, (0.0,) * 7))
     with pytest.raises(ValueError):
         neighborhood_oracle_prob(3, optimal_preset(3), ball_condition=(0, 1))
@@ -285,8 +286,9 @@ def test_one_round_never_unsatisfies_with_zero_weak_flips():
     g2 = make_cycle(101)
     g3 = make_random_regular(60, 3, min_girth=4, seed=1)
     for g, prm, d in ((g2, optimal_preset(2), 2), (g3, optimal_preset(3), 3)):
+        adj = _adjacency_array(g, d)
         for seed in range(20):
-            tau0, tau1, _ = _one_round(g, prm, d, _trial_rng(seed, 0))
+            tau0, tau1, _ = _one_round(adj, prm, _trial_rng(seed, 0))
             for v in range(g.n):
                 if satisfied(g, tau0, v):
                     assert satisfied(g, tau1, v)
@@ -322,6 +324,18 @@ def test_monte_carlo_stats():
     assert again.per_trial is None
     with pytest.raises(ValueError):
         monte_carlo(g, optimal_preset(2), trials=0)
+
+
+def test_monte_carlo_builds_adjacency_once(monkeypatch):
+    calls = []
+
+    def counting(g, d):
+        calls.append(d)
+        return _adjacency_array(g, d)
+
+    monkeypatch.setattr(classical, "_adjacency_array", counting)
+    monte_carlo(make_cycle(30), optimal_preset(2), trials=5, seed=4)
+    assert calls == [2]
 
 
 def test_monte_carlo_single_trial_has_zero_stderr():

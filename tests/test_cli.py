@@ -7,9 +7,10 @@ import math
 import pytest
 
 from localmaxcut import (build_localmaxcut_hamiltonian, closed_form_f2,
-                         exact_prob, girth, hrss_preset, load_edge_list,
-                         make_cycle, make_named)
-from localmaxcut import cli
+                         evaluate_all, exact_prob, girth, hrss_preset,
+                         load_edge_list, make_cycle, make_named,
+                         optimal_preset)
+from localmaxcut import cli, statevector
 from localmaxcut.cli import main, parse_graph_spec
 from localmaxcut.qaoa_engine import zk_edge_d2
 
@@ -74,6 +75,23 @@ def test_config_echo_and_seed_default(capsys):
     assert cfg["q"] == [0.0, 0.0, 0.8]
     assert "timestamp" not in doc
     assert doc["value"] == pytest.approx(0.95, abs=1e-12)
+
+
+def test_one_parser_serves_every_command(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["classical", "exact", "--degree", "5"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    rc, doc, _ = run_json(capsys, "classical", "exact", "--degree", "3")
+    assert rc == 0
+    assert doc["config"]["degree"] == 3
+    assert doc["value"] == pytest.approx(exact_prob(3, optimal_preset(3)),
+                                         abs=1e-12)
+    rc, doc, _ = run_json(capsys, "verify", "--graph", "cycle:5",
+                          "--samples", "2")
+    assert rc == 0 and doc["ok"] is True
+    assert doc["config"]["samples"] == 2 and "degree" not in doc["config"]
 
 
 def test_threads_flag_refused(capsys, monkeypatch):
@@ -210,6 +228,23 @@ def test_verify_calls_engine_once_per_term_per_block(capsys, monkeypatch):
     assert sizes == [cli.VERIFY_BLOCK] * terms + [1] * terms
 
 
+def test_verify_builds_diagonal_once(capsys, monkeypatch):
+    # the statevector gates take the diagonal, so --samples does not
+    # multiply its cost (it used to be built twice per sample)
+    calls = []
+
+    def counted(h):
+        calls.append(h.n)
+        return evaluate_all(h)
+
+    for module in (cli, statevector):
+        monkeypatch.setattr(module, "evaluate_all", counted, raising=False)
+    rc, doc, _ = run_json(capsys, "verify", "--graph", "cycle:7",
+                          "--samples", str(cli.VERIFY_BLOCK + 1))
+    assert rc == 0 and doc["ok"] is True
+    assert calls == [7]
+
+
 def test_verify_fails_on_one_shifted_term(capsys, monkeypatch):
     h = build_localmaxcut_hamiltonian(make_cycle(7))
     _counting_engine(monkeypatch, shift=h.nonconstant_terms()[3][0])
@@ -257,7 +292,8 @@ def test_qaoa_explain(capsys):
 
 
 def test_qaoa_explain_at_64_vertices(capsys):
-    # 64 is the largest n make_hamiltonian takes; 63 is the top mask bit
+    # n = 64 fills a 64-bit word; masks are Python ints, so the boundary
+    # must change nothing
     for subset in ("62,63", "0,63"):
         rc, doc, _ = run_json(capsys, "qaoa", "explain", "--graph",
                               "cycle:64", "--subset", subset,
@@ -266,6 +302,15 @@ def test_qaoa_explain_at_64_vertices(capsys):
         assert doc["value"] == pytest.approx(zk_edge_d2((0.37, 0.21)),
                                              abs=1e-12)
         assert doc["breakdown"]["K"] == [int(v) for v in subset.split(",")]
+
+
+def test_qaoa_explain_beyond_64_vertices(capsys):
+    # make_hamiltonian used to refuse n > 64 (exit 2)
+    rc, doc, _ = run_json(capsys, "qaoa", "explain", "--graph", "cycle:100",
+                          "--subset", "0,1", "--gamma", "0.6", "--beta", "0.3")
+    assert rc == 0
+    assert abs(doc["value"] - zk_edge_d2((0.6, 0.3))) <= 1e-12
+    assert abs(doc["value"] - -0.319849558030) <= 1e-12
 
 
 def test_qaoa_explain_refuses_bad_subsets(capsys):

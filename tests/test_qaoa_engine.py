@@ -220,10 +220,9 @@ def test_closed_form_f2_on_high_girth_cycles():
 
 
 def test_engine_beyond_64_vertices():
-    # The engine keeps term masks as Python ints, so it has no 64-vertex
-    # limit of its own (make_hamiltonian still caps n at 64).  Moving the
-    # C7 certificate to vertices 90..96 of a 100-vertex Hamiltonian must
-    # change nothing but the labels.
+    # The engine keeps term masks as Python ints, so it has no vertex
+    # limit.  Moving the C7 certificate to vertices 90..96 of a 100-vertex
+    # Hamiltonian must change nothing but the labels.
     h, K = girth7_certificate(2, "EDGE")
     shift = 90
     far = DiagonalHamiltonian(n=100, terms=tuple((m << shift, w)
