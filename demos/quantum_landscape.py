@@ -42,5 +42,5 @@ print("""
 Every Hamiltonian term here touches an even number of vertices, so both
 landscapes are invariant under beta -> beta + pi/2; the stripes above are
 that symmetry.  The optimizer reports each maximum wherever its seeded
-simplex lands, deduplicating points closer than 1e-3.
+compass search lands, deduplicating points closer than 1e-3.
 """)

@@ -20,7 +20,7 @@ from .hamiltonian import (Clause, DiagonalHamiltonian,
                           evaluate_classical, fourier_encode_clause,
                           hamiltonian_to_json, local_satisfaction_clause,
                           make_hamiltonian, mask_of, vertices_of)
-from .optimize import (GridSweep, OptimizationReport, grid_sweep, nelder_mead,
+from .optimize import (GridSweep, OptimizationReport, grid_sweep,
                        optimize_classical, optimize_qaoa, report_to_json)
 from .qaoa_engine import (ZkBreakdown, breakdown_to_json, closed_form_f2,
                           closed_form_f3, expectation_full, expectation_zk,
@@ -41,7 +41,7 @@ __all__ = [
     "hrss_preset", "load_edge_list", "local_satisfaction_clause",
     "make_cycle", "make_hamiltonian", "make_named", "make_random_regular",
     "mask_of", "monte_carlo", "neighborhood", "neighborhood_oracle_prob",
-    "nelder_mead", "optimal_preset", "optimize_classical", "optimize_qaoa",
+    "optimal_preset", "optimize_classical", "optimize_qaoa",
     "prob_satisfied_initial", "q2_star", "qaoa_expectation_sv",
     "report_to_json", "run_one_round", "satisfied", "save_edge_list",
     "uniform_state", "vertices_of",

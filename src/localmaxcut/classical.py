@@ -29,6 +29,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 # The oracle holds one uint64 array of 2^V entries per vertex of the radius-2
 # tree, V = 1 + d + d(d-1): 17 MiB at d = 4, but about 13 GiB at d = 5.
@@ -115,7 +116,7 @@ def _one_round(adj, params, rng):
 
 
 def _trial_rng(seed: int, trial: int):
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), trial]))
+    return Generator(Philox(key=[seed & (2**64 - 1), trial]))
 
 
 def run_one_round(g, params, seed: int = 0):
@@ -279,24 +280,6 @@ def exact_prob(d: int, params):
             total += weight * ((1 - q[l]) * sum(s[:m + 1])
                                + q[l] * sum(s[d - m:]))
     return total
-
-
-def exact_prob_d3_grouped(params) -> float:
-    """exact_prob(3, .) collapsed to 8 cases by the complement (p <-> 1-p) and
-    neighbor-permutation symmetries; representatives 0000, 0001, 0011, 0111.
-    """
-    p, q = params
-    _check_params(params, 3)
-
-    def case(abcd, pp):
-        ones = sum(abcd)
-        weight = pp ** ones * (1 - pp) ** (4 - ones)
-        return weight * _conditional_prob(abcd, pp, q, 3)
-
-    return (case((0, 0, 0, 0), p) + case((0, 0, 0, 0), 1 - p)
-            + 3 * (case((0, 0, 0, 1), p) + case((0, 0, 0, 1), 1 - p))
-            + 3 * (case((0, 0, 1, 1), p) + case((0, 0, 1, 1), 1 - p))
-            + case((0, 1, 1, 1), p) + case((0, 1, 1, 1), 1 - p))
 
 
 def neighborhood_oracle_prob(d: int, params, ball_condition=None) -> float:

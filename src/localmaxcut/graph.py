@@ -13,6 +13,7 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 NAMED_CUBIC = {
     # complete graph on 4 vertices, girth 3
@@ -134,7 +135,7 @@ def make_random_regular(n: int, d: int, min_girth: int = 3, seed: int = 0,
     if n < bound:
         raise ValueError(f"no {d}-regular graph on {n} vertices has girth >= "
                          f"{min_girth}: the Moore bound needs n >= {bound}")
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), 0]))
+    rng = Generator(Philox(key=[seed & (2**64 - 1), 0]))
     stubs = np.repeat(np.arange(n), d)
     for _ in range(max_attempts):
         rng.shuffle(stubs)

@@ -1,17 +1,17 @@
-"""Grid-plus-simplex maximization of the angle and parameter landscapes.
+"""Grid-plus-compass maximization of the angle and parameter landscapes.
 
 Both surfaces we care about are cheap, smooth, low-dimensional and mildly
 multimodal, so the strategy is deliberately plain: sweep a regular grid,
-keep the best handful of cells, refine each with a bounded Nelder-Mead
-simplex, and report every distinct local maximum found.  Ties between
-equal grid cells go to the lowest row-major index so golden outputs are
-stable across runs.
+keep the best handful of cells, refine them together by compass search
+(Kolda, Lewis and Torczon, SIAM Review 45, 2003), and report every
+distinct local maximum found.  Ties between equal grid cells go to the
+lowest row-major index so golden outputs are stable across runs.
 
 An objective is a function of one packed point x written in numpy
-arithmetic, so the same function serves both stages: the simplex passes
-x as a vector of floats, one point per call, and the grid passes a tuple
-of coordinate arrays of the grid's shape and gets every cell back from a
-single call.
+arithmetic: x is a tuple of coordinate arrays of one shape, and the
+objective returns the values in that shape.  The grid passes every cell
+in a single call, and compass search passes every stencil point of every
+start in one call per step.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .classical import ClassicalParams, exact_prob
 from .qaoa_engine import closed_form_f2, closed_form_f3
@@ -94,56 +93,68 @@ def grid_sweep(objective, box, resolution,
                      value=float(values[idx]))
 
 
-def nelder_mead(objective, start, box=None, tol: float = DEFAULT_TOL,
-                max_iters: int = DEFAULT_MAX_ITERS) -> OptimizationReport:
-    """Maximize `objective` by simplex refinement from `start`.
+def compass_search(objective, starts, box, steps, tol: float = DEFAULT_TOL,
+                   max_iters: int = DEFAULT_MAX_ITERS):
+    """Maximize `objective` by compass search from every row of `starts` at once.
 
-    Stops once both the simplex diameter and the value spread fall below
-    `tol`.  Iterates are kept inside `box` by clamping.  Hitting the
-    iteration cap is reported via `converged=False`, not raised, and the
-    result is never worse than the starting point.
+    Each step evaluates every active start x together with x +- s*steps[j]
+    along each axis j, clamped to `box`: 2D+1 points per start, passed as
+    one packed point whose coordinates have shape (active starts, 2D+1).
+    x moves to the best of them, staying put on ties, and s (initially 1/2)
+    halves whenever x stays.  Every start takes at least one step and stops
+    once s*max(steps) < `tol`; one still moving after `max_iters` steps
+    reports `converged=False`.  No result is worse than its start.  Returns
+    one report per start, with the final s*max(steps) as
+    `tolerance_achieved`.
     """
-    x0 = np.asarray(start, dtype=float)
-    if box is not None:
-        box = tuple((float(lo), float(hi)) for lo, hi in box)
-        if len(box) != x0.size or any(
-                not lo <= t <= hi for t, (lo, hi) in zip(x0, box)):
-            raise ValueError(f"start {tuple(x0)} is outside the search box")
-    seed_value = float(objective(x0))
-    res = minimize(lambda x: -objective(x), x0, method="Nelder-Mead",
-                   bounds=box,
-                   options={"xatol": tol, "fatol": tol,
-                            "maxiter": max_iters, "maxfev": 4 * max_iters})
-    sim, fsim = res.final_simplex
-    achieved = max(float(np.max(np.abs(sim[1:] - sim[0]))),
-                   float(np.max(fsim) - np.min(fsim)))
-    argmax = tuple(float(t) for t in res.x)
-    value = float(-res.fun)
-    if value < seed_value:
-        argmax, value = tuple(float(t) for t in x0), seed_value
-    return OptimizationReport(argmax=argmax, value=value,
-                              grid_resolution=None, grid_value=None,
-                              iterations=int(res.nit),
-                              converged=bool(res.success), tol=tol,
-                              tolerance_achieved=achieved,
-                              maxima=((argmax, value),))
+    lo, hi = np.array(box, dtype=float).T
+    x = np.atleast_2d(np.array(starts, dtype=float))
+    if x.shape[1] != len(lo) or np.any((x < lo) | (x > hi)):
+        raise ValueError(f"starts {x.tolist()} leave the search box {box}")
+    moves = np.eye(len(lo)) * steps
+    stencil = np.vstack([np.zeros(len(lo)), moves, -moves])  # (2D+1, D)
+    reach = float(max(steps))
+    k = len(x)
+    value = np.empty(k)
+    scale = np.full(k, 0.5)
+    iters = np.zeros(k, dtype=int)
+    active = np.ones(k, dtype=bool)
+    for _ in range(max_iters):
+        live = np.flatnonzero(active)
+        if live.size == 0:
+            break
+        pts = np.clip(x[live, None, :] + scale[live, None, None] * stencil,
+                      lo, hi)
+        vals = np.broadcast_to(objective(tuple(np.moveaxis(pts, -1, 0))),
+                               pts.shape[:2])
+        rows, best = np.arange(live.size), np.argmax(vals, axis=1)
+        stay = np.all(pts[rows, best] == x[live], axis=1)
+        x[live] = pts[rows, best]
+        value[live] = vals[rows, best]
+        scale[live] *= np.where(stay, 0.5, 1.0)
+        iters[live] += 1
+        active[live] = scale[live] * reach >= tol
+    reports = []
+    for i in range(k):
+        argmax, v = tuple(x[i].tolist()), float(value[i])
+        reports.append(OptimizationReport(
+            argmax=argmax, value=v, grid_resolution=None, grid_value=None,
+            iterations=int(iters[i]), converged=not active[i], tol=tol,
+            tolerance_achieved=float(scale[i] * reach), maxima=((argmax, v),)))
+    return tuple(reports)
 
 
 def _multistart(objective, box, resolution, include_endpoint):
-    """Grid sweep, refine the TOP_K cells, merge coincident maxima."""
+    """Grid sweep, refine the TOP_K cells together, merge coincident maxima."""
     sweep = grid_sweep(objective, box, resolution,
                        include_endpoint=include_endpoint)
     shape = sweep.values.shape
     order = np.argsort(-sweep.values.ravel(), kind="stable")[:TOP_K]
-    reports = []
-    for f in order:
-        idx = np.unravel_index(int(f), shape)
-        seed = tuple(float(sweep.axes[j][idx[j]]) for j in range(len(shape)))
-        reports.append(nelder_mead(objective, seed, box=box))
-    best = reports[0]
-    for r in reports[1:]:
-        if r.value > best.value:
-            best = r
+    seeds = np.stack([axis[idx] for axis, idx
+                      in zip(sweep.axes, np.unravel_index(order, shape))], axis=1)
+    spacing = [axis[1] - axis[0] for axis in sweep.axes]
+    reports = compass_search(objective, seeds, box, spacing)
+    best = reports[int(np.argmax([r.value for r in reports]))]
     kept = []
     for r in sorted(reports, key=lambda r: -r.value):
         if all(math.dist(r.argmax, k.argmax) > DISTINCT_TOL for k in kept):
@@ -198,7 +209,7 @@ def optimize_classical(d: int) -> OptimizationReport:
 
     The closed grid over [0,1]^(d+2) is coarse (11 or 7 points per axis
     land on the known corner structure and on p = 1/2) and exists only to
-    seed the simplex refinements; the reported optimum comes from those.
+    seed the compass refinements; the reported optimum comes from those.
     Argmax and maxima are canonicalized per `_canonical_classical`,
     collapsing reflection-equivalent copies of the same maximum.
     """

@@ -15,8 +15,8 @@ from localmaxcut import (ClassicalParams, exact_prob, hrss_preset,
 from localmaxcut import classical
 from localmaxcut.classical import (EXACT_MAX_DEGREE, _adjacency_array,
                                    _conditional_prob, _fab, _one_round,
-                                   _trial_rng, exact_prob_d3_grouped,
-                                   four_path_form_d2, reduced_objective_d2)
+                                   _trial_rng, four_path_form_d2,
+                                   reduced_objective_d2)
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -166,13 +166,6 @@ def test_exact_matches_per_ball_route(d):
     for k in range(len(prm.p)):
         point = ClassicalParams(float(prm.p[k]), tuple(float(t[k]) for t in prm.q))
         assert batch[k] == pytest.approx(_per_ball_prob(d, point), abs=1e-12)
-
-
-@settings(max_examples=50, deadline=None)
-@given(params_strategy(3))
-def test_d3_grouped_route_agrees(prm):
-    assert exact_prob_d3_grouped(prm) == pytest.approx(
-        exact_prob(3, prm), abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)

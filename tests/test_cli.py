@@ -11,6 +11,7 @@ from localmaxcut import (build_localmaxcut_hamiltonian, closed_form_f2,
                          load_edge_list, make_cycle, make_named,
                          optimal_preset)
 from localmaxcut import cli, statevector
+from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.cli import main, parse_graph_spec
 from localmaxcut.qaoa_engine import zk_edge_d2
 
@@ -80,7 +81,7 @@ def test_config_echo_and_seed_default(capsys):
 def test_one_parser_serves_every_command(capsys):
     assert cli.build_parser() is cli.build_parser()
     with pytest.raises(SystemExit) as exc:
-        main(["classical", "exact", "--degree", "5"])
+        main(["sweep", "--degree", "5"])
     assert exc.value.code == 2
     capsys.readouterr()
     rc, doc, _ = run_json(capsys, "classical", "exact", "--degree", "3")
@@ -126,6 +127,23 @@ def test_classical_exact_explicit_params(capsys):
                           "--p", "0.5", "--q", "0,0,0,1")
     assert rc == 0
     assert doc["value"] == pytest.approx(197 / 256, abs=1e-12)
+
+
+def test_classical_exact_beyond_degree_3(capsys):
+    rc, out, _ = run_cli(capsys, "classical", "exact", "--degree", "4",
+                         "--p", "0.5", "--q", "0,0,0,1,1")
+    assert rc == 0
+    assert "value 0.836227" in out  # the oracle gives 0.8362274169921875
+    rc, _, err = run_cli(capsys, "classical", "exact", "--degree", "4")
+    assert rc == 2 and "tuned parameters cover d in {2, 3}" in err
+
+
+@pytest.mark.parametrize("d", (0, EXACT_MAX_DEGREE + 1))
+def test_classical_exact_degree_out_of_range(capsys, d):
+    q = ",".join(["0"] * (d + 1))
+    rc, _, err = run_cli(capsys, "classical", "exact", "--degree", str(d),
+                         "--p", "0.5", "--q", q)
+    assert rc == 2 and "exact sum covers" in err
 
 
 def test_classical_run(capsys):

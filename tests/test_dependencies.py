@@ -1,0 +1,45 @@
+"""The declared dependencies are exactly the third-party packages imported."""
+
+import ast
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "localmaxcut"
+
+
+def _imported_top_levels():
+    names = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_declared_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        declared = tomllib.load(f)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in declared}
+    third_party = {n for n in _imported_top_levels()
+                   if n not in sys.stdlib_module_names and n != "localmaxcut"}
+    assert third_party == declared == {"numpy"}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    code = "import sys, localmaxcut.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], cwd=ROOT,
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from localmaxcut import (ClassicalParams, exact_prob, grid_sweep, nelder_mead,
-                         q2_star, report_to_json)
+from localmaxcut import (ClassicalParams, exact_prob, grid_sweep, q2_star,
+                         report_to_json)
 from localmaxcut.optimize import (DISTINCT_TOL, QAOA_BOX, _canonical_classical,
-                                  classical_objective, qaoa_objective)
+                                  classical_objective, compass_search,
+                                  qaoa_objective)
 
 
 def paraboloid(x):
@@ -62,9 +63,12 @@ def test_grid_validation():
         grid_sweep(paraboloid, ((0.0, 1.0), (0.0, 1.0)), (8,))
 
 
-def test_nelder_mead_refines_paraboloid():
-    report = nelder_mead(paraboloid, (0.0, 0.0),
-                         box=((-1.0, 1.0), (-1.0, 1.0)))
+UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
+
+
+def test_compass_refines_paraboloid():
+    (report,) = compass_search(paraboloid, [(0.0, 0.0)],
+                               ((-1.0, 1.0), (-1.0, 1.0)), (0.25, 0.25))
     assert report.argmax == pytest.approx((0.3, 0.7), abs=1e-6)
     assert report.value == pytest.approx(0.0, abs=1e-10)
     assert report.converged
@@ -72,25 +76,55 @@ def test_nelder_mead_refines_paraboloid():
     assert report.maxima == ((report.argmax, report.value),)
 
 
-def test_nelder_mead_respects_box():
+def test_compass_respects_box():
     # unconstrained maximum sits at 1.5, outside the box
-    report = nelder_mead(lambda x: -(x[0] - 1.5) ** 2, (0.5,),
-                         box=((0.0, 1.0),))
+    (report,) = compass_search(lambda x: -(x[0] - 1.5) ** 2, [(0.5,)],
+                               ((0.0, 1.0),), (0.25,))
     assert 0.0 <= report.argmax[0] <= 1.0
     assert report.argmax[0] == pytest.approx(1.0, abs=1e-6)
 
 
-def test_nelder_mead_start_outside_box():
+def test_compass_start_outside_box():
     with pytest.raises(ValueError):
-        nelder_mead(paraboloid, (2.0, 0.0), box=((0.0, 1.0), (0.0, 1.0)))
+        compass_search(paraboloid, [(2.0, 0.0)], UNIT_BOX, (0.25, 0.25))
 
 
-def test_nelder_mead_never_worse_than_seed():
-    # iteration budget of a handful of steps: must fall back to the seed
-    # if the truncated simplex ends below it
-    report = nelder_mead(paraboloid, (0.3, 0.7), max_iters=1)
+def test_compass_never_worse_than_seed():
+    # a budget of one step ends unconverged, and the seed is kept
+    (report,) = compass_search(paraboloid, [(0.3, 0.7)], UNIT_BOX,
+                               (0.25, 0.25), max_iters=1)
     assert report.value >= paraboloid((0.3, 0.7))
     assert not report.converged
+
+
+def test_compass_one_call_per_step_for_all_starts():
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return paraboloid(x) - 0.1 * x[2] ** 2
+
+    starts = [(0.0, 0.0, 0.5), (1.0, 1.0, 0.0), (0.3, 0.7, 0.0)]
+    reports = compass_search(counting, starts, ((0.0, 1.0),) * 3,
+                             (0.1, 0.2, 0.1), tol=1e-6)
+    assert len(calls) == max(r.iterations for r in reports)
+    for step, x in enumerate(calls):
+        live = sum(r.iterations > step for r in reports)
+        assert [c.shape for c in x] == [(live, 7)] * 3
+    assert calls[0][0].shape == (3, 7)
+    for r in reports:
+        assert r.converged
+        assert r.argmax == pytest.approx((0.3, 0.7, 0.0), abs=1e-6)
+
+
+def test_compass_restarts_stalled_d2_point():
+    # where a simplex refinement once stalled, below the optimum 19/20
+    stalled = (0.49738443318794134, 1.113913223441221e-14,
+               0.0002729522826054483, 0.8020819911418287)
+    (report,) = compass_search(classical_objective(2), [stalled],
+                               ((0.0, 1.0),) * 4, (0.1,) * 4)
+    assert report.converged
+    assert report.value == pytest.approx(0.95, abs=1e-12)
 
 
 def test_canonical_classical():
