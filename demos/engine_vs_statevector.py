@@ -16,7 +16,7 @@ import numpy as np
 
 from localmaxcut import (build_localmaxcut_hamiltonian, expectation_full,
                          explain_zk, make_cycle, make_named,
-                         qaoa_expectation_sv, vertices_of)
+                         qaoa_expectation_sv)
 
 rng = np.random.Generator(np.random.Philox(key=[0, 0]))
 
@@ -35,9 +35,10 @@ for label, g in [("C_5", make_cycle(5)), ("C_8", make_cycle(8)),
 # Peek inside one expectation: the family decomposition of an edge term.
 print("\nDecomposition of <Z_{0,1}> on PETERSEN at gamma=0.9, beta=0.4:")
 h = build_localmaxcut_hamiltonian(make_named("PETERSEN"))
-bd = explain_zk(h, 0b11, (0.9, 0.4))
-for rec in bd.contributions:
-    fams = len(rec.families)
-    print(f"  L={str(vertices_of(rec.L)):>8}  |O_K(L)|={fams:>3}  "
-          f"rho={rec.rho.real:+.6f}{rec.rho.imag:+.2e}j")
-print(f"  total: {bd.total:+.6f}  (imaginary parts cancel to < 1e-9)")
+breakdown = explain_zk(h, 0b11, (0.9, 0.4))
+for rec in breakdown["contributions"]:
+    rho = complex(*rec["rho"])
+    print(f"  L={str(rec['L']):>8}  |O_K(L)|={len(rec['families']):>3}  "
+          f"rho={rho.real:+.6f}{rho.imag:+.2e}j")
+print(f"  total: {breakdown['total']:+.6f}  "
+      "(imaginary parts cancel to < 1e-9)")

@@ -22,9 +22,8 @@ from .hamiltonian import (Clause, DiagonalHamiltonian,
                           make_hamiltonian, mask_of, vertices_of)
 from .optimize import (GridSweep, OptimizationReport, grid_sweep,
                        optimize_classical, optimize_qaoa, report_to_json)
-from .qaoa_engine import (ZkBreakdown, breakdown_to_json, closed_form_f2,
-                          closed_form_f3, expectation_full, expectation_zk,
-                          explain_zk)
+from .qaoa_engine import (closed_form_f2, closed_form_f3, expectation_full,
+                          expectation_zk, explain_zk)
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, qaoa_expectation_sv, uniform_state)
 
@@ -33,9 +32,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ClassicalParams", "Clause", "DiagonalHamiltonian", "Graph", "GridSweep",
     "MAX_QUBITS", "NAMED_CUBIC", "OptimizationReport", "RunStats",
-    "ZkBreakdown", "agreeing_count", "apply_mixer", "apply_phase",
-    "breakdown_to_json", "build_localmaxcut_hamiltonian", "closed_form_f2",
-    "closed_form_f3", "evaluate_all", "evaluate_classical", "exact_prob",
+    "agreeing_count", "apply_mixer", "apply_phase",
+    "build_localmaxcut_hamiltonian", "closed_form_f2", "closed_form_f3",
+    "evaluate_all", "evaluate_classical", "exact_prob",
     "expectation_full", "expectation_sv", "expectation_zk", "explain_zk",
     "fourier_encode_clause", "girth", "grid_sweep", "hamiltonian_to_json",
     "hrss_preset", "load_edge_list", "local_satisfaction_clause",

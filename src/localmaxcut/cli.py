@@ -51,13 +51,14 @@ from .hamiltonian import (build_localmaxcut_hamiltonian, evaluate_all,
                           hamiltonian_to_json, mask_of, walsh_transform)
 from .optimize import (QAOA_BOX, grid_sweep, optimize_classical,
                        optimize_qaoa, qaoa_objective, report_to_json)
-from .qaoa_engine import breakdown_to_json, expectation_zk, explain_zk
+from .qaoa_engine import expectation_zk, explain_zk
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, uniform_state)
 
 VERIFY_TOL = 1e-9
 VERIFY_BLOCK = 64  # angle pairs per batched engine call in verify
 SLOW_QUBITS = 20
+MAX_RESOLUTION = 2048  # a degree-3 sweep grid of 2048^2 takes about 0.5 GiB
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,12 @@ def _params(args, d: int) -> ClassicalParams:
     return ClassicalParams(p=p, q=q)
 
 
+def _check_resolution(resolution: int) -> None:
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"need 2 <= resolution <= {MAX_RESOLUTION}, "
+                         f"got {resolution}")
+
+
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -197,6 +204,7 @@ def cmd_reproduce(args) -> int:
 
 def cmd_sweep(args) -> int:
     """Write the gamma,beta expectation grid as CSV and print its argmax."""
+    _check_resolution(args.resolution)
     cfg = _resolve(args, "sweep", degree=args.degree,
                    resolution=args.resolution, fmt="csv")
     sweep = grid_sweep(qaoa_objective(args.degree), QAOA_BOX, args.resolution,
@@ -325,10 +333,9 @@ def cmd_classical_curve(args) -> int:
     to [0,1]); for degree 3 the flip rule is pinned at q = (0,0,0,1) and
     only the initial bias moves.
     """
+    _check_resolution(args.resolution)
     cfg = _resolve(args, "classical", "curve", degree=args.degree,
                    resolution=args.resolution, fmt="csv")
-    if args.resolution < 2:
-        raise ValueError(f"need resolution >= 2, got {args.resolution}")
     ps = np.linspace(0.0, 1.0, args.resolution)
     values = [_curve_value(args.degree, float(p)) for p in ps]
     buf = io.StringIO()
@@ -375,11 +382,11 @@ def cmd_qaoa_explain(args) -> int:
     cfg = _resolve(args, "qaoa", "explain", graph=args.graph, subset=subset,
                    gamma=args.gamma, beta=args.beta)
     h = build_localmaxcut_hamiltonian(g)
-    bd = explain_zk(h, mask_of(subset), (args.gamma, args.beta))
-    value = bd.total
+    breakdown = explain_zk(h, mask_of(subset), (args.gamma, args.beta))
+    value = breakdown["total"]
     lines = [f"<Z_{{{','.join(map(str, subset))}}}> = {value:.12f} "
-             f"({len(bd.contributions)} contributing subsets L)"]
-    _emit(cfg, args, {"value": value, "breakdown": breakdown_to_json(bd)}, lines)
+             f"({len(breakdown['contributions'])} contributing subsets L)"]
+    _emit(cfg, args, {"value": value, "breakdown": breakdown}, lines)
     return 0
 
 

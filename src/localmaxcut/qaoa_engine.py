@@ -26,52 +26,46 @@ families whose symmetric difference is empty.  Gaussian elimination
 finds both, and the coset is then listed directly, so the cost is
 proportional to the number of families found rather than to the 2^|O(L)|
 candidates.  |O(L)| is still capped (default 25; locally tree-like
-instances stay well under) because the coset can be that large.  The
-angle-independent combinatorics of each (H, K) pair are compiled once and
-cached: per L, the O(L) masks, an array of their weights and a (families
-x terms) boolean matrix, with no per-family objects.  Evaluation is numpy arithmetic on that plan, so
-the angles may be floats or arrays of one shape and a whole batch of
-angle pairs costs one call.
+instances stay well under), and so is the coset (2^16 families), which
+is refused before it is listed.
+
+<Z_K> depends only on the terms that meet K (the light-cone argument of
+Farhi, Goldstone and Gutmann, arXiv:1411.4028), and every O(L) with L a
+subset of K lies among them, so a plan is compiled from those terms
+alone.  The angle-independent combinatorics of each (H, K) pair are
+compiled on first use: per L, the O(L) masks, an array of their weights
+and a (families x terms) boolean matrix, with no per-family objects.
+The plans are kept in a table keyed weakly on H, so they are freed with
+H.  Evaluation is numpy arithmetic on a plan, so the angles may be
+floats or arrays of one shape and a whole batch of angle pairs costs one
+call.
 
 Closed-form trigonometric polynomials for the degree-2 and degree-3
-LocalMaxCut expectations are provided alongside.  <Z_K> depends only on
-the terms that meet K (the light-cone argument of Farhi, Goldstone and
-Gutmann, arXiv:1411.4028), so on any girth >= 7 graph the generic engine
-reproduces each of them term by term.
+LocalMaxCut expectations are provided alongside.  By the light-cone
+argument, on any girth >= 7 graph the generic engine reproduces each of
+them term by term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import weakref
 
 import numpy as np
 
 from .hamiltonian import DiagonalHamiltonian, vertices_of
 
 FAMILY_CAP = 25
+COSET_CAP = 2 ** 16
 IMAG_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class LContribution:
-    L: int
-    nu: complex
-    families: tuple[tuple[int, ...], ...]
-    alphas: tuple[complex, ...]
-    rho: complex
+# H -> {K: plan}; an entry goes when its H is garbage collected
+_plans = weakref.WeakKeyDictionary()
 
 
-@dataclass(frozen=True)
-class ZkBreakdown:
-    K: int
-    contributions: tuple[LContribution, ...]
-    total: float
-
-
-def odd_intersection_terms(h: DiagonalHamiltonian, L: int) -> list[int]:
-    """The set O(L): nonempty terms of h meeting L an odd number of times."""
-    return [m for m, _ in h.nonconstant_terms() if (m & L).bit_count() % 2 == 1]
+def odd_intersection_terms(terms, L: int) -> list:
+    """The set O(L): the (mask, weight) terms meeting L an odd number of
+    times, in the order given."""
+    return [(m, w) for m, w in terms if (m & L).bit_count() % 2 == 1]
 
 
 def _family_matrix(masks, K: int) -> np.ndarray:
@@ -86,9 +80,14 @@ def _family_matrix(masks, K: int) -> np.ndarray:
     a particular family, or a nonzero vertex part when there is none; the
     basis vectors with no vertex part span the families with empty XOR.
     The basis is fully reduced, so doubling the list once per such vector
-    in ascending pivot order lists the coset in ascending order.
+    in ascending pivot order lists the coset in ascending order.  More
+    than FAMILY_CAP masks, or a coset of more than COSET_CAP families, is
+    refused before anything is listed.
     """
     size = len(masks)
+    if size > FAMILY_CAP:
+        raise ValueError(
+            f"|O(L)| = {size} exceeds the enumeration cap {FAMILY_CAP}")
     basis = {}  # pivot bit -> fully reduced vector
     for i, m in enumerate(masks):
         v = m << size | 1 << (size - 1 - i)
@@ -106,41 +105,36 @@ def _family_matrix(masks, K: int) -> np.ndarray:
             target ^= b
     if target >> size:
         return np.zeros((0, size), dtype=bool)
+    empty = sorted(bit for bit in basis if bit < size)
+    if 2 ** len(empty) > COSET_CAP:
+        raise ValueError(
+            f"|O_K(L)| = {2 ** len(empty)} families of |O(L)| = {size} "
+            f"terms exceeds the coset cap {COSET_CAP}")
     families = np.array([target], dtype=np.int64)
-    for bit in sorted(bit for bit in basis if bit < size):
+    for bit in empty:
         families = np.concatenate([families, families ^ basis[bit]])
     shifts = np.arange(size - 1, -1, -1, dtype=np.int64)
     return (families[:, None] >> shifts & 1).astype(bool)
 
 
-def solution_families(terms, K: int) -> list[tuple[int, ...]]:
-    """All families F of `terms` with symmetric difference exactly K,
-    in depth-first order."""
-    masks = list(terms)
-    if len(masks) > FAMILY_CAP:
-        raise ValueError(
-            f"|O(L)| = {len(masks)} exceeds the enumeration cap {FAMILY_CAP}; "
-            "instance is outside tractable locality")
-    return [tuple(masks[i] for i in np.flatnonzero(row))
-            for row in _family_matrix(masks, K)]
-
-
-@lru_cache(maxsize=None)
 def _compile_zk(h: DiagonalHamiltonian, K: int):
     """Angle-independent plan: per L, the O(L) masks (Python ints, so any
-    vertex count works), their weights and the family matrix of O_K(L)."""
+    vertex count works), their weights and the family matrix of O_K(L).
+
+    A term that meets L oddly meets K, so each O(L) is filtered from the
+    terms that meet K, kept in the order of h.terms.
+    """
+    cone = [(m, w) for m, w in h.terms if m & K]
     plan = []
     sub = K
     while True:
-        o_terms = [(m, w) for m, w in h.nonconstant_terms()
-                   if (m & sub).bit_count() % 2 == 1]
-        if len(o_terms) > FAMILY_CAP:
-            raise ValueError(
-                f"|O(L)| = {len(o_terms)} exceeds the enumeration cap "
-                f"{FAMILY_CAP} at L = {vertices_of(sub)}")
+        o_terms = odd_intersection_terms(cone, sub)
         masks = tuple(m for m, _ in o_terms)
-        plan.append((sub, masks, np.array([w for _, w in o_terms]),
-                     _family_matrix(masks, K)))
+        try:
+            families = _family_matrix(masks, K)
+        except ValueError as e:
+            raise ValueError(f"{e} at L = {vertices_of(sub)}") from None
+        plan.append((sub, masks, np.array([w for _, w in o_terms]), families))
         if sub == 0:
             break
         sub = (sub - 1) & K
@@ -158,9 +152,12 @@ def _contributions(h: DiagonalHamiltonian, K: int, gamma, beta):
         raise ValueError("K must be nonempty; <Z_empty> = 1 trivially")
     if K >> h.n:
         raise ValueError(f"K = {K:#x} not within 0..{h.n - 1}")
+    plans = _plans.setdefault(h, {})
+    if K not in plans:
+        plans[K] = _compile_zk(h, K)
     s2b, c2b = np.sin(2 * beta), np.cos(2 * beta)
     k_bits = K.bit_count()
-    for L, masks, weights, families in _compile_zk(h, K):
+    for L, masks, weights, families in plans[K]:
         l_bits = L.bit_count()
         nu = (1j * s2b) ** l_bits * c2b ** (k_bits - l_bits)
         alphas = np.ones((len(families), len(gamma)), dtype=complex)
@@ -198,20 +195,27 @@ def expectation_zk(h: DiagonalHamiltonian, K: int, angles):
     return float(value) if value.ndim == 0 else value
 
 
-def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> ZkBreakdown:
-    """The per-L record behind expectation_zk at one angle pair."""
+def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
+    """The per-L record behind expectation_zk at one angle pair, as plain
+    data: subsets as vertex lists, complex numbers as [re, im]."""
+    def c(z):
+        return [float(z.real), float(z.imag)]
+
     gamma, beta = (np.array([a], dtype=float) for a in angles)
     total = np.zeros(1, dtype=complex)
     contributions = []
     for L, masks, families, nu, alphas, rho in _contributions(h, K, gamma, beta):
         total += rho
-        contributions.append(LContribution(
-            L=L, nu=complex(nu[0]),
-            families=tuple(tuple(m for m, r in zip(masks, row) if r)
-                           for row in families),
-            alphas=tuple(complex(a) for a in alphas[:, 0]), rho=complex(rho[0])))
-    return ZkBreakdown(K=K, contributions=tuple(contributions),
-                       total=float(_real(total)[0]))
+        contributions.append({
+            "L": vertices_of(L),
+            "nu": c(nu[0]),
+            "families": [[vertices_of(m) for m, r in zip(masks, row) if r]
+                         for row in families],
+            "alphas": [c(a) for a in alphas[:, 0]],
+            "rho": c(rho[0]),
+        })
+    return {"K": vertices_of(K), "total": float(_real(total)[0]),
+            "contributions": contributions}
 
 
 def expectation_full(h: DiagonalHamiltonian, angles):
@@ -221,27 +225,6 @@ def expectation_full(h: DiagonalHamiltonian, angles):
     for m, w in h.nonconstant_terms():
         total = total + w * expectation_zk(h, m, angles)
     return total
-
-
-def breakdown_to_json(bd: ZkBreakdown) -> dict:
-    """Serialize a ZkBreakdown; subsets as vertex arrays, complex as [re, im]."""
-    def c(z):
-        return [z.real, z.imag]
-
-    return {
-        "K": vertices_of(bd.K),
-        "total": bd.total,
-        "contributions": [
-            {
-                "L": vertices_of(rec.L),
-                "nu": c(rec.nu),
-                "families": [[vertices_of(m) for m in fam] for fam in rec.families],
-                "alphas": [c(a) for a in rec.alphas],
-                "rho": c(rec.rho),
-            }
-            for rec in bd.contributions
-        ],
-    }
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ from localmaxcut import (build_localmaxcut_hamiltonian, closed_form_f2,
                          evaluate_all, exact_prob, girth, hrss_preset,
                          load_edge_list, make_cycle, make_named,
                          optimal_preset)
-from localmaxcut import cli, statevector
+from localmaxcut import cli, qaoa_engine, statevector
 from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.cli import main, parse_graph_spec
 from localmaxcut.qaoa_engine import zk_edge_d2
@@ -51,8 +51,11 @@ def test_usage_errors_exit_2(capsys):
         assert run_cli(capsys, "verify", "--graph", "cycle:5", bad)[0] == 2
     assert run_cli(capsys, "classical", "exact", "--degree", "2",
                    "--q", "a,b,c")[0] == 2
-    assert run_cli(capsys, "classical", "curve", "--degree", "2",
-                   "--resolution", "1")[0] == 2
+    for resolution in ("1", str(cli.MAX_RESOLUTION + 1)):
+        assert run_cli(capsys, "classical", "curve", "--degree", "2",
+                       "--resolution", resolution)[0] == 2
+        assert run_cli(capsys, "sweep", "--degree", "3",
+                       "--resolution", resolution)[0] == 2
     rc, _, err = run_cli(capsys, "classical", "run", "--graph", "cycle:5",
                          "--q", "0,0,1.5")
     assert rc == 2
@@ -236,14 +239,20 @@ def _counting_engine(monkeypatch, shift=None):
     return sizes
 
 
-def test_verify_calls_engine_once_per_term_per_block(capsys, monkeypatch):
+def test_verify_calls_engine_once_per_term_per_block(capsys, monkeypatch,
+                                                     compiled):
     sizes = _counting_engine(monkeypatch)
-    terms = len(build_localmaxcut_hamiltonian(make_cycle(7)).nonconstant_terms())
+    twin = build_localmaxcut_hamiltonian(make_cycle(7))  # never evaluated
+    masks = [m for m, _ in twin.nonconstant_terms()]
     samples = cli.VERIFY_BLOCK + 1
     rc, doc, _ = run_json(capsys, "verify", "--graph", "cycle:7",
                           "--samples", str(samples))
     assert rc == 0 and doc["ok"] is True
-    assert sizes == [cli.VERIFY_BLOCK] * terms + [1] * terms
+    assert sizes == [cli.VERIFY_BLOCK] * len(masks) + [1] * len(masks)
+    # each term's plan is compiled once, for the first block, and goes
+    # with the command's Hamiltonian
+    assert compiled == masks
+    assert twin not in qaoa_engine._plans
 
 
 def test_verify_builds_diagonal_once(capsys, monkeypatch):

@@ -2,22 +2,24 @@
 the printed closed forms.
 """
 
+import gc
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localmaxcut import (build_localmaxcut_hamiltonian, closed_form_f2,
-                         closed_form_f3, expectation_full, expectation_zk,
-                         explain_zk, make_cycle, make_hamiltonian, make_named,
-                         mask_of, neighborhood, qaoa_expectation_sv,
-                         vertices_of)
+from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
+                         closed_form_f2, closed_form_f3, expectation_full,
+                         expectation_zk, explain_zk, fourier_encode_clause,
+                         make_cycle, make_hamiltonian, make_named, mask_of,
+                         neighborhood, qaoa_expectation_sv, vertices_of)
+from localmaxcut import qaoa_engine
 from localmaxcut.hamiltonian import DiagonalHamiltonian
-from localmaxcut.qaoa_engine import (FAMILY_CAP, breakdown_to_json,
-                                     odd_intersection_terms,
-                                     solution_families, zk_ball_d3,
+from localmaxcut.qaoa_engine import (FAMILY_CAP, _family_matrix,
+                                     odd_intersection_terms, zk_ball_d3,
                                      zk_edge_d2, zk_edge_d3, zk_pair_d2)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
@@ -52,23 +54,41 @@ def brute_families(masks, K):
     return out
 
 
+def solution_families(masks, K):
+    """The rows of _family_matrix as tuples of masks, as brute_families
+    lists them."""
+    return [tuple(m for m, r in zip(masks, row) if r)
+            for row in _family_matrix(masks, K)]
+
+
+def odd_masks(terms, L):
+    return [m for m, _ in odd_intersection_terms(terms, L)]
+
+
 def test_odd_intersection_on_path_patch():
     h, K = girth7_certificate(2, "EDGE")
     assert K == mask_of((2, 3))
-    o = odd_intersection_terms(h, mask_of([2]))
+    o = odd_masks(h.nonconstant_terms(), mask_of([2]))
     assert sorted(vertices_of(m) for m in o) == [[0, 2], [1, 2], [2, 3], [2, 4]]
     # the edge {2,3} meets K twice, so it drops out of O(K)
-    oK = odd_intersection_terms(h, K)
+    oK = odd_masks(h.nonconstant_terms(), K)
     assert mask_of((2, 3)) not in oK
     assert len(oK) == 6
+    # a term that meets L oddly meets K, so the terms that meet K give
+    # every O(L) with L a subset of K, in the same order
+    cone = [(m, w) for m, w in h.terms if m & K]
+    for L in range(K + 1):
+        if L & K == L:
+            assert odd_intersection_terms(cone, L) == \
+                odd_intersection_terms(h.terms, L)
 
 
 def test_solution_families_golden():
     h, K = girth7_certificate(2, "EDGE")
-    o = odd_intersection_terms(h, mask_of([2]))
+    o = odd_masks(h.nonconstant_terms(), mask_of([2]))
     # only the edge term itself can produce the symmetric difference {2,3}
     assert solution_families(o, K) == [(mask_of((2, 3)),)]
-    oK = odd_intersection_terms(h, K)
+    oK = odd_masks(h.nonconstant_terms(), K)
     fams = solution_families(oK, K)
     assert len(fams) == 2
     assert sorted(sorted(vertices_of(m) for m in f) for f in fams) == [
@@ -76,9 +96,16 @@ def test_solution_families_golden():
 
 
 def test_solution_families_cap():
-    masks = [1 << v for v in range(FAMILY_CAP + 1)]
-    with pytest.raises(ValueError):
-        solution_families(masks, 1)
+    with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+        _family_matrix([1 << v for v in range(FAMILY_CAP + 1)], 1)
+    # 25 terms through vertex 0 on 6 vertices fit FAMILY_CAP, but only 6
+    # of them are independent, so 2^19 families reach K = {0}.  They are
+    # refused before any is listed.
+    h = make_hamiltonian(6, {1 | s << 1: 0.1 * (s + 1) for s in range(25)})
+    with pytest.raises(ValueError, match=(
+            r"\|O_K\(L\)\| = 524288 families of \|O\(L\)\| = 25 terms "
+            r"exceeds the coset cap 65536 at L = \[0\]")):
+        expectation_zk(h, 1, (0.3, 0.2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -87,6 +114,23 @@ def test_solution_families_cap():
 def test_solution_families_complete(masks, K):
     # the same families in the same order, which `qaoa explain` prints
     assert solution_families(masks, K) == brute_families(masks, K)
+
+
+def test_plans_compiled_once_per_subset(compiled):
+    h = make_hamiltonian(4, {0b0011: 0.25, 0b0110: -0.75, 0b1110: 0.125})
+    expectation_full(h, ANGLES[0])
+    expectation_full(h, (np.array([0.1, 0.2]), np.array([0.3, 0.4])))
+    assert sorted(compiled) == [0b0011, 0b0110, 0b1110]
+
+
+def test_plans_die_with_their_hamiltonian():
+    h = make_hamiltonian(4, {0b0101: 0.5, 0b1100: -0.25, 0b0111: 0.375})
+    twin = DiagonalHamiltonian(n=h.n, terms=h.terms)  # equal, never evaluated
+    expectation_full(h, ANGLES[0])
+    assert twin in qaoa_engine._plans
+    del h
+    gc.collect()
+    assert twin not in qaoa_engine._plans
 
 
 def test_expectation_zk_rejects_bad_subsets():
@@ -102,33 +146,36 @@ def test_breakdown_structure():
     gamma, beta = 0.37, 0.21
     value = expectation_zk(h, K, (gamma, beta))
     bd = explain_zk(h, K, (gamma, beta))
-    assert bd.K == K
-    assert bd.total == value
-    # one record per subset L of K, ordered by popcount
-    assert len(bd.contributions) == 4
-    assert [rec.L.bit_count() for rec in bd.contributions] == [0, 1, 1, 2]
+    assert bd["K"] == vertices_of(K)
+    assert bd["total"] == value
+    # one record per subset L of K, ordered by size
+    records = bd["contributions"]
+    assert [len(rec["L"]) for rec in records] == [0, 1, 1, 2]
     # nu(L) = i^|L| sin(2b)^|L| cos(2b)^(|K|-|L|)
     s, c = math.sin(2 * beta), math.cos(2 * beta)
-    for rec in bd.contributions:
-        k = rec.L.bit_count()
-        assert rec.nu == pytest.approx((1j * s) ** k * c ** (2 - k))
-        assert rec.rho == pytest.approx(rec.nu * sum(rec.alphas, start=0j))
-    assert sum(rec.rho for rec in bd.contributions).real == pytest.approx(value)
+    for rec in records:
+        k = len(rec["L"])
+        nu = complex(*rec["nu"])
+        assert nu == pytest.approx((1j * s) ** k * c ** (2 - k))
+        assert complex(*rec["rho"]) == pytest.approx(
+            nu * sum(complex(*a) for a in rec["alphas"]))
+    assert sum(rec["rho"][0] for rec in records) == pytest.approx(value)
     # L = {} contributes nothing: O(empty) is empty and no family reaches K
-    empty = bd.contributions[0]
-    assert empty.families == ()
-    assert empty.rho == 0
+    assert records[0]["families"] == []
+    assert records[0]["rho"] == [0.0, 0.0]
 
 
 def test_breakdown_json():
+    # plain data: JSON round-trips it unchanged, complex numbers as
+    # [re, im] pairs of Python floats
     h, K = girth7_certificate(2, "EDGE")
     bd = explain_zk(h, K, (0.5, 0.25))
-    doc = breakdown_to_json(bd)
-    assert doc["K"] == [2, 3]
-    assert doc["total"] == bd.total
-    rec = doc["contributions"][1]
+    assert json.loads(json.dumps(bd)) == bd
+    assert bd["K"] == [2, 3]
+    rec = bd["contributions"][1]
     assert rec["L"] in ([2], [3])
-    assert all(len(z) == 2 for z in rec["alphas"])
+    assert all(len(z) == 2 and all(type(x) is float for x in z)
+               for z in rec["alphas"])
 
 
 @pytest.mark.parametrize("d,kind,closed_form", [
@@ -155,15 +202,32 @@ def test_engine_vs_statevector_smoke():
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_engine_vs_statevector_random_hamiltonians(data):
-    # arbitrary diagonal Hamiltonians, not only LocalMaxCut ones; at most
-    # 8 terms keeps every |O(L)| under FAMILY_CAP
-    n = data.draw(st.integers(min_value=1, max_value=6))
-    masks = data.draw(st.lists(st.integers(min_value=1, max_value=2**n - 1),
-                               min_size=1, max_size=8, unique=True))
-    weights = data.draw(st.lists(
-        st.floats(min_value=-2.0, max_value=2.0).filter(lambda w: w != 0.0),
-        min_size=len(masks), max_size=len(masks)))
-    h = make_hamiltonian(n, dict(zip(masks, weights)))
+    # arbitrary diagonal Hamiltonians, not only LocalMaxCut ones: random
+    # terms, or sums of Walsh-encoded clauses with random truth tables
+    # (Hadfield, arXiv:1804.09130).  At most 8 terms, or 2 clauses on at
+    # most 4 vertices (each gives at most 8 terms of any O(L)), keeps
+    # every |O(L)| under FAMILY_CAP
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(min_value=1, max_value=8))
+        weights = {}
+        for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+            support = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                         max_size=min(4, n), unique=True))
+            table = data.draw(st.lists(st.sampled_from((0.0, 1.0)),
+                                       min_size=2 ** len(support),
+                                       max_size=2 ** len(support)))
+            clause = Clause(support=tuple(support), truth_table=tuple(table))
+            for m, w in fourier_encode_clause(clause).terms:
+                weights[m] = weights.get(m, 0.0) + w
+    else:
+        n = data.draw(st.integers(min_value=1, max_value=6))
+        masks = data.draw(st.lists(
+            st.integers(min_value=1, max_value=2**n - 1),
+            min_size=1, max_size=8, unique=True))
+        weights = dict(zip(masks, data.draw(st.lists(
+            st.floats(min_value=-2.0, max_value=2.0).filter(lambda w: w != 0.0),
+            min_size=len(masks), max_size=len(masks)))))
+    h = make_hamiltonian(n, weights)
     angles = (data.draw(st.floats(min_value=0.0, max_value=2 * math.pi)),
               data.draw(st.floats(min_value=0.0, max_value=math.pi)))
     assert expectation_full(h, angles) == pytest.approx(
@@ -234,10 +298,10 @@ def test_engine_beyond_64_vertices():
                - closed_form_f2(7, ANGLES[1])) <= 1e-12
     near, moved = (explain_zk(hh, KK, ANGLES[0])
                    for hh, KK in ((h, K), (far, K << shift)))
-    assert abs(moved.total - near.total) <= 1e-12
-    assert [[tuple(m << shift for m in fam) for fam in rec.families]
-            for rec in near.contributions] == \
-        [list(rec.families) for rec in moved.contributions]
+    assert abs(moved["total"] - near["total"]) <= 1e-12
+    assert [[[[v + shift for v in m] for m in fam] for fam in rec["families"]]
+            for rec in near["contributions"]] == \
+        [rec["families"] for rec in moved["contributions"]]
 
 
 def test_closed_form_f2_fails_below_girth_threshold():
