@@ -8,10 +8,9 @@ Monte-Carlo evaluation of the classical threshold-flip algorithm
 and `cli` packages everything behind one command.
 """
 
-from .classical import (ClassicalParams, RunStats, agreeing_count, exact_prob,
-                        hrss_preset, monte_carlo, neighborhood_oracle_prob,
-                        optimal_preset, prob_satisfied_initial, q2_star,
-                        run_one_round, satisfied)
+from .classical import (ClassicalParams, RunStats, exact_prob, hrss_preset,
+                        monte_carlo, neighborhood_oracle_prob, optimal_preset,
+                        prob_satisfied_initial, satisfied)
 from .graph import (NAMED_CUBIC, Graph, girth, load_edge_list, make_cycle,
                     make_named, make_random_regular, neighborhood,
                     save_edge_list)
@@ -30,18 +29,17 @@ from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassicalParams", "Clause", "DiagonalHamiltonian", "Graph", "GridSweep",
-    "MAX_QUBITS", "NAMED_CUBIC", "OptimizationReport", "RunStats",
-    "agreeing_count", "apply_mixer", "apply_phase",
+    "ClassicalParams", "Clause", "DiagonalHamiltonian", "Graph",
+    "GridSweep", "MAX_QUBITS", "NAMED_CUBIC", "OptimizationReport",
+    "RunStats", "apply_mixer", "apply_phase",
     "build_localmaxcut_hamiltonian", "closed_form_f2", "closed_form_f3",
-    "evaluate_all", "evaluate_classical", "exact_prob",
-    "expectation_full", "expectation_sv", "expectation_zk", "explain_zk",
+    "evaluate_all", "evaluate_classical", "exact_prob", "expectation_full",
+    "expectation_sv", "expectation_zk", "explain_zk",
     "fourier_encode_clause", "girth", "grid_sweep", "hamiltonian_to_json",
     "hrss_preset", "load_edge_list", "local_satisfaction_clause",
     "make_cycle", "make_hamiltonian", "make_named", "make_random_regular",
     "mask_of", "monte_carlo", "neighborhood", "neighborhood_oracle_prob",
     "optimal_preset", "optimize_classical", "optimize_qaoa",
-    "prob_satisfied_initial", "q2_star", "qaoa_expectation_sv",
-    "report_to_json", "run_one_round", "satisfied", "save_edge_list",
-    "uniform_state", "vertices_of",
+    "prob_satisfied_initial", "qaoa_expectation_sv", "report_to_json",
+    "satisfied", "save_edge_list", "uniform_state", "vertices_of",
 ]

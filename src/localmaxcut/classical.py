@@ -22,10 +22,8 @@ so runs are reproducible and trial order is irrelevant.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -62,17 +60,12 @@ class RunStats:
     trials: int
     mean: float
     stderr: float
-    per_trial: tuple[float, ...] | None = None
-
-
-def agreeing_count(g, cut, v: int) -> int:
-    """l(v): number of neighbors sharing v's side of the cut."""
-    return sum(1 for u in g.adjacency[v] if cut[u] == cut[v])
 
 
 def satisfied(g, cut, v: int) -> bool:
     """Whether at most floor(d/2) of v's neighbors agree with it."""
-    return agreeing_count(g, cut, v) <= len(g.adjacency[v]) // 2
+    agreeing = sum(1 for u in g.adjacency[v] if cut[u] == cut[v])
+    return agreeing <= len(g.adjacency[v]) // 2
 
 
 def hrss_preset(d: int) -> ClassicalParams:
@@ -119,19 +112,7 @@ def _trial_rng(seed: int, trial: int):
     return Generator(Philox(key=[seed & (2**64 - 1), trial]))
 
 
-def run_one_round(g, params, seed: int = 0):
-    """Run the algorithm once; returns (tau_1, satisfied count).  Deterministic."""
-    d = g.degree
-    if d is None:
-        raise ValueError("graph is not regular")
-    _check_params(params, d)
-    _, tau1, count = _one_round(_adjacency_array(g, d), params,
-                                _trial_rng(seed, 0))
-    return tau1, count
-
-
-def monte_carlo(g, params, trials: int, seed: int = 0,
-                keep_trials: bool = False) -> RunStats:
+def monte_carlo(g, params, trials: int, seed: int = 0) -> RunStats:
     """Mean satisfied fraction over independent seeded trials, with stderr."""
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
@@ -145,8 +126,7 @@ def monte_carlo(g, params, trials: int, seed: int = 0,
         _, _, count = _one_round(adj, params, _trial_rng(seed, t))
         fractions[t] = count / g.n
     stderr = float(np.std(fractions, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return RunStats(trials=trials, mean=float(np.mean(fractions)), stderr=stderr,
-                    per_trial=tuple(fractions) if keep_trials else None)
+    return RunStats(trials=trials, mean=float(np.mean(fractions)), stderr=stderr)
 
 
 def prob_satisfied_initial(d: int) -> float:
@@ -157,45 +137,6 @@ def prob_satisfied_initial(d: int) -> float:
     has this closed form; other biases go through the oracle.
     """
     return sum(math.comb(d, j) for j in range(d // 2 + 1)) / 2 ** d
-
-
-def four_path_form_d2(params) -> float:
-    """One minus the four ways an all-agreeing path stays all-agreeing.
-
-    Exact (equal to exact_prob(2, .)) precisely when q0 = q1 = 0, because
-    only then is a satisfied vertex guaranteed to stay satisfied.  With
-    q0 or q1 positive it overestimates: it ignores the satisfied initial
-    assignments that flow to unsatisfied ones.  Its maximizer analysis
-    (q2_star, reduced_objective_d2) lives on the q0 = q1 = 0 slice, where
-    the two functions coincide.
-    """
-    p, (q0, q1, q2) = params
-    _check_params(params, 2)
-    return (1.0
-            - (1 - p) ** 3 * (1 - q2) * (1 - p * q1 - (1 - p) * q2) ** 2
-            - (1 - p) ** 3 * q2 * (p * q1 + (1 - p) * q2) ** 2
-            - p ** 3 * (1 - q2) * (1 - (1 - p) * q1 - p * q2) ** 2
-            - p ** 3 * q2 * ((1 - p) * q1 + p * q2) ** 2)
-
-
-def q2_star(p: float, q1: float) -> float:
-    """The q2 that zeroes d(exact_prob(2, .))/dq2 at fixed (p, q1)."""
-    den = -6 + 26 * p - 44 * p ** 2 + 36 * p ** 3 - 18 * p ** 4
-    if den == 0.0:
-        raise ZeroDivisionError(f"stationarity denominator vanishes at p={p}")
-    num = (-3 + 11 * p - 15 * p ** 2 + 8 * p ** 3 - 4 * p ** 4
-           + 4 * p * q1 - 14 * p ** 2 * q1 + 20 * p ** 3 * q1 - 10 * p ** 4 * q1)
-    return num / den
-
-
-def reduced_objective_d2(p: float) -> float:
-    """exact_prob(2, .) at q1 = 0 and q2 = q2_star(p, 0), as one rational function."""
-    num = (9 - 30 * p + 19 * p ** 2 + 42 * p ** 3 - 55 * p ** 4 - 4 * p ** 5
-           + 76 * p ** 6 - 64 * p ** 7 + 16 * p ** 8)
-    den = 12 - 52 * p + 88 * p ** 2 - 72 * p ** 3 + 36 * p ** 4
-    if den == 0.0:
-        raise ZeroDivisionError(f"reduced-objective denominator vanishes at p={p}")
-    return num / den
 
 
 def _fab(a: int, b: int, p: float, q, d: int) -> float:
@@ -209,31 +150,6 @@ def _fab(a: int, b: int, p: float, q, d: int) -> float:
     for k in range(d):
         weight = math.comb(d - 1, k) * agree ** k * (1 - agree) ** (d - 1 - k)
         total += weight * q[ell0 + k]
-    return total
-
-
-@lru_cache(maxsize=None)
-def _satisfying_assignments(d: int):
-    """Final ball assignments (center, neighbors...) leaving the center satisfied."""
-    return [bits for bits in itertools.product((0, 1), repeat=d + 1)
-            if sum(1 for b in bits[1:] if b == bits[0]) <= d // 2]
-
-
-def _conditional_prob(ball, p: float, q, d: int) -> float:
-    """Pr[center satisfied after one round | tau_0(B(v)) = ball] on the d-regular tree.
-
-    A cross-check route for `exact_prob`: it walks every satisfying final
-    assignment of the ball instead of counting agreeing neighbors.
-    """
-    a = ball[0]
-    ell = sum(1 for b in ball[1:] if b == a)
-    flip = (_fab(a, 0, p, q, d), _fab(a, 1, p, q, d))
-    total = 0.0
-    for final in _satisfying_assignments(d):
-        term = q[ell] if final[0] != a else 1.0 - q[ell]
-        for b, y in zip(ball[1:], final[1:]):
-            term *= flip[b] if b != y else 1.0 - flip[b]
-        total += term
     return total
 
 

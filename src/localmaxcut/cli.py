@@ -7,7 +7,7 @@ Subcommands:
   verify             analytic engine vs statevector on a concrete graph
   classical run      seeded Monte Carlo of the one-round algorithm
   classical exact    tree-exact satisfaction probability at given params
-  classical curve    CSV of the optimized-q satisfaction probability over p
+  classical curve    CSV over p of the probability at the best q, degree 1-10
   graph gen          emit a graph from the spec mini-language as an edge list
   ham dump           JSON dump of a graph's LocalMaxCut Hamiltonian
   qaoa explain       per-family breakdown of one <Z_K> expectation
@@ -44,13 +44,14 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .classical import (EXACT_MAX_DEGREE, ClassicalParams, exact_prob,
-                        monte_carlo, optimal_preset, q2_star)
+                        monte_carlo, optimal_preset)
 from .graph import (Graph, girth, load_edge_list, make_cycle, make_named,
                     make_random_regular, save_edge_list)
 from .hamiltonian import (build_localmaxcut_hamiltonian, evaluate_all,
                           hamiltonian_to_json, mask_of, walsh_transform)
-from .optimize import (QAOA_BOX, grid_sweep, optimize_classical,
-                       optimize_qaoa, qaoa_objective, report_to_json)
+from .optimize import (QAOA_BOX, classical_curve, grid_sweep,
+                       optimize_classical, optimize_qaoa, qaoa_objective,
+                       report_to_json)
 from .qaoa_engine import expectation_zk, explain_zk
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, uniform_state)
@@ -318,26 +319,18 @@ def cmd_classical_exact(args) -> int:
     return 0
 
 
-def _curve_value(d: int, p: float) -> float:
-    if d == 2:
-        q = (0.0, 0.0, min(1.0, max(0.0, q2_star(p, 0.0))))
-    else:
-        q = (0.0, 0.0, 0.0, 1.0)
-    return exact_prob(d, ClassicalParams(p, q))
-
-
 def cmd_classical_curve(args) -> int:
-    """CSV of the satisfaction probability over p with q held at its optimum.
+    """CSV over p of the tree-exact satisfaction probability at the best q.
 
-    For degree 2 the q2 response follows the stationarity formula (clamped
-    to [0,1]); for degree 3 the flip rule is pinned at q = (0,0,0,1) and
-    only the initial bias moves.
+    Every degree from 1 to EXACT_MAX_DEGREE: at each p the flip vector q
+    is optimized by `optimize.classical_curve`, seeded with the best
+    threshold rule.
     """
     _check_resolution(args.resolution)
     cfg = _resolve(args, "classical", "curve", degree=args.degree,
                    resolution=args.resolution, fmt="csv")
     ps = np.linspace(0.0, 1.0, args.resolution)
-    values = [_curve_value(args.degree, float(p)) for p in ps]
+    values = classical_curve(args.degree, ps)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["p", "value"])
@@ -445,8 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
     exact.add_argument("--q", default=None, help="comma-separated q_0..q_d")
     exact.set_defaults(func=cmd_classical_exact)
     curve = csub.add_parser("curve", parents=[common],
-                            help="CSV of the optimized objective over p")
-    curve.add_argument("--degree", type=int, choices=(2, 3), required=True)
+                            help="CSV over p of the probability at the best q")
+    curve.add_argument("--degree", type=int, required=True,
+                       help=f"1 to {EXACT_MAX_DEGREE}")
     curve.add_argument("--resolution", type=int, default=101)
     curve.set_defaults(func=cmd_classical_curve)
 

@@ -190,7 +190,10 @@ def neighborhood(g: Graph, v: int) -> tuple[int, ...]:
 
 
 def load_edge_list(text: str) -> Graph:
-    """Parse 'u v' lines (0-based) into a Graph; n is 1 + max vertex id."""
+    """Parse 'u v' lines (0-based) into a Graph.
+
+    Every vertex needs an edge, so the ids must be exactly 0..n-1.
+    """
     edges = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -208,7 +211,11 @@ def load_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if not edges:
         raise ValueError("empty edge list")
-    return build_graph(1 + max(max(e) for e in edges), edges)
+    ids = sorted({v for e in edges for v in e})
+    if ids[-1] >= len(ids):  # checked before anything is sized by the largest id
+        gap = next(i for i, v in enumerate(ids) if i != v)
+        raise ValueError(f"vertex {gap} has no edge, but ids run to {ids[-1]}")
+    return build_graph(len(ids), edges)
 
 
 def save_edge_list(g: Graph) -> str:

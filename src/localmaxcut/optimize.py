@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classical import ClassicalParams, exact_prob
+from .classical import EXACT_MAX_DEGREE, ClassicalParams, exact_prob
 from .qaoa_engine import closed_form_f2, closed_form_f3
 
 DEFAULT_TOL = 1e-9
@@ -101,11 +101,11 @@ def compass_search(objective, starts, box, steps, tol: float = DEFAULT_TOL,
     along each axis j, clamped to `box`: 2D+1 points per start, passed as
     one packed point whose coordinates have shape (active starts, 2D+1).
     x moves to the best of them, staying put on ties, and s (initially 1/2)
-    halves whenever x stays.  Every start takes at least one step and stops
-    once s*max(steps) < `tol`; one still moving after `max_iters` steps
-    reports `converged=False`.  No result is worse than its start.  Returns
-    one report per start, with the final s*max(steps) as
-    `tolerance_achieved`.
+    halves whenever x stays.  A step of 0 holds its axis fixed.  Every
+    start takes at least one step and stops once s*max(steps) < `tol`; one
+    still moving after `max_iters` steps is not converged.  No result is
+    worse than its start.  Returns per-start arrays (argmax of shape (k, D),
+    value, iterations, converged, final s*max(steps)).
     """
     lo, hi = np.array(box, dtype=float).T
     x = np.atleast_2d(np.array(starts, dtype=float))
@@ -134,14 +134,7 @@ def compass_search(objective, starts, box, steps, tol: float = DEFAULT_TOL,
         scale[live] *= np.where(stay, 0.5, 1.0)
         iters[live] += 1
         active[live] = scale[live] * reach >= tol
-    reports = []
-    for i in range(k):
-        argmax, v = tuple(x[i].tolist()), float(value[i])
-        reports.append(OptimizationReport(
-            argmax=argmax, value=v, grid_resolution=None, grid_value=None,
-            iterations=int(iters[i]), converged=not active[i], tol=tol,
-            tolerance_achieved=float(scale[i] * reach), maxima=((argmax, v),)))
-    return tuple(reports)
+    return x, value, iters, ~active, scale * reach
 
 
 def _multistart(objective, box, resolution, include_endpoint):
@@ -153,21 +146,23 @@ def _multistart(objective, box, resolution, include_endpoint):
     seeds = np.stack([axis[idx] for axis, idx
                       in zip(sweep.axes, np.unravel_index(order, shape))], axis=1)
     spacing = [axis[1] - axis[0] for axis in sweep.axes]
-    reports = compass_search(objective, seeds, box, spacing)
-    best = reports[int(np.argmax([r.value for r in reports]))]
+    x, value, iters, converged, step = compass_search(objective, seeds, box,
+                                                      spacing)
     kept = []
-    for r in sorted(reports, key=lambda r: -r.value):
-        if all(math.dist(r.argmax, k.argmax) > DISTINCT_TOL for k in kept):
-            kept.append(r)
-    maxima = tuple((r.argmax, r.value) for r in kept
-                   if r.value >= best.value - REPORT_MARGIN)
-    return OptimizationReport(argmax=best.argmax, value=best.value,
+    for i in np.argsort(-value, kind="stable"):
+        xi = tuple(x[i].tolist())
+        if all(math.dist(xi, kx) > DISTINCT_TOL for kx, _ in kept):
+            kept.append((xi, float(value[i])))
+    best = int(np.argmax(value))
+    return OptimizationReport(argmax=tuple(x[best].tolist()),
+                              value=float(value[best]),
                               grid_resolution=tuple(shape),
                               grid_value=sweep.value,
-                              iterations=sum(r.iterations for r in reports),
-                              converged=best.converged, tol=DEFAULT_TOL,
-                              tolerance_achieved=best.tolerance_achieved,
-                              maxima=maxima)
+                              iterations=int(iters.sum()),
+                              converged=bool(converged[best]), tol=DEFAULT_TOL,
+                              tolerance_achieved=float(step[best]),
+                              maxima=tuple((xi, v) for xi, v in kept
+                                           if v >= value[best] - REPORT_MARGIN))
 
 
 def qaoa_objective(d: int):
@@ -226,6 +221,26 @@ def optimize_classical(d: int) -> OptimizationReport:
     return dataclasses.replace(report, argmax=argmax,
                                value=float(objective(argmax)),
                                maxima=tuple(maxima))
+
+
+def classical_curve(d: int, ps) -> np.ndarray:
+    """max over q of exact_prob(d, (p, q)) at every p of the array `ps`.
+
+    Each p is seeded with its best threshold rule, flip iff l >= r for
+    r = 0..d+1 (Hirvonen, Rybicki, Schmid and Suomela, arXiv:1402.2543),
+    every rule at every p scored in one objective call.  One compass
+    search then refines all seeds together with p held fixed (step 0 on
+    the p axis) and a full-width step on each q axis.
+    """
+    if not 1 <= d <= EXACT_MAX_DEGREE:
+        raise ValueError(f"exact sum covers 1 <= d <= {EXACT_MAX_DEGREE}, got {d}")
+    ps = np.asarray(ps, dtype=float)
+    objective = classical_objective(d)
+    rules = (np.arange(d + 1) >= np.arange(d + 2)[:, None]).astype(float)
+    scores = objective((ps[:, None], *rules.T))  # (len(ps), d+2)
+    seeds = np.column_stack([ps, rules[np.argmax(scores, axis=1)]])
+    steps = (0.0,) + (1.0,) * (d + 1)
+    return compass_search(objective, seeds, ((0.0, 1.0),) * (d + 2), steps)[1]
 
 
 def report_to_json(report: OptimizationReport) -> dict:

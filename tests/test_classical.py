@@ -7,16 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derivations import (_conditional_prob, four_path_form_d2, q2_star,
+                         reduced_objective_d2)
 from localmaxcut import (ClassicalParams, exact_prob, hrss_preset,
-                         make_cycle, make_random_regular, monte_carlo,
-                         neighborhood_oracle_prob, optimal_preset,
-                         prob_satisfied_initial, q2_star, run_one_round,
-                         satisfied)
+                         load_edge_list, make_cycle, make_random_regular,
+                         monte_carlo, neighborhood_oracle_prob, optimal_preset,
+                         prob_satisfied_initial, satisfied)
 from localmaxcut import classical
-from localmaxcut.classical import (EXACT_MAX_DEGREE, _adjacency_array,
-                                   _conditional_prob, _fab, _one_round,
-                                   _trial_rng, four_path_form_d2,
-                                   reduced_objective_d2)
+from localmaxcut.classical import (EXACT_MAX_DEGREE, _adjacency_array, _fab,
+                                   _one_round, _trial_rng)
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -287,34 +286,34 @@ def test_one_round_never_unsatisfies_with_zero_weak_flips():
                     assert satisfied(g, tau1, v)
 
 
-def test_run_one_round_deterministic():
+def test_one_round_deterministic():
     g = make_cycle(50)
-    tau_a, count_a = run_one_round(g, optimal_preset(2), seed=3)
-    tau_b, count_b = run_one_round(g, optimal_preset(2), seed=3)
+    adj = _adjacency_array(g, 2)
+    _, tau_a, count_a = _one_round(adj, optimal_preset(2), _trial_rng(3, 0))
+    _, tau_b, count_b = _one_round(adj, optimal_preset(2), _trial_rng(3, 0))
     assert count_a == count_b
     assert np.array_equal(tau_a, tau_b)
     assert set(np.unique(tau_a)) <= {-1, 1}
     assert count_a == sum(satisfied(g, tau_a, v) for v in range(g.n))
 
 
-def test_run_one_round_rejects_irregular():
-    from localmaxcut import load_edge_list
+def test_monte_carlo_rejects_irregular():
     with pytest.raises(ValueError):
-        run_one_round(load_edge_list("0 1\n1 2\n"), optimal_preset(2))
+        monte_carlo(load_edge_list("0 1\n1 2\n"), optimal_preset(2), trials=1)
 
 
 def test_monte_carlo_stats():
     g = make_cycle(60)
-    stats = monte_carlo(g, optimal_preset(2), trials=40, seed=9,
-                        keep_trials=True)
+    stats = monte_carlo(g, optimal_preset(2), trials=40, seed=9)
+    adj = _adjacency_array(g, 2)
+    per_trial = [_one_round(adj, optimal_preset(2), _trial_rng(9, t))[2] / g.n
+                 for t in range(40)]
     assert stats.trials == 40
-    assert len(stats.per_trial) == 40
-    assert stats.mean == pytest.approx(np.mean(stats.per_trial))
+    assert stats.mean == pytest.approx(np.mean(per_trial))
     assert stats.stderr == pytest.approx(
-        np.std(stats.per_trial, ddof=1) / math.sqrt(40))
+        np.std(per_trial, ddof=1) / math.sqrt(40))
     again = monte_carlo(g, optimal_preset(2), trials=40, seed=9)
-    assert again.mean == stats.mean
-    assert again.per_trial is None
+    assert again == stats
     with pytest.raises(ValueError):
         monte_carlo(g, optimal_preset(2), trials=0)
 

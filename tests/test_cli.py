@@ -6,9 +6,10 @@ import math
 
 import pytest
 
-from localmaxcut import (build_localmaxcut_hamiltonian, closed_form_f2,
-                         evaluate_all, exact_prob, girth, hrss_preset,
-                         load_edge_list, make_cycle, make_named,
+from derivations import q2_star
+from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
+                         closed_form_f2, evaluate_all, exact_prob, girth,
+                         hrss_preset, load_edge_list, make_cycle, make_named,
                          optimal_preset)
 from localmaxcut import cli, qaoa_engine, statevector
 from localmaxcut.classical import EXACT_MAX_DEGREE
@@ -51,6 +52,8 @@ def test_usage_errors_exit_2(capsys):
         assert run_cli(capsys, "verify", "--graph", "cycle:5", bad)[0] == 2
     assert run_cli(capsys, "classical", "exact", "--degree", "2",
                    "--q", "a,b,c")[0] == 2
+    for degree in ("0", str(EXACT_MAX_DEGREE + 1), str(10 ** 9)):
+        assert run_cli(capsys, "classical", "curve", "--degree", degree)[0] == 2
     for resolution in ("1", str(cli.MAX_RESOLUTION + 1)):
         assert run_cli(capsys, "classical", "curve", "--degree", "2",
                        "--resolution", resolution)[0] == 2
@@ -190,6 +193,45 @@ def test_classical_curve_csv(capsys, tmp_path):
     assert "peak p=0.500000" in stdout
 
 
+def _curve(capsys, tmp_path, degree, resolution):
+    out = tmp_path / "curve.csv"
+    rc, _, _ = run_cli(capsys, "classical", "curve", "--degree", str(degree),
+                       "--resolution", str(resolution), "--out", str(out))
+    assert rc == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["p", "value"]
+    return [(float(p), float(v)) for p, v in rows[1:]]
+
+
+def test_classical_curve_d2_equals_stationarity_route(capsys, tmp_path):
+    # the degree-2 optimum over q sits on q0 = q1 = 0 with q2 stationary
+    rows = _curve(capsys, tmp_path, 2, 101)
+    assert len(rows) == 101 and rows[0][0] == 0.0 and rows[-1][0] == 1.0
+    for p, v in rows:
+        q2 = min(1.0, max(0.0, q2_star(p, 0.0)))
+        assert v == pytest.approx(
+            exact_prob(2, ClassicalParams(p, (0.0, 0.0, q2))), abs=1e-12)
+
+
+def test_classical_curve_d3_optimizes_q(capsys, tmp_path):
+    rows = _curve(capsys, tmp_path, 3, 101)
+    for p, v in rows:
+        assert v >= exact_prob(3, ClassicalParams(p, (0.0, 0.0, 0.0, 1.0))) \
+            - 1e-15
+    # with every start bit equal, flipping the center at l = 3 with
+    # probability 1/2 satisfies it half the time; q = (0,0,0,1) never does
+    assert rows[0][1] == pytest.approx(0.5, abs=1e-12)
+    assert rows[-1][1] == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("degree", [1, 4])
+def test_classical_curve_beyond_degrees_2_and_3(capsys, tmp_path, degree):
+    rows = _curve(capsys, tmp_path, degree, 5)
+    assert [p for p, _ in rows] == [0.0, 0.25, 0.5, 0.75, 1.0]
+    assert all(0.0 <= v <= 1.0 for _, v in rows)
+    assert rows[2][1] >= exact_prob(degree, hrss_preset(degree))
+
+
 def test_csv_to_stdout_moves_summary_to_stderr(capsys):
     rc, out, err = run_cli(capsys, "classical", "curve", "--degree", "3",
                            "--resolution", "3")
@@ -295,6 +337,15 @@ def test_graph_gen_roundtrip(capsys, tmp_path):
     rc2, doc, _ = run_json(capsys, "ham", "dump", "--graph", f"file:{out}")
     assert rc2 == 0
     assert doc["hamiltonian"]["n"] == 10
+
+
+def test_edge_file_with_isolated_vertex_exits_2(capsys, tmp_path):
+    # vertices 2..4 have no edge: refused before a graph is sized by id 6
+    path = tmp_path / "gap.txt"
+    path.write_text("0 1\n5 6\n")
+    rc, _, err = run_cli(capsys, "graph", "gen", "--graph", f"file:{path}")
+    assert rc == 2
+    assert "vertex 2 has no edge" in err
 
 
 def test_ham_dump_triangle(capsys):

@@ -1,13 +1,16 @@
-"""The declared dependencies are exactly the third-party packages imported."""
+"""The package declares what it has: its dependencies and its exports."""
 
 import ast
 import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
+
+import localmaxcut
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "localmaxcut"
@@ -43,3 +46,11 @@ def test_cli_import_leaves_scipy_unloaded():
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_all_lists_every_public_binding():
+    bound = {name for name, value in vars(localmaxcut).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert len(set(localmaxcut.__all__)) == len(localmaxcut.__all__)
+    assert set(localmaxcut.__all__) == bound

@@ -137,6 +137,8 @@ def test_load_edge_list_skips_comments_and_blanks():
     "0 1 2\n",  # wrong arity
     "0 x\n",  # non-integer
     "-1 2\n",  # negative vertex
+    "0 1\n5 6\n",  # vertices 2..4 have no edge
+    "0 999999999\n",  # refused before n is sized by the largest id
 ])
 def test_load_edge_list_rejects(text):
     with pytest.raises(ValueError):

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from localmaxcut import (ClassicalParams, exact_prob, grid_sweep, q2_star,
-                         report_to_json)
+from derivations import q2_star
+from localmaxcut import (ClassicalParams, exact_prob, grid_sweep,
+                         optimal_preset, report_to_json)
 from localmaxcut.optimize import (DISTINCT_TOL, QAOA_BOX, _canonical_classical,
-                                  classical_objective, compass_search,
-                                  qaoa_objective)
+                                  classical_curve, classical_objective,
+                                  compass_search, qaoa_objective)
 
 
 def paraboloid(x):
@@ -67,21 +68,20 @@ UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
 
 
 def test_compass_refines_paraboloid():
-    (report,) = compass_search(paraboloid, [(0.0, 0.0)],
-                               ((-1.0, 1.0), (-1.0, 1.0)), (0.25, 0.25))
-    assert report.argmax == pytest.approx((0.3, 0.7), abs=1e-6)
-    assert report.value == pytest.approx(0.0, abs=1e-10)
-    assert report.converged
-    assert report.tolerance_achieved <= 1e-6
-    assert report.maxima == ((report.argmax, report.value),)
+    x, value, _, converged, step = compass_search(
+        paraboloid, [(0.0, 0.0)], ((-1.0, 1.0), (-1.0, 1.0)), (0.25, 0.25))
+    assert x[0] == pytest.approx((0.3, 0.7), abs=1e-6)
+    assert value[0] == pytest.approx(0.0, abs=1e-10)
+    assert converged[0]
+    assert step[0] <= 1e-6
 
 
 def test_compass_respects_box():
     # unconstrained maximum sits at 1.5, outside the box
-    (report,) = compass_search(lambda x: -(x[0] - 1.5) ** 2, [(0.5,)],
-                               ((0.0, 1.0),), (0.25,))
-    assert 0.0 <= report.argmax[0] <= 1.0
-    assert report.argmax[0] == pytest.approx(1.0, abs=1e-6)
+    x, *_ = compass_search(lambda x: -(x[0] - 1.5) ** 2, [(0.5,)],
+                           ((0.0, 1.0),), (0.25,))
+    assert 0.0 <= x[0, 0] <= 1.0
+    assert x[0, 0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_compass_start_outside_box():
@@ -91,10 +91,11 @@ def test_compass_start_outside_box():
 
 def test_compass_never_worse_than_seed():
     # a budget of one step ends unconverged, and the seed is kept
-    (report,) = compass_search(paraboloid, [(0.3, 0.7)], UNIT_BOX,
-                               (0.25, 0.25), max_iters=1)
-    assert report.value >= paraboloid((0.3, 0.7))
-    assert not report.converged
+    _, value, _, converged, _ = compass_search(paraboloid, [(0.3, 0.7)],
+                                               UNIT_BOX, (0.25, 0.25),
+                                               max_iters=1)
+    assert value[0] >= paraboloid((0.3, 0.7))
+    assert not converged[0]
 
 
 def test_compass_one_call_per_step_for_all_starts():
@@ -105,26 +106,35 @@ def test_compass_one_call_per_step_for_all_starts():
         return paraboloid(x) - 0.1 * x[2] ** 2
 
     starts = [(0.0, 0.0, 0.5), (1.0, 1.0, 0.0), (0.3, 0.7, 0.0)]
-    reports = compass_search(counting, starts, ((0.0, 1.0),) * 3,
-                             (0.1, 0.2, 0.1), tol=1e-6)
-    assert len(calls) == max(r.iterations for r in reports)
-    for step, x in enumerate(calls):
-        live = sum(r.iterations > step for r in reports)
-        assert [c.shape for c in x] == [(live, 7)] * 3
+    x, value, iters, converged, step = compass_search(
+        counting, starts, ((0.0, 1.0),) * 3, (0.1, 0.2, 0.1), tol=1e-6)
+    assert x.shape == (3, 3)
+    assert [a.shape for a in (value, iters, converged, step)] == [(3,)] * 4
+    assert len(calls) == max(iters)
+    for n, pt in enumerate(calls):
+        live = sum(iters > n)
+        assert [c.shape for c in pt] == [(live, 7)] * 3
     assert calls[0][0].shape == (3, 7)
-    for r in reports:
-        assert r.converged
-        assert r.argmax == pytest.approx((0.3, 0.7, 0.0), abs=1e-6)
+    assert converged.all() and (step < 1e-6).all()
+    assert np.array_equal(value, paraboloid(tuple(x.T)) - 0.1 * x[:, 2] ** 2)
+    assert x == pytest.approx(np.tile((0.3, 0.7, 0.0), (3, 1)), abs=1e-6)
+
+
+def test_compass_zero_step_holds_axis():
+    x, *_ = compass_search(paraboloid, [(0.1, 0.0), (0.9, 1.0)], UNIT_BOX,
+                           (0.0, 0.5))
+    assert x[:, 0].tolist() == [0.1, 0.9]
+    assert x[:, 1] == pytest.approx((0.7, 0.7), abs=1e-6)
 
 
 def test_compass_restarts_stalled_d2_point():
     # where a simplex refinement once stalled, below the optimum 19/20
     stalled = (0.49738443318794134, 1.113913223441221e-14,
                0.0002729522826054483, 0.8020819911418287)
-    (report,) = compass_search(classical_objective(2), [stalled],
-                               ((0.0, 1.0),) * 4, (0.1,) * 4)
-    assert report.converged
-    assert report.value == pytest.approx(0.95, abs=1e-12)
+    _, value, _, converged, _ = compass_search(
+        classical_objective(2), [stalled], ((0.0, 1.0),) * 4, (0.1,) * 4)
+    assert converged[0]
+    assert value[0] == pytest.approx(0.95, abs=1e-12)
 
 
 def test_canonical_classical():
@@ -196,6 +206,12 @@ def test_optimize_classical_d3(classical_d3):
     p = report.argmax[0]
     assert p == pytest.approx(0.39116622410642893, abs=1e-6)
     assert report.argmax[1:] == pytest.approx((0.0, 0.0, 0.0, 1.0), abs=1e-3)
+
+
+def test_classical_curve_reaches_tuned_optimum(classical_d3):
+    report, _ = classical_d3
+    (value,) = classical_curve(3, [optimal_preset(3).p])
+    assert value == pytest.approx(report.value, abs=1e-12)
 
 
 def test_maxima_are_distinct_and_ranked(classical_d2, qaoa_d2):
