@@ -33,6 +33,7 @@ from numpy.random import Generator, Philox
 # tree, V = 1 + d + d(d-1): 17 MiB at d = 4, but about 13 GiB at d = 5.
 ORACLE_MAX_DEGREE = 4
 EXACT_MAX_DEGREE = 10  # the sum has O(d^3) terms: under 1 ms per point at d = 10
+MAX_TRIALS = 10**8  # Monte Carlo keeps one float per trial: 0.8 GB at the cap
 
 
 class ClassicalParams(NamedTuple):
@@ -114,8 +115,8 @@ def _trial_rng(seed: int, trial: int):
 
 def monte_carlo(g, params, trials: int, seed: int = 0) -> RunStats:
     """Mean satisfied fraction over independent seeded trials, with stderr."""
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"need 1 <= trials <= {MAX_TRIALS}, got {trials}")
     d = g.degree
     if d is None:
         raise ValueError("graph is not regular")

@@ -49,9 +49,9 @@ from .graph import (Graph, girth, load_edge_list, make_cycle, make_named,
                     make_random_regular, save_edge_list)
 from .hamiltonian import (build_localmaxcut_hamiltonian, evaluate_all,
                           hamiltonian_to_json, mask_of, walsh_transform)
-from .optimize import (QAOA_BOX, classical_curve, grid_sweep,
-                       optimize_classical, optimize_qaoa, qaoa_objective,
-                       report_to_json)
+from .optimize import (QAOA_BOX, QAOA_OBJECTIVES, classical_curve,
+                       grid_sweep, optimize_classical, optimize_qaoa,
+                       qaoa_objective, report_to_json)
 from .qaoa_engine import expectation_zk, explain_zk
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, uniform_state)
@@ -60,6 +60,9 @@ VERIFY_TOL = 1e-9
 VERIFY_BLOCK = 64  # angle pairs per batched engine call in verify
 SLOW_QUBITS = 20
 MAX_RESOLUTION = 2048  # a degree-3 sweep grid of 2048^2 takes about 0.5 GiB
+QAOA_DEGREES = tuple(QAOA_OBJECTIVES)  # degrees reproduce and sweep take
+# degree -> (winning side, bound it clears, bound the loser stays under)
+SEPARATION = {2: ("classical", 0.94, 0.94), 3: ("quantum", 0.81, 0.8)}
 
 
 @dataclass(frozen=True)
@@ -170,7 +173,7 @@ def _fmt(x: float) -> str:
 
 def cmd_reproduce(args) -> int:
     """Recover both optima and test the separation inequalities."""
-    degrees = [args.degree] if args.degree is not None else [2, 3]
+    degrees = [args.degree] if args.degree is not None else QAOA_DEGREES
     cfg = _resolve(args, "reproduce", degree=args.degree)
     per = {}
     lines = []
@@ -179,10 +182,9 @@ def cmd_reproduce(args) -> int:
         rc = optimize_classical(d)
         rq = optimize_qaoa(d)
         winner = "classical" if rc.value > rq.value else "quantum"
-        if d == 2:
-            holds = rc.value > 0.94 and rq.value < 0.94
-        else:
-            holds = rq.value > 0.81 and rc.value < 0.8
+        side, clears, under = SEPARATION[d]
+        won, lost = (rc, rq) if side == "classical" else (rq, rc)
+        holds = won.value > clears and lost.value < under
         ok = ok and holds
         per[str(d)] = {
             "classical": report_to_json(rc),
@@ -208,8 +210,7 @@ def cmd_sweep(args) -> int:
     _check_resolution(args.resolution)
     cfg = _resolve(args, "sweep", degree=args.degree,
                    resolution=args.resolution, fmt="csv")
-    sweep = grid_sweep(qaoa_objective(args.degree), QAOA_BOX, args.resolution,
-                       include_endpoint=False)
+    sweep = grid_sweep(qaoa_objective(args.degree), QAOA_BOX, args.resolution)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["gamma", "beta", "value"])
@@ -406,13 +407,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", parents=[common],
                        help="recover the headline optima and inequalities")
-    p.add_argument("--degree", type=int, choices=(2, 3), default=None,
+    p.add_argument("--degree", type=int, choices=QAOA_DEGREES, default=None,
                    help="restrict to one degree (default: both)")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="CSV heatmap of the per-vertex expectation")
-    p.add_argument("--degree", type=int, choices=(2, 3), required=True)
+    p.add_argument("--degree", type=int, choices=QAOA_DEGREES, required=True)
     p.add_argument("--resolution", type=int, default=64)
     p.set_defaults(func=cmd_sweep)
 

@@ -1,11 +1,11 @@
 """Grid-plus-compass maximization of the angle and parameter landscapes.
 
 Both surfaces we care about are cheap, smooth, low-dimensional and mildly
-multimodal, so the strategy is deliberately plain: sweep a regular grid,
-keep the best handful of cells, refine them together by compass search
-(Kolda, Lewis and Torczon, SIAM Review 45, 2003), and report every
-distinct local maximum found.  Ties between equal grid cells go to the
-lowest row-major index so golden outputs are stable across runs.
+multimodal, so the strategy is deliberately plain: score a table of seeds
+(angle grid cells, or the best threshold rule at each p), refine the best
+handful together by compass search (Kolda, Lewis and Torczon, SIAM Review
+45, 2003), and report every distinct local maximum found.  Ties between
+equal seeds go to the lowest index so golden outputs are stable.
 
 An objective is a function of one packed point x written in numpy
 arithmetic: x is a tuple of coordinate arrays of one shape, and the
@@ -16,7 +16,6 @@ start in one call per step.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -27,10 +26,11 @@ from .qaoa_engine import closed_form_f2, closed_form_f3
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 2000
-TOP_K = 8           # grid cells carried into refinement
+TOP_K = 8           # seeds carried into refinement
 DISTINCT_TOL = 1e-3  # refined points closer than this count as one maximum
 REPORT_MARGIN = 0.1  # maxima reported down to this far below the best
 QAOA_RESOLUTION = 256  # grid cells per angle axis
+P_SEEDS = 11  # values of p, 0 to 1 with 1/2 among them, in the classical seeds
 
 QAOA_BOX = ((0.0, 2.0 * math.pi), (0.0, math.pi))
 
@@ -48,8 +48,8 @@ class GridSweep:
 class OptimizationReport:
     argmax: tuple[float, ...]
     value: float
-    grid_resolution: tuple[int, ...] | None
-    grid_value: float | None
+    grid_resolution: tuple[int, ...]  # shape of the seed table
+    grid_value: float                 # its best value
     iterations: int
     converged: bool
     tol: float
@@ -57,18 +57,15 @@ class OptimizationReport:
     maxima: tuple[tuple[tuple[float, ...], float], ...]
 
 
-def grid_sweep(objective, box, resolution,
-               include_endpoint: bool = False) -> GridSweep:
-    """Evaluate `objective` on a regular grid over `box` in one call.
+def grid_sweep(objective, box, resolution) -> GridSweep:
+    """Evaluate `objective` on a regular half-open grid over `box` in one call.
 
     `box` is a sequence of (lo, hi) pairs and `resolution` an int or a
     per-axis sequence, at least 2 everywhere.  The objective receives the
     whole grid as one packed point whose coordinates are arrays of the
     grid's shape (`np.meshgrid(..., indexing="ij")`) and must return the
-    values in that shape, or anything that broadcasts to it.  Angle
-    domains are periodic, so the default grid is half-open (hi excluded);
-    probability boxes want `include_endpoint=True` to land on the corners.
-    The best cell is the first (lowest row-major index) among equal maxima.
+    values in that shape, or anything that broadcasts to it.  The best cell
+    is the first (lowest row-major index) among equal maxima.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     for lo, hi in box:
@@ -80,11 +77,8 @@ def grid_sweep(objective, box, resolution,
     if len(resolution) != len(box) or any(r < 2 for r in resolution):
         raise ValueError(f"need resolution >= 2 on each of {len(box)} axes, "
                          f"got {resolution}")
-    axes = tuple(
-        np.linspace(lo, hi, r) if include_endpoint
-        else lo + (hi - lo) * np.arange(r) / r
-        for (lo, hi), r in zip(box, resolution)
-    )
+    axes = tuple(lo + (hi - lo) * np.arange(r) / r
+                 for (lo, hi), r in zip(box, resolution))
     grid = tuple(np.meshgrid(*axes, indexing="ij"))
     values = np.array(np.broadcast_to(objective(grid), resolution), dtype=float)
     idx = np.unravel_index(int(np.argmax(values)), resolution)
@@ -137,27 +131,24 @@ def compass_search(objective, starts, box, steps, tol: float = DEFAULT_TOL,
     return x, value, iters, ~active, scale * reach
 
 
-def _multistart(objective, box, resolution, include_endpoint):
-    """Grid sweep, refine the TOP_K cells together, merge coincident maxima."""
-    sweep = grid_sweep(objective, box, resolution,
-                       include_endpoint=include_endpoint)
-    shape = sweep.values.shape
-    order = np.argsort(-sweep.values.ravel(), kind="stable")[:TOP_K]
-    seeds = np.stack([axis[idx] for axis, idx
-                      in zip(sweep.axes, np.unravel_index(order, shape))], axis=1)
-    spacing = [axis[1] - axis[0] for axis in sweep.axes]
-    x, value, iters, converged, step = compass_search(objective, seeds, box,
-                                                      spacing)
+def _multistart(objective, seeds, scores, box, steps, canonical=lambda x: x):
+    """Refine the TOP_K best-scored seeds together, merge coincident maxima.
+
+    `seeds` holds one point per entry of `scores`, along its last axis.
+    Maxima are compared and reported as their `canonical` images.
+    """
+    top = np.argsort(-scores.ravel(), kind="stable")[:TOP_K]
+    x, value, iters, converged, step = compass_search(
+        objective, seeds.reshape(-1, seeds.shape[-1])[top], box, steps)
     kept = []
     for i in np.argsort(-value, kind="stable"):
-        xi = tuple(x[i].tolist())
+        xi = canonical(tuple(x[i].tolist()))
         if all(math.dist(xi, kx) > DISTINCT_TOL for kx, _ in kept):
             kept.append((xi, float(value[i])))
     best = int(np.argmax(value))
-    return OptimizationReport(argmax=tuple(x[best].tolist()),
-                              value=float(value[best]),
-                              grid_resolution=tuple(shape),
-                              grid_value=sweep.value,
+    return OptimizationReport(argmax=kept[0][0], value=kept[0][1],
+                              grid_resolution=scores.shape,
+                              grid_value=float(scores.ravel()[top[0]]),
                               iterations=int(iters.sum()),
                               converged=bool(converged[best]), tol=DEFAULT_TOL,
                               tolerance_achieved=float(step[best]),
@@ -165,13 +156,18 @@ def _multistart(objective, box, resolution, include_endpoint):
                                            if v >= value[best] - REPORT_MARGIN))
 
 
+# Per-vertex F/n by degree; calls go through this module's names.
+QAOA_OBJECTIVES = {
+    2: lambda x: closed_form_f2(1, (x[0], x[1])),
+    3: lambda x: closed_form_f3(1, (x[0], x[1])),
+}
+
+
 def qaoa_objective(d: int):
     """Per-vertex expectation F/n as a function of the packed point (gamma, beta)."""
-    if d == 2:
-        return lambda x: closed_form_f2(1, (x[0], x[1]))
-    if d == 3:
-        return lambda x: closed_form_f3(1, (x[0], x[1]))
-    raise ValueError(f"closed forms cover d in {{2, 3}}, got {d}")
+    if d not in QAOA_OBJECTIVES:
+        raise ValueError(f"closed forms cover d in {set(QAOA_OBJECTIVES)}, got {d}")
+    return QAOA_OBJECTIVES[d]
 
 
 def classical_objective(d: int):
@@ -180,9 +176,15 @@ def classical_objective(d: int):
 
 
 def optimize_qaoa(d: int) -> OptimizationReport:
-    """Maximize the per-vertex one-round expectation over one angle period."""
-    return _multistart(qaoa_objective(d), QAOA_BOX, QAOA_RESOLUTION,
-                       include_endpoint=False)
+    """Maximize the per-vertex one-round expectation over one angle period.
+
+    Seeds are the cells of the angle grid; steps are its spacing.
+    """
+    objective = qaoa_objective(d)
+    sweep = grid_sweep(objective, QAOA_BOX, QAOA_RESOLUTION)
+    cells = np.stack(np.meshgrid(*sweep.axes, indexing="ij"), axis=-1)
+    spacing = [axis[1] - axis[0] for axis in sweep.axes]
+    return _multistart(objective, cells, sweep.values, QAOA_BOX, spacing)
 
 
 def _canonical_classical(x):
@@ -199,56 +201,51 @@ def _canonical_classical(x):
                for qq in (q, tuple(1.0 - t for t in q)))
 
 
+def threshold_seeds(d: int, ps):
+    """The best threshold rule at every p of the array `ps`, and its value.
+
+    Rule r flips a vertex iff l >= r of its d neighbours share its side,
+    q_l = [l >= r], r = 0..d+1 (Hirvonen, Rybicki, Schmid and Suomela,
+    arXiv:1402.2543), all scored in one objective call.  Returns one row
+    (p, q0..qd) per p and its value; ties go to the smallest r.
+    """
+    if not 1 <= d <= EXACT_MAX_DEGREE:
+        raise ValueError(f"exact sum covers 1 <= d <= {EXACT_MAX_DEGREE}, got {d}")
+    ps = np.asarray(ps, dtype=float)
+    rules = (np.arange(d + 1) >= np.arange(d + 2)[:, None]).astype(float)
+    scores = classical_objective(d)((ps[:, None], *rules.T))  # (len(ps), d+2)
+    return (np.column_stack([ps, rules[np.argmax(scores, axis=1)]]),
+            scores.max(axis=1))
+
+
 def optimize_classical(d: int) -> OptimizationReport:
     """Maximize the one-round satisfaction probability over (p, q0..qd).
 
-    The closed grid over [0,1]^(d+2) is coarse (11 or 7 points per axis
-    land on the known corner structure and on p = 1/2) and exists only to
-    seed the compass refinements; the reported optimum comes from those.
-    Argmax and maxima are canonicalized per `_canonical_classical`,
-    collapsing reflection-equivalent copies of the same maximum.
+    Seeds are `threshold_seeds` on P_SEEDS values of p, every step their
+    spacing; maxima are reported as their `_canonical_classical` images.
     """
-    objective = classical_objective(d)
-    box = ((0.0, 1.0),) * (d + 2)
-    report = _multistart(objective, box, 11 if d == 2 else 7,
-                         include_endpoint=True)
-    argmax = _canonical_classical(report.argmax)
-    maxima = []
-    for x, _ in report.maxima:
-        cx = _canonical_classical(x)
-        if all(math.dist(cx, kx) > DISTINCT_TOL for kx, _ in maxima):
-            maxima.append((cx, float(objective(cx))))
-    return dataclasses.replace(report, argmax=argmax,
-                               value=float(objective(argmax)),
-                               maxima=tuple(maxima))
+    ps = np.linspace(0.0, 1.0, P_SEEDS)
+    return _multistart(classical_objective(d), *threshold_seeds(d, ps),
+                       ((0.0, 1.0),) * (d + 2), (ps[1] - ps[0],) * (d + 2),
+                       _canonical_classical)
 
 
 def classical_curve(d: int, ps) -> np.ndarray:
     """max over q of exact_prob(d, (p, q)) at every p of the array `ps`.
 
-    Each p is seeded with its best threshold rule, flip iff l >= r for
-    r = 0..d+1 (Hirvonen, Rybicki, Schmid and Suomela, arXiv:1402.2543),
-    every rule at every p scored in one objective call.  One compass
-    search then refines all seeds together with p held fixed (step 0 on
-    the p axis) and a full-width step on each q axis.
+    Each p is seeded with its best threshold rule (`threshold_seeds`).
+    One compass search then refines all seeds together with p held fixed
+    (step 0 on the p axis) and a full-width step on each q axis.
     """
-    if not 1 <= d <= EXACT_MAX_DEGREE:
-        raise ValueError(f"exact sum covers 1 <= d <= {EXACT_MAX_DEGREE}, got {d}")
-    ps = np.asarray(ps, dtype=float)
-    objective = classical_objective(d)
-    rules = (np.arange(d + 1) >= np.arange(d + 2)[:, None]).astype(float)
-    scores = objective((ps[:, None], *rules.T))  # (len(ps), d+2)
-    seeds = np.column_stack([ps, rules[np.argmax(scores, axis=1)]])
-    steps = (0.0,) + (1.0,) * (d + 1)
-    return compass_search(objective, seeds, ((0.0, 1.0),) * (d + 2), steps)[1]
+    return compass_search(classical_objective(d), threshold_seeds(d, ps)[0],
+                          ((0.0, 1.0),) * (d + 2), (0.0,) + (1.0,) * (d + 1))[1]
 
 
 def report_to_json(report: OptimizationReport) -> dict:
-    grid_res = report.grid_resolution
     return {
         "argmax": list(report.argmax),
         "value": report.value,
-        "grid_resolution": list(grid_res) if grid_res is not None else None,
+        "grid_resolution": list(report.grid_resolution),
         "grid_value": report.grid_value,
         "iterations": report.iterations,
         "converged": report.converged,

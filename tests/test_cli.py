@@ -1,5 +1,6 @@
 """End-to-end runs of the command line driver through cli.main."""
 
+import argparse
 import csv
 import json
 import math
@@ -14,6 +15,7 @@ from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
 from localmaxcut import cli, qaoa_engine, statevector
 from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.cli import main, parse_graph_spec
+from localmaxcut.optimize import QAOA_OBJECTIVES
 from localmaxcut.qaoa_engine import zk_edge_d2
 
 
@@ -63,6 +65,28 @@ def test_usage_errors_exit_2(capsys):
                          "--q", "0,0,1.5")
     assert rc == 2
     assert err.startswith("error:")
+    # refused before the per-trial array is allocated
+    for trials in ("--trials=0", "--trials=1000000000000"):
+        rc, _, err = run_cli(capsys, "classical", "run", "--graph", "cycle:5",
+                             trials)
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+
+
+def _degree_choices(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    (action,) = [a for a in sub.choices[command]._actions if a.dest == "degree"]
+    return set(action.choices)
+
+
+def test_degree_tables_agree():
+    degrees = set(QAOA_OBJECTIVES)
+    assert degrees == {2, 3}
+    assert set(cli.SEPARATION) == degrees
+    assert _degree_choices("reproduce") == degrees
+    assert _degree_choices("sweep") == degrees
 
 
 def test_random_spec_below_moore_bound_exits_2(capsys):

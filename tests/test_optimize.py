@@ -5,32 +5,31 @@ import pytest
 
 from derivations import q2_star
 from localmaxcut import (ClassicalParams, exact_prob, grid_sweep,
-                         optimal_preset, report_to_json)
-from localmaxcut.optimize import (DISTINCT_TOL, QAOA_BOX, _canonical_classical,
-                                  classical_curve, classical_objective,
-                                  compass_search, qaoa_objective)
+                         optimal_preset, optimize_classical, report_to_json)
+from localmaxcut.optimize import (DISTINCT_TOL, P_SEEDS, QAOA_BOX,
+                                  _canonical_classical, classical_curve,
+                                  classical_objective, compass_search,
+                                  qaoa_objective, threshold_seeds)
 
 
 def paraboloid(x):
     return -(x[0] - 0.3) ** 2 - (x[1] - 0.7) ** 2
 
 
-def test_grid_axes_halfopen_and_closed():
+def test_grid_axes_are_halfopen():
     sweep = grid_sweep(lambda x: 0.0, ((0.0, 1.0),), 4)
     assert np.allclose(sweep.axes[0], [0.0, 0.25, 0.5, 0.75])
-    closed = grid_sweep(lambda x: 0.0, ((0.0, 1.0),), 4, include_endpoint=True)
-    assert np.allclose(closed.axes[0], [0.0, 1 / 3, 2 / 3, 1.0])
 
 
 def test_grid_values_are_row_major():
     sweep = grid_sweep(lambda x: 10 * x[0] + x[1], ((0.0, 1.0), (0.0, 1.0)),
-                       (4, 5), include_endpoint=True)
+                       (4, 5))
     assert sweep.values.shape == (4, 5)
     for i, a in enumerate(sweep.axes[0]):
         for j, b in enumerate(sweep.axes[1]):
             assert sweep.values[i, j] == pytest.approx(10 * a + b)
-    assert sweep.argmax == (1.0, 1.0)
-    assert sweep.value == pytest.approx(11.0)
+    assert sweep.argmax == (0.75, 0.8)
+    assert sweep.value == pytest.approx(8.3)
 
 
 def test_grid_calls_objective_once():
@@ -40,12 +39,11 @@ def test_grid_calls_objective_once():
         calls.append(x)
         return x[0] * x[1] - x[2]
 
-    sweep = grid_sweep(counting, ((0.0, 1.0),) * 3, (3, 4, 5),
-                       include_endpoint=True)
+    sweep = grid_sweep(counting, ((0.0, 1.0),) * 3, (3, 4, 5))
     assert len(calls) == 1
     assert [c.shape for c in calls[0]] == [(3, 4, 5)] * 3
-    assert sweep.argmax == (1.0, 1.0, 0.0)
-    assert sweep.value == 1.0
+    assert sweep.argmax == pytest.approx((2 / 3, 0.75, 0.0))
+    assert sweep.value == pytest.approx(0.5)
 
 
 def test_grid_tie_goes_to_first_cell():
@@ -208,6 +206,48 @@ def test_optimize_classical_d3(classical_d3):
     assert report.argmax[1:] == pytest.approx((0.0, 0.0, 0.0, 1.0), abs=1e-3)
 
 
+def test_optimize_classical_d3_finds_both_maxima(classical_d3):
+    report, _ = classical_d3
+    assert len(report.maxima) == 2
+    (top, top_value), (second, second_value) = report.maxima
+    assert top_value == pytest.approx(0.7725678954133012, abs=1e-9)
+    assert top[0] == pytest.approx(0.39116622410642893, abs=1e-6)
+    assert top[3] == pytest.approx(0.0, abs=1e-6)
+    assert second_value == pytest.approx(0.7724641655016696, abs=1e-9)
+    assert second[0] == pytest.approx(0.5, abs=1e-6)
+    assert second[3] == pytest.approx(0.0730576, abs=1e-6)
+
+
+def test_threshold_seeds_are_scored_rules():
+    ps = [0.0, 0.3, 0.5]
+    seeds, values = threshold_seeds(3, ps)
+    assert seeds.shape == (3, 5)
+    assert seeds[:, 0].tolist() == ps
+    for p, *q in seeds:
+        r = 4 - int(sum(q))  # flip iff l >= r
+        assert q == [float(l >= r) for l in range(4)]
+    assert np.array_equal(values, classical_objective(3)(tuple(seeds.T)))
+    # no threshold rule beats the seed at its p
+    for p, v in zip(ps, values):
+        for r in range(5):
+            rule = tuple(float(l >= r) for l in range(4))
+            assert exact_prob(3, ClassicalParams(p, rule)) <= v + 1e-15
+    with pytest.raises(ValueError):
+        threshold_seeds(0, ps)
+
+
+@pytest.mark.parametrize("d", [1, 4])
+def test_optimize_classical_other_degrees(d):
+    report = optimize_classical(d)
+    assert report.converged
+    assert report.grid_resolution == (P_SEEDS,)
+    assert report.value >= report.grid_value
+    assert report.grid_value == threshold_seeds(
+        d, np.linspace(0.0, 1.0, P_SEEDS))[1].max()
+    assert report.value == pytest.approx(
+        classical_curve(d, np.linspace(0.0, 1.0, 101)).max(), abs=1e-9)
+
+
 def test_classical_curve_reaches_tuned_optimum(classical_d3):
     report, _ = classical_d3
     (value,) = classical_curve(3, [optimal_preset(3).p])
@@ -222,6 +262,19 @@ def test_maxima_are_distinct_and_ranked(classical_d2, qaoa_d2):
         for i, (xi, _) in enumerate(report.maxima):
             for xj, _ in report.maxima[i + 1:]:
                 assert math.dist(xi, xj) > DISTINCT_TOL
+
+
+def test_reports_describe_their_seeds(classical_d2, classical_d3, qaoa_d2,
+                                      qaoa_d3):
+    for (report, _), shape in ((classical_d2, (P_SEEDS,)),
+                               (classical_d3, (P_SEEDS,)),
+                               (qaoa_d2, (256, 256)), (qaoa_d3, (256, 256))):
+        assert report.grid_resolution == shape
+        assert report.grid_value is not None
+        assert report.grid_value <= report.value
+        doc = report_to_json(report)
+        assert doc["grid_resolution"] == list(shape)
+        assert doc["grid_value"] == report.grid_value
 
 
 def test_report_to_json(qaoa_d2):
