@@ -93,7 +93,16 @@ def optimal_preset(d: int) -> ClassicalParams:
 
 
 def _adjacency_array(g, d):
-    return np.array(g.adjacency, dtype=np.int64).reshape(g.n, d)
+    """(n, d) neighbour array in column-major order, so each column is contiguous."""
+    return np.asfortranarray(np.array(g.adjacency, dtype=np.int64).reshape(g.n, d))
+
+
+def _agreeing(adj, x):
+    """Per-vertex count of neighbours whose boolean side equals its own."""
+    ell = np.zeros(len(x), dtype=np.intp)
+    for j in range(adj.shape[1]):
+        ell += x[adj[:, j]] == x
+    return ell
 
 
 def _one_round(adj, params, rng):
@@ -101,12 +110,10 @@ def _one_round(adj, params, rng):
     p, q = params
     n, d = adj.shape
     qv = np.asarray(q)
-    tau0 = np.where(rng.random(n) < p, 1, -1)
-    ell0 = np.sum(tau0[adj] == tau0[:, None], axis=1)
-    flips = rng.random(n) < qv[ell0]
-    tau1 = np.where(flips, -tau0, tau0)
-    ell1 = np.sum(tau1[adj] == tau1[:, None], axis=1)
-    return tau0, tau1, int(np.sum(ell1 <= d // 2))
+    x0 = rng.random(n) < p
+    x1 = x0 ^ (rng.random(n) < qv[_agreeing(adj, x0)])
+    count = np.count_nonzero(_agreeing(adj, x1) <= d // 2)
+    return np.where(x0, 1, -1), np.where(x1, 1, -1), count
 
 
 def _trial_rng(seed: int, trial: int):

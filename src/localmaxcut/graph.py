@@ -3,7 +3,7 @@
 Vertices are integers 0..n-1.  Edges are stored as sorted (u, v) tuples with
 u < v.  Neighbor lists are sorted ascending, so the ordered neighborhood
 B(v) = (v, v_1, ..., v_d) is reproducible across runs.  Graph values are
-immutable after construction and safe to share between workers.
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.random import Generator, Philox
+
+# walk entries the short-cycle search holds at once (128 KiB of int64), unless
+# one root's walks need more: small chunks stop sooner at a short cycle and
+# keep peak memory low
+WALK_BUDGET = 1 << 14
 
 NAMED_CUBIC = {
     # complete graph on 4 vertices, girth 3
@@ -136,49 +141,114 @@ def make_random_regular(n: int, d: int, min_girth: int = 3, seed: int = 0,
         raise ValueError(f"no {d}-regular graph on {n} vertices has girth >= "
                          f"{min_girth}: the Moore bound needs n >= {bound}")
     rng = Generator(Philox(key=[seed & (2**64 - 1), 0]))
-    stubs = np.repeat(np.arange(n), d)
+    slots = np.arange(n * d)  # stub s belongs to vertex s // d
+    place = np.empty_like(slots)
     for _ in range(max_attempts):
-        rng.shuffle(stubs)
-        pairs = stubs.reshape(-1, 2)
+        rng.shuffle(slots)
+        pairs = slots.reshape(-1, 2) // d
         if np.any(pairs[:, 0] == pairs[:, 1]):
             continue
-        edges = {(min(u, v), max(u, v)) for u, v in pairs}
-        if len(edges) < len(pairs):
+        place[slots] = np.arange(n * d)
+        nbr = (slots[place ^ 1] // d).reshape(n, d)  # row v: v's partners
+        # stable sorts page in less of numpy than its default SIMD sort
+        ordered = np.sort(nbr, axis=1, kind="stable")
+        if np.any(ordered[:, 1:] == ordered[:, :-1]):
             continue
-        g = build_graph(n, edges)
-        if girth(g) >= min_girth:
-            return g
+        if not _has_short_cycle(nbr, min_girth):
+            return build_graph(n, pairs.tolist())
     raise RuntimeError(
         f"no girth-{min_girth} {d}-regular graph on {n} vertices found "
         f"in {max_attempts} attempts")
 
 
+def _has_short_cycle(nbr, min_girth: int) -> bool:
+    """Whether the simple graph with (n, d) neighbour array nbr has a cycle
+    shorter than min_girth.
+
+    Two distinct non-backtracking walks from one root that end on one
+    vertex close a cycle no longer than their summed lengths, and a root on
+    a cycle of length L sends two such walks of at most ceil(L/2) steps to
+    its far side.  So the walks of at most r = (min_girth-1)//2 steps from
+    every root end on distinct vertices exactly when no cycle is shorter
+    than 2r+1.  For even min_girth, a cycle of length 2r+1 shows as a walk
+    of r+1 steps ending where a shorter one does.  Roots go in chunks whose
+    walks hold about WALK_BUDGET vertices, and the search stops at the
+    first chunk with a short cycle.
+    """
+    if min_girth <= 3:  # a simple graph has no shorter cycle
+        return False
+    n, d = nbr.shape
+    r = (min_girth - 1) // 2
+    even = min_girth % 2 == 0
+    width = 1 + sum(d * (d - 1) ** k for k in range(r + even))
+    chunk = max(1, WALK_BUDGET // width)
+    for start in range(0, n, chunk):
+        roots = np.arange(start, min(start + chunk, n))
+        rows = len(roots)
+        prev, ends = np.full((rows, 1), -1), roots[:, None]
+        tagged = [2 * ends]  # 2v + 1 marks an end after r+1 steps
+        for k in range(r + even):
+            step = nbr[ends]
+            keep = step != prev[..., None]  # each walk drops its one way back
+            prev = np.broadcast_to(ends[..., None], step.shape)[keep].reshape(rows, -1)
+            ends = step[keep].reshape(rows, -1)
+            tagged.append(2 * ends + (k == r))
+        seen = np.sort(np.concatenate(tagged, axis=1), axis=1, kind="stable")
+        # a vertex reached twice, once within r steps, closes a short cycle;
+        # two (r+1)-step walks to one vertex may close a cycle of min_girth
+        if np.any((seen[:, 1:] >> 1 == seen[:, :-1] >> 1) & (seen[:, :-1] & 1 == 0)):
+            return True
+    return False
+
+
 def girth(g: Graph):
     """Length of the shortest cycle, or math.inf for forests.
 
-    BFS from every root; a non-tree edge (u, w) seen from root r closes a
-    walk of length dist(u) + dist(w) + 1 through r.  The minimum over all
-    roots and edges is exactly the girth.
+    BFS from each root in turn; a non-tree edge (u, w) seen from root r
+    closes a walk of length dist(u) + dist(w) + 1 through r, and the
+    shortest such walk is no longer than the shortest cycle through r.
+    Every cycle through r has then been seen, so r is deleted, and so is
+    every vertex left with at most one neighbour, which lies on no cycle.
+    On a cycle the first BFS finds the girth and the rest peels away, so
+    the work is linear there.
     """
+    adj = g.adjacency
+    degree = [len(a) for a in adj]
+    alive = [True] * g.n
+
+    def delete(stack):
+        while stack:
+            v = stack.pop()
+            if alive[v]:
+                alive[v] = False
+                for w in adj[v]:
+                    degree[w] -= 1
+                    if alive[w] and degree[w] <= 1:
+                        stack.append(w)
+
+    delete([v for v in range(g.n) if degree[v] <= 1])
     best = math.inf
     for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
+        if not alive[root]:
+            continue
+        dist, parent = {root: 0}, {root: -1}
         queue = [root]
         while queue:
             nxt = []
             for u in queue:
                 if 2 * dist[u] >= best:
                     continue
-                for w in g.adjacency[u]:
-                    if dist[w] == -1:
+                for w in adj[u]:
+                    if not alive[w]:
+                        continue
+                    if w not in dist:
                         dist[w] = dist[u] + 1
                         parent[w] = u
                         nxt.append(w)
                     elif w != parent[u]:
                         best = min(best, dist[u] + dist[w] + 1)
             queue = nxt
+        delete([root])
     return best
 
 

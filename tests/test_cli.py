@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -361,6 +362,16 @@ def test_graph_gen_roundtrip(capsys, tmp_path):
     rc2, doc, _ = run_json(capsys, "ham", "dump", "--graph", f"file:{out}")
     assert rc2 == 0
     assert doc["hamiltonian"]["n"] == 10
+
+
+def test_graph_gen_long_cycle(capsys, tmp_path):
+    # girth is linear on a cycle: one BFS, then the rest peels away
+    t0 = time.perf_counter()
+    rc, stdout, _ = run_cli(capsys, "graph", "gen", "--graph", "cycle:10000",
+                            "--out", str(tmp_path / "c.txt"))
+    assert time.perf_counter() - t0 < 5.0
+    assert rc == 0
+    assert "n 10000 edges 10000 degree 2 girth 10000" in stdout
 
 
 def test_edge_file_with_isolated_vertex_exits_2(capsys, tmp_path):

@@ -1,10 +1,33 @@
+import hashlib
 import math
+import random
+import time
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from localmaxcut import (Graph, girth, load_edge_list, make_cycle, make_named,
                          make_random_regular, neighborhood, save_edge_list)
-from localmaxcut.graph import build_graph
+from localmaxcut.graph import _has_short_cycle, build_graph
+
+# SHA-256 of save_edge_list for each spec (n, d, min_girth, seed), recorded
+# when every attempt still went through build_graph and a full girth check:
+# the benchmark's girth-5 panel, small cubic graphs like the cold verify
+# list's, a 2-regular graph of girth 10 and a 4-regular one.
+PINNED = {
+    (1000, 3, 5, 1): "28a47f8f41ecf282a6a794f0ca91efc13397050d242e30978443339798faa0ae",
+    (1500, 3, 5, 2): "9473d8ee40747f14f1ed2dfa2c197241c0101f8f6bb3da4727ad2ad11740e84a",
+    (2000, 3, 5, 3): "2f066b4a895a3c71dff5e8fde56f8a072418048460f8fe73ec2a9967c6141b69",
+    (10, 3, 3, 101): "ea1251bb9f4109fa5631f435608eb0545983f4a0df7f9a11438e6b3228c85bcf",
+    (10, 3, 4, 102): "c79228ecb736194242586d614c1187cf36e638c33e7bb99fd0602ba880145846",
+    (12, 3, 3, 103): "dc8b101c2c99a9d83501cd1df649d3ffa9715dcfdd919c810bea42407d812ad4",
+    (12, 3, 4, 104): "865a6aecf94b6f30f1285f978437180105f02bd7a455ea3d0046d6e5238f4d71",
+    (14, 3, 3, 105): "9d1331d349e1b79c12866045ab89a501fc23c92b90fffcb311a5cc1ab902b27c",
+    (14, 3, 4, 106): "1a458dd39b47c98cf6b672ed1d7035d3dae5132f88eae36b2cd461bb5952a5ff",
+    (30, 2, 10, 0): "53151e80d60e9be3c21d15d0ed79fbe5d89110ad48821881c7d67a2eddad1c8f",
+    (40, 4, 3, 1): "f8f566b629a1b876c2f9efbf46e302e0eae5e050d5c93c8e59c0a27e7a191ad7",
+}
 
 
 def test_build_graph_normalizes_and_sorts():
@@ -64,6 +87,21 @@ def test_girth_of_cycles_and_forests():
     assert girth(load_edge_list("0 1\n1 2\n2 3\n")) == math.inf
 
 
+def test_girth_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 40)
+        # every fifth graph is a forest; the rest mix cycles of all lengths
+        m = n - 1 if seed % 5 == 0 else rng.randrange(min(2 * n, n * (n - 1) // 2) + 1)
+        G = nx.random_labeled_tree(n, seed=seed) if seed % 5 == 0 else \
+            nx.gnm_random_graph(n, m, seed=seed)
+        for new in range(n, n + rng.randrange(15)):  # trees hanging off
+            G.add_edge(rng.randrange(new), new)
+        g = build_graph(G.number_of_nodes(), list(G.edges()))
+        assert girth(g) == nx.girth(G), seed
+
+
 def test_neighborhood():
     g = make_named("PETERSEN")
     assert neighborhood(g, 0) == (0, 1, 4, 5)
@@ -117,6 +155,51 @@ def test_random_regular_refuses_below_moore_bound():
     with pytest.raises(ValueError, match=r"Moore bound needs n >= \d{4}$"):
         make_random_regular(1000, 3, min_girth=10**12, max_attempts=1)
     assert girth(make_random_regular(10, 2, min_girth=10)) == 10
+
+
+@pytest.mark.parametrize("spec", sorted(PINNED))
+def test_random_regular_output_pinned(spec):
+    n, d, min_girth, seed = spec
+    text = save_edge_list(make_random_regular(n, d, min_girth=min_girth, seed=seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[spec]
+
+
+def test_random_regular_exhausts_attempts_on_rare_specs():
+    # a triangle-free 4-regular pairing is too rare for 1000 attempts
+    with pytest.raises(RuntimeError, match="in 1000 attempts"):
+        make_random_regular(40, 4, min_girth=4, seed=1)
+
+
+def test_short_cycle_search_matches_girth():
+    rng = np.random.default_rng(0)
+    simple = 0
+    while simple < 300:
+        n, d = 2 * int(rng.integers(3, 16)), int(rng.integers(2, 5))
+        pairs = rng.permutation(np.repeat(np.arange(n), d)).reshape(-1, 2)
+        edges = {(min(u, v), max(u, v)) for u, v in pairs.tolist()}
+        if np.any(pairs[:, 0] == pairs[:, 1]) or len(edges) < len(pairs):
+            continue
+        simple += 1
+        g = build_graph(n, edges)
+        nbr = np.array(g.adjacency)
+        for min_girth in range(3, 8):
+            assert _has_short_cycle(nbr, min_girth) == (girth(g) < min_girth)
+
+
+def test_random_regular_huge_girth_bounded_memory():
+    # n passes the Moore bound for girth 30, and seed 1's first pairing is
+    # simple, so the attempt reaches the short-cycle search; walking every
+    # root at once would hold about 20 GB
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(RuntimeError, match="in 1 attempts"):
+            make_random_regular(100_000, 3, min_girth=30, seed=1, max_attempts=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 5.0
+    assert peak < 64 * 2**20
 
 
 def test_edge_list_roundtrip():
