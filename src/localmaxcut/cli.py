@@ -59,7 +59,9 @@ from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
 VERIFY_TOL = 1e-9
 VERIFY_BLOCK = 64  # angle pairs per batched engine call in verify
 SLOW_QUBITS = 20
-MAX_RESOLUTION = 2048  # a degree-3 sweep grid of 2048^2 takes about 0.5 GiB
+# At 2048^2 a degree-3 sweep peaks near 530 MiB, almost all of it CSV text;
+# the value grid alone peaks near 164 MiB.
+MAX_RESOLUTION = 2048
 QAOA_DEGREES = tuple(QAOA_OBJECTIVES)  # degrees reproduce and sweep take
 # degree -> (winning side, bound it clears, bound the loser stays under)
 SEPARATION = {2: ("classical", 0.94, 0.94), 3: ("quantum", 0.81, 0.8)}

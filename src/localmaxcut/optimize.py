@@ -8,10 +8,11 @@ handful together by compass search (Kolda, Lewis and Torczon, SIAM Review
 equal seeds go to the lowest index so golden outputs are stable.
 
 An objective is a function of one packed point x written in numpy
-arithmetic: x is a tuple of coordinate arrays of one shape, and the
-objective returns the values in that shape.  The grid passes every cell
-in a single call, and compass search passes every stencil point of every
-start in one call per step.
+arithmetic: x is a tuple of coordinate arrays that broadcast together,
+and the objective returns the values in their broadcast shape.  The grid
+passes every cell in a single call, as one axis per coordinate, and
+compass search passes every stencil point of every start in one call per
+step.
 """
 
 from __future__ import annotations
@@ -62,10 +63,13 @@ def grid_sweep(objective, box, resolution) -> GridSweep:
 
     `box` is a sequence of (lo, hi) pairs and `resolution` an int or a
     per-axis sequence, at least 2 everywhere.  The objective receives the
-    whole grid as one packed point whose coordinates are arrays of the
-    grid's shape (`np.meshgrid(..., indexing="ij")`) and must return the
-    values in that shape, or anything that broadcasts to it.  The best cell
-    is the first (lowest row-major index) among equal maxima.
+    whole grid as one packed point whose coordinates broadcast to the
+    grid's shape: coordinate j has the grid's length on axis j and 1 on
+    every other (`np.meshgrid(..., indexing="ij", sparse=True)`), so a
+    factor of one coordinate is computed once per axis value.  It must
+    return the values in the grid's shape, or anything that broadcasts to
+    it.  The best cell is the first (lowest row-major index) among equal
+    maxima.
     """
     box = tuple((float(lo), float(hi)) for lo, hi in box)
     for lo, hi in box:
@@ -79,7 +83,7 @@ def grid_sweep(objective, box, resolution) -> GridSweep:
                          f"got {resolution}")
     axes = tuple(lo + (hi - lo) * np.arange(r) / r
                  for (lo, hi), r in zip(box, resolution))
-    grid = tuple(np.meshgrid(*axes, indexing="ij"))
+    grid = tuple(np.meshgrid(*axes, indexing="ij", sparse=True))
     values = np.array(np.broadcast_to(objective(grid), resolution), dtype=float)
     idx = np.unravel_index(int(np.argmax(values)), resolution)
     argmax = tuple(float(axes[j][idx[j]]) for j in range(len(axes)))
@@ -131,13 +135,29 @@ def compass_search(objective, starts, box, steps, tol: float = DEFAULT_TOL,
     return x, value, iters, ~active, scale * reach
 
 
+def _top_k(scores):
+    """Indices of the TOP_K largest of the 1-D `scores`, best first.
+
+    Equal to `np.argsort(-scores, kind="stable")[:TOP_K]`, ties going to
+    the lowest index, but only the scores at least the TOP_K-th largest
+    are sorted.  A NaN key never compares above the cut, so it stays a
+    candidate and sorts last, as in the full argsort.
+    """
+    keys = -scores
+    candidates = np.arange(keys.size)
+    if keys.size > TOP_K:
+        cut = np.partition(keys, TOP_K - 1)[TOP_K - 1]
+        candidates = np.flatnonzero(~(keys > cut))
+    return candidates[np.argsort(keys[candidates], kind="stable")[:TOP_K]]
+
+
 def _multistart(objective, seeds, scores, box, steps, canonical=lambda x: x):
     """Refine the TOP_K best-scored seeds together, merge coincident maxima.
 
     `seeds` holds one point per entry of `scores`, along its last axis.
     Maxima are compared and reported as their `canonical` images.
     """
-    top = np.argsort(-scores.ravel(), kind="stable")[:TOP_K]
+    top = _top_k(scores.ravel())
     x, value, iters, converged, step = compass_search(
         objective, seeds.reshape(-1, seeds.shape[-1])[top], box, steps)
     kept = []

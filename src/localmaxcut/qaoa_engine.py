@@ -230,7 +230,8 @@ def expectation_full(h: DiagonalHamiltonian, angles):
 # ----------------------------------------------------------------------
 # Closed forms for degree-2 and degree-3 LocalMaxCut on girth >= 7 graphs.
 # Each is a verbatim trigonometric polynomial in (gamma, beta), written in
-# numpy arithmetic so the angles may be floats or arrays of one shape.
+# numpy arithmetic so the angles may be floats or arrays that broadcast
+# together; the value comes back in their broadcast shape.
 
 def zk_edge_d2(angles):
     """<Z_uv> for an edge uv of a 2-regular graph with tree-like surroundings."""

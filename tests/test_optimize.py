@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from derivations import q2_star
 from localmaxcut import (ClassicalParams, exact_prob, grid_sweep,
                          optimal_preset, optimize_classical, report_to_json)
 from localmaxcut.optimize import (DISTINCT_TOL, P_SEEDS, QAOA_BOX,
-                                  _canonical_classical, classical_curve,
-                                  classical_objective, compass_search,
-                                  qaoa_objective, threshold_seeds)
+                                  QAOA_OBJECTIVES, QAOA_RESOLUTION, TOP_K,
+                                  _canonical_classical, _top_k,
+                                  classical_curve, classical_objective,
+                                  compass_search, qaoa_objective,
+                                  threshold_seeds)
 
 
 def paraboloid(x):
@@ -41,9 +44,45 @@ def test_grid_calls_objective_once():
 
     sweep = grid_sweep(counting, ((0.0, 1.0),) * 3, (3, 4, 5))
     assert len(calls) == 1
-    assert [c.shape for c in calls[0]] == [(3, 4, 5)] * 3
+    assert [c.shape for c in calls[0]] == [(3, 1, 1), (1, 4, 1), (1, 1, 5)]
     assert sweep.argmax == pytest.approx((2 / 3, 0.75, 0.0))
     assert sweep.value == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("d", sorted(QAOA_OBJECTIVES))
+def test_grid_equals_dense_evaluation(d):
+    sweep = grid_sweep(qaoa_objective(d), QAOA_BOX, QAOA_RESOLUTION)
+    dense = qaoa_objective(d)(tuple(np.meshgrid(*sweep.axes, indexing="ij")))
+    assert np.array_equal(sweep.values, dense)
+
+
+def test_grid_fills_objective_of_one_coordinate():
+    sweep = grid_sweep(lambda x: 2 * x[1], ((0.0, 1.0), (0.0, 1.0)), (3, 4))
+    assert sweep.values.shape == (3, 4)
+    assert np.array_equal(sweep.values,
+                          np.tile(2 * sweep.axes[1], (3, 1)))
+    assert sweep.argmax == (0.0, 0.75)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 3), min_size=1, max_size=200))
+@example([0] * 200)
+@example([0] * TOP_K)
+@example([5] * (TOP_K + 1))
+@example([1])
+def test_top_k_is_stable_argsort_prefix(values):
+    scores = np.array(values, dtype=float)
+    assert np.array_equal(_top_k(scores),
+                          np.argsort(-scores, kind="stable")[:TOP_K])
+
+
+def test_top_k_sorts_nan_last():
+    scores = np.array([np.nan, 1.0, np.nan] + [0.0] * 20)
+    assert np.array_equal(_top_k(scores),
+                          np.argsort(-scores, kind="stable")[:TOP_K])
+    scores = np.array([np.nan] * 10 + [1.0, 2.0])
+    assert np.array_equal(_top_k(scores),
+                          np.argsort(-scores, kind="stable")[:TOP_K])
 
 
 def test_grid_tie_goes_to_first_cell():
