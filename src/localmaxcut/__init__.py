@@ -8,9 +8,8 @@ Monte-Carlo evaluation of the classical threshold-flip algorithm
 and `cli` packages everything behind one command.
 """
 
-from .classical import (ClassicalParams, RunStats, exact_prob, hrss_preset,
-                        monte_carlo, neighborhood_oracle_prob, optimal_preset,
-                        prob_satisfied_initial, satisfied)
+from .classical import (ClassicalParams, RunStats, exact_prob, monte_carlo,
+                        optimal_preset)
 from .graph import (NAMED_CUBIC, Graph, girth, load_edge_list, make_cycle,
                     make_named, make_random_regular, neighborhood,
                     save_edge_list)
@@ -36,10 +35,9 @@ __all__ = [
     "evaluate_all", "evaluate_classical", "exact_prob", "expectation_full",
     "expectation_sv", "expectation_zk", "explain_zk",
     "fourier_encode_clause", "girth", "grid_sweep", "hamiltonian_to_json",
-    "hrss_preset", "load_edge_list", "local_satisfaction_clause",
-    "make_cycle", "make_hamiltonian", "make_named", "make_random_regular",
-    "mask_of", "monte_carlo", "neighborhood", "neighborhood_oracle_prob",
-    "optimal_preset", "optimize_classical", "optimize_qaoa",
-    "prob_satisfied_initial", "qaoa_expectation_sv", "report_to_json",
-    "satisfied", "save_edge_list", "uniform_state", "vertices_of",
+    "load_edge_list", "local_satisfaction_clause", "make_cycle",
+    "make_hamiltonian", "make_named", "make_random_regular", "mask_of",
+    "monte_carlo", "neighborhood", "optimal_preset", "optimize_classical",
+    "optimize_qaoa", "qaoa_expectation_sv", "report_to_json",
+    "save_edge_list", "uniform_state", "vertices_of",
 ]

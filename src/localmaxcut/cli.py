@@ -33,6 +33,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -95,23 +96,23 @@ def config_dict(cfg: RunConfig) -> dict:
 
 def parse_graph_spec(spec: str) -> Graph:
     """Build a graph from the `kind:args` mini-language."""
-    kind, sep, rest = spec.partition(":")
+    prefix, sep, rest = spec.partition(":")
     if not sep:
         raise ValueError(f"graph spec {spec!r} is missing a ':'")
-    if kind == "cycle":
+    if prefix == "cycle":
         return make_cycle(int(rest))
-    if kind == "named":
+    if prefix == "named":
         return make_named(rest)
-    if kind == "random":
+    if prefix == "random":
         parts = rest.split(",")
         if len(parts) != 4:
             raise ValueError(
                 f"random spec wants n,d,girth,seed - got {rest!r}")
         n, d, min_girth, seed = (int(t) for t in parts)
         return make_random_regular(n, d, min_girth=min_girth, seed=seed)
-    if kind == "file":
+    if prefix == "file":
         return load_edge_list(Path(rest).read_text())
-    raise ValueError(f"unknown graph spec kind {kind!r} in {spec!r}")
+    raise ValueError(f"unknown graph spec kind {prefix!r} in {spec!r}")
 
 
 def _resolve(args, command, subcommand=None, fmt="json", **fields) -> RunConfig:
@@ -169,6 +170,16 @@ def _emit(cfg: RunConfig, args, payload: dict, lines, csv_text=None) -> None:
         print("\n".join(human))
 
 
+def _csv_text(header, rows) -> str:
+    """CSV text of a header row and then `rows`, each a sequence of plain
+    Python values (from `.tolist()`, so floats print as Python floats)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
@@ -213,16 +224,14 @@ def cmd_sweep(args) -> int:
     cfg = _resolve(args, "sweep", degree=args.degree,
                    resolution=args.resolution, fmt="csv")
     sweep = grid_sweep(qaoa_objective(args.degree), QAOA_BOX, args.resolution)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["gamma", "beta", "value"])
-    gammas, betas = sweep.axes
-    for i, g in enumerate(gammas):
-        for j, b in enumerate(betas):
-            writer.writerow([float(g), float(b), float(sweep.values[i, j])])
+    gammas, betas = (axis.tolist() for axis in sweep.axes)
+    rows = itertools.chain.from_iterable(
+        zip(itertools.repeat(g), betas, values.tolist())
+        for g, values in zip(gammas, sweep.values))
     lines = [f"argmax gamma={_fmt(sweep.argmax[0])} "
              f"beta={_fmt(sweep.argmax[1])} value={_fmt(sweep.value)}"]
-    _emit(cfg, args, {}, lines, csv_text=buf.getvalue())
+    _emit(cfg, args, {}, lines,
+          csv_text=_csv_text(["gamma", "beta", "value"], rows))
     return 0
 
 
@@ -334,14 +343,10 @@ def cmd_classical_curve(args) -> int:
                    resolution=args.resolution, fmt="csv")
     ps = np.linspace(0.0, 1.0, args.resolution)
     values = classical_curve(args.degree, ps)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["p", "value"])
-    for p, v in zip(ps, values):
-        writer.writerow([float(p), float(v)])
     best = int(np.argmax(values))
     lines = [f"peak p={_fmt(float(ps[best]))} value={_fmt(values[best])}"]
-    _emit(cfg, args, {}, lines, csv_text=buf.getvalue())
+    _emit(cfg, args, {}, lines, csv_text=_csv_text(
+        ["p", "value"], zip(ps.tolist(), values.tolist())))
     return 0
 
 

@@ -154,12 +154,16 @@ def _top_k(scores):
 def _multistart(objective, seeds, scores, box, steps, canonical=lambda x: x):
     """Refine the TOP_K best-scored seeds together, merge coincident maxima.
 
-    `seeds` holds one point per entry of `scores`, along its last axis.
+    `seeds` is a packed point whose coordinates broadcast to `scores.shape`,
+    one point per score; only the TOP_K starts are gathered from it.
     Maxima are compared and reported as their `canonical` images.
     """
     top = _top_k(scores.ravel())
+    cells = np.unravel_index(top, scores.shape)
+    starts = np.column_stack([np.broadcast_to(c, scores.shape)[cells]
+                              for c in seeds])
     x, value, iters, converged, step = compass_search(
-        objective, seeds.reshape(-1, seeds.shape[-1])[top], box, steps)
+        objective, starts, box, steps)
     kept = []
     for i in np.argsort(-value, kind="stable"):
         xi = canonical(tuple(x[i].tolist()))
@@ -202,7 +206,7 @@ def optimize_qaoa(d: int) -> OptimizationReport:
     """
     objective = qaoa_objective(d)
     sweep = grid_sweep(objective, QAOA_BOX, QAOA_RESOLUTION)
-    cells = np.stack(np.meshgrid(*sweep.axes, indexing="ij"), axis=-1)
+    cells = np.meshgrid(*sweep.axes, indexing="ij", sparse=True)
     spacing = [axis[1] - axis[0] for axis in sweep.axes]
     return _multistart(objective, cells, sweep.values, QAOA_BOX, spacing)
 
@@ -245,7 +249,8 @@ def optimize_classical(d: int) -> OptimizationReport:
     spacing; maxima are reported as their `_canonical_classical` images.
     """
     ps = np.linspace(0.0, 1.0, P_SEEDS)
-    return _multistart(classical_objective(d), *threshold_seeds(d, ps),
+    table, scores = threshold_seeds(d, ps)
+    return _multistart(classical_objective(d), table.T, scores,
                        ((0.0, 1.0),) * (d + 2), (ps[1] - ps[0],) * (d + 2),
                        _canonical_classical)
 

@@ -41,9 +41,11 @@ floats or arrays of one shape and a whole batch of angle pairs costs one
 call.
 
 Closed-form trigonometric polynomials for the degree-2 and degree-3
-LocalMaxCut expectations are provided alongside.  By the light-cone
-argument, on any girth >= 7 graph the generic engine reproduces each of
-them term by term.
+LocalMaxCut expectations are provided alongside: the full degree-2 value,
+and the degree-3 value assembled from its per-term forms.  By the
+light-cone argument, on any girth >= 7 graph the generic engine
+reproduces each of them term by term; the degree-2 per-term forms are
+kept with the test suite's certificates (`tests/derivations.py`).
 """
 
 from __future__ import annotations
@@ -232,24 +234,6 @@ def expectation_full(h: DiagonalHamiltonian, angles):
 # Each is a verbatim trigonometric polynomial in (gamma, beta), written in
 # numpy arithmetic so the angles may be floats or arrays that broadcast
 # together; the value comes back in their broadcast shape.
-
-def zk_edge_d2(angles):
-    """<Z_uv> for an edge uv of a 2-regular graph with tree-like surroundings."""
-    g, b = angles
-    return (-2 * np.cos(2 * b) * np.sin(2 * b)
-            * np.cos(g) * np.sin(g) * np.cos(g / 2) ** 2
-            + 2 * np.sin(2 * b) ** 2
-            * np.cos(g) * np.sin(g) * np.cos(g / 2) ** 3 * np.sin(g / 2))
-
-
-def zk_pair_d2(angles):
-    """<Z_{w1 w2}> for the two neighbors w1, w2 of a common degree-2 vertex."""
-    g, b = angles
-    return (-2 * np.cos(2 * b) * np.sin(2 * b)
-            * np.cos(g) ** 2 * np.cos(g / 2) * np.sin(g / 2)
-            + np.sin(2 * b) ** 2
-            * np.cos(g) ** 2 * np.sin(g) ** 2 * np.cos(g / 2) ** 2)
-
 
 def zk_edge_d3(angles):
     """<Z_uv> for an edge uv of a 3-regular graph with tree-like surroundings."""

@@ -1,17 +1,142 @@
-"""Derivation certificates for the classical side, kept as test helpers.
+"""Derivation certificates, kept as test helpers.
 
-These routes are not used by the package: each one cross-checks
-`exact_prob` from a different direction.  `four_path_form_d2`,
-`q2_star` and `reduced_objective_d2` are the degree-2 stationarity
-analysis (the optimum 19/20 at p = 1/2, q2 = 4/5), and
-`_conditional_prob` walks every satisfying final assignment of a ball
-instead of counting agreeing neighbors.
+These routes are not used by the package: each one cross-checks a
+package route from a different direction.
+
+Classical side.  `neighborhood_oracle_prob` enumerates every initial
+assignment and flip pattern of the radius-2 tree, the brute-force
+arbiter for `exact_prob`; `prob_satisfied_initial` is its closed form at
+the frozen uniform start, and `satisfied` the per-vertex check on a
+concrete cut.  `hrss_preset` is the threshold rule of Hirvonen, Rybicki,
+Schmid and Suomela (arXiv:1402.2543), one of the rules that
+`optimize.threshold_seeds` scores.  `four_path_form_d2`, `q2_star` and
+`reduced_objective_d2` are the degree-2 stationarity analysis (the
+optimum 19/20 at p = 1/2, q2 = 4/5), and `_conditional_prob` walks
+every satisfying final assignment of a ball instead of counting
+agreeing neighbors.
+
+Quantum side.  `zk_edge_d2` and `zk_pair_d2` are the degree-2 per-term
+closed forms, which the generic engine reproduces on girth >= 7 graphs;
+the package's `closed_form_f2` is written out on its own and does not
+call them.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
-from localmaxcut.classical import _check_params, _fab
+import numpy as np
+
+from localmaxcut.classical import ClassicalParams, _check_params, _fab
+
+# The oracle holds one uint64 array of 2^V entries per vertex of the radius-2
+# tree, V = 1 + d + d(d-1): 17 MiB at d = 4, but about 13 GiB at d = 5.
+ORACLE_MAX_DEGREE = 4
+
+
+def satisfied(g, cut, v: int) -> bool:
+    """Whether at most floor(d/2) of v's neighbors agree with it."""
+    agreeing = sum(1 for u in g.adjacency[v] if cut[u] == cut[v])
+    return agreeing <= len(g.adjacency[v]) // 2
+
+
+def hrss_preset(d: int) -> ClassicalParams:
+    """Threshold rule r_d = ceil((d + sqrt(d)) / 2): flip iff l(v) >= r_d, p = 1/2."""
+    if d < 1:
+        raise ValueError(f"degree must be >= 1, got {d}")
+    r = math.ceil((d + math.sqrt(d)) / 2)
+    return ClassicalParams(p=0.5, q=tuple(1.0 if l >= r else 0.0 for l in range(d + 1)))
+
+
+def prob_satisfied_initial(d: int) -> float:
+    """Probability a vertex starts satisfied under the uniform initial cut.
+
+    Equals 2^-d sum_{j <= floor(d/2)} C(d, j): both center assignments times
+    the ways to place at most floor(d/2) agreeing neighbors.  Only p = 1/2
+    has this closed form; other biases go through the oracle.
+    """
+    return sum(math.comb(d, j) for j in range(d // 2 + 1)) / 2 ** d
+
+
+def neighborhood_oracle_prob(d: int, params, ball_condition=None) -> float:
+    """Brute-force Pr[v satisfied after one round] on the infinite d-regular tree.
+
+    Enumerates every initial assignment of the radius-2 tree around v (the
+    center, its d neighbors, and their d-1 children each) and every flip
+    pattern of the center and neighbors, accumulating exact probability.
+    No independence factorization or closed form is reused, which is what
+    makes this the arbiter for the sums above.
+
+    With `ball_condition` = bits (a, b, ...) the initial assignment of
+    (v, neighbors) is fixed instead of random and the result is the
+    conditional satisfaction probability.
+    """
+    if not 2 <= d <= ORACLE_MAX_DEGREE:
+        raise ValueError(f"oracle covers 2 <= d <= {ORACLE_MAX_DEGREE}, got {d}")
+    p, q = params
+    _check_params(params, d)
+    qv = np.asarray(q)
+
+    n_vertices = 1 + d + d * (d - 1)
+    neighbors = np.arange(1, d + 1)
+    child = {i: np.arange(1 + d + i * (d - 1), 1 + d + (i + 1) * (d - 1))
+             for i in range(d)}
+
+    x = np.arange(2 ** n_vertices, dtype=np.uint64)
+    bit = [(x >> np.uint64(k)) & np.uint64(1) for k in range(n_vertices)]
+
+    if ball_condition is None:
+        ones = np.bitwise_count(x).astype(np.int64)
+        weight = p ** ones * (1 - p) ** (n_vertices - ones)
+    else:
+        if len(ball_condition) != d + 1:
+            raise ValueError(f"ball condition needs {d + 1} bits")
+        match = np.ones(len(x), dtype=bool)
+        for k, want in enumerate(ball_condition):
+            match &= bit[k] == want
+        child_mask = np.uint64(((1 << n_vertices) - 1) ^ ((1 << (d + 1)) - 1))
+        ones = np.bitwise_count(x & child_mask).astype(np.int64)
+        weight = np.where(match, p ** ones * (1 - p) ** (d * (d - 1) - ones), 0.0)
+
+    ell_center = sum((bit[1 + i] == bit[0]).astype(np.int64) for i in range(d))
+    ell_nbr = [
+        (bit[0] == bit[1 + i]).astype(np.int64)
+        + sum((bit[c] == bit[1 + i]).astype(np.int64) for c in child[i])
+        for i in range(d)
+    ]
+
+    flip_p_center = qv[ell_center]
+    flip_p_nbr = [qv[ell_nbr[i]] for i in range(d)]
+
+    total = 0.0
+    for pattern in range(2 ** (d + 1)):
+        prob = np.where(pattern & 1, flip_p_center, 1.0 - flip_p_center)
+        final_center = bit[0] ^ np.uint64(pattern & 1)
+        agree = np.zeros(len(x), dtype=np.int64)
+        for i in range(d):
+            f = pattern >> (1 + i) & 1
+            prob = prob * np.where(f, flip_p_nbr[i], 1.0 - flip_p_nbr[i])
+            agree += (bit[1 + i] ^ np.uint64(f)) == final_center
+        total += float(np.sum(weight * prob * (agree <= d // 2)))
+    return total
+
+
+def zk_edge_d2(angles):
+    """<Z_uv> for an edge uv of a 2-regular graph with tree-like surroundings."""
+    g, b = angles
+    return (-2 * np.cos(2 * b) * np.sin(2 * b)
+            * np.cos(g) * np.sin(g) * np.cos(g / 2) ** 2
+            + 2 * np.sin(2 * b) ** 2
+            * np.cos(g) * np.sin(g) * np.cos(g / 2) ** 3 * np.sin(g / 2))
+
+
+def zk_pair_d2(angles):
+    """<Z_{w1 w2}> for the two neighbors w1, w2 of a common degree-2 vertex."""
+    g, b = angles
+    return (-2 * np.cos(2 * b) * np.sin(2 * b)
+            * np.cos(g) ** 2 * np.cos(g / 2) * np.sin(g / 2)
+            + np.sin(2 * b) ** 2
+            * np.cos(g) ** 2 * np.sin(g) ** 2 * np.cos(g / 2) ** 2)
 
 
 def four_path_form_d2(params) -> float:

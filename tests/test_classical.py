@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from derivations import (_conditional_prob, four_path_form_d2, q2_star,
-                         reduced_objective_d2)
-from localmaxcut import (ClassicalParams, exact_prob, hrss_preset,
-                         load_edge_list, make_cycle, make_random_regular,
-                         monte_carlo, neighborhood_oracle_prob, optimal_preset,
-                         prob_satisfied_initial, satisfied)
+from derivations import (_conditional_prob, four_path_form_d2, hrss_preset,
+                         neighborhood_oracle_prob, prob_satisfied_initial,
+                         q2_star, reduced_objective_d2, satisfied)
+from localmaxcut import (ClassicalParams, exact_prob, load_edge_list,
+                         make_cycle, make_random_regular, monte_carlo,
+                         optimal_preset)
 from localmaxcut import classical
 from localmaxcut.classical import (EXACT_MAX_DEGREE, _adjacency_array, _fab,
                                    _one_round, _trial_rng)

@@ -8,16 +8,15 @@ import time
 
 import pytest
 
-from derivations import q2_star
+from derivations import hrss_preset, q2_star, zk_edge_d2
 from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
                          closed_form_f2, evaluate_all, exact_prob, girth,
-                         hrss_preset, load_edge_list, make_cycle, make_named,
+                         load_edge_list, make_cycle, make_named,
                          optimal_preset)
 from localmaxcut import cli, qaoa_engine, statevector
 from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.cli import main, parse_graph_spec
 from localmaxcut.optimize import QAOA_OBJECTIVES
-from localmaxcut.qaoa_engine import zk_edge_d2
 
 
 def run_cli(capsys, *argv):

@@ -54,3 +54,34 @@ def test_all_lists_every_public_binding():
              and not isinstance(value, types.ModuleType)}
     assert len(set(localmaxcut.__all__)) == len(localmaxcut.__all__)
     assert set(localmaxcut.__all__) == bound
+
+
+def _names_used_by_package():
+    """Every name a package module other than __init__ reads or looks up as
+    an attribute; definitions and imports are not reads."""
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return used
+
+
+def _names_imported_by_demos():
+    names = set()
+    for path in (ROOT / "demos").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "localmaxcut"):
+                names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_export_is_used_by_the_package_or_a_demo():
+    unused = (set(localmaxcut.__all__) - _names_used_by_package()
+              - _names_imported_by_demos())
+    assert not unused, f"exported but used only by tests: {sorted(unused)}"

@@ -138,7 +138,7 @@ def test_build_requires_regular_graph():
 
 
 def test_evaluate_classical_counts_satisfied_vertices():
-    from localmaxcut import satisfied
+    from derivations import satisfied
     g = make_cycle(7)
     h = build_localmaxcut_hamiltonian(g)
     rng = np.random.default_rng(2)

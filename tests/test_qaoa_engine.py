@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from derivations import zk_edge_d2, zk_pair_d2
 from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
                          closed_form_f2, closed_form_f3, expectation_full,
                          expectation_zk, explain_zk, fourier_encode_clause,
@@ -20,7 +21,7 @@ from localmaxcut import qaoa_engine
 from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.qaoa_engine import (FAMILY_CAP, _family_matrix,
                                      odd_intersection_terms, zk_ball_d3,
-                                     zk_edge_d2, zk_edge_d3, zk_pair_d2)
+                                     zk_edge_d3)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
 
