@@ -41,6 +41,8 @@ for d in (2, 3):
 print("""
 Every Hamiltonian term here touches an even number of vertices, so both
 landscapes are invariant under beta -> beta + pi/2; the stripes above are
-that symmetry.  The optimizer reports each maximum wherever its seeded
-compass search lands, deduplicating points closer than 1e-3.
+that symmetry.  F is real, so they are also invariant under
+(gamma, beta) -> (2pi - gamma, pi - beta).  The optimizer reports each
+maximum as its image in [0, pi] x [pi/2, pi) under both, deduplicating
+points closer than 1e-3.
 """)

@@ -32,7 +32,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import io
 import itertools
 import json
 import math
@@ -50,9 +49,9 @@ from .graph import (Graph, girth, load_edge_list, make_cycle, make_named,
                     make_random_regular, save_edge_list)
 from .hamiltonian import (build_localmaxcut_hamiltonian, evaluate_all,
                           hamiltonian_to_json, mask_of, walsh_transform)
-from .optimize import (QAOA_BOX, QAOA_OBJECTIVES, classical_curve,
-                       grid_sweep, optimize_classical, optimize_qaoa,
-                       qaoa_objective, report_to_json)
+from .optimize import (QAOA_BOX, classical_curve, grid_sweep,
+                       optimize_classical, optimize_qaoa, qaoa_objective,
+                       report_to_json)
 from .qaoa_engine import expectation_zk, explain_zk
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, uniform_state)
@@ -60,11 +59,12 @@ from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
 VERIFY_TOL = 1e-9
 VERIFY_BLOCK = 64  # angle pairs per batched engine call in verify
 SLOW_QUBITS = 20
-# At 2048^2 a degree-3 sweep peaks near 530 MiB, almost all of it CSV text;
-# the value grid alone peaks near 164 MiB.
+# Rows go out as written, so a 2048^2 sweep peaks near 133 MiB at degree 2
+# or 3 (ru_maxrss, 2-CPU Xeon); building the CSV text first took 530 MiB.
 MAX_RESOLUTION = 2048
-QAOA_DEGREES = tuple(QAOA_OBJECTIVES)  # degrees reproduce and sweep take
-# degree -> (winning side, bound it clears, bound the loser stays under)
+DEGREES = range(1, EXACT_MAX_DEGREE + 1)  # degrees reproduce and sweep take
+# the paper's degrees, reproduce's default: degree -> (winning side, bound
+# it clears, bound the loser stays under)
 SEPARATION = {2: ("classical", 0.94, 0.94), 3: ("quantum", 0.81, 0.8)}
 
 
@@ -147,19 +147,21 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _emit(cfg: RunConfig, args, payload: dict, lines, csv_text=None) -> None:
-    """Route the report: JSON to --out/--json, CSV to --out/stdout, text around."""
+def _emit(cfg: RunConfig, args, payload: dict, lines, write=None) -> None:
+    """Route the report: JSON to --out/--json, text around.  A command
+    with a table passes `write`, which writes it to --out or stdout."""
     doc = {"config": config_dict(cfg), **payload}
     if not args.no_timestamp:
         doc["timestamp"] = _timestamp()
     text = "config " + json.dumps(config_dict(cfg), sort_keys=True)
     human = [text] + list(lines)
-    if csv_text is not None:
+    if write is not None:
         if cfg.out:
-            Path(cfg.out).write_text(csv_text)
+            with open(cfg.out, "w", newline="") as stream:
+                write(stream)
             print("\n".join(human))
         else:
-            sys.stdout.write(csv_text)
+            write(sys.stdout)
             print("\n".join(human), file=sys.stderr)
         return
     if cfg.out:
@@ -170,14 +172,12 @@ def _emit(cfg: RunConfig, args, payload: dict, lines, csv_text=None) -> None:
         print("\n".join(human))
 
 
-def _csv_text(header, rows) -> str:
-    """CSV text of a header row and then `rows`, each a sequence of plain
-    Python values (from `.tolist()`, so floats print as Python floats)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv(header, rows):
+    """A `write` for `_emit`: CSV of a header row and then `rows` as they
+    come, each a sequence of plain Python values (from `.tolist()`, so
+    floats print as Python floats)."""
+    return lambda stream: csv.writer(stream).writerows(
+        itertools.chain([header], rows))
 
 
 def _fmt(x: float) -> str:
@@ -186,7 +186,7 @@ def _fmt(x: float) -> str:
 
 def cmd_reproduce(args) -> int:
     """Recover both optima and test the separation inequalities."""
-    degrees = [args.degree] if args.degree is not None else QAOA_DEGREES
+    degrees = [args.degree] if args.degree is not None else SEPARATION
     cfg = _resolve(args, "reproduce", degree=args.degree)
     per = {}
     lines = []
@@ -195,17 +195,17 @@ def cmd_reproduce(args) -> int:
         rc = optimize_classical(d)
         rq = optimize_qaoa(d)
         winner = "classical" if rc.value > rq.value else "quantum"
-        side, clears, under = SEPARATION[d]
-        won, lost = (rc, rq) if side == "classical" else (rq, rc)
-        holds = won.value > clears and lost.value < under
-        ok = ok and holds
         per[str(d)] = {
             "classical": report_to_json(rc),
             "quantum": report_to_json(rq),
             "separation": rc.value - rq.value,
             "winner": winner,
-            "holds": holds,
         }
+        if d in SEPARATION:  # the paper states no inequality elsewhere
+            side, clears, under = SEPARATION[d]
+            won, lost = (rc, rq) if side == "classical" else (rq, rc)
+            per[str(d)]["holds"] = won.value > clears and lost.value < under
+            ok = ok and per[str(d)]["holds"]
         p, *q = rc.argmax
         lines.append(f"degree {d}: classical {_fmt(rc.value)} at "
                      f"p={_fmt(p)} q=" + ",".join(_fmt(t) for t in q))
@@ -230,8 +230,7 @@ def cmd_sweep(args) -> int:
         for g, values in zip(gammas, sweep.values))
     lines = [f"argmax gamma={_fmt(sweep.argmax[0])} "
              f"beta={_fmt(sweep.argmax[1])} value={_fmt(sweep.value)}"]
-    _emit(cfg, args, {}, lines,
-          csv_text=_csv_text(["gamma", "beta", "value"], rows))
+    _emit(cfg, args, {}, lines, write=_csv(["gamma", "beta", "value"], rows))
     return 0
 
 
@@ -345,8 +344,8 @@ def cmd_classical_curve(args) -> int:
     values = classical_curve(args.degree, ps)
     best = int(np.argmax(values))
     lines = [f"peak p={_fmt(float(ps[best]))} value={_fmt(values[best])}"]
-    _emit(cfg, args, {}, lines, csv_text=_csv_text(
-        ["p", "value"], zip(ps.tolist(), values.tolist())))
+    _emit(cfg, args, {}, lines,
+          write=_csv(["p", "value"], zip(ps.tolist(), values.tolist())))
     return 0
 
 
@@ -356,7 +355,8 @@ def cmd_graph_gen(args) -> int:
     cfg = _resolve(args, "graph", "gen", graph=args.graph, fmt="csv")
     degree = g.degree if g.degree is not None else "irregular"
     lines = [f"n {g.n} edges {len(g.edges)} degree {degree} girth {girth(g)}"]
-    _emit(cfg, args, {}, lines, csv_text=save_edge_list(g))
+    _emit(cfg, args, {}, lines,
+          write=lambda stream: stream.write(save_edge_list(g)))
     return 0
 
 
@@ -414,13 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", parents=[common],
                        help="recover the headline optima and inequalities")
-    p.add_argument("--degree", type=int, choices=QAOA_DEGREES, default=None,
-                   help="restrict to one degree (default: both)")
+    p.add_argument("--degree", type=int, choices=DEGREES, default=None,
+                   help=f"one degree, 1 to {EXACT_MAX_DEGREE} "
+                        "(default: 2 and 3)")
     p.set_defaults(func=cmd_reproduce)
 
     p = sub.add_parser("sweep", parents=[common],
                        help="CSV heatmap of the per-vertex expectation")
-    p.add_argument("--degree", type=int, choices=QAOA_DEGREES, required=True)
+    p.add_argument("--degree", type=int, choices=DEGREES, required=True,
+                   help=f"1 to {EXACT_MAX_DEGREE}")
     p.add_argument("--resolution", type=int, default=64)
     p.set_defaults(func=cmd_sweep)
 

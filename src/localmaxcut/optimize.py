@@ -17,13 +17,14 @@ step.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classical import EXACT_MAX_DEGREE, ClassicalParams, exact_prob
-from .qaoa_engine import closed_form_f2, closed_form_f3
+from .qaoa_engine import tree_coefficients
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITERS = 2000
@@ -180,18 +181,22 @@ def _multistart(objective, seeds, scores, box, steps, canonical=lambda x: x):
                                            if v >= value[best] - REPORT_MARGIN))
 
 
-# Per-vertex F/n by degree; calls go through this module's names.
-QAOA_OBJECTIVES = {
-    2: lambda x: closed_form_f2(1, (x[0], x[1])),
-    3: lambda x: closed_form_f3(1, (x[0], x[1])),
-}
-
-
+@functools.cache
 def qaoa_objective(d: int):
-    """Per-vertex expectation F/n as a function of the packed point (gamma, beta)."""
-    if d not in QAOA_OBJECTIVES:
-        raise ValueError(f"closed forms cover d in {set(QAOA_OBJECTIVES)}, got {d}")
-    return QAOA_OBJECTIVES[d]
+    """Per-vertex expectation F/n on the d-regular tree as a function of the
+    packed point (gamma, beta): the series of `tree_coefficients(d)`, summed
+    over gamma's frequencies and then beta's, so a grid's axes stay sparse.
+    Einsum rounds a point alike on a sparse or a dense grid; matmul need not.
+    """
+    coefficients = tree_coefficients(d)
+    k, l = (np.arange(size) - size // 2 for size in coefficients.shape)
+
+    def objective(x):
+        rows = np.einsum("...k,kl->...l", np.exp(1j * np.multiply.outer(x[0], k)),
+                         coefficients)
+        return np.einsum("...l,...l->...", rows,
+                         np.exp(4j * np.multiply.outer(x[1], l))).real
+    return objective
 
 
 def classical_objective(d: int):
@@ -202,13 +207,26 @@ def classical_objective(d: int):
 def optimize_qaoa(d: int) -> OptimizationReport:
     """Maximize the per-vertex one-round expectation over one angle period.
 
-    Seeds are the cells of the angle grid; steps are its spacing.
+    Seeds are the cells of the angle grid; steps are its spacing; maxima
+    are reported as their `_canonical_qaoa` images.
     """
     objective = qaoa_objective(d)
     sweep = grid_sweep(objective, QAOA_BOX, QAOA_RESOLUTION)
     cells = np.meshgrid(*sweep.axes, indexing="ij", sparse=True)
     spacing = [axis[1] - axis[0] for axis in sweep.axes]
-    return _multistart(objective, cells, sweep.values, QAOA_BOX, spacing)
+    return _multistart(objective, cells, sweep.values, QAOA_BOX, spacing,
+                       _canonical_qaoa)
+
+
+def _canonical_qaoa(x):
+    """The image of an angle pair in [0, pi] x [pi/2, pi).  F is real, so
+    (2 pi - gamma, pi - beta) is as good as (gamma, beta), and flipping
+    every bit leaves H unchanged, so F has period pi/2 in beta."""
+    gamma, beta = x
+    if gamma > math.pi:
+        gamma, beta = 2.0 * math.pi - gamma, math.pi - beta
+    beta = math.pi / 2 + math.fmod(beta, math.pi / 2)
+    return gamma, beta if beta < math.pi else math.pi / 2  # pi by rounding
 
 
 def _canonical_classical(x):

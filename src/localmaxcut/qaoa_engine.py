@@ -40,20 +40,21 @@ H.  Evaluation is numpy arithmetic on a plan, so the angles may be
 floats or arrays of one shape and a whole batch of angle pairs costs one
 call.
 
-Closed-form trigonometric polynomials for the degree-2 and degree-3
-LocalMaxCut expectations are provided alongside: the full degree-2 value,
-and the degree-3 value assembled from its per-term forms.  By the
-light-cone argument, on any girth >= 7 graph the generic engine
-reproduces each of them term by term; the degree-2 per-term forms are
-kept with the test suite's certificates (`tests/derivations.py`).
+`tree_coefficients(d)` gives the value <C_v> of one vertex's clause on
+the infinite d-regular tree as a trigonometric polynomial.  By the
+light-cone argument the engine gives the same value on any d-regular
+graph of girth >= 7.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import weakref
 
 import numpy as np
 
+from .classical import EXACT_MAX_DEGREE
 from .hamiltonian import DiagonalHamiltonian, vertices_of
 
 FAMILY_CAP = 25
@@ -230,50 +231,70 @@ def expectation_full(h: DiagonalHamiltonian, angles):
 
 
 # ----------------------------------------------------------------------
-# Closed forms for degree-2 and degree-3 LocalMaxCut on girth >= 7 graphs.
-# Each is a verbatim trigonometric polynomial in (gamma, beta), written in
-# numpy arithmetic so the angles may be floats or arrays that broadcast
-# together; the value comes back in their broadcast shape.
+# One round on the infinite d-regular tree, as a Fourier series.
 
-def zk_edge_d3(angles):
-    """<Z_uv> for an edge uv of a 3-regular graph with tree-like surroundings."""
-    g, b = angles
-    return (-2 * np.cos(2 * b) * np.sin(2 * b)
-            * np.sin(g) * np.cos(g) * np.cos(g / 2) ** 4)
+def tree_coefficients(d: int) -> np.ndarray:
+    """Fourier coefficients C of <C_v> on the d-regular tree.
 
+    With K = d^2 + 1 and L = floor((d+1)/2), <C_v> is the real part of
 
-def zk_ball_d3(angles):
-    """<Z_B(u)> for the closed neighborhood of a degree-3 vertex u."""
-    g, b = angles
-    s2b, c2b = np.sin(2 * b), np.cos(2 * b)
-    ch = np.cos(g / 2)
-    sh = np.sin(g / 2)
-    return (s2b * c2b ** 3 * ch ** 3
-            * (3 * np.sin(3 * g / 2) - np.sin(5 * g / 2)) / 4
-            + 3 * s2b * c2b ** 3 * sh * ch ** 2
-            * (3 * np.cos(3 * g / 2) + np.cos(5 * g / 2)) / 4
-            - 3 * s2b ** 3 * c2b * sh * np.cos(g) ** 5 * ch ** 5
-            - s2b ** 3 * c2b * ch ** 6
-            * (sh * (3 * np.cos(3 * g / 2) + np.cos(5 * g / 2)) ** 3 / 64
-               + np.sin(g) ** 3 * np.cos(g) ** 3 * ch ** 4))
+        sum_{k,l} C[k, l] e^{i (k-K) gamma} e^{4i (l-L) beta}.
 
+    Gamma's frequencies are at most the number of clauses that can differ,
+    and flipping every bit leaves H unchanged, so beta's period is pi/2.
+    So the light-cone sum, sampled at (2K+1) x (2L+1) points of one period,
+    gives C exactly.
 
-def closed_form_f2(n, angles):
-    """Full degree-2 expectation F(gamma, beta) per vertex count n (girth >= 7)."""
-    g, b = angles
-    return (3 * n / 4
-            + n / 32 * np.sin(4 * b)
-            * (3 * np.sin(g) + 4 * np.sin(2 * g) + 3 * np.sin(3 * g))
-            - n / 16 * np.sin(2 * b) ** 2 * np.sin(g) * np.cos(g / 2) ** 2
-            * (np.sin(g) + 4 * np.sin(2 * g) + np.sin(3 * g)))
-
-
-def closed_form_f3(n, angles):
-    """Full degree-3 expectation: n/2 - (3n/4) <Z_uv> + (n/4) <Z_B(u)>.
-
-    Assembled from the per-term closed forms with |E| = 3n/2 edges and n
-    balls, all equivalent under the girth assumption.
+    The sum runs over measured bits z, bra bits x and ket bits x' of B(v):
+    the mixer is unitary, so x = x' elsewhere, and only clauses within
+    distance 2 of v can differ between bra and ket.  z_v = 0 is fixed and
+    the sum doubled, since flipping every bit of z, x and x' changes no
+    factor.
     """
-    return (n / 2
-            - 3 * n / 4 * zk_edge_d3(angles)
-            + n / 4 * zk_ball_d3(angles))
+    if not 1 <= d <= EXACT_MAX_DEGREE:
+        raise ValueError(f"tree series covers 1 <= d <= {EXACT_MAX_DEGREE}, "
+                         f"got {d}")
+    K, L = d * d + 1, (d + 1) // 2
+    gammas = 2 * np.pi * np.arange(2 * K + 1) / (2 * K + 1)
+    betas = np.pi / 2 * np.arange(2 * L + 1) / (2 * L + 1)
+    gamma, beta = np.repeat(gammas, len(betas)), np.tile(betas, len(gammas))
+    c = (np.arange(d + 1) <= d // 2).astype(float)  # clause, by agreeing count
+    j = np.arange(d)  # children of a vertex that agree with it
+    binomial = np.array([math.comb(d - 1, k) for k in j]) / 2.0 ** (d - 1)
+
+    def phase(bra, ket):  # a clause's e^{-i gamma (c(bra) - c(ket))}
+        return np.exp(-1j * gamma[:, None, None, None] * (c[bra] - c[ket]))
+
+    # G[:, [x_w = x'_w], f_x, f_y] of a neighbour w that agrees with v in x
+    # iff f_x and in x' iff f_y, with C_w's phase; if x_w != x'_w, each
+    # child u adds A1 = E_k e^{-i gamma (c(k+1) - c(k))} if x_u = x_w, else
+    # conj(A1)
+    fx, fy = np.arange(2)[:, None, None], np.arange(2)[:, None]
+    a1 = phase(j + 1, j)[:, 0, 0] @ binomial
+    children = a1[:, None] ** j * a1.conj()[:, None] ** (d - 1 - j)
+    G = np.stack([(phase(fx + j, fy + d - 1 - j) * children[:, None, None])
+                  @ binomial, phase(fx + j, fy + j) @ binomial], axis=1)
+    m = np.stack([-1j * np.sin(beta), np.cos(beta)], axis=1)  # mixer, by [z = x]
+    # the 8 neighbour types, marked by agreeing with v in z, x and x'; their
+    # polynomial goes to the (d+1)^3 roots of unity, where its d-th power is
+    # read against c(z count) e^{-i gamma (c(x count) - c(x' count))} by one
+    # inverse DFT vector per mark
+    z, x, y = marks = np.indices((2,) * 3).reshape(3, -1)
+    n = d + 1
+    at_roots = np.exp(2j * np.pi / n * (np.indices((n,) * 3).reshape(3, -1).T
+                                        @ marks))
+    inverse = np.exp(-2j * np.pi / n * np.outer(np.arange(n), np.arange(n))) / n
+    reads = (c @ inverse, np.exp(-1j * gamma[:, None] * c) @ inverse,
+             np.exp(1j * gamma[:, None] * c) @ inverse)
+    values = 0.0
+    for xv, yv in itertools.product((0, 1), repeat=2):
+        types = (m[:, 1 ^ z ^ x ^ xv] * m[:, 1 ^ z ^ y ^ yv].conj()
+                 * G[:, 1 ^ xv ^ yv ^ x ^ y, x, y])
+        power = (types @ at_roots.T).reshape(-1, n, n, n)
+        power **= d  # in place: at d = 10 each array is 48 MB
+        values = values + m[:, 1 ^ xv] * m[:, 1 ^ yv].conj() * np.einsum(
+            "pabc,a,pb,pc->p", power, *reads)
+    values = values.real.reshape(len(gammas), len(betas)) / 2 ** d
+    to_k = np.exp(-1j * np.outer(np.arange(-K, K + 1), gammas)) / len(gammas)
+    to_l = np.exp(-4j * np.outer(betas, np.arange(-L, L + 1))) / len(betas)
+    return to_k @ values @ to_l

@@ -15,12 +15,20 @@ optimum 19/20 at p = 1/2, q2 = 4/5), and `_conditional_prob` walks
 every satisfying final assignment of a ball instead of counting
 agreeing neighbors.
 
-Quantum side.  `zk_edge_d2` and `zk_pair_d2` are the degree-2 per-term
-closed forms, which the generic engine reproduces on girth >= 7 graphs;
-the package's `closed_form_f2` is written out on its own and does not
-call them.
+Quantum side.  The hand-derived closed forms of the one-round value on
+the tree: the degree-2 per-term forms `zk_edge_d2` and `zk_pair_d2`, the
+degree-3 ones `zk_edge_d3` and `zk_ball_d3`, the full degree-2 value
+`closed_form_f2` (written out on its own, not from the per-term forms)
+and the full degree-3 value `closed_form_f3`, assembled from its per-term
+forms.  The generic engine reproduces each per-term form on girth >= 7
+graphs, and the package's Fourier series (`qaoa_engine.tree_coefficients`)
+reproduces the full ones.  Two more routes to the same tree value check
+that series at any degree: `light_cone_statevector` simulates the
+radius-3 ball densely, and `tree_enumeration` sums every bit of the
+light cone one by one.
 """
 
+import cmath
 import itertools
 import math
 from functools import lru_cache
@@ -28,6 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from localmaxcut.classical import ClassicalParams, _check_params, _fab
+from localmaxcut.statevector import apply_mixer, apply_phase, uniform_state
 
 # The oracle holds one uint64 array of 2^V entries per vertex of the radius-2
 # tree, V = 1 + d + d(d-1): 17 MiB at d = 4, but about 13 GiB at d = 5.
@@ -78,7 +87,6 @@ def neighborhood_oracle_prob(d: int, params, ball_condition=None) -> float:
     qv = np.asarray(q)
 
     n_vertices = 1 + d + d * (d - 1)
-    neighbors = np.arange(1, d + 1)
     child = {i: np.arange(1 + d + i * (d - 1), 1 + d + (i + 1) * (d - 1))
              for i in range(d)}
 
@@ -137,6 +145,139 @@ def zk_pair_d2(angles):
             * np.cos(g) ** 2 * np.cos(g / 2) * np.sin(g / 2)
             + np.sin(2 * b) ** 2
             * np.cos(g) ** 2 * np.sin(g) ** 2 * np.cos(g / 2) ** 2)
+
+
+def zk_edge_d3(angles):
+    """<Z_uv> for an edge uv of a 3-regular graph with tree-like surroundings."""
+    g, b = angles
+    return (-2 * np.cos(2 * b) * np.sin(2 * b)
+            * np.sin(g) * np.cos(g) * np.cos(g / 2) ** 4)
+
+
+def zk_ball_d3(angles):
+    """<Z_B(u)> for the closed neighborhood of a degree-3 vertex u."""
+    g, b = angles
+    s2b, c2b = np.sin(2 * b), np.cos(2 * b)
+    ch = np.cos(g / 2)
+    sh = np.sin(g / 2)
+    return (s2b * c2b ** 3 * ch ** 3
+            * (3 * np.sin(3 * g / 2) - np.sin(5 * g / 2)) / 4
+            + 3 * s2b * c2b ** 3 * sh * ch ** 2
+            * (3 * np.cos(3 * g / 2) + np.cos(5 * g / 2)) / 4
+            - 3 * s2b ** 3 * c2b * sh * np.cos(g) ** 5 * ch ** 5
+            - s2b ** 3 * c2b * ch ** 6
+            * (sh * (3 * np.cos(3 * g / 2) + np.cos(5 * g / 2)) ** 3 / 64
+               + np.sin(g) ** 3 * np.cos(g) ** 3 * ch ** 4))
+
+
+def closed_form_f2(n, angles):
+    """Full degree-2 expectation F(gamma, beta) per vertex count n (girth >= 7)."""
+    g, b = angles
+    return (3 * n / 4
+            + n / 32 * np.sin(4 * b)
+            * (3 * np.sin(g) + 4 * np.sin(2 * g) + 3 * np.sin(3 * g))
+            - n / 16 * np.sin(2 * b) ** 2 * np.sin(g) * np.cos(g / 2) ** 2
+            * (np.sin(g) + 4 * np.sin(2 * g) + np.sin(3 * g)))
+
+
+def closed_form_f3(n, angles):
+    """Full degree-3 expectation: n/2 - (3n/4) <Z_uv> + (n/4) <Z_B(u)>.
+
+    Assembled from the per-term closed forms with |E| = 3n/2 edges and n
+    balls, all equivalent under the girth assumption.
+    """
+    return (n / 2
+            - 3 * n / 4 * zk_edge_d3(angles)
+            + n / 4 * zk_ball_d3(angles))
+
+
+def _clause(d: int, bit, neighbour_bits) -> float:
+    """The clause C_u: 1 when at most floor(d/2) neighbours agree with u."""
+    return float(sum(b == bit for b in neighbour_bits) <= d // 2)
+
+
+def light_cone_statevector(d: int, angles) -> float:
+    """<C_v> on the d-regular tree by a dense statevector.
+
+    The qubits are the radius-3 ball around v (2 at d = 1, 7 at d = 2, 22
+    at d = 3) and the Hamiltonian is the clauses of the vertices within
+    distance 2 of v, the only ones that reach <C_v>.  Vertex 0 is v; the
+    others are numbered breadth first.
+    """
+    gamma, beta = angles
+    adjacency = [[]]
+    frontier = [0]
+    for depth in range(3):
+        grown = []
+        for u in frontier:
+            for _ in range(d if depth == 0 else d - 1):
+                adjacency[u].append(len(adjacency))
+                adjacency.append([u])
+                grown.append(len(adjacency) - 1)
+        frontier = grown
+    n = len(adjacency)
+    x = np.arange(2 ** n)
+
+    def clause(u):
+        agree = sum((x >> w & 1) == (x >> u & 1) for w in adjacency[u])
+        return (agree <= d // 2).astype(float)
+
+    diagonal = sum(clause(u) for u in range(1 + d + d * (d - 1)))
+    state = apply_mixer(beta, apply_phase(diagonal, gamma, uniform_state(n)))
+    return float(np.abs(state.amplitudes) ** 2 @ clause(0))
+
+
+def tree_enumeration(d: int, angles) -> float:
+    """<C_v> on the d-regular tree with every bit of the light cone summed
+    one by one: no agreeing counts, no binomial weights, no powers.
+
+    <C_v> = 2^-(d+1) sum over the measured bits z, bra bits x and ket bits
+    x' of B(v) of prod_u m(z_u, x_u) conj(m(z_u, x'_u)) times
+    C_v(z) e^{-i gamma (C_v(x) - C_v(x'))}, times one factor per neighbour
+    w.  Off B(v) the mixer is unitary, so there x = x', and each bit is an
+    average over its two values.  A neighbour's factor averages over its
+    d-1 children's bits the phase of C_w times a factor per child u, which
+    averages over u's d-1 children's bits the phase of C_u.
+    """
+    gamma, beta = angles
+    kids = list(itertools.product((0, 1), repeat=d - 1))
+
+    def phase(bra, ket):
+        return cmath.exp(-1j * gamma * (bra - ket))
+
+    def child(bit, parent, parent_ket):
+        return sum(phase(_clause(d, bit, (parent,) + k),
+                         _clause(d, bit, (parent_ket,) + k))
+                   for k in kids) / len(kids)
+
+    def neighbour(centre, centre_ket, bit, bit_ket):
+        total = 0.0
+        for k in kids:
+            term = phase(_clause(d, bit, (centre,) + k),
+                         _clause(d, bit_ket, (centre_ket,) + k))
+            for u in k:
+                term *= child(u, bit, bit_ket)
+            total += term
+        return total / len(kids)
+
+    factor = {bits: neighbour(*bits)
+              for bits in itertools.product((0, 1), repeat=4)}
+
+    def m(z, x):
+        return math.cos(beta) if z == x else -1j * math.sin(beta)
+
+    total = 0.0
+    for bits in itertools.product((0, 1), repeat=3 * (d + 1)):
+        z, x, y = bits[:d + 1], bits[d + 1:2 * d + 2], bits[2 * d + 2:]
+        term = (_clause(d, z[0], z[1:])
+                * phase(_clause(d, x[0], x[1:]),
+                        _clause(d, y[0], y[1:])))
+        for u in range(d + 1):
+            term *= m(z[u], x[u]) * m(z[u], y[u]).conjugate()
+        for w in range(1, d + 1):
+            term *= factor[x[0], y[0], x[w], y[w]]
+        total += term
+    return (total / 2 ** (d + 1)).real
 
 
 def four_path_form_d2(params) -> float:

@@ -8,15 +8,14 @@ import time
 
 import pytest
 
-from derivations import hrss_preset, q2_star, zk_edge_d2
+from derivations import (closed_form_f2, hrss_preset, prob_satisfied_initial,
+                         q2_star, zk_edge_d2)
 from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
-                         closed_form_f2, evaluate_all, exact_prob, girth,
-                         load_edge_list, make_cycle, make_named,
-                         optimal_preset)
+                         evaluate_all, exact_prob, girth, load_edge_list,
+                         make_cycle, make_named, optimal_preset)
 from localmaxcut import cli, qaoa_engine, statevector
 from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.cli import main, parse_graph_spec
-from localmaxcut.optimize import QAOA_OBJECTIVES
 
 
 def run_cli(capsys, *argv):
@@ -81,12 +80,17 @@ def _degree_choices(command):
     return set(action.choices)
 
 
-def test_degree_tables_agree():
-    degrees = set(QAOA_OBJECTIVES)
-    assert degrees == {2, 3}
-    assert set(cli.SEPARATION) == degrees
-    assert _degree_choices("reproduce") == degrees
-    assert _degree_choices("sweep") == degrees
+def test_degree_tables_agree(capsys):
+    degrees = set(range(1, EXACT_MAX_DEGREE + 1))
+    assert set(cli.SEPARATION) == {2, 3}  # the paper's inequalities
+    assert set(cli.SEPARATION) <= degrees
+    for command in ("reproduce", "sweep"):
+        assert _degree_choices(command) == degrees
+        for degree in ("0", str(EXACT_MAX_DEGREE + 1)):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--degree", degree])
+            assert exc.value.code == 2
+            assert "invalid choice" in capsys.readouterr().err
 
 
 def test_random_spec_below_moore_bound_exits_2(capsys):
@@ -111,7 +115,7 @@ def test_config_echo_and_seed_default(capsys):
 def test_one_parser_serves_every_command(capsys):
     assert cli.build_parser() is cli.build_parser()
     with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--degree", "5"])
+        main(["sweep", "--degree", "11"])
     assert exc.value.code == 2
     capsys.readouterr()
     rc, doc, _ = run_json(capsys, "classical", "exact", "--degree", "3")
@@ -277,6 +281,20 @@ def test_sweep_csv_matches_closed_form(capsys, tmp_path):
         assert 0.0 <= b < math.pi
         assert v == pytest.approx(closed_form_f2(1, (g, b)), abs=1e-12)
     assert "argmax" in stdout
+
+
+def test_sweep_degree_1(capsys):
+    rc, out, err = run_cli(capsys, "sweep", "--degree", "1",
+                           "--resolution", "4")
+    assert rc == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0] == ["gamma", "beta", "value"] and len(rows) == 1 + 16
+    values = [float(v) for _, _, v in rows[1:]]
+    assert all(-1e-12 <= v <= 1 + 1e-12 for v in values)
+    # gamma = 0 leaves the uniform start: one neighbour disagrees half the time
+    assert values[:4] == pytest.approx([prob_satisfied_initial(1)] * 4,
+                                       abs=1e-12)
+    assert "argmax" in err
 
 
 def test_verify_cycle(capsys):
@@ -468,6 +486,20 @@ def test_reproduce_degree_2(capsys):
     assert block["separation"] == pytest.approx(
         block["classical"]["value"] - block["quantum"]["value"], abs=1e-15)
     assert doc["holds"] is True
+
+
+def test_reproduce_degree_4(capsys):
+    # both sides and the winner; the paper states no inequality at d = 4
+    rc, doc, _ = run_json(capsys, "reproduce", "--degree", "4")
+    assert rc == 0
+    block = doc["degrees"]["4"]
+    assert "holds" not in block
+    assert block["classical"]["value"] == pytest.approx(0.898634223, abs=1e-8)
+    assert block["quantum"]["value"] == pytest.approx(0.891347055, abs=1e-8)
+    assert block["winner"] == "classical"
+    assert doc["holds"] is True
+    rc, out, _ = run_cli(capsys, "reproduce", "--degree", "4")
+    assert rc == 0 and "degree 4: separation" in out
 
 
 def test_reproduce_human_lines(capsys):

@@ -1,5 +1,6 @@
 """The analytic engine against brute-force families, the statevector, and
-the printed closed forms.
+the printed closed forms; the tree series against the closed forms, a
+light-cone statevector and a bit-by-bit enumeration.
 """
 
 import gc
@@ -9,19 +10,23 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from derivations import zk_edge_d2, zk_pair_d2
+from derivations import (closed_form_f2, closed_form_f3,
+                         light_cone_statevector, prob_satisfied_initial,
+                         tree_enumeration, zk_ball_d3, zk_edge_d2, zk_edge_d3,
+                         zk_pair_d2)
 from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
-                         closed_form_f2, closed_form_f3, expectation_full,
-                         expectation_zk, explain_zk, fourier_encode_clause,
-                         make_cycle, make_hamiltonian, make_named, mask_of,
-                         neighborhood, qaoa_expectation_sv, vertices_of)
+                         expectation_full, expectation_zk, explain_zk,
+                         fourier_encode_clause, make_cycle, make_hamiltonian,
+                         make_named, mask_of, neighborhood,
+                         qaoa_expectation_sv, vertices_of)
 from localmaxcut import qaoa_engine
+from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.hamiltonian import DiagonalHamiltonian
+from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
 from localmaxcut.qaoa_engine import (FAMILY_CAP, _family_matrix,
-                                     odd_intersection_terms, zk_ball_d3,
-                                     zk_edge_d3)
+                                     odd_intersection_terms)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
 
@@ -319,21 +324,77 @@ def test_closed_form_f3_on_mcgee():
     for angles in ANGLES:
         assert expectation_full(h, angles) == pytest.approx(
             closed_form_f3(24, angles), abs=1e-10)
+        assert expectation_full(h, angles) == pytest.approx(
+            24 * qaoa_objective(3)(angles), abs=1e-10)
 
 
+FULL_CLOSED_FORMS = {2: closed_form_f2, 3: closed_form_f3}
+
+
+@pytest.mark.parametrize("d", range(1, EXACT_MAX_DEGREE + 1))
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=2 * math.pi),
        st.floats(min_value=0.0, max_value=math.pi))
-def test_angle_symmetries(gamma, beta):
-    # shifting beta by pi/2 negates sin(2b) and cos(2b); every term has
-    # even |K| for degree 2, so F is invariant.  Reflecting both angles
-    # conjugates the state and F is real.
-    assert closed_form_f2(1, (gamma, beta)) == pytest.approx(
-        closed_form_f2(1, (gamma, beta + math.pi / 2)), abs=1e-10)
-    assert closed_form_f2(1, (gamma, beta)) == pytest.approx(
-        closed_form_f2(1, (2 * math.pi - gamma, math.pi - beta)), abs=1e-10)
-    assert closed_form_f3(1, (gamma, beta)) == pytest.approx(
-        closed_form_f3(1, (2 * math.pi - gamma, math.pi - beta)), abs=1e-10)
+@example(0.3, math.nextafter(math.pi / 2, 0.0))  # beta + pi/2 rounds to pi
+@example(2 * math.pi, 0.0)
+def test_angle_symmetries(d, gamma, beta):
+    # shifting beta by pi/2 applies X to every qubit, up to a phase, and
+    # flipping every bit leaves H unchanged, so F is invariant (for
+    # degree 2: it negates sin(2b) and cos(2b), and every term has even
+    # |K|).  Reflecting both angles conjugates the state and F is real.
+    forms = [qaoa_objective(d)]
+    if d in FULL_CLOSED_FORMS:
+        forms.append(lambda x: FULL_CLOSED_FORMS[d](1, x))
+    for f in forms:
+        assert f((gamma, beta)) == pytest.approx(
+            f((gamma, beta + math.pi / 2)), abs=1e-10)
+        assert f((gamma, beta)) == pytest.approx(
+            f((2 * math.pi - gamma, math.pi - beta)), abs=1e-10)
+    # the image the optimizer reports: in [0, pi] x [pi/2, pi), as good a
+    # point as the original, and its own image
+    g, b = _canonical_qaoa((gamma, beta))
+    assert 0.0 <= g <= math.pi and math.pi / 2 <= b < math.pi
+    assert forms[0]((g, b)) == pytest.approx(forms[0]((gamma, beta)),
+                                             abs=1e-10)
+    assert _canonical_qaoa((g, b)) == (g, b)
+
+
+def _random_angles(count, seed):
+    rng = np.random.Generator(np.random.Philox(key=[seed, count]))
+    return rng.uniform(0.0, 2 * math.pi, count), rng.uniform(0.0, math.pi, count)
+
+
+@pytest.mark.parametrize("d", range(1, EXACT_MAX_DEGREE + 1))
+def test_tree_series_at_zero_angles_is_initial_satisfaction(d):
+    # gamma = 0 or beta = 0 leaves the uniform start's distribution as it is
+    gammas, betas = _random_angles(32, d)
+    series = qaoa_objective(d)
+    for angles in ((0.0, betas), (gammas, 0.0)):
+        assert np.max(np.abs(series(angles) - prob_satisfied_initial(d))) \
+            <= 1e-12
+
+
+@pytest.mark.parametrize("d", sorted(FULL_CLOSED_FORMS))
+def test_tree_series_equals_closed_forms(d):
+    grid = np.meshgrid(np.linspace(0.0, 2 * math.pi, 41),
+                       np.linspace(0.0, math.pi, 23), indexing="ij")
+    for angles in (grid, _random_angles(1000, d)):
+        assert np.max(np.abs(qaoa_objective(d)(angles)
+                             - FULL_CLOSED_FORMS[d](1, angles))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_tree_series_equals_light_cone_statevector(d):
+    for angles in ANGLES:
+        assert abs(qaoa_objective(d)(angles)
+                   - light_cone_statevector(d, angles)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_tree_series_equals_bit_enumeration(d):
+    for angles in ANGLES[1:3]:
+        assert abs(qaoa_objective(d)(angles)
+                   - tree_enumeration(d, angles)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
