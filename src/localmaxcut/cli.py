@@ -164,10 +164,14 @@ def _emit(cfg: RunConfig, args, payload: dict, lines, write=None) -> None:
             write(sys.stdout)
             print("\n".join(human), file=sys.stderr)
         return
+    if cfg.out or args.json:
+        # strict JSON: a non-finite value raises here, before anything is
+        # written
+        report = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if cfg.out:
-        Path(cfg.out).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        Path(cfg.out).write_text(report + "\n")
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(report)
     else:
         print("\n".join(human))
 
@@ -283,9 +287,10 @@ def cmd_verify(args) -> int:
             max_full = max(max_full, abs(float(full[j])
                                          - expectation_sv(diagonal, state)))
     ok = max_full <= args.tol and max_term <= args.tol
+    shortest = girth(g)  # math.inf on a forest, which JSON writes as null
     payload = {
         "graph": {"n": g.n, "edges": len(g.edges), "degree": g.degree,
-                  "girth": girth(g)},
+                  "girth": None if shortest == math.inf else shortest},
         "samples": args.samples, "tol": args.tol, "slow": slow,
         "max_abs_diff_full": max_full, "max_abs_diff_term": max_term, "ok": ok,
     }

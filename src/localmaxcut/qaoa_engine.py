@@ -32,13 +32,20 @@ is refused before it is listed.
 <Z_K> depends only on the terms that meet K (the light-cone argument of
 Farhi, Goldstone and Gutmann, arXiv:1411.4028), and every O(L) with L a
 subset of K lies among them, so a plan is compiled from those terms
-alone.  The angle-independent combinatorics of each (H, K) pair are
-compiled on first use: per L, the O(L) masks, an array of their weights
-and a (families x terms) boolean matrix, with no per-family objects.
-The plans are kept in a table keyed weakly on H, so they are freed with
-H.  Evaluation is numpy arithmetic on a plan, so the angles may be
-floats or arrays of one shape and a whole batch of angle pairs costs one
-call.
+alone.  A term that meets L an odd number of times meets every K that
+contains L, so O(L), its weights, its elimination and its coset depend
+on L alone: each L of H is eliminated once, on first use, and shared by
+every K that contains it.  The plan of a (H, K) pair then only reduces K
+against each L's basis: per L, the O(L) masks, an array of their
+weights and a (families x terms) boolean matrix, with no per-family
+objects.  Eliminations and plans are kept in tables keyed weakly on H,
+so they are freed with H.  Evaluation is numpy arithmetic on a plan, so
+the angles may be floats or arrays of one shape and a whole batch of
+angle pairs costs one call.  The alpha_F of one L are one product
+reduction over the terms of O(L) in term order, taken in row blocks of
+at most PRODUCT_BLOCK (families x terms x angle pairs) elements so that
+a large batch does not grow memory.  Each row is its own product, so the
+blocks change no bit of the result.
 
 `tree_coefficients(d)` gives the value <C_v> of one vertex's clause on
 the infinite d-regular tree as a trigonometric polynomial.  By the
@@ -61,8 +68,12 @@ FAMILY_CAP = 25
 COSET_CAP = 2 ** 16
 IMAG_TOL = 1e-9
 
-# H -> {K: plan}; an entry goes when its H is garbage collected
+PRODUCT_BLOCK = 2 ** 14  # elements of (families, terms, angle pairs) at once
+
+# H -> {K: plan} and H -> {L: (O(L) masks, weights, elimination)}; an
+# entry goes when its H is garbage collected
 _plans = weakref.WeakKeyDictionary()
+_eliminations = weakref.WeakKeyDictionary()
 
 
 def odd_intersection_terms(terms, L: int) -> list:
@@ -71,73 +82,106 @@ def odd_intersection_terms(terms, L: int) -> list:
     return [(m, w) for m, w in terms if (m & L).bit_count() % 2 == 1]
 
 
+class _Elimination:
+    """Gauss-Jordan elimination over GF(2) of the terms `masks`, which
+    solves for the families of any target XOR.
+
+    Each term enters as one integer: its vertex mask in the high bits and
+    the family {i} in the low T bits, at bit T-1-i, so that depth-first
+    order (term i left out before it is put in) is ascending order.  The
+    vertex part of every basis vector stays the XOR of its family.  The
+    basis vectors with no vertex part span the coset of families with
+    empty XOR.  More than FAMILY_CAP masks are refused.
+    """
+
+    def __init__(self, masks):
+        size = len(masks)
+        if size > FAMILY_CAP:
+            raise ValueError(
+                f"|O(L)| = {size} exceeds the enumeration cap {FAMILY_CAP}")
+        basis = {}  # pivot, as a power of two -> fully reduced vector
+        for i, m in enumerate(masks):
+            v = m << size | 1 << (size - 1 - i)
+            for pivot, b in basis.items():
+                if v & pivot:
+                    v ^= b
+            pivot = 1 << v.bit_length() - 1  # bit T-1-i survives, so v != 0
+            for p, b in basis.items():
+                if b & pivot:
+                    basis[p] = b ^ v
+            basis[pivot] = v
+        # a vector with no vertex part never reduces K, whose family part
+        # starts empty; those vectors only span the coset
+        self.size = size
+        self.basis = {p: b for p, b in basis.items() if p >> size}
+        self.empty = [basis[p] for p in sorted(basis) if not p >> size]
+        self.coset = None  # empty-XOR families as integers, on first need
+
+    def solve(self, K: int) -> np.ndarray:
+        """Boolean (families x terms) matrix of the families whose XOR is
+        K, rows in depth-first order.
+
+        Reducing K leaves a particular family, or a nonzero vertex part
+        when there is none.  The basis is fully reduced, so doubling the
+        list once per empty-XOR basis vector in ascending pivot order
+        lists the coset in ascending order, and the coset XOR the
+        particular family gives the families in that order too.  A coset
+        of more than COSET_CAP families is refused before it is listed.
+        """
+        size = self.size
+        target = K << size
+        for pivot, b in self.basis.items():
+            if target & pivot:
+                target ^= b
+        if target >> size:
+            return np.zeros((0, size), dtype=bool)
+        if self.coset is None:
+            if 2 ** len(self.empty) > COSET_CAP:
+                raise ValueError(
+                    f"|O_K(L)| = {2 ** len(self.empty)} families of "
+                    f"|O(L)| = {size} terms exceeds the coset cap {COSET_CAP}")
+            coset = np.zeros(1, dtype=np.int64)
+            for b in self.empty:
+                coset = np.concatenate([coset, coset ^ b])
+            self.coset = coset
+        shifts = np.arange(size - 1, -1, -1, dtype=np.int64)
+        return ((self.coset ^ target)[:, None] >> shifts & 1).astype(bool)
+
+
 def _family_matrix(masks, K: int) -> np.ndarray:
     """Boolean (families x terms) matrix of the index subsets of `masks`
     whose XOR is K, rows in depth-first order (term i left out before it
-    is put in).
-
-    Each term enters Gauss-Jordan elimination as one integer: its vertex
-    mask in the high bits and the family {i} in the low T bits, at bit
-    T-1-i, so that depth-first order is ascending order.  The vertex part
-    of every basis vector stays the XOR of its family.  Reducing K leaves
-    a particular family, or a nonzero vertex part when there is none; the
-    basis vectors with no vertex part span the families with empty XOR.
-    The basis is fully reduced, so doubling the list once per such vector
-    in ascending pivot order lists the coset in ascending order.  More
-    than FAMILY_CAP masks, or a coset of more than COSET_CAP families, is
-    refused before anything is listed.
-    """
-    size = len(masks)
-    if size > FAMILY_CAP:
-        raise ValueError(
-            f"|O(L)| = {size} exceeds the enumeration cap {FAMILY_CAP}")
-    basis = {}  # pivot bit -> fully reduced vector
-    for i, m in enumerate(masks):
-        v = m << size | 1 << (size - 1 - i)
-        for bit, b in basis.items():
-            if v >> bit & 1:
-                v ^= b
-        pivot = v.bit_length() - 1  # bit T-1-i survives, so v != 0
-        for bit, b in basis.items():
-            if b >> pivot & 1:
-                basis[bit] = b ^ v
-        basis[pivot] = v
-    target = K << size
-    for bit, b in basis.items():
-        if target >> bit & 1:
-            target ^= b
-    if target >> size:
-        return np.zeros((0, size), dtype=bool)
-    empty = sorted(bit for bit in basis if bit < size)
-    if 2 ** len(empty) > COSET_CAP:
-        raise ValueError(
-            f"|O_K(L)| = {2 ** len(empty)} families of |O(L)| = {size} "
-            f"terms exceeds the coset cap {COSET_CAP}")
-    families = np.array([target], dtype=np.int64)
-    for bit in empty:
-        families = np.concatenate([families, families ^ basis[bit]])
-    shifts = np.arange(size - 1, -1, -1, dtype=np.int64)
-    return (families[:, None] >> shifts & 1).astype(bool)
+    is put in)."""
+    return _Elimination(masks).solve(K)
 
 
 def _compile_zk(h: DiagonalHamiltonian, K: int):
     """Angle-independent plan: per L, the O(L) masks (Python ints, so any
     vertex count works), their weights and the family matrix of O_K(L).
 
-    A term that meets L oddly meets K, so each O(L) is filtered from the
-    terms that meet K, kept in the order of h.terms.
+    O(L), its weights and its elimination depend on L alone, so they are
+    kept per L of h and shared by every K that contains L.  A term that
+    meets L oddly meets K, so a new O(L) is filtered from the terms that
+    meet K, kept in the order of h.terms.
     """
-    cone = [(m, w) for m, w in h.terms if m & K]
+    eliminations = _eliminations.setdefault(h, {})
+    cone = None
     plan = []
     sub = K
     while True:
-        o_terms = odd_intersection_terms(cone, sub)
-        masks = tuple(m for m, _ in o_terms)
         try:
-            families = _family_matrix(masks, K)
+            if sub not in eliminations:
+                if cone is None:
+                    cone = [(m, w) for m, w in h.terms if m & K]
+                o_terms = odd_intersection_terms(cone, sub)
+                masks = tuple(m for m, _ in o_terms)
+                eliminations[sub] = (masks, np.array([w for _, w in o_terms]),
+                                     _Elimination(masks))
+            masks, weights, elimination = eliminations[sub]
+            families = elimination.solve(K)
         except ValueError as e:
             raise ValueError(f"{e} at L = {vertices_of(sub)}") from None
-        plan.append((sub, masks, np.array([w for _, w in o_terms]), families))
+        plan.append((sub, masks, weights, families))
         if sub == 0:
             break
         sub = (sub - 1) & K
@@ -149,7 +193,9 @@ def _contributions(h: DiagonalHamiltonian, K: int, gamma, beta):
     """Per L of the plan: (L, O(L) masks, family matrix, nu, alphas, rho).
 
     gamma and beta are 1-D arrays of one length B; nu and rho have shape
-    (B,) and alphas (families, B).
+    (B,) and alphas (families, B).  Each alpha_F is one product over the
+    terms of O(L), taken for PRODUCT_BLOCK elements of (families, terms,
+    B) at a time.
     """
     if K == 0:
         raise ValueError("K must be nonempty; <Z_empty> = 1 trivially")
@@ -160,15 +206,23 @@ def _contributions(h: DiagonalHamiltonian, K: int, gamma, beta):
         plans[K] = _compile_zk(h, K)
     s2b, c2b = np.sin(2 * beta), np.cos(2 * beta)
     k_bits = K.bit_count()
+    nus = [(1j * s2b) ** l_bits * c2b ** (k_bits - l_bits)
+           for l_bits in range(k_bits + 1)]
+    sine_arg, cosine_arg = -2 * gamma, 2 * gamma
+    no_alphas = np.ones((0, len(gamma)), dtype=complex)
     for L, masks, weights, families in plans[K]:
-        l_bits = L.bit_count()
-        nu = (1j * s2b) ** l_bits * c2b ** (k_bits - l_bits)
-        alphas = np.ones((len(families), len(gamma)), dtype=complex)
-        if len(families):  # about half the plans of a cubic graph have none
-            sines = 1j * np.sin(-2 * gamma * weights[:, None])
-            cosines = np.cos(2 * gamma * weights[:, None])
-            for i in range(len(weights)):
-                alphas *= np.where(families[:, i, None], sines[i], cosines[i])
+        alphas = no_alphas  # about half the L of a cubic graph have none
+        if len(families):
+            sines = 1j * np.sin(sine_arg * weights[:, None])
+            cosines = np.cos(cosine_arg * weights[:, None])
+            rows = max(1, PRODUCT_BLOCK // sines.size)
+            alphas = np.empty((len(families), len(gamma)), dtype=complex)
+            for start in range(0, len(families), rows):
+                block = slice(start, start + rows)
+                np.multiply.reduce(np.where(families[block, :, None], sines,
+                                            cosines),
+                                   axis=1, initial=1 + 0j, out=alphas[block])
+        nu = nus[L.bit_count()]
         yield L, masks, families, nu, alphas, nu * alphas.sum(axis=0)
 
 

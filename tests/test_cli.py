@@ -308,6 +308,32 @@ def test_verify_cycle(capsys):
     assert doc["config"]["tol"] == 1e-9
 
 
+def _strict(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_verify_forest_report_is_strict_json(capsys, tmp_path):
+    # an acyclic graph has no girth: null, not the non-JSON Infinity
+    path = tmp_path / "forest.txt"
+    path.write_text("0 1\n2 3\n")
+    rc, out, _ = run_cli(capsys, "verify", "--graph", f"file:{path}",
+                         "--samples", "2", "--json", "--no-timestamp")
+    assert rc == 0
+    doc = json.loads(out, parse_constant=_strict)
+    assert doc["graph"] == {"n": 4, "edges": 2, "degree": 1, "girth": None}
+    assert doc["ok"] is True
+
+
+def test_non_finite_report_exits_2_unprinted(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "girth", lambda g: math.nan)
+    out_path = tmp_path / "report.json"
+    rc, out, err = run_cli(capsys, "verify", "--graph", "cycle:5",
+                           "--samples", "1", "--json", "--no-timestamp",
+                           "--out", str(out_path))
+    assert rc == 2 and out == "" and err.startswith("error:")
+    assert not out_path.exists()
+
+
 def _counting_engine(monkeypatch, shift=None):
     """Replace cli.expectation_zk with a wrapper that records the batch
     size of each call and, for K == shift, adds 1e-6 to the value."""
@@ -337,6 +363,29 @@ def test_verify_calls_engine_once_per_term_per_block(capsys, monkeypatch,
     # with the command's Hamiltonian
     assert compiled == masks
     assert twin not in qaoa_engine._plans
+
+
+def test_verify_eliminates_each_subset_once(capsys, monkeypatch):
+    # O(L) depends on L alone, so each L that lies in some term's mask is
+    # eliminated once for the command, however many terms contain it
+    eliminated = []
+    elimination = qaoa_engine._Elimination
+
+    def counted(masks):
+        eliminated.append(masks)
+        return elimination(masks)
+
+    monkeypatch.setattr(qaoa_engine, "_Elimination", counted)
+    h = build_localmaxcut_hamiltonian(make_cycle(7))
+    subsets = {L for K, _ in h.nonconstant_terms()
+               for L in range(K + 1) if L & K == L}
+    rc, doc, _ = run_json(capsys, "verify", "--graph", "cycle:7",
+                          "--samples", "2")
+    assert rc == 0 and doc["ok"] is True
+    assert len(eliminated) == len(subsets)
+    # fewer than the L of all plans together
+    assert len(subsets) < sum(2 ** K.bit_count()
+                              for K, _ in h.nonconstant_terms())
 
 
 def test_verify_builds_diagonal_once(capsys, monkeypatch):

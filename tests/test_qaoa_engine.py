@@ -7,6 +7,7 @@ import gc
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,15 +19,16 @@ from derivations import (closed_form_f2, closed_form_f3,
                          zk_pair_d2)
 from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
                          expectation_full, expectation_zk, explain_zk,
-                         fourier_encode_clause, make_cycle, make_hamiltonian,
-                         make_named, mask_of, neighborhood,
+                         fourier_encode_clause, girth, make_cycle,
+                         make_hamiltonian, make_named, make_random_regular,
+                         mask_of, neighborhood,
                          qaoa_expectation_sv, vertices_of)
 from localmaxcut import qaoa_engine
 from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
-from localmaxcut.qaoa_engine import (FAMILY_CAP, _family_matrix,
-                                     odd_intersection_terms)
+from localmaxcut.qaoa_engine import (FAMILY_CAP, _contributions,
+                                     _family_matrix, odd_intersection_terms)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
 
@@ -134,9 +136,64 @@ def test_plans_die_with_their_hamiltonian():
     twin = DiagonalHamiltonian(n=h.n, terms=h.terms)  # equal, never evaluated
     expectation_full(h, ANGLES[0])
     assert twin in qaoa_engine._plans
+    assert twin in qaoa_engine._eliminations
     del h
     gc.collect()
     assert twin not in qaoa_engine._plans
+    assert twin not in qaoa_engine._eliminations
+
+
+@pytest.mark.parametrize("graph", ["C7", "K4", "PETERSEN", "RANDOM"])
+def test_shared_eliminations_change_no_bit(graph, monkeypatch):
+    # each O(L) is eliminated once per H and shared by every K that
+    # contains L; every <Z_K> must equal, bit for bit, its value from
+    # tables that hold K's subsets alone
+    if graph == "RANDOM":
+        g = make_random_regular(12, 3, min_girth=3, seed=4)
+        assert girth(g) == 3
+    else:
+        g = make_cycle(7) if graph == "C7" else make_named(graph)
+    h = build_localmaxcut_hamiltonian(g)
+    gammas, betas = _random_angles(5, 7)
+    shared = [expectation_zk(h, K, (gammas, betas))
+              for K, _ in h.nonconstant_terms()]
+    for (K, _), value in zip(h.nonconstant_terms(), shared):
+        monkeypatch.setattr(qaoa_engine, "_plans", weakref.WeakKeyDictionary())
+        monkeypatch.setattr(qaoa_engine, "_eliminations",
+                            weakref.WeakKeyDictionary())
+        alone = expectation_zk(h, K, (gammas, betas))
+        assert set(qaoa_engine._eliminations[h]) == {
+            L for L in range(K + 1) if L & K == L}
+        assert np.array_equal(alone, value)
+
+
+def loop_alphas(h, masks, families, gamma):
+    """alpha_F multiplied out one term at a time, in term order: the
+    reference for the engine's one reduction over the terms."""
+    weights = dict(h.terms)
+    alphas = np.ones((len(families), len(gamma)), dtype=complex)
+    for i, m in enumerate(masks):
+        alphas *= np.where(families[:, i, None],
+                           1j * np.sin(-2 * gamma * weights[m]),
+                           np.cos(2 * gamma * weights[m]))
+    return alphas
+
+
+def test_family_products_match_term_loop(monkeypatch):
+    # whole blocks and one row of families at a time give the bits of the
+    # term-by-term loop, so every <Z_K> keeps its bits too
+    h = build_localmaxcut_hamiltonian(make_named("HEAWOOD"))
+    gamma, beta = _random_angles(50, 14)
+    for block in (qaoa_engine.PRODUCT_BLOCK, 1):
+        monkeypatch.setattr(qaoa_engine, "PRODUCT_BLOCK", block)
+        most = 0
+        for K, _ in h.nonconstant_terms():
+            for _, masks, families, _, alphas, _ in _contributions(
+                    h, K, gamma, beta):
+                assert np.array_equal(
+                    alphas, loop_alphas(h, masks, families, gamma))
+                most = max(most, len(families))
+        assert most > 1
 
 
 def test_expectation_zk_rejects_bad_subsets():
