@@ -30,13 +30,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -68,32 +66,6 @@ DEGREES = range(1, EXACT_MAX_DEGREE + 1)  # degrees reproduce and sweep take
 SEPARATION = {2: ("classical", 0.94, 0.94), 3: ("quantum", 0.81, 0.8)}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation, echoed into every output for reproducibility."""
-    command: str
-    subcommand: str | None = None
-    degree: int | None = None
-    graph: str | None = None
-    subset: tuple[int, ...] | None = None
-    gamma: float | None = None
-    beta: float | None = None
-    p: float | None = None
-    q: tuple[float, ...] | None = None
-    trials: int | None = None
-    samples: int | None = None
-    resolution: int | None = None
-    tol: float | None = None
-    seed: int = 0
-    out: str | None = None
-    format: str = "json"
-
-
-def config_dict(cfg: RunConfig) -> dict:
-    return {k: list(v) if isinstance(v, tuple) else v
-            for k, v in dataclasses.asdict(cfg).items() if v is not None}
-
-
 def parse_graph_spec(spec: str) -> Graph:
     """Build a graph from the `kind:args` mini-language."""
     prefix, sep, rest = spec.partition(":")
@@ -113,12 +85,6 @@ def parse_graph_spec(spec: str) -> Graph:
     if prefix == "file":
         return load_edge_list(Path(rest).read_text())
     raise ValueError(f"unknown graph spec kind {prefix!r} in {spec!r}")
-
-
-def _resolve(args, command, subcommand=None, fmt="json", **fields) -> RunConfig:
-    seed = args.seed if args.seed is not None else 0
-    return RunConfig(command=command, subcommand=subcommand, seed=seed,
-                     out=args.out, format=fmt, **fields)
 
 
 def _parse_q(text: str) -> tuple[float, ...]:
@@ -147,29 +113,35 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _emit(cfg: RunConfig, args, payload: dict, lines, write=None) -> None:
+def _emit(args, payload: dict, lines, write=None, **resolved) -> None:
     """Route the report: JSON to --out/--json, text around.  A command
-    with a table passes `write`, which writes it to --out or stdout."""
-    doc = {"config": config_dict(cfg), **payload}
+    with a table passes `write`, which writes it to --out or stdout.
+
+    The config echoed is the parsed arguments, with the `resolved` values
+    in place of what was typed, and the format of the artifact.
+    """
+    config = {k: v for k, v in {**vars(args), **resolved}.items()
+              if v is not None and k not in ("func", "json", "no_timestamp")}
+    config["format"] = "json" if write is None else "csv"
+    doc = {"config": config, **payload}
     if not args.no_timestamp:
         doc["timestamp"] = _timestamp()
-    text = "config " + json.dumps(config_dict(cfg), sort_keys=True)
-    human = [text] + list(lines)
+    human = ["config " + json.dumps(config, sort_keys=True), *lines]
     if write is not None:
-        if cfg.out:
-            with open(cfg.out, "w", newline="") as stream:
+        if args.out:
+            with open(args.out, "w", newline="") as stream:
                 write(stream)
             print("\n".join(human))
         else:
             write(sys.stdout)
             print("\n".join(human), file=sys.stderr)
         return
-    if cfg.out or args.json:
+    if args.out or args.json:
         # strict JSON: a non-finite value raises here, before anything is
         # written
         report = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
-    if cfg.out:
-        Path(cfg.out).write_text(report + "\n")
+    if args.out:
+        Path(args.out).write_text(report + "\n")
     if args.json:
         print(report)
     else:
@@ -191,7 +163,6 @@ def _fmt(x: float) -> str:
 def cmd_reproduce(args) -> int:
     """Recover both optima and test the separation inequalities."""
     degrees = [args.degree] if args.degree is not None else SEPARATION
-    cfg = _resolve(args, "reproduce", degree=args.degree)
     per = {}
     lines = []
     ok = True
@@ -218,15 +189,13 @@ def cmd_reproduce(args) -> int:
         lines.append(f"degree {d}: separation {_fmt(abs(rc.value - rq.value))}, "
                      f"{winner} wins")
     lines.append("PASS" if ok else "FAIL")
-    _emit(cfg, args, {"degrees": per, "holds": ok}, lines)
+    _emit(args, {"degrees": per, "holds": ok}, lines)
     return 0 if ok else 1
 
 
 def cmd_sweep(args) -> int:
     """Write the gamma,beta expectation grid as CSV and print its argmax."""
     _check_resolution(args.resolution)
-    cfg = _resolve(args, "sweep", degree=args.degree,
-                   resolution=args.resolution, fmt="csv")
     sweep = grid_sweep(qaoa_objective(args.degree), QAOA_BOX, args.resolution)
     gammas, betas = (axis.tolist() for axis in sweep.axes)
     rows = itertools.chain.from_iterable(
@@ -234,7 +203,7 @@ def cmd_sweep(args) -> int:
         for g, values in zip(gammas, sweep.values))
     lines = [f"argmax gamma={_fmt(sweep.argmax[0])} "
              f"beta={_fmt(sweep.argmax[1])} value={_fmt(sweep.value)}"]
-    _emit(cfg, args, {}, lines, write=_csv(["gamma", "beta", "value"], rows))
+    _emit(args, {}, lines, write=_csv(["gamma", "beta", "value"], rows))
     return 0
 
 
@@ -255,14 +224,12 @@ def cmd_verify(args) -> int:
     if g.n > MAX_QUBITS:
         raise ValueError(f"graph has {g.n} vertices; statevector caps at "
                          f"{MAX_QUBITS} qubits")
-    cfg = _resolve(args, "verify", graph=args.graph, samples=args.samples,
-                   tol=args.tol)
     slow = g.n >= SLOW_QUBITS
     if slow:
         print(f"note: statevector on {g.n} qubits is slow", file=sys.stderr)
     h = build_localmaxcut_hamiltonian(g)
     diagonal = evaluate_all(h)
-    rng = Generator(Philox(key=[cfg.seed & (2**64 - 1), 0]))
+    rng = Generator(Philox(key=[args.seed & (2**64 - 1), 0]))
     terms = h.nonconstant_terms()
     masks = [m for m, _ in terms]
     max_full = 0.0
@@ -297,7 +264,7 @@ def cmd_verify(args) -> int:
     lines = [f"max |engine - statevector|: full {max_full:.3e}, "
              f"per-term {max_term:.3e} over {args.samples} samples",
              "PASS" if ok else "FAIL"]
-    _emit(cfg, args, payload, lines)
+    _emit(args, payload, lines)
     return 0 if ok else 1
 
 
@@ -308,9 +275,7 @@ def cmd_classical_run(args) -> int:
     if d is None:
         raise ValueError("classical run needs a regular graph")
     params = _params(args, d)
-    cfg = _resolve(args, "classical", "run", graph=args.graph, p=params.p,
-                   q=params.q, trials=args.trials)
-    stats = monte_carlo(g, params, args.trials, seed=cfg.seed)
+    stats = monte_carlo(g, params, args.trials, seed=args.seed)
     tree = exact_prob(d, params) if d <= EXACT_MAX_DEGREE else None
     payload = {"degree": d, "stats": {"trials": stats.trials, "mean": stats.mean,
                                       "stderr": stats.stderr}}
@@ -320,7 +285,7 @@ def cmd_classical_run(args) -> int:
         payload["tree_value"] = tree
         lines.append(f"tree-exact reference {_fmt(tree)} "
                      "(meaningful above the girth threshold)")
-    _emit(cfg, args, payload, lines)
+    _emit(args, payload, lines, p=params.p, q=list(params.q))
     return 0
 
 
@@ -328,10 +293,9 @@ def cmd_classical_exact(args) -> int:
     """Tree-exact satisfaction probability at the given (p, q)."""
     d = args.degree
     params = _params(args, d)
-    cfg = _resolve(args, "classical", "exact", degree=d, p=params.p,
-                   q=params.q)
     value = exact_prob(d, params)
-    _emit(cfg, args, {"value": value}, [f"value {_fmt(value)}"])
+    _emit(args, {"value": value}, [f"value {_fmt(value)}"], p=params.p,
+          q=list(params.q))
     return 0
 
 
@@ -343,13 +307,11 @@ def cmd_classical_curve(args) -> int:
     threshold rule.
     """
     _check_resolution(args.resolution)
-    cfg = _resolve(args, "classical", "curve", degree=args.degree,
-                   resolution=args.resolution, fmt="csv")
     ps = np.linspace(0.0, 1.0, args.resolution)
     values = classical_curve(args.degree, ps)
     best = int(np.argmax(values))
     lines = [f"peak p={_fmt(float(ps[best]))} value={_fmt(values[best])}"]
-    _emit(cfg, args, {}, lines,
+    _emit(args, {}, lines,
           write=_csv(["p", "value"], zip(ps.tolist(), values.tolist())))
     return 0
 
@@ -357,10 +319,9 @@ def cmd_classical_curve(args) -> int:
 def cmd_graph_gen(args) -> int:
     """Materialize a graph spec as an edge-list file."""
     g = parse_graph_spec(args.graph)
-    cfg = _resolve(args, "graph", "gen", graph=args.graph, fmt="csv")
     degree = g.degree if g.degree is not None else "irregular"
     lines = [f"n {g.n} edges {len(g.edges)} degree {degree} girth {girth(g)}"]
-    _emit(cfg, args, {}, lines,
+    _emit(args, {}, lines,
           write=lambda stream: stream.write(save_edge_list(g)))
     return 0
 
@@ -368,37 +329,34 @@ def cmd_graph_gen(args) -> int:
 def cmd_ham_dump(args) -> int:
     """Dump the LocalMaxCut Hamiltonian of a graph as JSON terms."""
     g = parse_graph_spec(args.graph)
-    cfg = _resolve(args, "ham", "dump", graph=args.graph)
     h = build_localmaxcut_hamiltonian(g)
     dump = hamiltonian_to_json(h)
     lines = [f"n {h.n} constant {h.constant} "
              f"nonconstant terms {len(h.nonconstant_terms())}"]
-    _emit(cfg, args, {"hamiltonian": dump}, lines)
+    _emit(args, {"hamiltonian": dump}, lines)
     return 0
 
 
 def cmd_qaoa_explain(args) -> int:
     """Show the full family decomposition behind one <Z_K> value."""
     g = parse_graph_spec(args.graph)
-    subset = tuple(int(t) for t in args.subset.split(","))
+    subset = [int(t) for t in args.subset.split(",")]
     if min(subset) < 0:
         raise ValueError(f"--subset has a negative vertex id: {args.subset}")
     if len(set(subset)) < len(subset):
         raise ValueError(f"--subset repeats a vertex: {args.subset}")
-    cfg = _resolve(args, "qaoa", "explain", graph=args.graph, subset=subset,
-                   gamma=args.gamma, beta=args.beta)
     h = build_localmaxcut_hamiltonian(g)
     breakdown = explain_zk(h, mask_of(subset), (args.gamma, args.beta))
     value = breakdown["total"]
     lines = [f"<Z_{{{','.join(map(str, subset))}}}> = {value:.12f} "
              f"({len(breakdown['contributions'])} contributing subsets L)"]
-    _emit(cfg, args, {"value": value, "breakdown": breakdown}, lines)
+    _emit(args, {"value": value, "breakdown": breakdown}, lines, subset=subset)
     return 0
 
 
 def _common() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    common.add_argument("--seed", type=int, default=0,
                         help="RNG seed; defaults to 0 and is echoed back")
     common.add_argument("--out", metavar="PATH", default=None,
                         help="write the CSV/JSON artifact here")
@@ -439,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classical", help="one-round classical algorithm")
-    csub = p.add_subparsers(dest="classical_command", required=True)
+    csub = p.add_subparsers(dest="subcommand", required=True)
     run = csub.add_parser("run", parents=[common], help="seeded Monte Carlo")
     run.add_argument("--graph", required=True)
     run.add_argument("--trials", type=int, default=200)
@@ -460,21 +418,21 @@ def build_parser() -> argparse.ArgumentParser:
     curve.set_defaults(func=cmd_classical_curve)
 
     p = sub.add_parser("graph", help="graph utilities")
-    gsub = p.add_subparsers(dest="graph_command", required=True)
+    gsub = p.add_subparsers(dest="subcommand", required=True)
     gen = gsub.add_parser("gen", parents=[common],
                           help="emit a graph spec as an edge list")
     gen.add_argument("--graph", required=True)
     gen.set_defaults(func=cmd_graph_gen)
 
     p = sub.add_parser("ham", help="Hamiltonian utilities")
-    hsub = p.add_subparsers(dest="ham_command", required=True)
+    hsub = p.add_subparsers(dest="subcommand", required=True)
     dump = hsub.add_parser("dump", parents=[common],
                            help="JSON dump of the LocalMaxCut Hamiltonian")
     dump.add_argument("--graph", required=True)
     dump.set_defaults(func=cmd_ham_dump)
 
     p = sub.add_parser("qaoa", help="expectation engine utilities")
-    qsub = p.add_subparsers(dest="qaoa_command", required=True)
+    qsub = p.add_subparsers(dest="subcommand", required=True)
     explain = qsub.add_parser("explain", parents=[common],
                               help="family breakdown of one <Z_K>")
     explain.add_argument("--graph", required=True)

@@ -25,27 +25,26 @@ whose symmetric difference is K, XOR every combination of a basis of the
 families whose symmetric difference is empty.  Gaussian elimination
 finds both, and the coset is then listed directly, so the cost is
 proportional to the number of families found rather than to the 2^|O(L)|
-candidates.  |O(L)| is still capped (default 25; locally tree-like
-instances stay well under), and so is the coset (2^16 families), which
-is refused before it is listed.
+candidates.  |O(L)| is capped at FAMILY_CAP = 25 terms (locally
+tree-like instances stay well under), and the coset at COSET_CAP = 2^16
+families, which is refused before it is listed.
 
 <Z_K> depends only on the terms that meet K (the light-cone argument of
 Farhi, Goldstone and Gutmann, arXiv:1411.4028), and every O(L) with L a
-subset of K lies among them, so a plan is compiled from those terms
-alone.  A term that meets L an odd number of times meets every K that
-contains L, so O(L), its weights, its elimination and its coset depend
-on L alone: each L of H is eliminated once, on first use, and shared by
-every K that contains it.  The plan of a (H, K) pair then only reduces K
-against each L's basis: per L, the O(L) masks, an array of their
-weights and a (families x terms) boolean matrix, with no per-family
-objects.  Eliminations and plans are kept in tables keyed weakly on H,
-so they are freed with H.  Evaluation is numpy arithmetic on a plan, so
-the angles may be floats or arrays of one shape and a whole batch of
-angle pairs costs one call.  The alpha_F of one L are one product
-reduction over the terms of O(L) in term order, taken in row blocks of
-at most PRODUCT_BLOCK (families x terms x angle pairs) elements so that
-a large batch does not grow memory.  Each row is its own product, so the
-blocks change no bit of the result.
+subset of K lies among them.  A term that meets L an odd number of
+times meets every K that contains L, so O(L), its weights and its
+elimination depend on L alone: each L of H is eliminated once, on first
+use, from the terms that meet the first K that needs it, and shared by
+every K that contains it.  That is the engine's one table, keyed weakly
+on H, so it is freed with H; a K is solved against each L's elimination
+when it is evaluated, into a boolean (families x terms) matrix, and
+nothing is kept per K.  Evaluation is numpy arithmetic, so the angles
+may be floats or arrays of one shape and a whole batch of angle pairs
+costs one call.  The alpha_F of one L are one product reduction over the
+terms of O(L) in term order, taken in row blocks of at most
+PRODUCT_BLOCK (families x terms x angle pairs) elements so that a large
+batch does not grow memory.  Each row is its own product, so the blocks
+change no bit of the result.
 
 `tree_coefficients(d)` gives the value <C_v> of one vertex's clause on
 the infinite d-regular tree as a trigonometric polynomial.  By the
@@ -70,9 +69,8 @@ IMAG_TOL = 1e-9
 
 PRODUCT_BLOCK = 2 ** 14  # elements of (families, terms, angle pairs) at once
 
-# H -> {K: plan} and H -> {L: (O(L) masks, weights, elimination)}; an
-# entry goes when its H is garbage collected
-_plans = weakref.WeakKeyDictionary()
+# H -> {L: _Elimination of O(L)}; an entry goes when its H is garbage
+# collected
 _eliminations = weakref.WeakKeyDictionary()
 
 
@@ -84,7 +82,8 @@ def odd_intersection_terms(terms, L: int) -> list:
 
 class _Elimination:
     """Gauss-Jordan elimination over GF(2) of the terms `masks`, which
-    solves for the families of any target XOR.
+    solves for the families of any target XOR; `weights`, the terms'
+    weights as an array, ride along for the evaluation.
 
     Each term enters as one integer: its vertex mask in the high bits and
     the family {i} in the low T bits, at bit T-1-i, so that depth-first
@@ -94,7 +93,7 @@ class _Elimination:
     empty XOR.  More than FAMILY_CAP masks are refused.
     """
 
-    def __init__(self, masks):
+    def __init__(self, masks, weights=None):
         size = len(masks)
         if size > FAMILY_CAP:
             raise ValueError(
@@ -112,7 +111,7 @@ class _Elimination:
             basis[pivot] = v
         # a vector with no vertex part never reduces K, whose family part
         # starts empty; those vectors only span the coset
-        self.size = size
+        self.masks, self.weights, self.size = tuple(masks), weights, size
         self.basis = {p: b for p, b in basis.items() if p >> size}
         self.empty = [basis[p] for p in sorted(basis) if not p >> size]
         self.coset = None  # empty-XOR families as integers, on first need
@@ -148,73 +147,52 @@ class _Elimination:
         return ((self.coset ^ target)[:, None] >> shifts & 1).astype(bool)
 
 
-def _family_matrix(masks, K: int) -> np.ndarray:
-    """Boolean (families x terms) matrix of the index subsets of `masks`
-    whose XOR is K, rows in depth-first order (term i left out before it
-    is put in)."""
-    return _Elimination(masks).solve(K)
-
-
-def _compile_zk(h: DiagonalHamiltonian, K: int):
-    """Angle-independent plan: per L, the O(L) masks (Python ints, so any
-    vertex count works), their weights and the family matrix of O_K(L).
-
-    O(L), its weights and its elimination depend on L alone, so they are
-    kept per L of h and shared by every K that contains L.  A term that
-    meets L oddly meets K, so a new O(L) is filtered from the terms that
-    meet K, kept in the order of h.terms.
-    """
-    eliminations = _eliminations.setdefault(h, {})
-    cone = None
-    plan = []
-    sub = K
-    while True:
-        try:
-            if sub not in eliminations:
-                if cone is None:
-                    cone = [(m, w) for m, w in h.terms if m & K]
-                o_terms = odd_intersection_terms(cone, sub)
-                masks = tuple(m for m, _ in o_terms)
-                eliminations[sub] = (masks, np.array([w for _, w in o_terms]),
-                                     _Elimination(masks))
-            masks, weights, elimination = eliminations[sub]
-            families = elimination.solve(K)
-        except ValueError as e:
-            raise ValueError(f"{e} at L = {vertices_of(sub)}") from None
-        plan.append((sub, masks, weights, families))
-        if sub == 0:
-            break
-        sub = (sub - 1) & K
-    plan.sort(key=lambda rec: (rec[0].bit_count(), rec[0]))
-    return tuple(plan)
-
-
 def _contributions(h: DiagonalHamiltonian, K: int, gamma, beta):
-    """Per L of the plan: (L, O(L) masks, family matrix, nu, alphas, rho).
+    """Per subset L of K, in (|L|, L) order: (L, O(L) masks, family
+    matrix, nu, alphas, rho).
 
-    gamma and beta are 1-D arrays of one length B; nu and rho have shape
-    (B,) and alphas (families, B).  Each alpha_F is one product over the
-    terms of O(L), taken for PRODUCT_BLOCK elements of (families, terms,
-    B) at a time.
+    gamma and beta are 1-D arrays of one length B of finite angles; nu
+    and rho have shape (B,) and alphas (families, B).  Each L's
+    elimination comes from the table, built on first use from the terms
+    that meet K, and K is solved against it here.  Each alpha_F is one
+    product over the terms of O(L), taken for PRODUCT_BLOCK elements of
+    (families, terms, B) at a time.
     """
     if K == 0:
         raise ValueError("K must be nonempty; <Z_empty> = 1 trivially")
     if K >> h.n:
         raise ValueError(f"K = {K:#x} not within 0..{h.n - 1}")
-    plans = _plans.setdefault(h, {})
-    if K not in plans:
-        plans[K] = _compile_zk(h, K)
+    if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(beta))):
+        raise ValueError("gamma and beta must be finite")
+    subsets = [K]
+    while subsets[-1]:
+        subsets.append((subsets[-1] - 1) & K)
+    subsets.sort(key=lambda L: (L.bit_count(), L))
+    eliminations = _eliminations.setdefault(h, {})
+    cone = None
     s2b, c2b = np.sin(2 * beta), np.cos(2 * beta)
     k_bits = K.bit_count()
     nus = [(1j * s2b) ** l_bits * c2b ** (k_bits - l_bits)
            for l_bits in range(k_bits + 1)]
     sine_arg, cosine_arg = -2 * gamma, 2 * gamma
     no_alphas = np.ones((0, len(gamma)), dtype=complex)
-    for L, masks, weights, families in plans[K]:
+    for L in subsets:
+        try:
+            if L not in eliminations:
+                if cone is None:
+                    cone = [(m, w) for m, w in h.terms if m & K]
+                o_terms = odd_intersection_terms(cone, L)
+                eliminations[L] = _Elimination(
+                    [m for m, _ in o_terms], np.array([w for _, w in o_terms]))
+            elimination = eliminations[L]
+            families = elimination.solve(K)
+        except ValueError as e:
+            raise ValueError(f"{e} at L = {vertices_of(L)}") from None
         alphas = no_alphas  # about half the L of a cubic graph have none
         if len(families):
-            sines = 1j * np.sin(sine_arg * weights[:, None])
-            cosines = np.cos(cosine_arg * weights[:, None])
+            weights = elimination.weights[:, None]
+            sines = 1j * np.sin(sine_arg * weights)
+            cosines = np.cos(cosine_arg * weights)
             rows = max(1, PRODUCT_BLOCK // sines.size)
             alphas = np.empty((len(families), len(gamma)), dtype=complex)
             for start in range(0, len(families), rows):
@@ -223,7 +201,8 @@ def _contributions(h: DiagonalHamiltonian, K: int, gamma, beta):
                                             cosines),
                                    axis=1, initial=1 + 0j, out=alphas[block])
         nu = nus[L.bit_count()]
-        yield L, masks, families, nu, alphas, nu * alphas.sum(axis=0)
+        yield (L, elimination.masks, families, nu, alphas,
+               nu * alphas.sum(axis=0))
 
 
 def _real(total: np.ndarray) -> np.ndarray:

@@ -5,8 +5,8 @@ state x (an index into the amplitude array) assigns vertex v the bit
 (x >> v) & 1, matching the bitmask convention of the hamiltonian module.
 The phase gate and the expectation take H as its diagonal, the 2^n
 values `hamiltonian.evaluate_all` gives, so a caller that applies the
-same H at many angles builds it once.  States are mutated in place by the gate functions and returned for
-chaining; a State belongs to one worker at a time.
+same H at many angles builds it once.  The gate functions mutate a
+State in place and return it for chaining.
 """
 
 from __future__ import annotations

@@ -2,14 +2,13 @@
 
 The timed fixtures return (report, seconds) so the acceptance tests can
 check the runtime budgets against the same run the unit tests inspect.
-`compiled` records the engine's plan compiles.
 """
 
 import time
 
 import pytest
 
-from localmaxcut import optimize_classical, optimize_qaoa, qaoa_engine
+from localmaxcut import optimize_classical, optimize_qaoa
 
 
 def _timed(fn, *args, **kwargs):
@@ -36,17 +35,3 @@ def classical_d2():
 @pytest.fixture(scope="session")
 def classical_d3():
     return _timed(optimize_classical, 3)
-
-
-@pytest.fixture
-def compiled(monkeypatch):
-    """The K of every plan the engine compiles during the test, in order."""
-    ks = []
-    compile_zk = qaoa_engine._compile_zk
-
-    def counted(h, K):
-        ks.append(K)
-        return compile_zk(h, K)
-
-    monkeypatch.setattr(qaoa_engine, "_compile_zk", counted)
-    return ks

@@ -349,41 +349,37 @@ def _counting_engine(monkeypatch, shift=None):
     return sizes
 
 
-def test_verify_calls_engine_once_per_term_per_block(capsys, monkeypatch,
-                                                     compiled):
+def test_verify_calls_engine_once_per_term_per_block(capsys, monkeypatch):
     sizes = _counting_engine(monkeypatch)
-    twin = build_localmaxcut_hamiltonian(make_cycle(7))  # never evaluated
-    masks = [m for m, _ in twin.nonconstant_terms()]
+    h = build_localmaxcut_hamiltonian(make_cycle(7))
+    masks = [m for m, _ in h.nonconstant_terms()]
     samples = cli.VERIFY_BLOCK + 1
     rc, doc, _ = run_json(capsys, "verify", "--graph", "cycle:7",
                           "--samples", str(samples))
     assert rc == 0 and doc["ok"] is True
     assert sizes == [cli.VERIFY_BLOCK] * len(masks) + [1] * len(masks)
-    # each term's plan is compiled once, for the first block, and goes
-    # with the command's Hamiltonian
-    assert compiled == masks
-    assert twin not in qaoa_engine._plans
 
 
 def test_verify_eliminates_each_subset_once(capsys, monkeypatch):
     # O(L) depends on L alone, so each L that lies in some term's mask is
-    # eliminated once for the command, however many terms contain it
+    # eliminated once for the command, however many terms contain it and
+    # however many blocks of angle pairs it runs
     eliminated = []
     elimination = qaoa_engine._Elimination
 
-    def counted(masks):
+    def counted(masks, weights):
         eliminated.append(masks)
-        return elimination(masks)
+        return elimination(masks, weights)
 
     monkeypatch.setattr(qaoa_engine, "_Elimination", counted)
     h = build_localmaxcut_hamiltonian(make_cycle(7))
     subsets = {L for K, _ in h.nonconstant_terms()
                for L in range(K + 1) if L & K == L}
     rc, doc, _ = run_json(capsys, "verify", "--graph", "cycle:7",
-                          "--samples", "2")
+                          "--samples", str(cli.VERIFY_BLOCK + 1))
     assert rc == 0 and doc["ok"] is True
     assert len(eliminated) == len(subsets)
-    # fewer than the L of all plans together
+    # fewer than the L of all terms together
     assert len(subsets) < sum(2 ** K.bit_count()
                               for K, _ in h.nonconstant_terms())
 
@@ -509,7 +505,16 @@ def test_qaoa_explain_refuses_nan_angle(capsys):
     # used to print "= nan" and exit 0
     rc, _, err = run_cli(capsys, "qaoa", "explain", "--graph", "cycle:7",
                          "--subset", "0,1", "--gamma", "nan", "--beta", "0.21")
-    assert rc == 2 and "imaginary residue nan" in err
+    assert rc == 2 and "must be finite" in err
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf"])
+def test_qaoa_explain_refuses_non_finite_angle_without_families(capsys,
+                                                                 gamma):
+    # K = {0} on C5 has no family, so this printed <Z_{0}> = 0 and exited 0
+    rc, out, err = run_cli(capsys, "qaoa", "explain", "--graph", "cycle:5",
+                           "--subset", "0", "--gamma", gamma, "--beta", "1")
+    assert rc == 2 and out == "" and "must be finite" in err
 
 
 def test_out_writes_json_file(capsys, tmp_path):

@@ -27,8 +27,9 @@ from localmaxcut import qaoa_engine
 from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
-from localmaxcut.qaoa_engine import (FAMILY_CAP, _contributions,
-                                     _family_matrix, odd_intersection_terms)
+from localmaxcut.qaoa_engine import (FAMILY_CAP, IMAG_TOL, _contributions,
+                                     _Elimination, _real,
+                                     odd_intersection_terms)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
 
@@ -63,10 +64,10 @@ def brute_families(masks, K):
 
 
 def solution_families(masks, K):
-    """The rows of _family_matrix as tuples of masks, as brute_families
-    lists them."""
+    """The rows of the elimination's solve matrix as tuples of masks, as
+    brute_families lists them."""
     return [tuple(m for m, r in zip(masks, row) if r)
-            for row in _family_matrix(masks, K)]
+            for row in _Elimination(masks).solve(K)]
 
 
 def odd_masks(terms, L):
@@ -105,7 +106,7 @@ def test_solution_families_golden():
 
 def test_solution_families_cap():
     with pytest.raises(ValueError, match="exceeds the enumeration cap"):
-        _family_matrix([1 << v for v in range(FAMILY_CAP + 1)], 1)
+        _Elimination([1 << v for v in range(FAMILY_CAP + 1)])
     # 25 terms through vertex 0 on 6 vertices fit FAMILY_CAP, but only 6
     # of them are independent, so 2^19 families reach K = {0}.  They are
     # refused before any is listed.
@@ -124,22 +125,13 @@ def test_solution_families_complete(masks, K):
     assert solution_families(masks, K) == brute_families(masks, K)
 
 
-def test_plans_compiled_once_per_subset(compiled):
-    h = make_hamiltonian(4, {0b0011: 0.25, 0b0110: -0.75, 0b1110: 0.125})
-    expectation_full(h, ANGLES[0])
-    expectation_full(h, (np.array([0.1, 0.2]), np.array([0.3, 0.4])))
-    assert sorted(compiled) == [0b0011, 0b0110, 0b1110]
-
-
 def test_plans_die_with_their_hamiltonian():
     h = make_hamiltonian(4, {0b0101: 0.5, 0b1100: -0.25, 0b0111: 0.375})
     twin = DiagonalHamiltonian(n=h.n, terms=h.terms)  # equal, never evaluated
     expectation_full(h, ANGLES[0])
-    assert twin in qaoa_engine._plans
     assert twin in qaoa_engine._eliminations
     del h
     gc.collect()
-    assert twin not in qaoa_engine._plans
     assert twin not in qaoa_engine._eliminations
 
 
@@ -158,7 +150,6 @@ def test_shared_eliminations_change_no_bit(graph, monkeypatch):
     shared = [expectation_zk(h, K, (gammas, betas))
               for K, _ in h.nonconstant_terms()]
     for (K, _), value in zip(h.nonconstant_terms(), shared):
-        monkeypatch.setattr(qaoa_engine, "_plans", weakref.WeakKeyDictionary())
         monkeypatch.setattr(qaoa_engine, "_eliminations",
                             weakref.WeakKeyDictionary())
         alone = expectation_zk(h, K, (gammas, betas))
@@ -327,15 +318,41 @@ def test_engine_batch_matches_scalar(graph):
 
 
 def test_nan_angle_refused_by_residue_check():
+    # a NaN angle is refused before any work, on every entry of a batch
+    h, K = girth7_certificate(2, "EDGE")
+    with pytest.raises(ValueError, match="must be finite"):
+        expectation_zk(h, K, (math.nan, 0.2))
+    with pytest.raises(ValueError, match="must be finite"):
+        explain_zk(h, K, (0.3, math.nan))
+    with pytest.raises(ValueError, match="must be finite"):
+        expectation_zk(h, K, (np.array([0.3, math.nan, 0.5]), 0.2))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_angle_refused_without_families(bad):
+    # on C5, K = {0} has no family for any L, so the sum is 0 whatever
+    # gamma is, and a non-finite gamma never reached the residue check
+    h = build_localmaxcut_hamiltonian(make_cycle(5))
+    assert all(len(families) == 0
+               for _, _, families, *_ in _contributions(
+                   h, 1, np.array([0.3]), np.array([0.2])))
+    with pytest.raises(ValueError, match="must be finite"):
+        expectation_zk(h, 1, (bad, 0.3))
+    with pytest.raises(ValueError, match="must be finite"):
+        expectation_zk(h, 1, (0.3, bad))
+    with pytest.raises(ValueError, match="must be finite"):
+        explain_zk(h, 1, (bad, 1.0))
+
+
+def test_real_refuses_imaginary_residue():
     # |imag| > IMAG_TOL is False for NaN, so the check is written as
     # not (|imag| <= IMAG_TOL) and must refuse every NaN entry of a batch
-    h, K = girth7_certificate(2, "EDGE")
-    with pytest.raises(ArithmeticError):
-        expectation_zk(h, K, (math.nan, 0.2))
-    with pytest.raises(ArithmeticError):
-        explain_zk(h, K, (0.3, math.nan))
-    with pytest.raises(ArithmeticError):
-        expectation_zk(h, K, (np.array([0.3, math.nan, 0.5]), 0.2))
+    assert np.array_equal(_real(np.array([0.5 + 1e-10j, -0.25])),
+                          [0.5, -0.25])
+    with pytest.raises(ArithmeticError, match="imaginary residue nan"):
+        _real(np.array([0.5, complex(0.1, math.nan), 0.2]))
+    with pytest.raises(ArithmeticError, match="imaginary residue 2.000e-09"):
+        _real(np.array([0.5, 0.1 + 2 * IMAG_TOL * 1j]))
 
 
 def test_closed_form_f2_on_high_girth_cycles():
