@@ -20,7 +20,7 @@ from .hamiltonian import (Clause, DiagonalHamiltonian,
                           make_hamiltonian, mask_of, vertices_of)
 from .optimize import (GridSweep, OptimizationReport, grid_sweep,
                        optimize_classical, optimize_qaoa, report_to_json)
-from .qaoa_engine import expectation_full, expectation_zk, explain_zk
+from .qaoa_engine import expectation_full, explain_zk
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, qaoa_expectation_sv, uniform_state)
 
@@ -31,8 +31,7 @@ __all__ = [
     "GridSweep", "MAX_QUBITS", "NAMED_CUBIC", "OptimizationReport",
     "RunStats", "apply_mixer", "apply_phase",
     "build_localmaxcut_hamiltonian", "evaluate_all", "evaluate_classical",
-    "exact_prob", "expectation_full", "expectation_sv", "expectation_zk",
-    "explain_zk",
+    "exact_prob", "expectation_full", "expectation_sv", "explain_zk",
     "fourier_encode_clause", "girth", "grid_sweep", "hamiltonian_to_json",
     "load_edge_list", "local_satisfaction_clause", "make_cycle",
     "make_hamiltonian", "make_named", "make_random_regular", "mask_of",

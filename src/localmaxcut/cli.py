@@ -50,12 +50,12 @@ from .hamiltonian import (build_localmaxcut_hamiltonian, evaluate_all,
 from .optimize import (QAOA_BOX, classical_curve, grid_sweep,
                        optimize_classical, optimize_qaoa, qaoa_objective,
                        report_to_json)
-from .qaoa_engine import expectation_zk, explain_zk
+from .qaoa_engine import expectation_terms, explain_zk
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, uniform_state)
 
 VERIFY_TOL = 1e-9
-VERIFY_BLOCK = 64  # angle pairs per batched engine call in verify
+VERIFY_BLOCK = 64  # angle pairs per engine call in verify, for every term
 SLOW_QUBITS = 20
 # Rows go out as written, so a 2048^2 sweep peaks near 133 MiB at degree 2
 # or 3 (ru_maxrss, 2-CPU Xeon); building the CSV text first took 530 MiB.
@@ -211,8 +211,9 @@ def cmd_verify(args) -> int:
     """Compare engine and statevector on seeded random angles; 0 iff they agree.
 
     The angle pairs go VERIFY_BLOCK at a time, so memory does not grow
-    with --samples.  One batched engine call per term gives each <Z_m> for
-    the whole block, and the full value is constant + sum_m w_m <Z_m>.  On
+    with --samples.  One engine call per block gives every <Z_m> of H at
+    every angle pair of the block, and the full value is
+    constant + sum_m w_m <Z_m>, summed in term order.  On
     the statevector side one Walsh-Hadamard transform of |amp|^2 gives
     every <Z_m> of a sample, and the diagonal, built once, the full value.
     """
@@ -239,11 +240,10 @@ def cmd_verify(args) -> int:
         # uniform(0, 2 pi) and one uniform(0, pi) call per sample would
         block = rng.random((min(VERIFY_BLOCK, args.samples - start), 2))
         gammas, betas = (block * (2.0 * math.pi, math.pi)).T
-        engine = np.zeros((len(terms), len(gammas)))
+        engine = expectation_terms(h, masks, (gammas, betas))
         full = np.full(len(gammas), h.constant)
-        for t, (mask, w) in enumerate(terms):
-            engine[t] = expectation_zk(h, mask, (gammas, betas))
-            full += w * engine[t]
+        for (_, w), values in zip(terms, engine):
+            full += w * values
         for j, (gamma, beta) in enumerate(zip(gammas, betas)):
             state = apply_mixer(beta, apply_phase(diagonal, gamma,
                                                   uniform_state(g.n)))

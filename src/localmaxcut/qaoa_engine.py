@@ -36,15 +36,27 @@ times meets every K that contains L, so O(L), its weights and its
 elimination depend on L alone: each L of H is eliminated once, on first
 use, from the terms that meet the first K that needs it, and shared by
 every K that contains it.  That is the engine's one table, keyed weakly
-on H, so it is freed with H; a K is solved against each L's elimination
-when it is evaluated, into a boolean (families x terms) matrix, and
-nothing is kept per K.  Evaluation is numpy arithmetic, so the angles
-may be floats or arrays of one shape and a whole batch of angle pairs
-costs one call.  The alpha_F of one L are one product reduction over the
-terms of O(L) in term order, taken in row blocks of at most
-PRODUCT_BLOCK (families x terms x angle pairs) elements so that a large
-batch does not grow memory.  Each row is its own product, so the blocks
-change no bit of the result.
+on H, so it is freed with H; nothing is kept per K.
+
+`expectation_terms(h, Ks, angles)` gives every <Z_K> of a list in one
+pass, and the other routes call it.  Evaluation is numpy arithmetic, so
+the angles may be floats or arrays of one shape and a whole batch of
+angle pairs costs one call.  The pass has three stages:
+
+- gather: each K is solved against the elimination of each of its
+  subsets L, in (|L|, L) order, into the families of that (K, L) pair
+  as integers;
+- product: the pairs with families are grouped by shape (families,
+  |O(L)|), and each alpha_F is one product reduction over the terms of
+  O(L) in term order, taken PRODUCT_BLOCK elements of (pairs, families,
+  terms, angle pairs) at a time, whole pairs or rows of one pair's
+  families; the alpha_F of a pair are then summed;
+- fold: each pair's sum times nu goes into its K's total with one
+  indexed add per rank of L, so every total is summed in (|L|, L) order.
+
+Each alpha_F is its own product and each total its own sum in a fixed
+order, so neither the blocks nor the grouping changes a bit of the
+result.
 
 `tree_coefficients(d)` gives the value <C_v> of one vertex's clause on
 the infinite d-regular tree as a trigonometric polynomial.  By the
@@ -67,17 +79,24 @@ FAMILY_CAP = 25
 COSET_CAP = 2 ** 16
 IMAG_TOL = 1e-9
 
-PRODUCT_BLOCK = 2 ** 14  # elements of (families, terms, angle pairs) at once
+PRODUCT_BLOCK = 2 ** 14  # elements of (pairs, families, terms, angle pairs)
 
 # H -> {L: _Elimination of O(L)}; an entry goes when its H is garbage
 # collected
 _eliminations = weakref.WeakKeyDictionary()
+_NO_FAMILIES = np.zeros(0, dtype=np.int64)
 
 
 def odd_intersection_terms(terms, L: int) -> list:
     """The set O(L): the (mask, weight) terms meeting L an odd number of
     times, in the order given."""
     return [(m, w) for m, w in terms if (m & L).bit_count() % 2 == 1]
+
+
+def _bits(codes: np.ndarray, size: int) -> np.ndarray:
+    """Families given as integers, the family {i} at bit size-1-i, as a
+    boolean (..., families, terms) matrix."""
+    return (codes[..., None] >> np.arange(size - 1, -1, -1) & 1).astype(bool)
 
 
 class _Elimination:
@@ -117,8 +136,8 @@ class _Elimination:
         self.coset = None  # empty-XOR families as integers, on first need
 
     def solve(self, K: int) -> np.ndarray:
-        """Boolean (families x terms) matrix of the families whose XOR is
-        K, rows in depth-first order.
+        """The families whose XOR is K, in depth-first order, as integers
+        (the family {i} at bit T-1-i).
 
         Reducing K leaves a particular family, or a nonzero vertex part
         when there is none.  The basis is fully reduced, so doubling the
@@ -133,7 +152,7 @@ class _Elimination:
             if target & pivot:
                 target ^= b
         if target >> size:
-            return np.zeros((0, size), dtype=bool)
+            return _NO_FAMILIES
         if self.coset is None:
             if 2 ** len(self.empty) > COSET_CAP:
                 raise ValueError(
@@ -143,66 +162,94 @@ class _Elimination:
             for b in self.empty:
                 coset = np.concatenate([coset, coset ^ b])
             self.coset = coset
-        shifts = np.arange(size - 1, -1, -1, dtype=np.int64)
-        return ((self.coset ^ target)[:, None] >> shifts & 1).astype(bool)
+        return self.coset ^ target
 
 
-def _contributions(h: DiagonalHamiltonian, K: int, gamma, beta):
-    """Per subset L of K, in (|L|, L) order: (L, O(L) masks, family
-    matrix, nu, alphas, rho).
-
-    gamma and beta are 1-D arrays of one length B of finite angles; nu
-    and rho have shape (B,) and alphas (families, B).  Each L's
-    elimination comes from the table, built on first use from the terms
-    that meet K, and K is solved against it here.  Each alpha_F is one
-    product over the terms of O(L), taken for PRODUCT_BLOCK elements of
-    (families, terms, B) at a time.
-    """
-    if K == 0:
-        raise ValueError("K must be nonempty; <Z_empty> = 1 trivially")
-    if K >> h.n:
-        raise ValueError(f"K = {K:#x} not within 0..{h.n - 1}")
+def _angles(h: DiagonalHamiltonian, angles):
+    """gamma and beta as flat arrays of one length, and their broadcast
+    shape.  A non-finite angle is refused, and so is a gamma at which
+    2 gamma W_M overflows for a term of H, or a beta at which 2 beta
+    does: the sines and cosines would not be numbers."""
+    gamma, beta = np.broadcast_arrays(*(np.asarray(a, dtype=float)
+                                        for a in angles))
     if not (np.all(np.isfinite(gamma)) and np.all(np.isfinite(beta))):
         raise ValueError("gamma and beta must be finite")
-    subsets = [K]
-    while subsets[-1]:
-        subsets.append((subsets[-1] - 1) & K)
-    subsets.sort(key=lambda L: (L.bit_count(), L))
+    top = max((abs(w) for m, w in h.terms if m), default=0.0)
+    g, b = (float(np.max(np.abs(a), initial=0.0)) for a in (gamma, beta))
+    if not math.isfinite(2 * g * top):
+        raise ValueError(f"gamma = {g:g} overflows 2 gamma W_M for a term of "
+                         f"weight {top:g}")
+    if not math.isfinite(2 * b):
+        raise ValueError(f"beta = {b:g} overflows 2 beta")
+    return gamma.ravel(), beta.ravel(), gamma.shape
+
+
+def _gather(h: DiagonalHamiltonian, Ks) -> list:
+    """Every (K, L) pair, K in the order given and L in (|L|, L) order:
+    (index of K, rank of L, L, elimination of O(L), families of XOR K as
+    integers).  Each L's elimination comes from the table, built on first
+    use from the terms that meet K."""
+    for K in Ks:
+        if K == 0:
+            raise ValueError("K must be nonempty; <Z_empty> = 1 trivially")
+        if K >> h.n:
+            raise ValueError(f"K = {K:#x} not within 0..{h.n - 1}")
     eliminations = _eliminations.setdefault(h, {})
-    cone = None
+    pairs = []
+    for k, K in enumerate(Ks):
+        subsets = [K]
+        while subsets[-1]:
+            subsets.append((subsets[-1] - 1) & K)
+        subsets.sort(key=lambda L: (L.bit_count(), L))
+        cone = None
+        for rank, L in enumerate(subsets):
+            elimination = eliminations.get(L)
+            try:
+                if elimination is None:
+                    if cone is None:
+                        cone = [(m, w) for m, w in h.terms if m & K]
+                    o_terms = odd_intersection_terms(cone, L)
+                    elimination = eliminations[L] = _Elimination(
+                        [m for m, _ in o_terms],
+                        np.array([w for _, w in o_terms]))
+                codes = elimination.solve(K)
+            except ValueError as e:
+                raise ValueError(f"{e} at L = {vertices_of(L)}") from None
+            pairs.append((k, rank, L, elimination, codes))
+    return pairs
+
+
+def _alphas(codes: np.ndarray, weights: np.ndarray, gamma) -> np.ndarray:
+    """alpha_F of pairs of one shape: (pairs, families) codes and
+    (pairs, terms) weights of O(L) give (pairs, families, B).
+
+    Each alpha_F is one product over the terms in term order, taken for
+    rows of families that keep (pairs, rows, terms, B) within
+    PRODUCT_BLOCK elements."""
+    pairs, families = codes.shape
+    size = weights.shape[1]
+    w = weights[:, :, None]
+    sines = (1j * np.sin(-2 * gamma * w))[:, None]
+    cosines = np.cos(2 * gamma * w)[:, None]
+    alphas = np.empty((pairs, families, len(gamma)), dtype=complex)
+    rows = max(1, PRODUCT_BLOCK // max(1, pairs * size * len(gamma)))
+    for start in range(0, families, rows):
+        block = slice(start, start + rows)
+        np.multiply.reduce(np.where(_bits(codes[:, block], size)[..., None],
+                                    sines, cosines),
+                           axis=2, initial=1 + 0j, out=alphas[:, block])
+    return alphas
+
+
+def _nus(Ks, beta) -> np.ndarray:
+    """nu at [|K|, |L|] for every size of K in Ks, (B,) each."""
+    k_max = max((K.bit_count() for K in Ks), default=0)
     s2b, c2b = np.sin(2 * beta), np.cos(2 * beta)
-    k_bits = K.bit_count()
-    nus = [(1j * s2b) ** l_bits * c2b ** (k_bits - l_bits)
-           for l_bits in range(k_bits + 1)]
-    sine_arg, cosine_arg = -2 * gamma, 2 * gamma
-    no_alphas = np.ones((0, len(gamma)), dtype=complex)
-    for L in subsets:
-        try:
-            if L not in eliminations:
-                if cone is None:
-                    cone = [(m, w) for m, w in h.terms if m & K]
-                o_terms = odd_intersection_terms(cone, L)
-                eliminations[L] = _Elimination(
-                    [m for m, _ in o_terms], np.array([w for _, w in o_terms]))
-            elimination = eliminations[L]
-            families = elimination.solve(K)
-        except ValueError as e:
-            raise ValueError(f"{e} at L = {vertices_of(L)}") from None
-        alphas = no_alphas  # about half the L of a cubic graph have none
-        if len(families):
-            weights = elimination.weights[:, None]
-            sines = 1j * np.sin(sine_arg * weights)
-            cosines = np.cos(cosine_arg * weights)
-            rows = max(1, PRODUCT_BLOCK // sines.size)
-            alphas = np.empty((len(families), len(gamma)), dtype=complex)
-            for start in range(0, len(families), rows):
-                block = slice(start, start + rows)
-                np.multiply.reduce(np.where(families[block, :, None], sines,
-                                            cosines),
-                                   axis=1, initial=1 + 0j, out=alphas[block])
-        nu = nus[L.bit_count()]
-        yield (L, elimination.masks, families, nu, alphas,
-               nu * alphas.sum(axis=0))
+    nus = np.zeros((k_max + 1, k_max + 1, len(beta)), dtype=complex)
+    for k_bits in {K.bit_count() for K in Ks}:
+        for l_bits in range(k_bits + 1):
+            nus[k_bits, l_bits] = (1j * s2b) ** l_bits * c2b ** (k_bits - l_bits)
+    return nus
 
 
 def _real(total: np.ndarray) -> np.ndarray:
@@ -216,38 +263,77 @@ def _real(total: np.ndarray) -> np.ndarray:
     return total.real
 
 
+def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
+    """<gamma,beta| Z_K |gamma,beta> for every K of Ks in one pass.
+
+    gamma and beta may be floats or arrays of one shape; the result has
+    shape (len(Ks),) + that shape.  A pair with no family adds nothing,
+    so only the pairs with families are multiplied out and folded.
+    """
+    Ks = list(Ks)
+    gamma, beta, shape = _angles(h, angles)
+    live = [pair for pair in _gather(h, Ks) if len(pair[4])]
+    count = len(gamma)
+    sums = np.empty((len(live), count), dtype=complex)
+    groups, ranks = {}, {}
+    for j, (k, rank, _, elimination, codes) in enumerate(live):
+        groups.setdefault((len(codes), elimination.size), []).append(j)
+        ks, js = ranks.setdefault(rank, ([], []))
+        ks.append(k)
+        js.append(j)
+    for (families, size), members in groups.items():
+        step = max(1, PRODUCT_BLOCK // (families * size * max(1, count)))
+        for start in range(0, len(members), step):
+            chunk = members[start:start + step]
+            sums[chunk] = _alphas(np.array([live[j][4] for j in chunk]),
+                                  np.array([live[j][3].weights for j in chunk]),
+                                  gamma).sum(axis=1)
+    nus = _nus(Ks, beta)
+    rhos = nus[[Ks[k].bit_count() for k, *_ in live],
+               [L.bit_count() for _, _, L, *_ in live]] * sums
+    totals = np.zeros((len(Ks), count), dtype=complex)
+    for rank in sorted(ranks):
+        ks, js = ranks[rank]
+        totals[ks] += rhos[js]
+    return _real(totals).reshape((len(Ks),) + shape)
+
+
 def expectation_zk(h: DiagonalHamiltonian, K: int, angles):
     """<gamma,beta| Z_K |gamma,beta>.
 
     gamma and beta may be floats (a float comes back) or arrays of one
     shape (an array of that shape comes back).
     """
-    gamma, beta = np.broadcast_arrays(*(np.asarray(a, dtype=float)
-                                        for a in angles))
-    total = np.zeros(gamma.size, dtype=complex)
-    for *_, rho in _contributions(h, K, gamma.ravel(), beta.ravel()):
-        total += rho
-    value = _real(total).reshape(gamma.shape)
+    value = expectation_terms(h, [K], angles)[0]
     return float(value) if value.ndim == 0 else value
 
 
 def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
     """The per-L record behind expectation_zk at one angle pair, as plain
-    data: subsets as vertex lists, complex numbers as [re, im]."""
+    data: subsets as vertex lists, complex numbers as [re, im].  An L with
+    no family keeps its record, with rho = nu * 0."""
     def c(z):
         return [float(z.real), float(z.imag)]
 
-    gamma, beta = (np.array([a], dtype=float) for a in angles)
+    gamma, beta, _ = _angles(h, angles)
+    if len(gamma) != 1:
+        raise ValueError("explain_zk takes one angle pair")
+    pairs = _gather(h, [K])
+    nus = _nus([K], beta)
     total = np.zeros(1, dtype=complex)
     contributions = []
-    for L, masks, families, nu, alphas, rho in _contributions(h, K, gamma, beta):
+    for _, _, L, elimination, codes in pairs:
+        alphas = _alphas(codes[None], elimination.weights[None], gamma)
+        nu = nus[K.bit_count(), L.bit_count()]
+        rho = nu * alphas.sum(axis=1)[0]
         total += rho
         contributions.append({
             "L": vertices_of(L),
             "nu": c(nu[0]),
-            "families": [[vertices_of(m) for m, r in zip(masks, row) if r]
-                         for row in families],
-            "alphas": [c(a) for a in alphas[:, 0]],
+            "families": [[vertices_of(m)
+                          for m, r in zip(elimination.masks, row) if r]
+                         for row in _bits(codes, elimination.size)],
+            "alphas": [c(a) for a in alphas[0, :, 0]],
             "rho": c(rho[0]),
         })
     return {"K": vertices_of(K), "total": float(_real(total)[0]),
@@ -257,10 +343,12 @@ def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
 def expectation_full(h: DiagonalHamiltonian, angles):
     """F(gamma, beta) = <gamma,beta| H |gamma,beta> via the Z_K decomposition;
     floats or arrays of one shape, as for expectation_zk."""
+    terms = h.nonconstant_terms()
     total = h.constant
-    for m, w in h.nonconstant_terms():
-        total = total + w * expectation_zk(h, m, angles)
-    return total
+    for (_, w), value in zip(terms, expectation_terms(
+            h, [m for m, _ in terms], angles)):
+        total = total + w * value
+    return float(total) if np.ndim(total) == 0 else total
 
 
 # ----------------------------------------------------------------------

@@ -26,6 +26,11 @@ reproduces the full ones.  Two more routes to the same tree value check
 that series at any degree: `light_cone_statevector` simulates the
 radius-3 ball densely, and `tree_enumeration` sums every bit of the
 light cone one by one.
+
+Engine.  `zk_per_pair` is the analytic engine's earlier route: one
+(K, L) pair at a time, each with its own elimination, family matrix,
+product reduction and sum.  `qaoa_engine.expectation_terms` groups the
+pairs of many K by shape and must give the same bits.
 """
 
 import cmath
@@ -36,6 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from localmaxcut.classical import ClassicalParams, _check_params, _fab
+from localmaxcut.qaoa_engine import _Elimination, odd_intersection_terms
 from localmaxcut.statevector import apply_mixer, apply_phase, uniform_state
 
 # The oracle holds one uint64 array of 2^V entries per vertex of the radius-2
@@ -168,6 +174,41 @@ def zk_ball_d3(angles):
             - s2b ** 3 * c2b * ch ** 6
             * (sh * (3 * np.cos(3 * g / 2) + np.cos(5 * g / 2)) ** 3 / 64
                + np.sin(g) ** 3 * np.cos(g) ** 3 * ch ** 4))
+
+
+def zk_per_pair(h, K: int, gamma, beta) -> np.ndarray:
+    """<Z_K> summed one (K, L) pair at a time, before its imaginary residue
+    is dropped; gamma and beta are 1-D arrays of one length B.
+
+    For each subset L of K in (|L|, L) order: O(L) from all the terms of
+    H, its families of XOR K as a boolean (families x terms) matrix, each
+    alpha_F one product over the terms in term order, and
+    nu(L) * sum_F alpha_F added to the total.
+    """
+    subsets = [K]
+    while subsets[-1]:
+        subsets.append((subsets[-1] - 1) & K)
+    subsets.sort(key=lambda L: (L.bit_count(), L))
+    s2b, c2b = np.sin(2 * beta), np.cos(2 * beta)
+    total = np.zeros(len(gamma), dtype=complex)
+    for L in subsets:
+        o_terms = odd_intersection_terms(h.terms, L)
+        size = len(o_terms)
+        codes = _Elimination([m for m, _ in o_terms]).solve(K)
+        families = (codes[:, None] >> np.arange(size - 1, -1, -1) & 1
+                    ).astype(bool)
+        alphas = np.ones((0, len(gamma)), dtype=complex)
+        if len(families):
+            weights = np.array([w for _, w in o_terms])[:, None]
+            sines = 1j * np.sin(-2 * gamma * weights)
+            cosines = np.cos(2 * gamma * weights)
+            alphas = np.multiply.reduce(
+                np.where(families[:, :, None], sines, cosines),
+                axis=1, initial=1 + 0j)
+        nu = (1j * s2b) ** L.bit_count() * c2b ** (K.bit_count()
+                                                    - L.bit_count())
+        total += nu * alphas.sum(axis=0)
+    return total
 
 
 def closed_form_f2(n, angles):

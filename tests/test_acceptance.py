@@ -20,12 +20,13 @@ from derivations import (closed_form_f2, closed_form_f3,
                          neighborhood_oracle_prob, prob_satisfied_initial,
                          zk_ball_d3, zk_edge_d2, zk_edge_d3, zk_pair_d2)
 from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
-                         exact_prob, expectation_full, expectation_zk,
+                         exact_prob, expectation_full,
                          fourier_encode_clause, girth,
                          local_satisfaction_clause, make_cycle, make_named,
                          make_random_regular, mask_of, monte_carlo,
                          neighborhood, optimal_preset, qaoa_expectation_sv)
 from localmaxcut.cli import main
+from localmaxcut.qaoa_engine import expectation_zk
 
 
 def check(num, ok, desc, detail=""):

@@ -1,12 +1,15 @@
-"""The analytic engine against brute-force families, the statevector, and
-the printed closed forms; the tree series against the closed forms, a
-light-cone statevector and a bit-by-bit enumeration.
+"""The analytic engine against brute-force families, its per-pair route,
+the statevector, and the printed closed forms; the tree series against
+the closed forms, a light-cone statevector and a bit-by-bit enumeration.
 """
 
+import contextlib
 import gc
 import itertools
 import json
 import math
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -16,19 +19,21 @@ from hypothesis import example, given, settings, strategies as st
 from derivations import (closed_form_f2, closed_form_f3,
                          light_cone_statevector, prob_satisfied_initial,
                          tree_enumeration, zk_ball_d3, zk_edge_d2, zk_edge_d3,
-                         zk_pair_d2)
+                         zk_pair_d2, zk_per_pair)
 from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
-                         expectation_full, expectation_zk, explain_zk,
+                         expectation_full, explain_zk,
                          fourier_encode_clause, girth, make_cycle,
                          make_hamiltonian, make_named, make_random_regular,
                          mask_of, neighborhood,
                          qaoa_expectation_sv, vertices_of)
 from localmaxcut import qaoa_engine
 from localmaxcut.classical import EXACT_MAX_DEGREE
+from localmaxcut.cli import VERIFY_BLOCK
 from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
-from localmaxcut.qaoa_engine import (FAMILY_CAP, IMAG_TOL, _contributions,
-                                     _Elimination, _real,
+from localmaxcut.qaoa_engine import (FAMILY_CAP, IMAG_TOL, _alphas, _bits,
+                                     _Elimination, _gather, _real,
+                                     expectation_terms, expectation_zk,
                                      odd_intersection_terms)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
@@ -67,7 +72,7 @@ def solution_families(masks, K):
     """The rows of the elimination's solve matrix as tuples of masks, as
     brute_families lists them."""
     return [tuple(m for m, r in zip(masks, row) if r)
-            for row in _Elimination(masks).solve(K)]
+            for row in _bits(_Elimination(masks).solve(K), len(masks))]
 
 
 def odd_masks(terms, L):
@@ -179,10 +184,12 @@ def test_family_products_match_term_loop(monkeypatch):
         monkeypatch.setattr(qaoa_engine, "PRODUCT_BLOCK", block)
         most = 0
         for K, _ in h.nonconstant_terms():
-            for _, masks, families, _, alphas, _ in _contributions(
-                    h, K, gamma, beta):
+            for _, _, _, elimination, codes in _gather(h, [K]):
+                families = _bits(codes, elimination.size)
+                alphas = _alphas(codes[None], elimination.weights[None],
+                                 gamma)[0]
                 assert np.array_equal(
-                    alphas, loop_alphas(h, masks, families, gamma))
+                    alphas, loop_alphas(h, elimination.masks, families, gamma))
                 most = max(most, len(families))
         assert most > 1
 
@@ -225,6 +232,8 @@ def test_breakdown_json():
     h, K = girth7_certificate(2, "EDGE")
     bd = explain_zk(h, K, (0.5, 0.25))
     assert json.loads(json.dumps(bd)) == bd
+    with pytest.raises(ValueError, match="one angle pair"):
+        explain_zk(h, K, (np.array([0.5, 0.6]), 0.25))
     assert bd["K"] == [2, 3]
     rec = bd["contributions"][1]
     assert rec["L"] in ([2], [3])
@@ -253,14 +262,12 @@ def test_engine_vs_statevector_smoke():
                 qaoa_expectation_sv(h, angles), abs=1e-10)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_engine_vs_statevector_random_hamiltonians(data):
-    # arbitrary diagonal Hamiltonians, not only LocalMaxCut ones: random
-    # terms, or sums of Walsh-encoded clauses with random truth tables
-    # (Hadfield, arXiv:1804.09130).  At most 8 terms, or 2 clauses on at
-    # most 4 vertices (each gives at most 8 terms of any O(L)), keeps
-    # every |O(L)| under FAMILY_CAP
+def draw_hamiltonian(data):
+    """Arbitrary diagonal Hamiltonians, not only LocalMaxCut ones: random
+    terms, or sums of Walsh-encoded clauses with random truth tables
+    (Hadfield, arXiv:1804.09130).  At most 8 terms, or 2 clauses on at
+    most 4 vertices (each gives at most 8 terms of any O(L)), keeps
+    every |O(L)| under FAMILY_CAP."""
     if data.draw(st.booleans()):
         n = data.draw(st.integers(min_value=1, max_value=8))
         weights = {}
@@ -281,11 +288,105 @@ def test_engine_vs_statevector_random_hamiltonians(data):
         weights = dict(zip(masks, data.draw(st.lists(
             st.floats(min_value=-2.0, max_value=2.0).filter(lambda w: w != 0.0),
             min_size=len(masks), max_size=len(masks)))))
-    h = make_hamiltonian(n, weights)
+    return make_hamiltonian(n, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_engine_vs_statevector_random_hamiltonians(data):
+    h = draw_hamiltonian(data)
     angles = (data.draw(st.floats(min_value=0.0, max_value=2 * math.pi)),
               data.draw(st.floats(min_value=0.0, max_value=math.pi)))
     assert expectation_full(h, angles) == pytest.approx(
         qaoa_expectation_sv(h, angles), abs=1e-9)
+
+
+@contextlib.contextmanager
+def product_block(elements):
+    """PRODUCT_BLOCK set to `elements` for the duration."""
+    saved = qaoa_engine.PRODUCT_BLOCK
+    qaoa_engine.PRODUCT_BLOCK = elements
+    try:
+        yield
+    finally:
+        qaoa_engine.PRODUCT_BLOCK = saved
+
+
+def assert_matches_per_pair(h, count, seed):
+    """expectation_terms over every term of h equals zk_per_pair bit for
+    bit at `count` angle pairs, for the default PRODUCT_BLOCK, for blocks
+    of one element, and for blocks that split the largest pair's families
+    in two.  Returns that pair's (families, terms)."""
+    Ks = [K for K, _ in h.nonconstant_terms()]
+    gamma, beta = _random_angles(count, seed)
+    reference = np.array([zk_per_pair(h, K, gamma, beta).real for K in Ks],
+                         dtype=float).reshape(len(Ks), count)
+    families, size = max(((len(codes), elimination.size)
+                          for *_, elimination, codes in _gather(h, Ks)),
+                         key=lambda shape: shape[0] * shape[1], default=(0, 0))
+    split = max(1, families * size * count // 2)
+    for block in (qaoa_engine.PRODUCT_BLOCK, 1, split):
+        with product_block(block):
+            values = expectation_terms(h, Ks, (gamma, beta))
+        assert values.shape == (len(Ks), count)
+        assert np.array_equal(values.view(np.uint64),
+                              reference.view(np.uint64))
+    return families, size
+
+
+@pytest.mark.parametrize("graph", ["K4", "RANDOM", "HEAWOOD"])
+@pytest.mark.parametrize("count", [1, 2, 50])
+def test_expectation_terms_match_per_pair_route(graph, count):
+    # grouping the (K, L) pairs of every term by shape, in blocks of whole
+    # pairs or of rows of one pair's families, changes no bit of any <Z_K>
+    if graph == "RANDOM":
+        g = make_random_regular(12, 3, min_girth=3, seed=4)
+        assert girth(g) == 3
+    else:
+        g = make_named(graph)
+    families, size = assert_matches_per_pair(
+        build_localmaxcut_hamiltonian(g), count, seed=count)
+    # the split block holds about half of that pair's rows of families
+    assert families >= 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_expectation_terms_match_per_pair_route_random(data):
+    assert_matches_per_pair(draw_hamiltonian(data),
+                            data.draw(st.sampled_from((1, 2, 50))),
+                            seed=data.draw(st.integers(0, 2 ** 16)))
+
+
+@pytest.mark.parametrize("name", ["PETERSEN", "HEAWOOD"])
+def test_one_block_of_every_term_stays_small(name):
+    # the where-array and the alpha_F are made a chunk at a time, so one
+    # call over every term at verify's block size stays within a few MiB
+    # (made whole, they took 201 MiB on PETERSEN and 36 MiB on HEAWOOD)
+    h = build_localmaxcut_hamiltonian(make_named(name))
+    Ks = [K for K, _ in h.nonconstant_terms()]
+    angles = _random_angles(VERIFY_BLOCK, 5)
+    expectation_terms(h, Ks, angles)  # the eliminations, made once per H
+    tracemalloc.start()
+    try:
+        expectation_terms(h, Ks, angles)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_expectation_terms_shapes():
+    h = build_localmaxcut_hamiltonian(make_named("PETERSEN"))
+    Ks = [K for K, _ in h.nonconstant_terms()][:5]
+    gammas, betas = np.meshgrid(np.linspace(0.0, 2 * math.pi, 4),
+                                np.linspace(0.0, math.pi, 3), indexing="ij")
+    values = expectation_terms(h, Ks, (gammas, betas))
+    assert values.shape == (5, 4, 3)
+    for K, value in zip(Ks, values):
+        assert np.array_equal(value, expectation_zk(h, K, (gammas, betas)))
+    assert expectation_terms(h, Ks, (0.3, 0.2)).shape == (5,)
+    assert expectation_terms(h, [], (gammas, betas)).shape == (0, 4, 3)
 
 
 def test_closed_forms_batch_matches_scalar():
@@ -333,15 +434,34 @@ def test_non_finite_angle_refused_without_families(bad):
     # on C5, K = {0} has no family for any L, so the sum is 0 whatever
     # gamma is, and a non-finite gamma never reached the residue check
     h = build_localmaxcut_hamiltonian(make_cycle(5))
-    assert all(len(families) == 0
-               for _, _, families, *_ in _contributions(
-                   h, 1, np.array([0.3]), np.array([0.2])))
+    assert all(len(codes) == 0 for *_, codes in _gather(h, [1]))
     with pytest.raises(ValueError, match="must be finite"):
         expectation_zk(h, 1, (bad, 0.3))
     with pytest.raises(ValueError, match="must be finite"):
         expectation_zk(h, 1, (0.3, bad))
     with pytest.raises(ValueError, match="must be finite"):
         explain_zk(h, 1, (bad, 1.0))
+
+
+@pytest.mark.parametrize("graph,K", [("C7", 0b11), ("C5", 0b1)])
+def test_overflowing_gamma_refused(graph, K):
+    # 2 gamma W_M overflows a double at gamma = 1e308: the sines and
+    # cosines would not be numbers (C7's {0, 1} has families, C5's {0}
+    # none), so gamma is refused by name before numpy warns
+    h = build_localmaxcut_hamiltonian(make_cycle(int(graph[1:])))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for angles in ((1e308, 0.2), (np.array([0.3, -1e308]), 0.2)):
+            with pytest.raises(ValueError,
+                               match=r"gamma = 1e\+308 overflows 2 gamma W_M"):
+                expectation_zk(h, K, angles)
+        with pytest.raises(ValueError, match="gamma = 1e\\+308"):
+            explain_zk(h, K, (1e308, 0.2))
+        with pytest.raises(ValueError, match=r"beta = 1e\+308 overflows"):
+            expectation_zk(h, K, (0.3, 1e308))
+        # within range, a large gamma is still evaluated
+        assert abs(expectation_zk(h, K, (1e300, 0.2))) <= 1.0
+    assert caught == []
 
 
 def test_real_refuses_imaginary_residue():
