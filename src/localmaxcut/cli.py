@@ -215,7 +215,9 @@ def cmd_verify(args) -> int:
     every angle pair of the block, and the full value is
     constant + sum_m w_m <Z_m>, summed in term order.  On
     the statevector side one Walsh-Hadamard transform of |amp|^2 gives
-    every <Z_m> of a sample, and the diagonal, built once, the full value.
+    every <Z_m> of a sample, and the diagonal the full value.  The
+    diagonal is built once, after the first engine call, so an H over the
+    engine's caps is refused before 2^n values are made.
     """
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
@@ -229,7 +231,6 @@ def cmd_verify(args) -> int:
     if slow:
         print(f"note: statevector on {g.n} qubits is slow", file=sys.stderr)
     h = build_localmaxcut_hamiltonian(g)
-    diagonal = evaluate_all(h)
     rng = Generator(Philox(key=[args.seed & (2**64 - 1), 0]))
     terms = h.nonconstant_terms()
     masks = [m for m, _ in terms]
@@ -241,6 +242,8 @@ def cmd_verify(args) -> int:
         block = rng.random((min(VERIFY_BLOCK, args.samples - start), 2))
         gammas, betas = (block * (2.0 * math.pi, math.pi)).T
         engine = expectation_terms(h, masks, (gammas, betas))
+        if start == 0:  # after the engine has refused any cap it exceeds
+            diagonal = evaluate_all(h)
         full = np.full(len(gammas), h.constant)
         for (_, w), values in zip(terms, engine):
             full += w * values
@@ -340,9 +343,14 @@ def cmd_ham_dump(args) -> int:
 def cmd_qaoa_explain(args) -> int:
     """Show the full family decomposition behind one <Z_K> value."""
     g = parse_graph_spec(args.graph)
+    if not all(t.strip() for t in args.subset.split(",")):
+        raise ValueError(f"--subset has an empty item: {args.subset!r}")
     subset = [int(t) for t in args.subset.split(",")]
     if min(subset) < 0:
         raise ValueError(f"--subset has a negative vertex id: {args.subset}")
+    if max(subset) >= g.n:
+        raise ValueError(f"--subset vertex {max(subset)} is not within "
+                         f"0..{g.n - 1}")
     if len(set(subset)) < len(subset):
         raise ValueError(f"--subset repeats a vertex: {args.subset}")
     h = build_localmaxcut_hamiltonian(g)

@@ -24,33 +24,34 @@ O_K(L) is the solution set of a linear system over GF(2): one family
 whose symmetric difference is K, XOR every combination of a basis of the
 families whose symmetric difference is empty.  Gaussian elimination
 finds both, and the coset is then listed directly, so the cost is
-proportional to the number of families found rather than to the 2^|O(L)|
-candidates.  |O(L)| is capped at FAMILY_CAP = 25 terms (locally
-tree-like instances stay well under), and the coset at COSET_CAP = 2^16
-families, which is refused before it is listed.
+proportional to the number of families found rather than to the 2^|O|
+candidates.
 
-<Z_K> depends only on the terms that meet K (the light-cone argument of
-Farhi, Goldstone and Gutmann, arXiv:1411.4028), and every O(L) with L a
-subset of K lies among them.  A term that meets L an odd number of
-times meets every K that contains L, so O(L), its weights and its
-elimination depend on L alone: each L of H is eliminated once, on first
-use, from the terms that meet the first K that needs it, and shared by
-every K that contains it.  That is the engine's one table, keyed weakly
-on H, so it is freed with H; nothing is kept per K.
+<Z_K> depends only on K's light cone, the terms that meet K (Farhi,
+Goldstone and Gutmann, arXiv:1411.4028), and every O(L) with L a subset
+of K lies in it.  So every family of every such L lies in one coset:
+the families of the cone whose symmetric difference is K.  Each K's cone
+is solved once, within the call, and O_K(L) is the part of that coset
+within O(L).  The cone is capped at FAMILY_CAP = 25 terms (locally
+tree-like instances of degree <= 3 stay under 20), and its coset at
+COSET_CAP = 2^18 families (2 MiB of integers), which is refused before
+it is listed.  The engine keeps no state between calls.
 
 `expectation_terms(h, Ks, angles)` gives every <Z_K> of a list in one
 pass, and the other routes call it.  Evaluation is numpy arithmetic, so
 the angles may be floats or arrays of one shape and a whole batch of
 angle pairs costs one call.  The pass has three stages:
 
-- gather: each K is solved against the elimination of each of its
-  subsets L, in (|L|, L) order, into the families of that (K, L) pair
-  as integers;
+- gather: each K's cone is solved once; for each subset L of K, in
+  (|L|, L) order, O(L) is the XOR of O(L - {v}) and O({v}) for the
+  lowest vertex v of L (parity is linear in L), and the pair's
+  families are the members of the coset within O(L), as integers over
+  the cone;
 - product: the pairs with families are grouped by shape (families,
-  |O(L)|), and each alpha_F is one product reduction over the terms of
-  O(L) in term order, taken PRODUCT_BLOCK elements of (pairs, families,
-  terms, angle pairs) at a time, whole pairs or rows of one pair's
-  families; the alpha_F of a pair are then summed;
+  cone size), and each alpha_F is one product reduction over the terms
+  of O(L) in term order, taken PRODUCT_BLOCK elements of (pairs,
+  families, terms, angle pairs) at a time, whole pairs or rows of one
+  pair's families; the alpha_F of a pair are then summed;
 - fold: each pair's sum times nu goes into its K's total with one
   indexed add per rank of L, so every total is summed in (|L|, L) order.
 
@@ -68,7 +69,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 
 import numpy as np
 
@@ -76,93 +76,66 @@ from .classical import EXACT_MAX_DEGREE
 from .hamiltonian import DiagonalHamiltonian, vertices_of
 
 FAMILY_CAP = 25
-COSET_CAP = 2 ** 16
+COSET_CAP = 2 ** 18
 IMAG_TOL = 1e-9
 
 PRODUCT_BLOCK = 2 ** 14  # elements of (pairs, families, terms, angle pairs)
 
-# H -> {L: _Elimination of O(L)}; an entry goes when its H is garbage
-# collected
-_eliminations = weakref.WeakKeyDictionary()
-_NO_FAMILIES = np.zeros(0, dtype=np.int64)
 
-
-def odd_intersection_terms(terms, L: int) -> list:
-    """The set O(L): the (mask, weight) terms meeting L an odd number of
-    times, in the order given."""
-    return [(m, w) for m, w in terms if (m & L).bit_count() % 2 == 1]
-
-
-def _bits(codes: np.ndarray, size: int) -> np.ndarray:
+def _bits(codes, size: int) -> np.ndarray:
     """Families given as integers, the family {i} at bit size-1-i, as a
     boolean (..., families, terms) matrix."""
-    return (codes[..., None] >> np.arange(size - 1, -1, -1) & 1).astype(bool)
+    return (np.asarray(codes)[..., None] >> np.arange(size - 1, -1, -1)
+            & 1).astype(bool)
 
 
-class _Elimination:
-    """Gauss-Jordan elimination over GF(2) of the terms `masks`, which
-    solves for the families of any target XOR; `weights`, the terms'
-    weights as an array, ride along for the evaluation.
+def _families(masks, K: int) -> np.ndarray:
+    """The families of the terms `masks` whose XOR is K, in depth-first
+    order (term i left out before it is put in), as integers: the family
+    {i} at bit T-1-i.
 
-    Each term enters as one integer: its vertex mask in the high bits and
-    the family {i} in the low T bits, at bit T-1-i, so that depth-first
-    order (term i left out before it is put in) is ascending order.  The
-    vertex part of every basis vector stays the XOR of its family.  The
-    basis vectors with no vertex part span the coset of families with
-    empty XOR.  More than FAMILY_CAP masks are refused.
+    Gauss-Jordan elimination over GF(2).  Each term enters as one integer,
+    its vertex mask in the high bits and the family {i} in the low T bits,
+    so that depth-first order is ascending order; the vertex part of every
+    basis vector stays the XOR of its family.  Reducing K by the basis
+    vectors with a vertex pivot leaves a particular family, or a nonzero
+    vertex part when there is none.  The basis vectors with no vertex part
+    span the coset of families with empty XOR; the basis is fully reduced,
+    so doubling the list once per such vector in ascending pivot order
+    lists the coset in ascending order, and the coset XOR the particular
+    family gives the families in that order too.  More than FAMILY_CAP
+    terms, or a coset of more than COSET_CAP families, is refused before
+    anything is listed.
     """
-
-    def __init__(self, masks, weights=None):
-        size = len(masks)
-        if size > FAMILY_CAP:
-            raise ValueError(
-                f"|O(L)| = {size} exceeds the enumeration cap {FAMILY_CAP}")
-        basis = {}  # pivot, as a power of two -> fully reduced vector
-        for i, m in enumerate(masks):
-            v = m << size | 1 << (size - 1 - i)
-            for pivot, b in basis.items():
-                if v & pivot:
-                    v ^= b
-            pivot = 1 << v.bit_length() - 1  # bit T-1-i survives, so v != 0
-            for p, b in basis.items():
-                if b & pivot:
-                    basis[p] = b ^ v
-            basis[pivot] = v
-        # a vector with no vertex part never reduces K, whose family part
-        # starts empty; those vectors only span the coset
-        self.masks, self.weights, self.size = tuple(masks), weights, size
-        self.basis = {p: b for p, b in basis.items() if p >> size}
-        self.empty = [basis[p] for p in sorted(basis) if not p >> size]
-        self.coset = None  # empty-XOR families as integers, on first need
-
-    def solve(self, K: int) -> np.ndarray:
-        """The families whose XOR is K, in depth-first order, as integers
-        (the family {i} at bit T-1-i).
-
-        Reducing K leaves a particular family, or a nonzero vertex part
-        when there is none.  The basis is fully reduced, so doubling the
-        list once per empty-XOR basis vector in ascending pivot order
-        lists the coset in ascending order, and the coset XOR the
-        particular family gives the families in that order too.  A coset
-        of more than COSET_CAP families is refused before it is listed.
-        """
-        size = self.size
-        target = K << size
-        for pivot, b in self.basis.items():
-            if target & pivot:
-                target ^= b
-        if target >> size:
-            return _NO_FAMILIES
-        if self.coset is None:
-            if 2 ** len(self.empty) > COSET_CAP:
-                raise ValueError(
-                    f"|O_K(L)| = {2 ** len(self.empty)} families of "
-                    f"|O(L)| = {size} terms exceeds the coset cap {COSET_CAP}")
-            coset = np.zeros(1, dtype=np.int64)
-            for b in self.empty:
-                coset = np.concatenate([coset, coset ^ b])
-            self.coset = coset
-        return self.coset ^ target
+    size = len(masks)
+    if size > FAMILY_CAP:
+        raise ValueError(f"{size} terms exceed the enumeration cap "
+                         f"{FAMILY_CAP}")
+    basis = {}  # pivot, as a power of two -> fully reduced vector
+    for i, m in enumerate(masks):
+        v = m << size | 1 << (size - 1 - i)
+        for pivot, b in basis.items():
+            if v & pivot:
+                v ^= b
+        pivot = 1 << v.bit_length() - 1  # bit T-1-i survives, so v != 0
+        for p, b in basis.items():
+            if b & pivot:
+                basis[p] = b ^ v
+        basis[pivot] = v
+    target = K << size
+    for pivot, b in basis.items():
+        if pivot >> size and target & pivot:
+            target ^= b
+    if target >> size:
+        return np.zeros(0, dtype=np.int64)
+    empty = [basis[p] for p in sorted(basis) if not p >> size]
+    if 2 ** len(empty) > COSET_CAP:
+        raise ValueError(f"{2 ** len(empty)} families of {size} terms "
+                         f"exceed the coset cap {COSET_CAP}")
+    coset = np.zeros(1, dtype=np.int64)
+    for b in empty:
+        coset = np.concatenate([coset, coset ^ b])
+    return coset ^ target
 
 
 def _angles(h: DiagonalHamiltonian, angles):
@@ -186,58 +159,69 @@ def _angles(h: DiagonalHamiltonian, angles):
 
 def _gather(h: DiagonalHamiltonian, Ks) -> list:
     """Every (K, L) pair, K in the order given and L in (|L|, L) order:
-    (index of K, rank of L, L, elimination of O(L), families of XOR K as
-    integers).  Each L's elimination comes from the table, built on first
-    use from the terms that meet K."""
+    (index of K, rank of L, L, masks and weights of K's cone, O(L) as an
+    integer over the cone, families of XOR K as integers over the cone).
+
+    The cone is solved once per K; an L's families are the members of
+    that coset within O(L), in the same order."""
     for K in Ks:
         if K == 0:
             raise ValueError("K must be nonempty; <Z_empty> = 1 trivially")
         if K >> h.n:
             raise ValueError(f"K = {K:#x} not within 0..{h.n - 1}")
-    eliminations = _eliminations.setdefault(h, {})
     pairs = []
     for k, K in enumerate(Ks):
+        masks = [m for m, _ in h.terms if m & K]
+        try:
+            coset = _families(masks, K)
+        except ValueError as e:
+            raise ValueError(
+                f"light cone: {e} at K = {vertices_of(K)}") from None
+        weights = np.array([w for m, w in h.terms if m & K])
+        size = len(masks)
+        # O({v}) for each vertex v of K; parity is linear in L, so
+        # O(L) = O(L - {v}) XOR O({v}) for the lowest vertex v of L
+        odd = {0: 0}
+        for v in vertices_of(K):
+            odd[1 << v] = sum(1 << (size - 1 - i)
+                              for i, m in enumerate(masks) if m >> v & 1)
         subsets = [K]
         while subsets[-1]:
             subsets.append((subsets[-1] - 1) & K)
         subsets.sort(key=lambda L: (L.bit_count(), L))
-        cone = None
         for rank, L in enumerate(subsets):
-            elimination = eliminations.get(L)
-            try:
-                if elimination is None:
-                    if cone is None:
-                        cone = [(m, w) for m, w in h.terms if m & K]
-                    o_terms = odd_intersection_terms(cone, L)
-                    elimination = eliminations[L] = _Elimination(
-                        [m for m, _ in o_terms],
-                        np.array([w for _, w in o_terms]))
-                codes = elimination.solve(K)
-            except ValueError as e:
-                raise ValueError(f"{e} at L = {vertices_of(L)}") from None
-            pairs.append((k, rank, L, elimination, codes))
+            low = L & -L
+            within = odd[L] = odd[L ^ low] ^ odd[low]
+            pairs.append((k, rank, L, masks, weights, within,
+                          coset[(coset & ~within) == 0]))
     return pairs
 
 
-def _alphas(codes: np.ndarray, weights: np.ndarray, gamma) -> np.ndarray:
+def _alphas(codes: np.ndarray, weights: np.ndarray, within,
+            gamma) -> np.ndarray:
     """alpha_F of pairs of one shape: (pairs, families) codes and
-    (pairs, terms) weights of O(L) give (pairs, families, B).
+    (pairs, terms) weights of a cone, with (pairs,) O(L) as integers over
+    it, give (pairs, families, B).
 
-    Each alpha_F is one product over the terms in term order, taken for
-    rows of families that keep (pairs, rows, terms, B) within
-    PRODUCT_BLOCK elements."""
+    Each alpha_F is one product over the terms of O(L) in term order; the
+    other terms of the cone are skipped, not multiplied by 1 (a factor of
+    1 + 0j can change the sign of a zero).  It is taken for rows of
+    families that keep (pairs, rows, terms, B) within PRODUCT_BLOCK
+    elements."""
     pairs, families = codes.shape
     size = weights.shape[1]
     w = weights[:, :, None]
     sines = (1j * np.sin(-2 * gamma * w))[:, None]
     cosines = np.cos(2 * gamma * w)[:, None]
+    where = _bits(within, size)[:, None, :, None]
     alphas = np.empty((pairs, families, len(gamma)), dtype=complex)
     rows = max(1, PRODUCT_BLOCK // max(1, pairs * size * len(gamma)))
     for start in range(0, families, rows):
         block = slice(start, start + rows)
         np.multiply.reduce(np.where(_bits(codes[:, block], size)[..., None],
                                     sines, cosines),
-                           axis=2, initial=1 + 0j, out=alphas[:, block])
+                           axis=2, initial=1 + 0j, where=where,
+                           out=alphas[:, block])
     return alphas
 
 
@@ -272,12 +256,12 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
     """
     Ks = list(Ks)
     gamma, beta, shape = _angles(h, angles)
-    live = [pair for pair in _gather(h, Ks) if len(pair[4])]
+    live = [pair for pair in _gather(h, Ks) if len(pair[6])]
     count = len(gamma)
     sums = np.empty((len(live), count), dtype=complex)
     groups, ranks = {}, {}
-    for j, (k, rank, _, elimination, codes) in enumerate(live):
-        groups.setdefault((len(codes), elimination.size), []).append(j)
+    for j, (k, rank, _, _, weights, _, codes) in enumerate(live):
+        groups.setdefault((len(codes), len(weights)), []).append(j)
         ks, js = ranks.setdefault(rank, ([], []))
         ks.append(k)
         js.append(j)
@@ -285,8 +269,9 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
         step = max(1, PRODUCT_BLOCK // (families * size * max(1, count)))
         for start in range(0, len(members), step):
             chunk = members[start:start + step]
-            sums[chunk] = _alphas(np.array([live[j][4] for j in chunk]),
-                                  np.array([live[j][3].weights for j in chunk]),
+            sums[chunk] = _alphas(np.array([live[j][6] for j in chunk]),
+                                  np.array([live[j][4] for j in chunk]),
+                                  [live[j][5] for j in chunk],
                                   gamma).sum(axis=1)
     nus = _nus(Ks, beta)
     rhos = nus[[Ks[k].bit_count() for k, *_ in live],
@@ -322,17 +307,16 @@ def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
     nus = _nus([K], beta)
     total = np.zeros(1, dtype=complex)
     contributions = []
-    for _, _, L, elimination, codes in pairs:
-        alphas = _alphas(codes[None], elimination.weights[None], gamma)
+    for _, _, L, masks, weights, within, codes in pairs:
+        alphas = _alphas(codes[None], weights[None], [within], gamma)
         nu = nus[K.bit_count(), L.bit_count()]
         rho = nu * alphas.sum(axis=1)[0]
         total += rho
         contributions.append({
             "L": vertices_of(L),
             "nu": c(nu[0]),
-            "families": [[vertices_of(m)
-                          for m, r in zip(elimination.masks, row) if r]
-                         for row in _bits(codes, elimination.size)],
+            "families": [[vertices_of(m) for m, r in zip(masks, row) if r]
+                         for row in _bits(codes, len(masks))],
             "alphas": [c(a) for a in alphas[0, :, 0]],
             "rho": c(rho[0]),
         })

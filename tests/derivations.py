@@ -28,9 +28,10 @@ radius-3 ball densely, and `tree_enumeration` sums every bit of the
 light cone one by one.
 
 Engine.  `zk_per_pair` is the analytic engine's earlier route: one
-(K, L) pair at a time, each with its own elimination, family matrix,
-product reduction and sum.  `qaoa_engine.expectation_terms` groups the
-pairs of many K by shape and must give the same bits.
+(K, L) pair at a time, each with its own O(L) (`odd_intersection_terms`),
+elimination, family matrix, product reduction and sum.
+`qaoa_engine.expectation_terms` solves each K's light cone once, groups
+the pairs of many K by shape, and must give the same bits.
 """
 
 import cmath
@@ -41,7 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from localmaxcut.classical import ClassicalParams, _check_params, _fab
-from localmaxcut.qaoa_engine import _Elimination, odd_intersection_terms
+from localmaxcut.qaoa_engine import _families
 from localmaxcut.statevector import apply_mixer, apply_phase, uniform_state
 
 # The oracle holds one uint64 array of 2^V entries per vertex of the radius-2
@@ -176,6 +177,12 @@ def zk_ball_d3(angles):
                + np.sin(g) ** 3 * np.cos(g) ** 3 * ch ** 4))
 
 
+def odd_intersection_terms(terms, L: int) -> list:
+    """The set O(L): the (mask, weight) terms meeting L an odd number of
+    times, in the order given."""
+    return [(m, w) for m, w in terms if (m & L).bit_count() % 2 == 1]
+
+
 def zk_per_pair(h, K: int, gamma, beta) -> np.ndarray:
     """<Z_K> summed one (K, L) pair at a time, before its imaginary residue
     is dropped; gamma and beta are 1-D arrays of one length B.
@@ -194,7 +201,7 @@ def zk_per_pair(h, K: int, gamma, beta) -> np.ndarray:
     for L in subsets:
         o_terms = odd_intersection_terms(h.terms, L)
         size = len(o_terms)
-        codes = _Elimination([m for m, _ in o_terms]).solve(K)
+        codes = _families([m for m, _ in o_terms], K)
         families = (codes[:, None] >> np.arange(size - 1, -1, -1) & 1
                     ).astype(bool)
         alphas = np.ones((0, len(gamma)), dtype=complex)

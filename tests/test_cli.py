@@ -362,28 +362,23 @@ def test_verify_calls_engine_once_per_block(capsys, monkeypatch):
     assert sizes == [cli.VERIFY_BLOCK, 1]
 
 
-def test_verify_eliminates_each_subset_once(capsys, monkeypatch):
-    # O(L) depends on L alone, so each L that lies in some term's mask is
-    # eliminated once for the command, however many terms contain it and
-    # however many blocks of angle pairs it runs
-    eliminated = []
-    elimination = qaoa_engine._Elimination
+def test_verify_solves_each_light_cone_once_per_block(capsys, monkeypatch):
+    # each term's light cone is solved once per engine call, for all of
+    # its subsets L at once, and the engine keeps nothing between calls
+    solved = []
+    families = qaoa_engine._families
 
-    def counted(masks, weights):
-        eliminated.append(masks)
-        return elimination(masks, weights)
+    def counted(masks, K):
+        solved.append(K)
+        return families(masks, K)
 
-    monkeypatch.setattr(qaoa_engine, "_Elimination", counted)
+    monkeypatch.setattr(qaoa_engine, "_families", counted)
     h = build_localmaxcut_hamiltonian(make_cycle(7))
-    subsets = {L for K, _ in h.nonconstant_terms()
-               for L in range(K + 1) if L & K == L}
+    Ks = [K for K, _ in h.nonconstant_terms()]
     rc, doc, _ = run_json(capsys, "verify", "--graph", "cycle:7",
                           "--samples", str(cli.VERIFY_BLOCK + 1))
     assert rc == 0 and doc["ok"] is True
-    assert len(eliminated) == len(subsets)
-    # fewer than the L of all terms together
-    assert len(subsets) < sum(2 ** K.bit_count()
-                              for K, _ in h.nonconstant_terms())
+    assert solved == 2 * Ks
 
 
 def test_verify_builds_diagonal_once(capsys, monkeypatch):
@@ -401,6 +396,18 @@ def test_verify_builds_diagonal_once(capsys, monkeypatch):
                           "--samples", str(cli.VERIFY_BLOCK + 1))
     assert rc == 0 and doc["ok"] is True
     assert calls == [7]
+
+
+def test_verify_refuses_engine_caps_before_the_diagonal(capsys, monkeypatch):
+    # degree 4 overflows the engine's light-cone cap; the 2^n diagonal
+    # must not be built first, since at MAX_QUBITS it is the run's largest
+    # allocation
+    calls = []
+    monkeypatch.setattr(cli, "evaluate_all", calls.append)
+    rc, out, err = run_cli(capsys, "verify", "--graph", "random:16,4,3,1")
+    assert rc == 2 and out == ""
+    assert "exceed the enumeration cap" in err
+    assert calls == []
 
 
 def test_verify_fails_on_one_shifted_term(capsys, monkeypatch):
@@ -520,6 +527,25 @@ def test_qaoa_explain_refuses_bad_subsets(capsys):
     assert rc == 2 and "negative vertex id" in err
     rc, _, err = run_cli(capsys, *explain, "0,7")
     assert rc == 2 and err.startswith("error:")
+
+
+def test_qaoa_explain_names_out_of_range_vertex(capsys):
+    # used to report "K = 0x81 not within 0..4", a mask, not a vertex
+    rc, out, err = run_cli(capsys, "qaoa", "explain", "--graph", "cycle:5",
+                           "--gamma", "0.37", "--beta", "0.21",
+                           "--subset", "0,7")
+    assert rc == 2 and out == ""
+    assert "--subset vertex 7 is not within 0..4" in err
+
+
+@pytest.mark.parametrize("subset", ["0,", ",1", "0,,1", " "])
+def test_qaoa_explain_names_empty_subset_item(capsys, subset):
+    # used to report "invalid literal for int() with base 10: ''"
+    rc, out, err = run_cli(capsys, "qaoa", "explain", "--graph", "cycle:7",
+                           "--gamma", "0.37", "--beta", "0.21",
+                           "--subset", subset)
+    assert rc == 2 and out == ""
+    assert f"--subset has an empty item: {subset!r}" in err
 
 
 def test_qaoa_explain_refuses_nan_angle(capsys):

@@ -17,9 +17,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from derivations import (closed_form_f2, closed_form_f3,
-                         light_cone_statevector, prob_satisfied_initial,
-                         tree_enumeration, zk_ball_d3, zk_edge_d2, zk_edge_d3,
-                         zk_pair_d2, zk_per_pair)
+                         light_cone_statevector, odd_intersection_terms,
+                         prob_satisfied_initial, tree_enumeration, zk_ball_d3,
+                         zk_edge_d2, zk_edge_d3, zk_pair_d2, zk_per_pair)
 from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
                          expectation_full, explain_zk,
                          fourier_encode_clause, girth, make_cycle,
@@ -31,10 +31,9 @@ from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.cli import VERIFY_BLOCK
 from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
-from localmaxcut.qaoa_engine import (FAMILY_CAP, IMAG_TOL, _alphas, _bits,
-                                     _Elimination, _gather, _real,
-                                     expectation_terms, expectation_zk,
-                                     odd_intersection_terms)
+from localmaxcut.qaoa_engine import (COSET_CAP, FAMILY_CAP, IMAG_TOL, _alphas,
+                                     _bits, _families, _gather, _real,
+                                     expectation_terms, expectation_zk)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
 
@@ -69,10 +68,10 @@ def brute_families(masks, K):
 
 
 def solution_families(masks, K):
-    """The rows of the elimination's solve matrix as tuples of masks, as
+    """The families the solver lists, as tuples of masks, as
     brute_families lists them."""
     return [tuple(m for m, r in zip(masks, row) if r)
-            for row in _bits(_Elimination(masks).solve(K), len(masks))]
+            for row in _bits(_families(masks, K), len(masks))]
 
 
 def odd_masks(terms, L):
@@ -95,6 +94,11 @@ def test_odd_intersection_on_path_patch():
         if L & K == L:
             assert odd_intersection_terms(cone, L) == \
                 odd_intersection_terms(h.terms, L)
+    # the gather builds each O(L) over the cone from the O({v}) of its
+    # vertices, since parity is linear in L
+    for _, _, L, masks, _, within, _ in _gather(h, [K]):
+        assert [m for m, r in zip(masks, _bits(within, len(masks))) if r] \
+            == odd_masks(h.terms, L)
 
 
 def test_solution_families_golden():
@@ -110,15 +114,15 @@ def test_solution_families_golden():
 
 
 def test_solution_families_cap():
-    with pytest.raises(ValueError, match="exceeds the enumeration cap"):
-        _Elimination([1 << v for v in range(FAMILY_CAP + 1)])
+    with pytest.raises(ValueError, match="exceed the enumeration cap"):
+        _families([1 << v for v in range(FAMILY_CAP + 1)], 1)
     # 25 terms through vertex 0 on 6 vertices fit FAMILY_CAP, but only 6
     # of them are independent, so 2^19 families reach K = {0}.  They are
     # refused before any is listed.
     h = make_hamiltonian(6, {1 | s << 1: 0.1 * (s + 1) for s in range(25)})
     with pytest.raises(ValueError, match=(
-            r"\|O_K\(L\)\| = 524288 families of \|O\(L\)\| = 25 terms "
-            r"exceeds the coset cap 65536 at L = \[0\]")):
+            rf"light cone: 524288 families of 25 terms exceed the coset cap "
+            rf"{COSET_CAP} at K = \[0\]")):
         expectation_zk(h, 1, (0.3, 0.2))
 
 
@@ -130,21 +134,21 @@ def test_solution_families_complete(masks, K):
     assert solution_families(masks, K) == brute_families(masks, K)
 
 
-def test_plans_die_with_their_hamiltonian():
+def test_engine_keeps_nothing_of_its_hamiltonian():
+    # each light cone is solved within the call, so no H outlives it
     h = make_hamiltonian(4, {0b0101: 0.5, 0b1100: -0.25, 0b0111: 0.375})
-    twin = DiagonalHamiltonian(n=h.n, terms=h.terms)  # equal, never evaluated
     expectation_full(h, ANGLES[0])
-    assert twin in qaoa_engine._eliminations
+    dead = weakref.ref(h)
     del h
     gc.collect()
-    assert twin not in qaoa_engine._eliminations
+    assert dead() is None
 
 
 @pytest.mark.parametrize("graph", ["C7", "K4", "PETERSEN", "RANDOM"])
-def test_shared_eliminations_change_no_bit(graph, monkeypatch):
-    # each O(L) is eliminated once per H and shared by every K that
-    # contains L; every <Z_K> must equal, bit for bit, its value from
-    # tables that hold K's subsets alone
+def test_term_alone_equals_term_among_all(graph):
+    # a <Z_K> asked for alone is grouped only with its own pairs, and
+    # among every term of H with the pairs of every K; both must give the
+    # same bits
     if graph == "RANDOM":
         g = make_random_regular(12, 3, min_girth=3, seed=4)
         assert girth(g) == 3
@@ -152,15 +156,9 @@ def test_shared_eliminations_change_no_bit(graph, monkeypatch):
         g = make_cycle(7) if graph == "C7" else make_named(graph)
     h = build_localmaxcut_hamiltonian(g)
     gammas, betas = _random_angles(5, 7)
-    shared = [expectation_zk(h, K, (gammas, betas))
-              for K, _ in h.nonconstant_terms()]
-    for (K, _), value in zip(h.nonconstant_terms(), shared):
-        monkeypatch.setattr(qaoa_engine, "_eliminations",
-                            weakref.WeakKeyDictionary())
-        alone = expectation_zk(h, K, (gammas, betas))
-        assert set(qaoa_engine._eliminations[h]) == {
-            L for L in range(K + 1) if L & K == L}
-        assert np.array_equal(alone, value)
+    Ks = [K for K, _ in h.nonconstant_terms()]
+    for K, value in zip(Ks, expectation_terms(h, Ks, (gammas, betas))):
+        assert np.array_equal(expectation_zk(h, K, (gammas, betas)), value)
 
 
 def loop_alphas(h, masks, families, gamma):
@@ -184,12 +182,16 @@ def test_family_products_match_term_loop(monkeypatch):
         monkeypatch.setattr(qaoa_engine, "PRODUCT_BLOCK", block)
         most = 0
         for K, _ in h.nonconstant_terms():
-            for _, _, _, elimination, codes in _gather(h, [K]):
-                families = _bits(codes, elimination.size)
-                alphas = _alphas(codes[None], elimination.weights[None],
+            for _, _, L, masks, weights, within, codes in _gather(h, [K]):
+                # the product runs over the cone and skips the terms
+                # outside O(L); the loop runs over O(L) alone
+                odd = _bits(within, len(masks))
+                families = _bits(codes, len(masks))
+                assert not np.any(families[:, ~odd])
+                alphas = _alphas(codes[None], weights[None], [within],
                                  gamma)[0]
-                assert np.array_equal(
-                    alphas, loop_alphas(h, elimination.masks, families, gamma))
+                assert np.array_equal(alphas, loop_alphas(
+                    h, odd_masks(h.terms, L), families[:, odd], gamma))
                 most = max(most, len(families))
         assert most > 1
 
@@ -266,8 +268,9 @@ def draw_hamiltonian(data):
     """Arbitrary diagonal Hamiltonians, not only LocalMaxCut ones: random
     terms, or sums of Walsh-encoded clauses with random truth tables
     (Hadfield, arXiv:1804.09130).  At most 8 terms, or 2 clauses on at
-    most 4 vertices (each gives at most 8 terms of any O(L)), keeps
-    every |O(L)| under FAMILY_CAP."""
+    most 4 vertices, keeps every light cone within the caps: at most 24
+    terms, and at most 2^18 families in its coset (two dense clauses that
+    share two vertices)."""
     if data.draw(st.booleans()):
         n = data.draw(st.integers(min_value=1, max_value=8))
         weights = {}
@@ -289,6 +292,24 @@ def draw_hamiltonian(data):
             st.floats(min_value=-2.0, max_value=2.0).filter(lambda w: w != 0.0),
             min_size=len(masks), max_size=len(masks)))))
     return make_hamiltonian(n, weights)
+
+
+def test_densest_drawn_cone_fits_the_coset_cap():
+    # two 4-vertex clauses with every Walsh term, sharing two vertices:
+    # the cone of {0,1,2,3} has 24 terms on 6 vertices, so 2^18 families
+    # in its coset, the most draw_hamiltonian can give
+    table = (0.0,) * 15 + (1.0,)
+    weights = {}
+    for support in ((0, 1, 2, 3), (0, 1, 4, 5)):
+        clause = Clause(support=support, truth_table=table)
+        for m, w in fourier_encode_clause(clause).terms:
+            weights[m] = weights.get(m, 0.0) + w
+    h = make_hamiltonian(6, weights)
+    cone = [m for m, _ in h.terms if m & 0b1111]
+    assert len(cone) == 24 and len(_families(cone, 0b1111)) == COSET_CAP
+    for angles in ANGLES[:2]:
+        assert expectation_full(h, angles) == pytest.approx(
+            qaoa_expectation_sv(h, angles), abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -316,13 +337,13 @@ def assert_matches_per_pair(h, count, seed):
     """expectation_terms over every term of h equals zk_per_pair bit for
     bit at `count` angle pairs, for the default PRODUCT_BLOCK, for blocks
     of one element, and for blocks that split the largest pair's families
-    in two.  Returns that pair's (families, terms)."""
+    in two.  Returns that pair's (families, cone terms)."""
     Ks = [K for K, _ in h.nonconstant_terms()]
     gamma, beta = _random_angles(count, seed)
     reference = np.array([zk_per_pair(h, K, gamma, beta).real for K in Ks],
                          dtype=float).reshape(len(Ks), count)
-    families, size = max(((len(codes), elimination.size)
-                          for *_, elimination, codes in _gather(h, Ks)),
+    families, size = max(((len(codes), len(weights))
+                          for *_, weights, _, codes in _gather(h, Ks)),
                          key=lambda shape: shape[0] * shape[1], default=(0, 0))
     split = max(1, families * size * count // 2)
     for block in (qaoa_engine.PRODUCT_BLOCK, 1, split):
@@ -366,7 +387,7 @@ def test_one_block_of_every_term_stays_small(name):
     h = build_localmaxcut_hamiltonian(make_named(name))
     Ks = [K for K, _ in h.nonconstant_terms()]
     angles = _random_angles(VERIFY_BLOCK, 5)
-    expectation_terms(h, Ks, angles)  # the eliminations, made once per H
+    expectation_terms(h, Ks, angles)  # numpy's first-call allocations
     tracemalloc.start()
     try:
         expectation_terms(h, Ks, angles)
