@@ -93,14 +93,14 @@ def _agreeing(adj, x):
 
 
 def _one_round(adj, params, rng):
-    """One trial on the (n, d) array adj: (tau_0, tau_1, satisfied count)."""
+    """One trial on the (n, d) array adj: the initial and final bits, as
+    boolean arrays, and the satisfied count."""
     p, q = params
     n, d = adj.shape
     qv = np.asarray(q)
     x0 = rng.random(n) < p
     x1 = x0 ^ (rng.random(n) < qv[_agreeing(adj, x0)])
-    count = np.count_nonzero(_agreeing(adj, x1) <= d // 2)
-    return np.where(x0, 1, -1), np.where(x1, 1, -1), count
+    return x0, x1, np.count_nonzero(_agreeing(adj, x1) <= d // 2)
 
 
 def _trial_rng(seed: int, trial: int):

@@ -217,7 +217,8 @@ def cmd_verify(args) -> int:
     the statevector side one Walsh-Hadamard transform of |amp|^2 gives
     every <Z_m> of a sample, and the diagonal the full value.  The
     diagonal is built once, after the first engine call, so an H over the
-    engine's caps is refused before 2^n values are made.
+    engine's caps is refused before 2^n values are made (and before the
+    note that a large statevector is slow).
     """
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
@@ -228,8 +229,6 @@ def cmd_verify(args) -> int:
         raise ValueError(f"graph has {g.n} vertices; statevector caps at "
                          f"{MAX_QUBITS} qubits")
     slow = g.n >= SLOW_QUBITS
-    if slow:
-        print(f"note: statevector on {g.n} qubits is slow", file=sys.stderr)
     h = build_localmaxcut_hamiltonian(g)
     rng = Generator(Philox(key=[args.seed & (2**64 - 1), 0]))
     terms = h.nonconstant_terms()
@@ -243,6 +242,9 @@ def cmd_verify(args) -> int:
         gammas, betas = (block * (2.0 * math.pi, math.pi)).T
         engine = expectation_terms(h, masks, (gammas, betas))
         if start == 0:  # after the engine has refused any cap it exceeds
+            if slow:
+                print(f"note: statevector on {g.n} qubits is slow",
+                      file=sys.stderr)
             diagonal = evaluate_all(h)
         full = np.full(len(gammas), h.constant)
         for (_, w), values in zip(terms, engine):

@@ -37,7 +37,14 @@ def mask_of(vertices) -> int:
 
 
 def vertices_of(mask: int) -> list[int]:
-    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+    """The vertices of `mask` in ascending order, in time linear in their
+    number rather than in the highest vertex."""
+    vertices = []
+    while mask:
+        low = mask & -mask
+        vertices.append(low.bit_length() - 1)
+        mask ^= low
+    return vertices
 
 
 @dataclass(frozen=True)

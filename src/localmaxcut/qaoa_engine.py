@@ -34,26 +34,36 @@ the families of the cone whose symmetric difference is K.  Each K's cone
 is solved once, within the call, and O_K(L) is the part of that coset
 within O(L).  The cone is capped at FAMILY_CAP = 25 terms (locally
 tree-like instances of degree <= 3 stay under 20), and its coset at
-COSET_CAP = 2^18 families (2 MiB of integers), which is refused before
+COSET_CAP = 2^18 families (1 MiB of integers), which is refused before
 it is listed.  The engine keeps no state between calls.
 
 `expectation_terms(h, Ks, angles)` gives every <Z_K> of a list in one
 pass, and the other routes call it.  Evaluation is numpy arithmetic, so
 the angles may be floats or arrays of one shape and a whole batch of
-angle pairs costs one call.  The pass has three stages:
+angle pairs costs one call.  Only the cone listing and solve are a
+Python loop, once per K; the rest is a fixed number of array operations
+per call, or per size of K:
 
-- gather: each K's cone is solved once; for each subset L of K, in
-  (|L|, L) order, O(L) is the XOR of O(L - {v}) and O({v}) for the
-  lowest vertex v of L (parity is linear in L), and the pair's
-  families are the members of the coset within O(L), as integers over
-  the cone;
-- product: the pairs with families are grouped by shape (families,
-  cone size), and each alpha_F is one product reduction over the terms
-  of O(L) in term order, taken PRODUCT_BLOCK elements of (pairs,
-  families, terms, angle pairs) at a time, whole pairs or rows of one
-  pair's families; the alpha_F of a pair are then summed;
-- fold: each pair's sum times nu goes into its K's total with one
-  indexed add per rank of L, so every total is summed in (|L|, L) order.
+- gather: the terms are listed by vertex, over the vertices of the Ks
+  alone, so K's cone, and each cone term restricted to K's vertices as
+  a |K|-bit pattern, cost the cone times |K|: no array holds a vertex
+  mask and nothing depends on n.  The subsets L of the Ks of one size
+  come from one pattern table in (|L|, L) order, and O(L) is the cone
+  terms whose pattern shares an odd number of bits with L's.  The
+  cosets of those Ks are concatenated, and a broadcast over (rank of L,
+  coset entry), taken in blocks of ranks, keeps the families within
+  O(L): each pair's families come out contiguous and in coset order;
+- product: cos(2 gamma W_M) and i sin(-2 gamma W_M) are computed once
+  per term in some cone.  Each alpha_F is one product reduction over
+  the cone that skips the terms outside O(L), taken PRODUCT_BLOCK
+  elements of (families, cone terms, angle pairs) at a time.  The pairs
+  of a block of PRODUCT_BLOCK pair sums are grouped by family count,
+  and the alpha_F of each group's pairs are summed as one (pairs,
+  families, angle pairs) array;
+- fold: each pair's sum times nu goes into its K's total by one
+  unbuffered indexed add per block, the pairs in order, and those of
+  each size of K in (rank of L, K) order, so every total is summed in
+  (|L|, L) order.
 
 Each alpha_F is its own product and each total its own sum in a fixed
 order, so neither the blocks nor the grouping changes a bit of the
@@ -69,6 +79,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,7 +90,7 @@ FAMILY_CAP = 25
 COSET_CAP = 2 ** 18
 IMAG_TOL = 1e-9
 
-PRODUCT_BLOCK = 2 ** 14  # elements of (pairs, families, terms, angle pairs)
+PRODUCT_BLOCK = 2 ** 14  # elements of one block of the membership or product
 
 
 def _bits(codes, size: int) -> np.ndarray:
@@ -101,11 +112,11 @@ def _families(masks, K: int) -> np.ndarray:
     vectors with a vertex pivot leaves a particular family, or a nonzero
     vertex part when there is none.  The basis vectors with no vertex part
     span the coset of families with empty XOR; the basis is fully reduced,
-    so doubling the list once per such vector in ascending pivot order
-    lists the coset in ascending order, and the coset XOR the particular
-    family gives the families in that order too.  More than FAMILY_CAP
-    terms, or a coset of more than COSET_CAP families, is refused before
-    anything is listed.
+    so doubling a list once per such vector in ascending pivot order lists
+    that coset in ascending order, and a list that starts from the
+    particular family, not the empty one, gives the families in that
+    order too.  More than FAMILY_CAP terms, or a coset of more than
+    COSET_CAP families, is refused before anything is listed.
     """
     size = len(masks)
     if size > FAMILY_CAP:
@@ -127,15 +138,16 @@ def _families(masks, K: int) -> np.ndarray:
         if pivot >> size and target & pivot:
             target ^= b
     if target >> size:
-        return np.zeros(0, dtype=np.int64)
+        return np.zeros(0, dtype=np.int32)
     empty = [basis[p] for p in sorted(basis) if not p >> size]
     if 2 ** len(empty) > COSET_CAP:
         raise ValueError(f"{2 ** len(empty)} families of {size} terms "
                          f"exceed the coset cap {COSET_CAP}")
-    coset = np.zeros(1, dtype=np.int64)
-    for b in empty:
-        coset = np.concatenate([coset, coset ^ b])
-    return coset ^ target
+    coset = np.empty(2 ** len(empty), dtype=np.int32)  # FAMILY_CAP bits
+    coset[0] = target
+    for j, b in enumerate(empty):
+        np.bitwise_xor(coset[:1 << j], b, out=coset[1 << j:2 << j])
+    return coset
 
 
 def _angles(h: DiagonalHamiltonian, angles):
@@ -157,71 +169,163 @@ def _angles(h: DiagonalHamiltonian, angles):
     return gamma.ravel(), beta.ravel(), gamma.shape
 
 
-def _gather(h: DiagonalHamiltonian, Ks) -> list:
-    """Every (K, L) pair, K in the order given and L in (|L|, L) order:
-    (index of K, rank of L, L, masks and weights of K's cone, O(L) as an
-    integer over the cone, families of XOR K as integers over the cone).
+class _Pairs(NamedTuple):
+    """Every (K, L) pair of a list of Ks, as flat arrays over the pairs:
+    the Ks of one size together, sizes ascending, and the pairs of one
+    size in (rank of L, K) order, so each K's are in (|L|, L) order.
 
-    The cone is solved once per K; an L's families are the members of
-    that coset within O(L), in the same order."""
+    `terms` is the terms of H that meet some K, in term order, and a cone
+    is the terms that meet its K, in term order, as indices into `terms`.
+    O(L) and the families are integers over the cone, cone term c at bit
+    S-1-c for the width S of `cones`; a shorter cone is padded with terms
+    in no O(L)."""
+    terms: list          # (U,) (mask, weight)
+    cones: np.ndarray    # (Ks, S) indices into terms
+    k: np.ndarray        # (pairs,) the pair's K, as its index in Ks
+    subset: np.ndarray   # (pairs,) L as a pattern, vertex j of K at bit j
+    within: np.ndarray   # (pairs,) O(L)
+    count: np.ndarray    # (pairs,) families of the pair
+    codes: np.ndarray    # (families,) pair after pair, each in coset order
+
+
+def _size_pairs(k: int, members, patterns, sizes, cosets):
+    """The pairs of the Ks `members`, all of k vertices, in (rank, K)
+    order: their K, L, O(L), family count and families, as for _Pairs.
+    `patterns` is each cone term restricted to its K's vertices and
+    `sizes` each K's cone size, both over the (Ks, S) cones."""
+    width = patterns.shape[1]
+    subsets = np.array(sorted(range(2 ** k), key=lambda L: (L.bit_count(), L)))
+    powers = 1 << np.arange(width - 1, -1, -1, dtype=np.int32)
+    lengths = [len(c) for c in cosets]
+    starts = np.cumsum(lengths) - lengths
+    coset = np.concatenate([np.zeros(0, dtype=np.int32), *cosets])
+    shift = width - sizes  # from each K's own cone, as the cosets are, to S
+    entries = max(1, len(coset))
+    step = max(1, PRODUCT_BLOCK // max(entries, patterns.size))
+    within, found = [], []
+    for start in range(0, len(subsets), step):
+        odd = np.bitwise_count(patterns & subsets[start:start + step, None,
+                                                  None]) & 1
+        block = odd @ powers  # (ranks, Ks)
+        within.append(block.ravel())
+        outside = np.repeat(~(block >> shift), lengths, axis=1)
+        outside &= coset
+        found.append(np.flatnonzero(outside == 0) + start * entries)
+    ranks, entry = np.divmod(np.concatenate(found), entries)
+    ks = np.searchsorted(starts, entry, side="right") - 1
+    count = np.bincount(ranks * len(members) + ks,
+                        minlength=len(subsets) * len(members))
+    return (np.tile(members, len(subsets)), np.repeat(subsets, len(members)),
+            np.concatenate(within), count, coset[entry] << shift[ks])
+
+
+def _gather(h: DiagonalHamiltonian, Ks) -> _Pairs:
+    """Every (K, L) pair's O(L) and families, for the Ks in the order given.
+
+    The terms are listed by vertex, over the vertices of the Ks alone, so
+    K's cone and each cone term's restriction to K's vertices, as a
+    |K|-bit pattern, take time in the cone times |K|, and no array or
+    step depends on n.  |M & L| is odd when the pattern and L's share an
+    odd number of bits.  The cone is solved once per K; an L's families
+    are the members of that coset within O(L), in the same order.  The Ks
+    of one size share that size's subsets, and their pairs are taken by
+    a broadcast over (rank, coset entry), a block of ranks within
+    PRODUCT_BLOCK elements at a time."""
+    union = 0
     for K in Ks:
         if K == 0:
             raise ValueError("K must be nonempty; <Z_empty> = 1 trivially")
         if K >> h.n:
             raise ValueError(f"K = {K:#x} not within 0..{h.n - 1}")
-    pairs = []
-    for k, K in enumerate(Ks):
-        masks = [m for m, _ in h.terms if m & K]
+        union |= K
+    # the terms that meet a K, and for each vertex of a K the rows of
+    # the terms on it
+    terms, on = [], {}
+    for term in h.nonconstant_terms():
+        vertices = vertices_of(term[0] & union)
+        for v in vertices:
+            on.setdefault(v, []).append(len(terms))
+        if vertices:
+            terms.append(term)
+    cones, patterns, cosets = [], [], []
+    for K in Ks:
+        pattern = {}  # cone row -> its pattern, vertex j of K at bit j
+        for j, v in enumerate(vertices_of(K)):
+            for r in on.get(v, ()):
+                pattern[r] = pattern.get(r, 0) | 1 << j
+        cone = sorted(pattern)
         try:
-            coset = _families(masks, K)
+            cosets.append(_families([terms[r][0] for r in cone], K))
         except ValueError as e:
             raise ValueError(
                 f"light cone: {e} at K = {vertices_of(K)}") from None
-        weights = np.array([w for m, w in h.terms if m & K])
-        size = len(masks)
-        # O({v}) for each vertex v of K; parity is linear in L, so
-        # O(L) = O(L - {v}) XOR O({v}) for the lowest vertex v of L
-        odd = {0: 0}
-        for v in vertices_of(K):
-            odd[1 << v] = sum(1 << (size - 1 - i)
-                              for i, m in enumerate(masks) if m >> v & 1)
-        subsets = [K]
-        while subsets[-1]:
-            subsets.append((subsets[-1] - 1) & K)
-        subsets.sort(key=lambda L: (L.bit_count(), L))
-        for rank, L in enumerate(subsets):
-            low = L & -L
-            within = odd[L] = odd[L ^ low] ^ odd[low]
-            pairs.append((k, rank, L, masks, weights, within,
-                          coset[(coset & ~within) == 0]))
-    return pairs
+        cones.append(cone)
+        patterns.append([pattern[r] for r in cone])
+    sizes = np.array([len(c) for c in cones], dtype=np.int32)
+    width, total = int(sizes.max(initial=0)), int(sizes.sum())
+    filled = np.arange(width) < sizes[:, None]
+    cone_rows = np.zeros((len(Ks), width), dtype=np.intp)
+    cone_rows[filled] = np.fromiter(itertools.chain.from_iterable(cones),
+                                    dtype=np.intp, count=total)
+    cone_patterns = np.zeros((len(Ks), width), dtype=np.int64)
+    cone_patterns[filled] = np.fromiter(
+        itertools.chain.from_iterable(patterns), dtype=np.int64, count=total)
+    k_bits = [K.bit_count() for K in Ks]
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int64),
+              np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.intp),
+              np.zeros(0, dtype=np.int32))]
+    for k in sorted(set(k_bits)):
+        members = [i for i, b in enumerate(k_bits) if b == k]
+        parts.append(_size_pairs(k, members, cone_patterns[members],
+                                 sizes[members], [cosets[i] for i in members]))
+    return _Pairs(terms, cone_rows,
+                  *(np.concatenate(p) for p in zip(*parts)))
 
 
-def _alphas(codes: np.ndarray, weights: np.ndarray, within,
-            gamma) -> np.ndarray:
-    """alpha_F of pairs of one shape: (pairs, families) codes and
-    (pairs, terms) weights of a cone, with (pairs,) O(L) as integers over
-    it, give (pairs, families, B).
+def _subsets(K: int, pairs: _Pairs):
+    """The pairs of `pairs`, the gather of K alone, in (|L|, L) order, as
+    (L as a vertex mask, the masks of K's cone in term order, O(L), the
+    pair's slice of pairs.codes, the pair's index)."""
+    cone = [pairs.terms[r][0] for r in pairs.cones[0].tolist()]
+    vertices = vertices_of(K)
+    end = 0
+    for pair, (subset, within, count) in enumerate(zip(
+            pairs.subset.tolist(), pairs.within.tolist(),
+            pairs.count.tolist())):
+        L = sum(1 << v for j, v in enumerate(vertices) if subset >> j & 1)
+        yield L, cone, within, slice(end, end + count), pair
+        end += count
+
+
+def _factors(terms, gamma) -> np.ndarray:
+    """(2 U, B): for U (mask, weight) terms, cos(2 gamma W_M) of terms[r]
+    at row r and i sin(-2 gamma W_M) at row U + r."""
+    w = np.array([w for _, w in terms], dtype=float)[:, None]
+    return np.concatenate([np.cos(2 * gamma * w),
+                           1j * np.sin(-2 * gamma * w)])
+
+
+def _alphas(pairs: _Pairs, pair, codes, factors) -> np.ndarray:
+    """alpha_F of families given by their (F,) codes and the (F,) index of
+    their pair, with the (2 U, B) factors of pairs.terms, as (F, B).
 
     Each alpha_F is one product over the terms of O(L) in term order; the
     other terms of the cone are skipped, not multiplied by 1 (a factor of
-    1 + 0j can change the sign of a zero).  It is taken for rows of
-    families that keep (pairs, rows, terms, B) within PRODUCT_BLOCK
-    elements."""
-    pairs, families = codes.shape
-    size = weights.shape[1]
-    w = weights[:, :, None]
-    sines = (1j * np.sin(-2 * gamma * w))[:, None]
-    cosines = np.cos(2 * gamma * w)[:, None]
-    where = _bits(within, size)[:, None, :, None]
-    alphas = np.empty((pairs, families, len(gamma)), dtype=complex)
-    rows = max(1, PRODUCT_BLOCK // max(1, pairs * size * len(gamma)))
-    for start in range(0, families, rows):
-        block = slice(start, start + rows)
-        np.multiply.reduce(np.where(_bits(codes[:, block], size)[..., None],
-                                    sines, cosines),
-                           axis=2, initial=1 + 0j, where=where,
-                           out=alphas[:, block])
+    1 + 0j can change the sign of a zero).  It is taken for blocks of
+    families that keep (families, S, B) within PRODUCT_BLOCK elements."""
+    size = pairs.cones.shape[1]
+    terms, count = len(factors) // 2, factors.shape[1]
+    alphas = np.empty((len(codes), count), dtype=complex)
+    step = max(1, PRODUCT_BLOCK // max(1, size * count))
+    for start in range(0, len(codes), step):
+        block = slice(start, start + step)
+        rows = (pairs.cones[pairs.k[pair[block]]]
+                + terms * _bits(codes[block], size))
+        np.multiply.reduce(factors.take(rows, axis=0), axis=1,
+                           initial=1 + 0j,
+                           where=_bits(pairs.within[pair[block]],
+                                       size)[..., None],
+                           out=alphas[block])
     return alphas
 
 
@@ -256,30 +360,36 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
     """
     Ks = list(Ks)
     gamma, beta, shape = _angles(h, angles)
-    live = [pair for pair in _gather(h, Ks) if len(pair[6])]
+    pairs = _gather(h, Ks)
+    factors = _factors(pairs.terms, gamma)
     count = len(gamma)
-    sums = np.empty((len(live), count), dtype=complex)
-    groups, ranks = {}, {}
-    for j, (k, rank, _, _, weights, _, codes) in enumerate(live):
-        groups.setdefault((len(codes), len(weights)), []).append(j)
-        ks, js = ranks.setdefault(rank, ([], []))
-        ks.append(k)
-        js.append(j)
-    for (families, size), members in groups.items():
-        step = max(1, PRODUCT_BLOCK // (families * size * max(1, count)))
-        for start in range(0, len(members), step):
-            chunk = members[start:start + step]
-            sums[chunk] = _alphas(np.array([live[j][6] for j in chunk]),
-                                  np.array([live[j][4] for j in chunk]),
-                                  [live[j][5] for j in chunk],
-                                  gamma).sum(axis=1)
+    size = pairs.cones.shape[1]
     nus = _nus(Ks, beta)
-    rhos = nus[[Ks[k].bit_count() for k, *_ in live],
-               [L.bit_count() for _, _, L, *_ in live]] * sums
+    k_bits = np.array([K.bit_count() for K in Ks], dtype=np.intp)
+    first = np.cumsum(pairs.count) - pairs.count
+    live = np.flatnonzero(pairs.count)
     totals = np.zeros((len(Ks), count), dtype=complex)
-    for rank in sorted(ranks):
-        ks, js = ranks[rank]
-        totals[ks] += rhos[js]
+    # the pairs with families, a block of PRODUCT_BLOCK sums at a time and
+    # in order, so each K's total is summed in (|L|, L) order; a pair's
+    # families are contiguous, so the pairs of one family count give a
+    # compact array
+    span = max(1, PRODUCT_BLOCK // max(1, count))
+    for low in range(0, len(live), span):
+        part = live[low:low + span]
+        families = pairs.count[part]
+        sums = np.empty((len(part), count), dtype=complex)
+        for group in sorted(set(families.tolist())):
+            members = np.flatnonzero(families == group)
+            step = max(1, PRODUCT_BLOCK // (group * size * max(1, count)))
+            for start in range(0, len(members), step):
+                chunk = members[start:start + step]
+                rows = (first[part[chunk], None] + np.arange(group)).ravel()
+                sums[chunk] = _alphas(
+                    pairs, np.repeat(part[chunk], group), pairs.codes[rows],
+                    factors).reshape(len(chunk), group, count).sum(axis=1)
+        ks = pairs.k[part]
+        np.add.at(totals, ks, nus[k_bits[ks],
+                                  np.bitwise_count(pairs.subset[part])] * sums)
     return _real(totals).reshape((len(Ks),) + shape)
 
 
@@ -304,20 +414,22 @@ def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
     if len(gamma) != 1:
         raise ValueError("explain_zk takes one angle pair")
     pairs = _gather(h, [K])
+    alphas = _alphas(pairs, np.repeat(np.arange(len(pairs.count)),
+                                      pairs.count),
+                     pairs.codes, _factors(pairs.terms, gamma))
     nus = _nus([K], beta)
     total = np.zeros(1, dtype=complex)
     contributions = []
-    for _, _, L, masks, weights, within, codes in pairs:
-        alphas = _alphas(codes[None], weights[None], [within], gamma)
+    for L, cone, _, families, _ in _subsets(K, pairs):
         nu = nus[K.bit_count(), L.bit_count()]
-        rho = nu * alphas.sum(axis=1)[0]
+        rho = nu * alphas[None, families].sum(axis=1)[0]
         total += rho
         contributions.append({
             "L": vertices_of(L),
             "nu": c(nu[0]),
-            "families": [[vertices_of(m) for m, r in zip(masks, row) if r]
-                         for row in _bits(codes, len(masks))],
-            "alphas": [c(a) for a in alphas[0, :, 0]],
+            "families": [[vertices_of(m) for m, r in zip(cone, row) if r]
+                         for row in _bits(pairs.codes[families], len(cone))],
+            "alphas": [c(a) for a in alphas[families, 0]],
             "rho": c(rho[0]),
         })
     return {"K": vertices_of(K), "total": float(_real(total)[0]),

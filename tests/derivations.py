@@ -30,8 +30,9 @@ light cone one by one.
 Engine.  `zk_per_pair` is the analytic engine's earlier route: one
 (K, L) pair at a time, each with its own O(L) (`odd_intersection_terms`),
 elimination, family matrix, product reduction and sum.
-`qaoa_engine.expectation_terms` solves each K's light cone once, groups
-the pairs of many K by shape, and must give the same bits.
+`qaoa_engine.expectation_terms` solves each K's light cone once, takes
+the pairs of many K as arrays, sums them in groups of equal family count,
+and must give the same bits.
 """
 
 import cmath

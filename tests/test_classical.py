@@ -272,6 +272,12 @@ def test_oracle_rejects_out_of_range_degree():
         neighborhood_oracle_prob(3, optimal_preset(3), ball_condition=(0, 1))
 
 
+def one_round_cuts(adj, params, rng):
+    """_one_round with its bits as cuts of +1 / -1: (tau_0, tau_1, count)."""
+    x0, x1, count = _one_round(adj, params, rng)
+    return np.where(x0, 1, -1), np.where(x1, 1, -1), count
+
+
 def test_one_round_never_unsatisfies_with_zero_weak_flips():
     # with q_0 = q_1 = 0 a satisfied vertex keeps its bit and can only
     # lose agreeing neighbors, so satisfaction is monotone over the round
@@ -280,7 +286,7 @@ def test_one_round_never_unsatisfies_with_zero_weak_flips():
     for g, prm, d in ((g2, optimal_preset(2), 2), (g3, optimal_preset(3), 3)):
         adj = _adjacency_array(g, d)
         for seed in range(20):
-            tau0, tau1, _ = _one_round(adj, prm, _trial_rng(seed, 0))
+            tau0, tau1, _ = one_round_cuts(adj, prm, _trial_rng(seed, 0))
             for v in range(g.n):
                 if satisfied(g, tau0, v):
                     assert satisfied(g, tau1, v)
@@ -289,8 +295,10 @@ def test_one_round_never_unsatisfies_with_zero_weak_flips():
 def test_one_round_deterministic():
     g = make_cycle(50)
     adj = _adjacency_array(g, 2)
-    _, tau_a, count_a = _one_round(adj, optimal_preset(2), _trial_rng(3, 0))
-    _, tau_b, count_b = _one_round(adj, optimal_preset(2), _trial_rng(3, 0))
+    _, tau_a, count_a = one_round_cuts(adj, optimal_preset(2),
+                                       _trial_rng(3, 0))
+    _, tau_b, count_b = one_round_cuts(adj, optimal_preset(2),
+                                       _trial_rng(3, 0))
     assert count_a == count_b
     assert np.array_equal(tau_a, tau_b)
     assert set(np.unique(tau_a)) <= {-1, 1}

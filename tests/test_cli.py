@@ -410,6 +410,16 @@ def test_verify_refuses_engine_caps_before_the_diagonal(capsys, monkeypatch):
     assert calls == []
 
 
+def test_verify_notes_slow_statevector_only_after_the_engine(capsys):
+    # the note is for a statevector run; an H the engine refuses never
+    # reaches one, so it exits 2 without the note
+    rc, out, err = run_cli(capsys, "verify", "--graph", "random:24,4,3,1",
+                           "--samples", "1")
+    assert rc == 2 and out == ""
+    assert "light cone: 64 terms exceed the enumeration cap 25" in err
+    assert "slow" not in err
+
+
 def test_verify_fails_on_one_shifted_term(capsys, monkeypatch):
     h = build_localmaxcut_hamiltonian(make_cycle(7))
     _counting_engine(monkeypatch, shift=h.nonconstant_terms()[3][0])

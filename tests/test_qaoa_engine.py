@@ -32,8 +32,9 @@ from localmaxcut.cli import VERIFY_BLOCK
 from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
 from localmaxcut.qaoa_engine import (COSET_CAP, FAMILY_CAP, IMAG_TOL, _alphas,
-                                     _bits, _families, _gather, _real,
-                                     expectation_terms, expectation_zk)
+                                     _bits, _factors, _families, _gather,
+                                     _real, _subsets, expectation_terms,
+                                     expectation_zk)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
 
@@ -78,6 +79,14 @@ def odd_masks(terms, L):
     return [m for m, _ in odd_intersection_terms(terms, L)]
 
 
+def gathered(h, K):
+    """(L, masks of K's cone, O(L), families) for each subset L of K in
+    (|L|, L) order, read from the engine's gather of K alone."""
+    pairs = _gather(h, [K])
+    for L, masks, within, families, _ in _subsets(K, pairs):
+        yield L, masks, within, pairs.codes[families]
+
+
 def test_odd_intersection_on_path_patch():
     h, K = girth7_certificate(2, "EDGE")
     assert K == mask_of((2, 3))
@@ -96,7 +105,7 @@ def test_odd_intersection_on_path_patch():
                 odd_intersection_terms(h.terms, L)
     # the gather builds each O(L) over the cone from the O({v}) of its
     # vertices, since parity is linear in L
-    for _, _, L, masks, _, within, _ in _gather(h, [K]):
+    for L, masks, within, _ in gathered(h, K):
         assert [m for m, r in zip(masks, _bits(within, len(masks))) if r] \
             == odd_masks(h.terms, L)
 
@@ -182,14 +191,17 @@ def test_family_products_match_term_loop(monkeypatch):
         monkeypatch.setattr(qaoa_engine, "PRODUCT_BLOCK", block)
         most = 0
         for K, _ in h.nonconstant_terms():
-            for _, _, L, masks, weights, within, codes in _gather(h, [K]):
+            pairs = _gather(h, [K])
+            factors = _factors(pairs.terms, gamma)
+            for L, masks, within, rows, pair in _subsets(K, pairs):
                 # the product runs over the cone and skips the terms
                 # outside O(L); the loop runs over O(L) alone
+                codes = pairs.codes[rows]
                 odd = _bits(within, len(masks))
                 families = _bits(codes, len(masks))
                 assert not np.any(families[:, ~odd])
-                alphas = _alphas(codes[None], weights[None], [within],
-                                 gamma)[0]
+                alphas = _alphas(pairs, np.full(len(codes), pair), codes,
+                                 factors)
                 assert np.array_equal(alphas, loop_alphas(
                     h, odd_masks(h.terms, L), families[:, odd], gamma))
                 most = max(most, len(families))
@@ -337,14 +349,13 @@ def assert_matches_per_pair(h, count, seed):
     """expectation_terms over every term of h equals zk_per_pair bit for
     bit at `count` angle pairs, for the default PRODUCT_BLOCK, for blocks
     of one element, and for blocks that split the largest pair's families
-    in two.  Returns that pair's (families, cone terms)."""
+    in two.  Returns that pair's (families, cone width)."""
     Ks = [K for K, _ in h.nonconstant_terms()]
     gamma, beta = _random_angles(count, seed)
     reference = np.array([zk_per_pair(h, K, gamma, beta).real for K in Ks],
                          dtype=float).reshape(len(Ks), count)
-    families, size = max(((len(codes), len(weights))
-                          for *_, weights, _, codes in _gather(h, Ks)),
-                         key=lambda shape: shape[0] * shape[1], default=(0, 0))
+    pairs = _gather(h, Ks)
+    families, size = int(pairs.count.max(initial=0)), pairs.cones.shape[1]
     split = max(1, families * size * count // 2)
     for block in (qaoa_engine.PRODUCT_BLOCK, 1, split):
         with product_block(block):
@@ -455,7 +466,7 @@ def test_non_finite_angle_refused_without_families(bad):
     # on C5, K = {0} has no family for any L, so the sum is 0 whatever
     # gamma is, and a non-finite gamma never reached the residue check
     h = build_localmaxcut_hamiltonian(make_cycle(5))
-    assert all(len(codes) == 0 for *_, codes in _gather(h, [1]))
+    assert all(len(codes) == 0 for *_, codes in gathered(h, 1))
     with pytest.raises(ValueError, match="must be finite"):
         expectation_zk(h, 1, (bad, 0.3))
     with pytest.raises(ValueError, match="must be finite"):
@@ -523,6 +534,76 @@ def test_engine_beyond_64_vertices():
     assert [[[[v + shift for v in m] for m in fam] for fam in rec["families"]]
             for rec in near["contributions"]] == \
         [rec["families"] for rec in moved["contributions"]]
+
+
+def test_engine_beyond_64_vertices_at_array_angles():
+    # the gather restricts each term to K's vertices and keeps no vertex
+    # mask in an array, so the certificate moved to vertices 90..96 gives
+    # every <Z_K> bit for bit, in whole blocks and in blocks of one element
+    h, _ = girth7_certificate(2, "EDGE")
+    shift = 90
+    far = DiagonalHamiltonian(n=100, terms=tuple((m << shift, w)
+                                                 for m, w in h.terms))
+    angles = _random_angles(50, 100)
+    for block in (qaoa_engine.PRODUCT_BLOCK, 1):
+        with product_block(block):
+            near, moved = (expectation_terms(
+                hh, [m for m, _ in hh.nonconstant_terms()], angles)
+                for hh in (h, far))
+            assert np.array_equal(near.view(np.uint64), moved.view(np.uint64))
+
+
+def traced_peak(call):
+    """The traced peak, in bytes, of call() after one untraced call has
+    made numpy's first-call allocations; and its result."""
+    call()
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+def test_one_k_on_a_long_cycle_costs_its_cone():
+    # the terms are listed by the vertices of the Ks alone, so one K on a
+    # 20000-vertex cycle costs its cone of three edges, not n: a (terms x
+    # n) bit matrix would take 3 GB.  Its record is C7's, bit for bit.
+    def cycle(n):
+        return make_hamiltonian(n, {1 << v | 1 << (v + 1) % n: 0.5
+                                    for v in range(n)})
+
+    near = explain_zk(cycle(7), 0b11, ANGLES[0])
+    h = cycle(20000)
+    peak, far = traced_peak(lambda: explain_zk(h, 0b11, ANGLES[0]))
+    assert peak < 8 * 2 ** 20
+    assert far["total"] == near["total"]
+    assert [rec["alphas"] for rec in far["contributions"]] == \
+        [rec["alphas"] for rec in near["contributions"]]
+
+
+def test_one_wide_term_pads_no_other():
+    # the Ks of one size share that size's subsets, so one 16-vertex term
+    # among 100 edges costs its own 2^16 pairs and no more, and the pair
+    # sums are folded a block at a time: 7 MiB at verify's block size
+    # (every K padded to 2^16 subsets took 229 MiB, and the sums of every
+    # pair at once 68 MiB)
+    weights = {mask_of(range(16)): 0.3}
+    weights.update({1 << v | 1 << (v + 1): 0.5 for v in range(15, 115)})
+    h = make_hamiltonian(116, weights)
+    Ks = [K for K, _ in h.nonconstant_terms()]
+    gamma, beta = _random_angles(VERIFY_BLOCK, 16)
+    peak, values = traced_peak(lambda: expectation_terms(h, Ks, (gamma, beta)))
+    assert peak < 16 * 2 ** 20
+    # each K's value is its own, whatever the other sizes in the call; the
+    # first edge has the wide term in its cone
+    assert np.array_equal(values[0], expectation_zk(h, Ks[0], (gamma, beta)))
+    for i in range(1, 4):
+        assert np.array_equal(values[i].view(np.uint64), np.real(
+            zk_per_pair(h, Ks[i], gamma, beta)).view(np.uint64))
+    narrow = expectation_terms(h, Ks[1:], (gamma, beta))
+    assert np.array_equal(values[1:].view(np.uint64), narrow.view(np.uint64))
 
 
 def test_closed_form_f2_fails_below_girth_threshold():
