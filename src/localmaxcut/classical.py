@@ -84,42 +84,42 @@ def _adjacency_array(g, d):
     return np.asfortranarray(np.array(g.adjacency, dtype=np.int64).reshape(g.n, d))
 
 
-def _agreeing(adj, x):
-    """Per-vertex count of neighbours whose boolean side equals its own."""
-    ell = np.zeros(len(x), dtype=np.intp)
+def _agreeing(adj, x, ell):
+    """Per-vertex count of neighbours whose boolean side equals its own,
+    written into the array ell."""
+    ell[:] = 0
     for j in range(adj.shape[1]):
         ell += x[adj[:, j]] == x
     return ell
 
 
-def _one_round(adj, params, rng):
-    """One trial on the (n, d) array adj: the initial and final bits, as
-    boolean arrays, and the satisfied count."""
-    p, q = params
-    n, d = adj.shape
-    qv = np.asarray(q)
-    x0 = rng.random(n) < p
-    x1 = x0 ^ (rng.random(n) < qv[_agreeing(adj, x0)])
-    return x0, x1, np.count_nonzero(_agreeing(adj, x1) <= d // 2)
-
-
-def _trial_rng(seed: int, trial: int):
-    return Generator(Philox(key=[seed & (2**64 - 1), trial]))
-
-
 def monte_carlo(g, params, trials: int, seed: int = 0) -> RunStats:
-    """Mean satisfied fraction over independent seeded trials, with stderr."""
+    """Mean satisfied fraction over independent seeded trials, with stderr.
+
+    Trial t draws from Philox keyed (seed, t) at counter 0.  One generator
+    is re-keyed through its state for each trial, which gives the draws a
+    new Philox(key=[seed, t]) would without reading OS entropy for a seed
+    sequence that the key overrides."""
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"need 1 <= trials <= {MAX_TRIALS}, got {trials}")
     d = g.degree
     if d is None:
         raise ValueError("graph is not regular")
     _check_params(params, d)
+    p, q = params
+    qv = np.asarray(q)
     adj = _adjacency_array(g, d)
+    bits = Philox(key=[seed & (2**64 - 1), 0])
+    fresh = bits.state  # counter 0 and an empty buffer
+    rng = Generator(bits)
+    ell = np.empty(g.n, dtype=np.min_scalar_type(d))
     fractions = np.empty(trials)
     for t in range(trials):
-        _, _, count = _one_round(adj, params, _trial_rng(seed, t))
-        fractions[t] = count / g.n
+        fresh["state"]["key"][1] = t
+        bits.state = fresh
+        x0 = rng.random(g.n) < p
+        x1 = x0 ^ (rng.random(g.n) < qv[_agreeing(adj, x0, ell)])
+        fractions[t] = np.count_nonzero(_agreeing(adj, x1, ell) <= d // 2) / g.n
     stderr = float(np.std(fractions, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return RunStats(trials=trials, mean=float(np.mean(fractions)), stderr=stderr)
 

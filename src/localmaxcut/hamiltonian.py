@@ -10,11 +10,17 @@ character chi_S(x) = (-1)^{|S & x|}.
 `walsh_transform` is the one place where terms and basis values meet.
 Boolean clauses enter through their Walsh-Hadamard expansion
 C(x) = sum_S C_hat(S) chi_S(x), and the same transform, run the other
-way, turns a term map into its 2^n diagonal.  Clause weights accumulate
-per subset when clauses overlap.  Terms whose accumulated weight is
-exactly zero are dropped, so the stored term list realizes the nonzero
-support M directly.  The empty-set term (identity coefficient) is kept
-separately from M.
+way, turns a term map into its 2^n diagonal.  It is one butterfly per
+qubit over the pairs of entries that differ in that qubit's bit, which
+`pair_walk` hands out (to the statevector's mixer too): transposed
+blocks of PAIR_BLOCK entries for the lower half of the qubits, and each
+qubit's pairs as two contiguous arrays.  Each butterfly is elementwise
+and every entry meets the qubits in order, so the walk changes no bit.
+
+Clause weights accumulate per subset when clauses overlap.  Terms whose
+accumulated weight is exactly zero are dropped, so the stored term list
+realizes the nonzero support M directly.  The empty-set term (identity
+coefficient) is kept separately from M.
 
 Clause truth tables are indexed little-endian: entry t is the clause value
 on the assignment where support[j] takes bit j of t.
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_CLAUSE_VARS = 16
+PAIR_BLOCK = 2 ** 14  # entries of one transposed block or chunk of a pair walk
 
 
 def mask_of(vertices) -> int:
@@ -88,17 +95,74 @@ def make_hamiltonian(n: int, weights: dict) -> DiagonalHamiltonian:
     return DiagonalHamiltonian(n=n, terms=terms)
 
 
+def _halves(x: np.ndarray, stride: int, scratch: np.ndarray):
+    """The pairs of the contiguous 1-D x whose indices differ by stride, as
+    (lo, hi) contiguous arrays; a copy in scratch is written back to x
+    once the caller has updated it."""
+    pairs = x.reshape(-1, 2, stride)
+    if len(pairs) == 1:
+        yield pairs[0, 0], pairs[0, 1]
+        return
+    halves = scratch[:len(x)].reshape(2, -1, stride)
+    np.copyto(halves, pairs.transpose(1, 0, 2))
+    yield halves[0], halves[1]
+    np.copyto(pairs.transpose(1, 0, 2), halves)
+
+
+def pair_walk(a: np.ndarray):
+    """For v = 0..n-1, the pairs of entries of the 2^n entries `a` whose
+    indices differ in bit v alone, as (lo, hi) contiguous arrays of equal
+    shape (bit v clear in lo, set in hi), for a caller that updates them
+    in place before asking for the next; the walk writes them back.
+
+    The lower n // 2 qubits are taken on a transposed copy of a block of
+    rows of the (2^(n - n//2), 2^(n//2)) array, PAIR_BLOCK entries, which
+    is written back before the next block is copied, so their pairs are a
+    block row or more apart; the upper ones on `a` itself, PAIR_BLOCK
+    entries at a time.  Unless a qubit's pairs are already two contiguous
+    halves, they are copied into one scratch array and back: on a strided
+    (rows, run) view of 2^13 entries in four or more rows, numpy's
+    in-place multiply and add took three and five times as long as on a
+    contiguous array.  Every entry meets the qubits in ascending order,
+    and at most two blocks are held beside `a`."""
+    n = len(a).bit_length() - 1
+    if len(a) != 2 ** n:
+        raise ValueError(f"{len(a)} entries is not a power of two")
+    low = n // 2
+    scratch = np.empty(min(len(a), max(PAIR_BLOCK, 2 ** low)), dtype=a.dtype)
+    rows = a.reshape(-1, 2 ** low)
+    step = max(1, PAIR_BLOCK >> low)
+    if low:
+        block = np.empty((2 ** low, min(step, len(rows))), dtype=a.dtype)
+        for start in range(0, len(rows), step):
+            part = rows[start:start + step]
+            np.copyto(block, part.T)
+            for v in range(low):
+                yield from _halves(block.reshape(-1), block.shape[1] << v,
+                                   scratch)
+            np.copyto(part, block.T)
+    half = PAIR_BLOCK // 2
+    for v in range(low, n):
+        if 2 ** v <= half:
+            for start in range(0, len(a), PAIR_BLOCK):
+                yield from _halves(a[start:start + PAIR_BLOCK], 2 ** v,
+                                   scratch)
+        else:  # each run of a pair group is split into runs of half
+            for group in range(0, len(a), 2 ** (v + 1)):
+                for at in range(group, group + 2 ** v, half):
+                    yield a[at:at + half], a[at + 2 ** v:at + 2 ** v + half]
+
+
 def walsh_transform(values) -> np.ndarray:
     """Normalized Walsh-Hadamard transform of 2^k values:
     out[s] = 2^-k sum_t f[t] (-1)^{|s&t|}.  Applied twice it gives
-    2^-k f, so 2^k times the transform inverts it."""
+    2^-k f, so 2^k times the transform inverts it.  One butterfly
+    (lo, hi) <- (lo + hi, lo - hi) per qubit, over `pair_walk`."""
     a = np.array(values, dtype=float)
-    h = 1
-    while h < len(a):
-        lo, hi = a.reshape(-1, 2, h).transpose(1, 0, 2)  # views into a
+    for lo, hi in pair_walk(a):
         lo[:], hi[:] = lo + hi, lo - hi
-        h *= 2
-    return a / len(a)
+    a /= len(a)
+    return a
 
 
 def fourier_encode_clause(c: Clause) -> DiagonalHamiltonian:

@@ -170,7 +170,7 @@ def _angles(h: DiagonalHamiltonian, angles):
 
 
 class _Pairs(NamedTuple):
-    """Every (K, L) pair of a list of Ks, as flat arrays over the pairs:
+    """The (K, L) pairs of a list of Ks, as flat arrays over the pairs:
     the Ks of one size together, sizes ascending, and the pairs of one
     size in (rank of L, K) order, so each K's are in (|L|, L) order.
 
@@ -219,8 +219,10 @@ def _size_pairs(k: int, members, patterns, sizes, cosets):
             np.concatenate(within), count, coset[entry] << shift[ks])
 
 
-def _gather(h: DiagonalHamiltonian, Ks) -> _Pairs:
-    """Every (K, L) pair's O(L) and families, for the Ks in the order given.
+def _gather(h: DiagonalHamiltonian, Ks, skip_empty: bool = False) -> _Pairs:
+    """Every (K, L) pair's O(L) and families, for the Ks in the order given;
+    with skip_empty, only those of the Ks whose coset is not empty, so a K
+    with no family costs its cone and not its 2^|K| subsets.
 
     The terms are listed by vertex, over the vertices of the Ks alone, so
     K's cone and each cone term's restriction to K's vertices, as a
@@ -275,7 +277,10 @@ def _gather(h: DiagonalHamiltonian, Ks) -> _Pairs:
               np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.intp),
               np.zeros(0, dtype=np.int32))]
     for k in sorted(set(k_bits)):
-        members = [i for i, b in enumerate(k_bits) if b == k]
+        members = [i for i, b in enumerate(k_bits)
+                   if b == k and (len(cosets[i]) or not skip_empty)]
+        if not members:
+            continue
         parts.append(_size_pairs(k, members, cone_patterns[members],
                                  sizes[members], [cosets[i] for i in members]))
     return _Pairs(terms, cone_rows,
@@ -356,11 +361,12 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
 
     gamma and beta may be floats or arrays of one shape; the result has
     shape (len(Ks),) + that shape.  A pair with no family adds nothing,
-    so only the pairs with families are multiplied out and folded.
+    so only the pairs with families are multiplied out and folded, and a
+    K whose coset is empty lists no pairs at all: its value is 0.0.
     """
     Ks = list(Ks)
     gamma, beta, shape = _angles(h, angles)
-    pairs = _gather(h, Ks)
+    pairs = _gather(h, Ks, skip_empty=True)
     factors = _factors(pairs.terms, gamma)
     count = len(gamma)
     size = pairs.cones.shape[1]

@@ -33,6 +33,17 @@ elimination, family matrix, product reduction and sum.
 `qaoa_engine.expectation_terms` solves each K's light cone once, takes
 the pairs of many K as arrays, sums them in groups of equal family count,
 and must give the same bits.
+
+Monte Carlo.  `one_round` is one trial of the classical algorithm on the
+generator `trial_rng(seed, t)` builds, a new Philox keyed (seed, t);
+`classical.monte_carlo` re-keys one generator per trial and must give
+the same draws and counts.
+
+Statevector.  `butterfly_walsh`, `loop_mixer` and `exp_phase` are the
+plain loops over the whole array: one butterfly or one 7-operation mixer
+gate per qubit, and one exponential per entry.  `walsh_transform`,
+`apply_mixer` and `apply_phase` walk blocks and take one exponential per
+distinct value, and must give the same bits.
 """
 
 import cmath
@@ -41,6 +52,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from localmaxcut.classical import ClassicalParams, _check_params, _fab
 from localmaxcut.qaoa_engine import _families
@@ -391,3 +403,63 @@ def _conditional_prob(ball, p: float, q, d: int) -> float:
             term *= flip[b] if b != y else 1.0 - flip[b]
         total += term
     return total
+
+
+def trial_rng(seed: int, trial: int) -> Generator:
+    """A new generator for one Monte Carlo trial: Philox keyed (seed, t)."""
+    return Generator(Philox(key=[seed & (2**64 - 1), trial]))
+
+
+def one_round(adj, params, rng):
+    """One trial on the (n, d) neighbour array adj: the initial and final
+    bits, as boolean arrays, and the satisfied count."""
+    p, q = params
+    n, d = adj.shape
+    qv = np.asarray(q)
+
+    def agreeing(x):
+        ell = np.zeros(n, dtype=np.intp)
+        for j in range(d):
+            ell += x[adj[:, j]] == x
+        return ell
+
+    x0 = rng.random(n) < p
+    x1 = x0 ^ (rng.random(n) < qv[agreeing(x0)])
+    return x0, x1, np.count_nonzero(agreeing(x1) <= d // 2)
+
+
+def butterfly_walsh(values) -> np.ndarray:
+    """The normalized Walsh-Hadamard transform as one butterfly per qubit
+    over the whole array, lowest qubit first."""
+    a = np.array(values, dtype=float)
+    h = 1
+    while h < len(a):
+        lo, hi = a.reshape(-1, 2, h).transpose(1, 0, 2)  # views into a
+        lo[:], hi[:] = lo + hi, lo - hi
+        h *= 2
+    return a / len(a)
+
+
+def loop_mixer(beta, amplitudes) -> np.ndarray:
+    """exp(-i beta X) on every qubit of a copy of the amplitudes, one
+    qubit at a time over the whole array."""
+    amplitudes = amplitudes.copy()
+    c, s = np.cos(beta), -1j * np.sin(beta)
+    for v in range(len(amplitudes).bit_length() - 1):
+        pairs = amplitudes.reshape(-1, 2, 2 ** v)
+        a = pairs[:, 0, :].copy()
+        pairs[:, 0, :] *= c
+        pairs[:, 0, :] += s * pairs[:, 1, :]
+        pairs[:, 1, :] *= c
+        pairs[:, 1, :] += s * a
+    return amplitudes
+
+
+def exp_phase(diagonal, gamma, amplitudes) -> np.ndarray:
+    """A copy of the amplitudes times exp(-i gamma H(x)), one exponential
+    per entry.  The product is taken in place, as the package takes it:
+    numpy's in-place and out-of-place complex multiplies can round an
+    entry differently (one unit in the last place, on a 1-entry array)."""
+    amplitudes = amplitudes.copy()
+    amplitudes *= np.exp(-1j * gamma * diagonal)
+    return amplitudes

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from derivations import (_conditional_prob, four_path_form_d2, hrss_preset,
-                         neighborhood_oracle_prob, prob_satisfied_initial,
-                         q2_star, reduced_objective_d2, satisfied)
+                         neighborhood_oracle_prob, one_round,
+                         prob_satisfied_initial, q2_star,
+                         reduced_objective_d2, satisfied, trial_rng)
 from localmaxcut import (ClassicalParams, exact_prob, load_edge_list,
                          make_cycle, make_random_regular, monte_carlo,
                          optimal_preset)
 from localmaxcut import classical
-from localmaxcut.classical import (EXACT_MAX_DEGREE, _adjacency_array, _fab,
-                                   _one_round, _trial_rng)
+from localmaxcut.classical import EXACT_MAX_DEGREE, _adjacency_array, _fab
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -273,8 +273,8 @@ def test_oracle_rejects_out_of_range_degree():
 
 
 def one_round_cuts(adj, params, rng):
-    """_one_round with its bits as cuts of +1 / -1: (tau_0, tau_1, count)."""
-    x0, x1, count = _one_round(adj, params, rng)
+    """one_round with its bits as cuts of +1 / -1: (tau_0, tau_1, count)."""
+    x0, x1, count = one_round(adj, params, rng)
     return np.where(x0, 1, -1), np.where(x1, 1, -1), count
 
 
@@ -286,7 +286,7 @@ def test_one_round_never_unsatisfies_with_zero_weak_flips():
     for g, prm, d in ((g2, optimal_preset(2), 2), (g3, optimal_preset(3), 3)):
         adj = _adjacency_array(g, d)
         for seed in range(20):
-            tau0, tau1, _ = one_round_cuts(adj, prm, _trial_rng(seed, 0))
+            tau0, tau1, _ = one_round_cuts(adj, prm, trial_rng(seed, 0))
             for v in range(g.n):
                 if satisfied(g, tau0, v):
                     assert satisfied(g, tau1, v)
@@ -296,9 +296,9 @@ def test_one_round_deterministic():
     g = make_cycle(50)
     adj = _adjacency_array(g, 2)
     _, tau_a, count_a = one_round_cuts(adj, optimal_preset(2),
-                                       _trial_rng(3, 0))
+                                       trial_rng(3, 0))
     _, tau_b, count_b = one_round_cuts(adj, optimal_preset(2),
-                                       _trial_rng(3, 0))
+                                       trial_rng(3, 0))
     assert count_a == count_b
     assert np.array_equal(tau_a, tau_b)
     assert set(np.unique(tau_a)) <= {-1, 1}
@@ -311,19 +311,23 @@ def test_monte_carlo_rejects_irregular():
 
 
 def test_monte_carlo_stats():
-    g = make_cycle(60)
-    stats = monte_carlo(g, optimal_preset(2), trials=40, seed=9)
-    adj = _adjacency_array(g, 2)
-    per_trial = [_one_round(adj, optimal_preset(2), _trial_rng(9, t))[2] / g.n
-                 for t in range(40)]
-    assert stats.trials == 40
-    assert stats.mean == pytest.approx(np.mean(per_trial))
-    assert stats.stderr == pytest.approx(
-        np.std(per_trial, ddof=1) / math.sqrt(40))
-    again = monte_carlo(g, optimal_preset(2), trials=40, seed=9)
-    assert again == stats
+    # the re-keyed generator gives each trial the draws of a new Philox
+    # keyed (seed, t), so every count, and the statistics, keep their bits
+    for g, seed in ((make_cycle(60), 9),
+                    (make_random_regular(40, 3, seed=2), 2 ** 40 + 3)):
+        d = g.degree
+        stats = monte_carlo(g, optimal_preset(d), trials=40, seed=seed)
+        adj = _adjacency_array(g, d)
+        per_trial = np.array(
+            [one_round(adj, optimal_preset(d), trial_rng(seed, t))[2] / g.n
+             for t in range(40)])
+        assert stats.trials == 40
+        assert stats.mean == float(np.mean(per_trial))
+        assert stats.stderr == float(np.std(per_trial, ddof=1) / np.sqrt(40))
+        again = monte_carlo(g, optimal_preset(d), trials=40, seed=seed)
+        assert again == stats
     with pytest.raises(ValueError):
-        monte_carlo(g, optimal_preset(2), trials=0)
+        monte_carlo(g, optimal_preset(d), trials=0)
 
 
 def test_monte_carlo_builds_adjacency_once(monkeypatch):

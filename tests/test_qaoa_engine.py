@@ -8,6 +8,7 @@ import gc
 import itertools
 import json
 import math
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -604,6 +605,32 @@ def test_one_wide_term_pads_no_other():
             zk_per_pair(h, Ks[i], gamma, beta)).view(np.uint64))
     narrow = expectation_terms(h, Ks[1:], (gamma, beta))
     assert np.array_equal(values[1:].view(np.uint64), narrow.view(np.uint64))
+
+
+def test_a_k_with_no_family_costs_its_cone():
+    # an 18-vertex K that no term touches has an empty coset: the engine
+    # lists none of its 2^18 subsets (0.95 s and 28 MiB when it did), and
+    # its value is 0.0 beside the Ks that have families; explain_zk still
+    # lists every L of such a K, each with no family
+    h = make_hamiltonian(40, {mask_of((0, 1)): 1.0, mask_of((2, 3)): 0.5})
+    far = mask_of(range(20, 38))
+    start = time.perf_counter()
+    peak, value = traced_peak(lambda: expectation_zk(h, far, ANGLES[0]))
+    assert time.perf_counter() - start < 0.1
+    assert peak < 2 * 2 ** 20
+    assert value == 0.0
+    Ks = [mask_of((0, 1)), far, mask_of((2, 3))]
+    gamma, beta = _random_angles(5, 19)
+    values = expectation_terms(h, Ks, (gamma, beta))
+    assert np.array_equal(values[1], np.zeros(5))
+    for i in (0, 2):
+        assert np.array_equal(values[i], expectation_zk(h, Ks[i],
+                                                        (gamma, beta)))
+    record = explain_zk(h, mask_of(range(20, 23)), ANGLES[0])
+    assert record["total"] == 0.0
+    assert [rec["L"] for rec in record["contributions"]] == [
+        [], [20], [21], [22], [20, 21], [20, 22], [21, 22], [20, 21, 22]]
+    assert all(rec["families"] == [] for rec in record["contributions"])
 
 
 def test_closed_form_f2_fails_below_girth_threshold():

@@ -5,10 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from localmaxcut import (MAX_QUBITS, apply_mixer, apply_phase, evaluate_all,
+from derivations import butterfly_walsh, exp_phase, loop_mixer
+from localmaxcut import (MAX_QUBITS, apply_mixer, apply_phase,
+                         build_localmaxcut_hamiltonian, evaluate_all,
                          evaluate_classical, expectation_sv, make_hamiltonian,
-                         mask_of, qaoa_expectation_sv, uniform_state)
+                         make_named, mask_of, qaoa_expectation_sv,
+                         uniform_state)
+from localmaxcut import hamiltonian, statevector
+from localmaxcut.hamiltonian import PAIR_BLOCK, walsh_transform
 from localmaxcut.statevector import State
+from test_qaoa_engine import traced_peak
 
 
 def test_uniform_state():
@@ -105,3 +111,86 @@ def test_dimension_mismatch_raises():
         apply_phase(evaluate_all(h), 0.1, uniform_state(2))
     with pytest.raises(ValueError):
         expectation_sv(evaluate_all(h), uniform_state(2))
+
+
+# the default block, where 2^15 and 2^16 entries take more than one, and
+# blocks small enough that every size past a few qubits takes many
+BLOCKS = [(PAIR_BLOCK, 17), (16, 11), (2, 9)]
+
+
+@pytest.fixture(params=BLOCKS, ids=lambda b: f"block{b[0]}")
+def sizes(request, monkeypatch):
+    """The qubit counts 0..n-1 to check, with PAIR_BLOCK set for the walk
+    and the phase blocks."""
+    block, n = request.param
+    monkeypatch.setattr(hamiltonian, "PAIR_BLOCK", block)
+    monkeypatch.setattr(statevector, "PAIR_BLOCK", block)
+    return range(n)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_walsh_transform_is_the_butterfly_loop(sizes):
+    # every entry meets the butterflies in qubit order, each elementwise,
+    # so the blocked walk gives the bits of the loop over the whole array
+    rng = np.random.default_rng(3)
+    for n in sizes:
+        for values in (rng.normal(size=2 ** n),
+                       rng.integers(-3, 4, size=2 ** n).astype(float)):
+            assert np.array_equal(bits(walsh_transform(values)),
+                                  bits(butterfly_walsh(values)))
+
+
+def test_apply_mixer_is_the_qubit_loop(sizes):
+    rng = np.random.default_rng(4)
+    for n in sizes:
+        amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        for beta in (0.0, 0.37, -2.9, math.pi / 2):
+            st = apply_mixer(beta, State(n, amps.copy()))
+            assert np.array_equal(bits(st.amplitudes),
+                                  bits(loop_mixer(beta, amps)))
+
+
+def test_apply_phase_is_one_exponential_per_entry(sizes):
+    # one exponential per distinct value, told apart by its bits, so a
+    # diagonal holding both +0.0 and -0.0 keeps the sign of every zero
+    rng = np.random.default_rng(5)
+    for n in sizes:
+        amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+        for diagonal in (rng.normal(size=2 ** n),
+                         rng.integers(0, n + 1, size=2 ** n).astype(float),
+                         rng.choice([0.0, -0.0, 1.0, -2.5], size=2 ** n)):
+            for gamma in (0.0, 0.7, -3.1, 1e3):
+                st = apply_phase(diagonal, gamma, State(n, amps.copy()))
+                assert np.array_equal(bits(st.amplitudes),
+                                      bits(exp_phase(diagonal, gamma, amps)))
+
+
+def test_apply_phase_on_a_localmaxcut_diagonal():
+    h = build_localmaxcut_hamiltonian(make_named("HEAWOOD"))
+    diagonal = evaluate_all(h)
+    assert len(set(diagonal.tolist())) <= h.n + 1
+    amps = uniform_state(h.n).amplitudes
+    st = apply_phase(diagonal, 2.2, uniform_state(h.n))
+    assert np.array_equal(bits(st.amplitudes),
+                          bits(exp_phase(diagonal, 2.2, amps)))
+
+
+def test_gates_hold_at_most_a_block_beside_the_state():
+    # at 18 qubits (4 MiB of amplitudes) the gates hold a block or two
+    # beside the state: a whole-state transposed copy would take the
+    # mixer to about twice the state, and the loop over the whole array
+    # took it to 1.06 times, the transform to 2.06 times its output and
+    # the phase to 2.0 times
+    n = 18
+    amps = uniform_state(n).amplitudes
+    probs = np.abs(amps) ** 2
+    diagonal = np.arange(2 ** n) % (n + 1) * 1.0
+    mixer, _ = traced_peak(lambda: apply_mixer(0.3, State(n, amps)))
+    phase, _ = traced_peak(lambda: apply_phase(diagonal, 0.3, State(n, amps)))
+    transform, _ = traced_peak(lambda: walsh_transform(probs))
+    assert mixer < 0.5 * amps.nbytes
+    assert phase < 0.5 * amps.nbytes
+    assert transform < 1.5 * probs.nbytes
