@@ -35,8 +35,9 @@ for d in (2, 3):
           f"gamma={g:.6f} ({g / math.pi:.4f} pi), "
           f"beta={b:.6f} ({b / math.pi:.4f} pi)")
     print(f"  distinct local maxima within 0.1 of the top:")
-    for x, v in report.maxima:
-        print(f"    {v:.9f} at gamma={x[0]:.6f} beta={x[1]:.6f}")
+    for m in report.maxima:
+        (g, b), v = m["argmax"], m["value"]
+        print(f"    {v:.9f} at gamma={g:.6f} beta={b:.6f}")
 
 print("""
 Every Hamiltonian term here touches an even number of vertices, so both

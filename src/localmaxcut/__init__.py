@@ -19,7 +19,7 @@ from .hamiltonian import (Clause, DiagonalHamiltonian,
                           hamiltonian_to_json, local_satisfaction_clause,
                           make_hamiltonian, mask_of, vertices_of)
 from .optimize import (GridSweep, OptimizationReport, grid_sweep,
-                       optimize_classical, optimize_qaoa, report_to_json)
+                       optimize_classical, optimize_qaoa)
 from .qaoa_engine import expectation_full, explain_zk
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, qaoa_expectation_sv, uniform_state)
@@ -36,6 +36,6 @@ __all__ = [
     "load_edge_list", "local_satisfaction_clause", "make_cycle",
     "make_hamiltonian", "make_named", "make_random_regular", "mask_of",
     "monte_carlo", "neighborhood", "optimal_preset", "optimize_classical",
-    "optimize_qaoa", "qaoa_expectation_sv", "report_to_json",
-    "save_edge_list", "uniform_state", "vertices_of",
+    "optimize_qaoa", "qaoa_expectation_sv", "save_edge_list",
+    "uniform_state", "vertices_of",
 ]

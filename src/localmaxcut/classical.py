@@ -96,9 +96,10 @@ def _agreeing(adj, x, ell):
 def monte_carlo(g, params, trials: int, seed: int = 0) -> RunStats:
     """Mean satisfied fraction over independent seeded trials, with stderr.
 
-    Trial t draws from Philox keyed (seed, t) at counter 0.  One generator
+    Trial t draws from Philox keyed (seed mod 2^64, t) at counter 0, the
+    key a uint64 array, so a negative seed keeps its bits.  One generator
     is re-keyed through its state for each trial, which gives the draws a
-    new Philox(key=[seed, t]) would without reading OS entropy for a seed
+    new Philox with that key would without reading OS entropy for a seed
     sequence that the key overrides."""
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"need 1 <= trials <= {MAX_TRIALS}, got {trials}")
@@ -109,7 +110,7 @@ def monte_carlo(g, params, trials: int, seed: int = 0) -> RunStats:
     p, q = params
     qv = np.asarray(q)
     adj = _adjacency_array(g, d)
-    bits = Philox(key=[seed & (2**64 - 1), 0])
+    bits = Philox(key=np.array([seed & (2**64 - 1), 0], dtype=np.uint64))
     fresh = bits.state  # counter 0 and an empty buffer
     rng = Generator(bits)
     ell = np.empty(g.n, dtype=np.min_scalar_type(d))

@@ -15,11 +15,14 @@ Subcommands:
 Graphs are named by a one-line spec: `cycle:<n>`, `named:<name>`,
 `random:<n>,<d>,<girth>,<seed>`, or `file:<path>`.
 
-Every command resolves its configuration (including a defaulted seed) and
-echoes it back in its output.  Machine-readable JSON goes to --out or, with
---json, to stdout; it is byte-stable across reruns except for a timestamp
-field that --no-timestamp suppresses.  CSV-producing commands write CSV to
---out, or to stdout with the human summary moved to stderr.
+Every command resolves its configuration, echoes it back in its output,
+and takes only the flags it reads: --out; --json and --no-timestamp on
+the report commands (all but the table commands sweep, classical curve and
+graph gen); --seed (default 0) on verify and classical run, which draw
+random numbers.  A report is JSON, to --out or, with --json, to stdout;
+it is byte-stable across reruns except for a timestamp field that
+--no-timestamp suppresses.  A table goes to --out, or to stdout with the
+human summary moved to stderr.
 
 Exit codes: 0 when the run succeeds and any scientific check passes, 1 when
 a check fails (inequality does not hold, engine/statevector mismatch), 2
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -48,8 +52,7 @@ from .graph import (Graph, girth, load_edge_list, make_cycle, make_named,
 from .hamiltonian import (build_localmaxcut_hamiltonian, evaluate_all,
                           hamiltonian_to_json, mask_of, walsh_transform)
 from .optimize import (QAOA_BOX, classical_curve, grid_sweep,
-                       optimize_classical, optimize_qaoa, qaoa_objective,
-                       report_to_json)
+                       optimize_classical, optimize_qaoa, qaoa_objective)
 from .qaoa_engine import expectation_terms, explain_zk
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
                           expectation_sv, uniform_state)
@@ -115,17 +118,17 @@ def _timestamp() -> str:
 
 def _emit(args, payload: dict, lines, write=None, **resolved) -> None:
     """Route the report: JSON to --out/--json, text around.  A command
-    with a table passes `write`, which writes it to --out or stdout.
+    with a table passes `write`, which writes it to --out or stdout, and
+    an empty payload.
 
     The config echoed is the parsed arguments, with the `resolved` values
-    in place of what was typed, and the format of the artifact.
+    in place of what was typed, and the format of the artifact: json for a
+    report, csv for a table unless `resolved` names another.
     """
-    config = {k: v for k, v in {**vars(args), **resolved}.items()
-              if v is not None and k not in ("func", "json", "no_timestamp")}
-    config["format"] = "json" if write is None else "csv"
-    doc = {"config": config, **payload}
-    if not args.no_timestamp:
-        doc["timestamp"] = _timestamp()
+    config = {"format": "json" if write is None else "csv"}
+    config.update((k, v) for k, v in {**vars(args), **resolved}.items()
+                  if v is not None and k not in ("func", "json",
+                                                 "no_timestamp"))
     human = ["config " + json.dumps(config, sort_keys=True), *lines]
     if write is not None:
         if args.out:
@@ -136,6 +139,9 @@ def _emit(args, payload: dict, lines, write=None, **resolved) -> None:
             write(sys.stdout)
             print("\n".join(human), file=sys.stderr)
         return
+    doc = {"config": config, **payload}
+    if not args.no_timestamp:
+        doc["timestamp"] = _timestamp()
     if args.out or args.json:
         # strict JSON: a non-finite value raises here, before anything is
         # written
@@ -171,8 +177,8 @@ def cmd_reproduce(args) -> int:
         rq = optimize_qaoa(d)
         winner = "classical" if rc.value > rq.value else "quantum"
         per[str(d)] = {
-            "classical": report_to_json(rc),
-            "quantum": report_to_json(rq),
+            "classical": dataclasses.asdict(rc),
+            "quantum": dataclasses.asdict(rq),
             "separation": rc.value - rq.value,
             "winner": winner,
         }
@@ -230,7 +236,8 @@ def cmd_verify(args) -> int:
                          f"{MAX_QUBITS} qubits")
     slow = g.n >= SLOW_QUBITS
     h = build_localmaxcut_hamiltonian(g)
-    rng = Generator(Philox(key=[args.seed & (2**64 - 1), 0]))
+    rng = Generator(Philox(key=np.array([args.seed & (2**64 - 1), 0],
+                                        dtype=np.uint64)))
     terms = h.nonconstant_terms()
     masks = [m for m, _ in terms]
     max_full = 0.0
@@ -326,8 +333,8 @@ def cmd_graph_gen(args) -> int:
     g = parse_graph_spec(args.graph)
     degree = g.degree if g.degree is not None else "irregular"
     lines = [f"n {g.n} edges {len(g.edges)} degree {degree} girth {girth(g)}"]
-    _emit(args, {}, lines,
-          write=lambda stream: stream.write(save_edge_list(g)))
+    _emit(args, {}, lines, write=lambda stream: stream.write(save_edge_list(g)),
+          format="edges")
     return 0
 
 
@@ -358,23 +365,29 @@ def cmd_qaoa_explain(args) -> int:
     h = build_localmaxcut_hamiltonian(g)
     breakdown = explain_zk(h, mask_of(subset), (args.gamma, args.beta))
     value = breakdown["total"]
+    contributing = sum(1 for c in breakdown["contributions"] if c["families"])
     lines = [f"<Z_{{{','.join(map(str, subset))}}}> = {value:.12f} "
-             f"({len(breakdown['contributions'])} contributing subsets L)"]
+             f"({contributing} contributing subsets L)"]
     _emit(args, {"value": value, "breakdown": breakdown}, lines, subset=subset)
     return 0
 
 
-def _common() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0,
-                        help="RNG seed; defaults to 0 and is echoed back")
-    common.add_argument("--out", metavar="PATH", default=None,
-                        help="write the CSV/JSON artifact here")
-    common.add_argument("--json", action="store_true",
+def _parents():
+    """The shared flags as parent parsers: --out for every command, --json
+    and --no-timestamp for the report commands, --seed for the commands
+    that draw random numbers."""
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="PATH", default=None,
+                     help="write the CSV/JSON artifact here")
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", action="store_true",
                         help="print the JSON report to stdout")
-    common.add_argument("--no-timestamp", action="store_true",
+    report.add_argument("--no-timestamp", action="store_true",
                         help="omit the timestamp for byte-stable output")
-    return common
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0,
+                        help="RNG seed; defaults to 0 and is echoed back")
+    return [out], [out, report], [out, report, seeded]
 
 
 @functools.cache  # argparse measures the terminal on every add_argument
@@ -382,24 +395,24 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localmaxcut",
         description="One-round quantum vs classical comparison on LocalMaxCut.")
-    common = _common()
+    table, report, seeded = _parents()
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=report,
                        help="recover the headline optima and inequalities")
     p.add_argument("--degree", type=int, choices=DEGREES, default=None,
                    help=f"one degree, 1 to {EXACT_MAX_DEGREE} "
                         "(default: 2 and 3)")
     p.set_defaults(func=cmd_reproduce)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=table,
                        help="CSV heatmap of the per-vertex expectation")
     p.add_argument("--degree", type=int, choices=DEGREES, required=True,
                    help=f"1 to {EXACT_MAX_DEGREE}")
     p.add_argument("--resolution", type=int, default=64)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=seeded,
                        help="engine vs statevector cross-check")
     p.add_argument("--graph", required=True)
     p.add_argument("--samples", type=int, default=50)
@@ -408,19 +421,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classical", help="one-round classical algorithm")
     csub = p.add_subparsers(dest="subcommand", required=True)
-    run = csub.add_parser("run", parents=[common], help="seeded Monte Carlo")
+    run = csub.add_parser("run", parents=seeded, help="seeded Monte Carlo")
     run.add_argument("--graph", required=True)
     run.add_argument("--trials", type=int, default=200)
     run.add_argument("--p", type=float, default=None)
     run.add_argument("--q", default=None, help="comma-separated q_0..q_d")
     run.set_defaults(func=cmd_classical_run)
-    exact = csub.add_parser("exact", parents=[common],
+    exact = csub.add_parser("exact", parents=report,
                             help="tree-exact probability at (p, q)")
     exact.add_argument("--degree", type=int, required=True)
     exact.add_argument("--p", type=float, default=None)
     exact.add_argument("--q", default=None, help="comma-separated q_0..q_d")
     exact.set_defaults(func=cmd_classical_exact)
-    curve = csub.add_parser("curve", parents=[common],
+    curve = csub.add_parser("curve", parents=table,
                             help="CSV over p of the probability at the best q")
     curve.add_argument("--degree", type=int, required=True,
                        help=f"1 to {EXACT_MAX_DEGREE}")
@@ -429,21 +442,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="graph utilities")
     gsub = p.add_subparsers(dest="subcommand", required=True)
-    gen = gsub.add_parser("gen", parents=[common],
+    gen = gsub.add_parser("gen", parents=table,
                           help="emit a graph spec as an edge list")
     gen.add_argument("--graph", required=True)
     gen.set_defaults(func=cmd_graph_gen)
 
     p = sub.add_parser("ham", help="Hamiltonian utilities")
     hsub = p.add_subparsers(dest="subcommand", required=True)
-    dump = hsub.add_parser("dump", parents=[common],
+    dump = hsub.add_parser("dump", parents=report,
                            help="JSON dump of the LocalMaxCut Hamiltonian")
     dump.add_argument("--graph", required=True)
     dump.set_defaults(func=cmd_ham_dump)
 
     p = sub.add_parser("qaoa", help="expectation engine utilities")
     qsub = p.add_subparsers(dest="subcommand", required=True)
-    explain = qsub.add_parser("explain", parents=[common],
+    explain = qsub.add_parser("explain", parents=report,
                               help="family breakdown of one <Z_K>")
     explain.add_argument("--graph", required=True)
     explain.add_argument("--subset", required=True,

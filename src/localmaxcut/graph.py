@@ -19,6 +19,7 @@ from numpy.random import Generator, Philox
 # one root's walks need more: small chunks stop sooner at a short cycle and
 # keep peak memory low
 WALK_BUDGET = 1 << 14
+MAX_ATTEMPTS = 1000  # pairings the random regular generator draws at most
 
 NAMED_CUBIC = {
     # complete graph on 4 vertices, girth 3
@@ -121,14 +122,14 @@ def _moore_bound(d: int, g: int, limit: int) -> int:
     return count
 
 
-def make_random_regular(n: int, d: int, min_girth: int = 3, seed: int = 0,
-                        max_attempts: int = 1000) -> Graph:
+def make_random_regular(n: int, d: int, min_girth: int = 3,
+                        seed: int = 0) -> Graph:
     """Random d-regular graph with girth >= min_girth via the pairing model.
 
     Each attempt shuffles the n*d stub list, pairs consecutive stubs, and
-    rejects on self-loops, parallel edges, or short cycles.  Deterministic
-    for a fixed (n, d, min_girth, seed).  An n below the Moore bound is
-    refused before any sampling.
+    rejects on self-loops, parallel edges, or short cycles, MAX_ATTEMPTS
+    times at most.  Deterministic for a fixed (n, d, min_girth, seed).  An
+    n below the Moore bound is refused before any sampling.
     """
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
@@ -140,10 +141,11 @@ def make_random_regular(n: int, d: int, min_girth: int = 3, seed: int = 0,
     if n < bound:
         raise ValueError(f"no {d}-regular graph on {n} vertices has girth >= "
                          f"{min_girth}: the Moore bound needs n >= {bound}")
-    rng = Generator(Philox(key=[seed & (2**64 - 1), 0]))
+    rng = Generator(Philox(key=np.array([seed & (2**64 - 1), 0],
+                                        dtype=np.uint64)))
     slots = np.arange(n * d)  # stub s belongs to vertex s // d
     place = np.empty_like(slots)
-    for _ in range(max_attempts):
+    for _ in range(MAX_ATTEMPTS):
         rng.shuffle(slots)
         pairs = slots.reshape(-1, 2) // d
         if np.any(pairs[:, 0] == pairs[:, 1]):
@@ -158,7 +160,7 @@ def make_random_regular(n: int, d: int, min_girth: int = 3, seed: int = 0,
             return build_graph(n, pairs.tolist())
     raise RuntimeError(
         f"no girth-{min_girth} {d}-regular graph on {n} vertices found "
-        f"in {max_attempts} attempts")
+        f"in {MAX_ATTEMPTS} attempts")
 
 
 def _has_short_cycle(nbr, min_girth: int) -> bool:

@@ -175,23 +175,21 @@ def fourier_encode_clause(c: Clause) -> DiagonalHamiltonian:
     return make_hamiltonian(1 + max(c.support), weights)
 
 
-def local_satisfaction_clause(d: int, support=None) -> Clause:
+def local_satisfaction_clause(d: int) -> Clause:
     """Indicator that a degree-d vertex is locally satisfied.
 
-    Variables are (x_v, x_1, ..., x_d); the clause is 1 exactly when at
-    least ceil(d/2) neighbors disagree with x_v, i.e. at most floor(d/2)
-    agree.
+    Variables are (x_v, x_1, ..., x_d) on support 0..d; the clause is 1
+    exactly when at least ceil(d/2) neighbors disagree with x_v, i.e. at
+    most floor(d/2) agree.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
-    if support is None:
-        support = tuple(range(d + 1))
     table = []
     for t in range(2 ** (d + 1)):
         center = t & 1
         agreeing = sum(1 for j in range(1, d + 1) if t >> j & 1 == center)
         table.append(1.0 if agreeing <= d // 2 else 0.0)
-    return Clause(support=tuple(support), truth_table=tuple(table))
+    return Clause(support=tuple(range(d + 1)), truth_table=tuple(table))
 
 
 def build_localmaxcut_hamiltonian(g) -> DiagonalHamiltonian:
@@ -215,17 +213,12 @@ def build_localmaxcut_hamiltonian(g) -> DiagonalHamiltonian:
     return make_hamiltonian(g.n, weights)
 
 
-def evaluate_classical(h: DiagonalHamiltonian, x) -> float:
-    """Diagonal value sum_S W_S chi_S(x); x is a bitmask or 0/1 sequence.
+def evaluate_classical(h: DiagonalHamiltonian, x: int) -> float:
+    """Diagonal value sum_S W_S chi_S(x) at the bitmask x.
 
     On a LocalMaxCut Hamiltonian this equals the number of locally
     satisfied vertices under the cut x.
     """
-    if not isinstance(x, int):
-        bits = list(x)
-        if len(bits) != h.n:
-            raise ValueError(f"assignment length {len(bits)} != n={h.n}")
-        x = mask_of(v for v, b in enumerate(bits) if b)
     if x >> h.n:
         raise ValueError(f"assignment {x:#x} not within 0..{h.n - 1}")
     total = 0.0

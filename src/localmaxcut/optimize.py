@@ -26,8 +26,8 @@ import numpy as np
 from .classical import EXACT_MAX_DEGREE, ClassicalParams, exact_prob
 from .qaoa_engine import tree_coefficients
 
-DEFAULT_TOL = 1e-9
-DEFAULT_MAX_ITERS = 2000
+TOL = 1e-9  # compass search stops once its step is below this
+MAX_ITERS = 2000  # compass search steps before a start counts as unconverged
 TOP_K = 8           # seeds carried into refinement
 DISTINCT_TOL = 1e-3  # refined points closer than this count as one maximum
 REPORT_MARGIN = 0.1  # maxima reported down to this far below the best
@@ -56,7 +56,7 @@ class OptimizationReport:
     converged: bool
     tol: float
     tolerance_achieved: float
-    maxima: tuple[tuple[tuple[float, ...], float], ...]
+    maxima: tuple[dict, ...]  # {"argmax": ..., "value": ...}, best first
 
 
 def grid_sweep(objective, box, resolution) -> GridSweep:
@@ -92,8 +92,7 @@ def grid_sweep(objective, box, resolution) -> GridSweep:
                      value=float(values[idx]))
 
 
-def compass_search(objective, starts, box, steps, tol: float = DEFAULT_TOL,
-                   max_iters: int = DEFAULT_MAX_ITERS):
+def compass_search(objective, starts, box, steps):
     """Maximize `objective` by compass search from every row of `starts` at once.
 
     Each step evaluates every active start x together with x +- s*steps[j]
@@ -101,8 +100,8 @@ def compass_search(objective, starts, box, steps, tol: float = DEFAULT_TOL,
     one packed point whose coordinates have shape (active starts, 2D+1).
     x moves to the best of them, staying put on ties, and s (initially 1/2)
     halves whenever x stays.  A step of 0 holds its axis fixed.  Every
-    start takes at least one step and stops once s*max(steps) < `tol`; one
-    still moving after `max_iters` steps is not converged.  No result is
+    start takes at least one step and stops once s*max(steps) < TOL; one
+    still moving after MAX_ITERS steps is not converged.  No result is
     worse than its start.  Returns per-start arrays (argmax of shape (k, D),
     value, iterations, converged, final s*max(steps)).
     """
@@ -118,7 +117,7 @@ def compass_search(objective, starts, box, steps, tol: float = DEFAULT_TOL,
     scale = np.full(k, 0.5)
     iters = np.zeros(k, dtype=int)
     active = np.ones(k, dtype=bool)
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         live = np.flatnonzero(active)
         if live.size == 0:
             break
@@ -132,7 +131,7 @@ def compass_search(objective, starts, box, steps, tol: float = DEFAULT_TOL,
         value[live] = vals[rows, best]
         scale[live] *= np.where(stay, 0.5, 1.0)
         iters[live] += 1
-        active[live] = scale[live] * reach >= tol
+        active[live] = scale[live] * reach >= TOL
     return x, value, iters, ~active, scale * reach
 
 
@@ -152,7 +151,7 @@ def _top_k(scores):
     return candidates[np.argsort(keys[candidates], kind="stable")[:TOP_K]]
 
 
-def _multistart(objective, seeds, scores, box, steps, canonical=lambda x: x):
+def _multistart(objective, seeds, scores, box, steps, canonical):
     """Refine the TOP_K best-scored seeds together, merge coincident maxima.
 
     `seeds` is a packed point whose coordinates broadcast to `scores.shape`,
@@ -175,9 +174,10 @@ def _multistart(objective, seeds, scores, box, steps, canonical=lambda x: x):
                               grid_resolution=scores.shape,
                               grid_value=float(scores.ravel()[top[0]]),
                               iterations=int(iters.sum()),
-                              converged=bool(converged[best]), tol=DEFAULT_TOL,
+                              converged=bool(converged[best]), tol=TOL,
                               tolerance_achieved=float(step[best]),
-                              maxima=tuple((xi, v) for xi, v in kept
+                              maxima=tuple({"argmax": xi, "value": v}
+                                           for xi, v in kept
                                            if v >= value[best] - REPORT_MARGIN))
 
 
@@ -283,16 +283,3 @@ def classical_curve(d: int, ps) -> np.ndarray:
     return compass_search(classical_objective(d), threshold_seeds(d, ps)[0],
                           ((0.0, 1.0),) * (d + 2), (0.0,) + (1.0,) * (d + 1))[1]
 
-
-def report_to_json(report: OptimizationReport) -> dict:
-    return {
-        "argmax": list(report.argmax),
-        "value": report.value,
-        "grid_resolution": list(report.grid_resolution),
-        "grid_value": report.grid_value,
-        "iterations": report.iterations,
-        "converged": report.converged,
-        "tol": report.tol,
-        "tolerance_achieved": report.tolerance_achieved,
-        "maxima": [{"argmax": list(x), "value": v} for x, v in report.maxima],
-    }

@@ -399,20 +399,11 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
     return _real(totals).reshape((len(Ks),) + shape)
 
 
-def expectation_zk(h: DiagonalHamiltonian, K: int, angles):
-    """<gamma,beta| Z_K |gamma,beta>.
-
-    gamma and beta may be floats (a float comes back) or arrays of one
-    shape (an array of that shape comes back).
-    """
-    value = expectation_terms(h, [K], angles)[0]
-    return float(value) if value.ndim == 0 else value
-
-
 def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
-    """The per-L record behind expectation_zk at one angle pair, as plain
-    data: subsets as vertex lists, complex numbers as [re, im].  An L with
-    no family keeps its record, with rho = nu * 0."""
+    """The per-L record behind <gamma,beta| Z_K |gamma,beta> at one angle
+    pair, given as floats or one-element arrays, as plain data: subsets as
+    vertex lists, complex numbers as [re, im].  An L with no family keeps
+    its record, with rho = nu * 0."""
     def c(z):
         return [float(z.real), float(z.imag)]
 
@@ -443,8 +434,11 @@ def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
 
 
 def expectation_full(h: DiagonalHamiltonian, angles):
-    """F(gamma, beta) = <gamma,beta| H |gamma,beta> via the Z_K decomposition;
-    floats or arrays of one shape, as for expectation_zk."""
+    """F(gamma, beta) = <gamma,beta| H |gamma,beta> via the Z_K decomposition.
+
+    gamma and beta may be floats (a float comes back) or arrays of one
+    shape (an array of that shape comes back).
+    """
     terms = h.nonconstant_terms()
     total = h.constant
     for (_, w), value in zip(terms, expectation_terms(

@@ -26,7 +26,7 @@ from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
                          make_random_regular, mask_of, monte_carlo,
                          neighborhood, optimal_preset, qaoa_expectation_sv)
 from localmaxcut.cli import main
-from localmaxcut.qaoa_engine import expectation_zk
+from localmaxcut.qaoa_engine import expectation_terms
 
 
 def check(num, ok, desc, detail=""):
@@ -135,7 +135,8 @@ def test_criterion_06_closed_form_fidelity():
                     (hm, mask_of((0, gm.adjacency[0][0])), zk_edge_d3),
                     (hm, mask_of(neighborhood(gm, 0)), zk_ball_d3)]
     grid = np.meshgrid(gammas, betas, indexing="ij")
-    worst_term = max(np.max(np.abs(expectation_zk(h, K, grid) - fn(grid)))
+    worst_term = max(np.max(np.abs(expectation_terms(h, [K], grid)[0]
+                                   - fn(grid)))
                      for h, K, fn in certificates)
     coarse = np.meshgrid(gammas[::4], betas[::4], indexing="ij")
     worst_f2 = np.max(np.abs(expectation_full(h7, coarse)

@@ -101,16 +101,49 @@ def test_random_spec_below_moore_bound_exits_2(capsys):
 
 
 def test_config_echo_and_seed_default(capsys):
-    rc, doc, _ = run_json(capsys, "classical", "exact", "--degree", "2")
+    rc, doc, _ = run_json(capsys, "classical", "run", "--graph", "cycle:20",
+                          "--trials", "3")
     assert rc == 0
     cfg = doc["config"]
     assert cfg["command"] == "classical"
-    assert cfg["subcommand"] == "exact"
+    assert cfg["subcommand"] == "run"
     assert cfg["seed"] == 0
     assert cfg["p"] == 0.5
     assert cfg["q"] == [0.0, 0.0, 0.8]
+    assert cfg["format"] == "json"
     assert "timestamp" not in doc
+    # a command that draws no random numbers has no seed to echo
+    rc, doc, _ = run_json(capsys, "classical", "exact", "--degree", "2")
+    assert rc == 0
+    assert "seed" not in doc["config"]
+    assert doc["config"]["q"] == [0.0, 0.0, 0.8]
     assert doc["value"] == pytest.approx(0.95, abs=1e-12)
+
+
+# the commands that draw no random numbers, with their required arguments
+UNSEEDED = {
+    "sweep": ["sweep", "--degree", "3"],
+    "classical curve": ["classical", "curve", "--degree", "3"],
+    "graph gen": ["graph", "gen", "--graph", "cycle:5"],
+    "reproduce": ["reproduce"],
+    "classical exact": ["classical", "exact", "--degree", "2"],
+    "ham dump": ["ham", "dump", "--graph", "cycle:5"],
+    "qaoa explain": ["qaoa", "explain", "--graph", "cycle:5", "--subset", "0",
+                     "--gamma", "0.3", "--beta", "0.2"],
+}
+TABLES = ("sweep", "classical curve", "graph gen")  # they write no JSON
+# every flag slot a command used to accept and ignore
+UNREAD_FLAGS = [(name, "--seed") for name in UNSEEDED] + [
+    (name, flag) for name in TABLES for flag in ("--json", "--no-timestamp")]
+
+
+@pytest.mark.parametrize("name,flag", UNREAD_FLAGS)
+def test_unread_flag_is_a_usage_error(capsys, name, flag):
+    argv = [*UNSEEDED[name], flag, *(["1"] if flag == "--seed" else [])]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_one_parser_serves_every_command(capsys):
@@ -456,6 +489,7 @@ def test_graph_gen_roundtrip(capsys, tmp_path):
                             "named:PETERSEN", "--out", str(out))
     assert rc == 0
     assert "n 10 edges 15 degree 3 girth 5" in stdout
+    assert '"format": "edges"' in stdout  # an edge list, not CSV
     g = load_edge_list(out.read_text())
     assert g.edges == make_named("PETERSEN").edges
     # and the file feeds back in through the spec language
@@ -502,6 +536,37 @@ def test_qaoa_explain(capsys):
     assert doc["breakdown"]["K"] == [0, 1]
     assert doc["config"]["subset"] == [0, 1]
     assert len(doc["breakdown"]["contributions"]) == 4
+
+
+@pytest.mark.parametrize("graph,subset,families",
+                         [("cycle:7", "0,1", [0, 1, 1, 2]),
+                          ("cycle:5", "0", [0, 0])])
+def test_qaoa_explain_counts_contributing_subsets(capsys, graph, subset,
+                                                  families):
+    # every L keeps its record, but only those with a family contribute
+    # (the count used to be every L: 4 and 2)
+    argv = ("qaoa", "explain", "--graph", graph, "--subset", subset,
+            "--gamma", "0.6", "--beta", "0.31")
+    rc, doc, _ = run_json(capsys, *argv)
+    assert rc == 0
+    assert [len(c["families"]) for c in doc["breakdown"]["contributions"]] \
+        == families
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    contributing = sum(1 for f in families if f)
+    assert f"({contributing} contributing subsets L)" in out
+
+
+def test_classical_run_negative_seeds_keep_their_key(capsys):
+    # the Philox key went through float64, so every negative seed keyed 0
+    # and warned (pytest makes the warning an error)
+    means = set()
+    for seed in ("0", "-1", "-2"):
+        rc, doc, _ = run_json(capsys, "classical", "run", "--graph",
+                              "cycle:30", "--trials", "5", "--seed", seed)
+        assert rc == 0 and doc["config"]["seed"] == int(seed)
+        means.add(doc["stats"]["mean"])
+    assert len(means) == 3
 
 
 def test_qaoa_explain_at_64_vertices(capsys):

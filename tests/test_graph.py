@@ -9,6 +9,7 @@ import pytest
 
 from localmaxcut import (Graph, girth, load_edge_list, make_cycle, make_named,
                          make_random_regular, neighborhood, save_edge_list)
+from localmaxcut import graph
 from localmaxcut.graph import _has_short_cycle, build_graph
 
 # SHA-256 of save_edge_list for each spec (n, d, min_girth, seed), recorded
@@ -131,7 +132,15 @@ def test_random_regular_deterministic():
     assert a.edges != c.edges
 
 
-def test_random_regular_rejects_impossible():
+def test_random_regular_negative_seed_keeps_its_key():
+    # the Philox key went through float64, so every negative seed keyed 0
+    # (and warned, which pytest makes an error)
+    graphs = {make_random_regular(20, 3, min_girth=3, seed=seed).edges
+              for seed in (0, -1, -2)}
+    assert len(graphs) == 3
+
+
+def test_random_regular_rejects_impossible(monkeypatch):
     with pytest.raises(ValueError):
         make_random_regular(10, 1)  # degree too small
     with pytest.raises(ValueError):
@@ -140,20 +149,21 @@ def test_random_regular_rejects_impossible():
         make_random_regular(3, 3)  # n <= d
     with pytest.raises(ValueError):
         # C_4 is the only 2-regular graph on 4 vertices and has girth 4
-        make_random_regular(4, 2, min_girth=5, max_attempts=10)
+        make_random_regular(4, 2, min_girth=5)
+    # the Petersen graph is the only girth-5 cubic graph on 10 vertices,
+    # and the pairing model almost never draws it
+    monkeypatch.setattr(graph, "MAX_ATTEMPTS", 10)
     with pytest.raises(RuntimeError):
-        # the Petersen graph is the only girth-5 cubic graph on 10 vertices,
-        # and the pairing model almost never draws it
-        make_random_regular(10, 3, min_girth=5, max_attempts=10)
+        make_random_regular(10, 3, min_girth=5)
 
 
 def test_random_regular_refuses_below_moore_bound():
     # girth 5 needs the center, its 3 neighbors and their 6 children distinct
     with pytest.raises(ValueError, match=r"Moore bound needs n >= 10"):
-        make_random_regular(8, 3, min_girth=5, max_attempts=1)
+        make_random_regular(8, 3, min_girth=5)
     # a huge girth is refused without building the astronomical bound
     with pytest.raises(ValueError, match=r"Moore bound needs n >= \d{4}$"):
-        make_random_regular(1000, 3, min_girth=10**12, max_attempts=1)
+        make_random_regular(1000, 3, min_girth=10**12)
     assert girth(make_random_regular(10, 2, min_girth=10)) == 10
 
 
@@ -186,15 +196,16 @@ def test_short_cycle_search_matches_girth():
             assert _has_short_cycle(nbr, min_girth) == (girth(g) < min_girth)
 
 
-def test_random_regular_huge_girth_bounded_memory():
+def test_random_regular_huge_girth_bounded_memory(monkeypatch):
     # n passes the Moore bound for girth 30, and seed 1's first pairing is
     # simple, so the attempt reaches the short-cycle search; walking every
     # root at once would hold about 20 GB
+    monkeypatch.setattr(graph, "MAX_ATTEMPTS", 1)
     tracemalloc.start()
     t0 = time.perf_counter()
     try:
         with pytest.raises(RuntimeError, match="in 1 attempts"):
-            make_random_regular(100_000, 3, min_girth=30, seed=1, max_attempts=1)
+            make_random_regular(100_000, 3, min_girth=30, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

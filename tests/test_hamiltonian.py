@@ -75,7 +75,8 @@ def test_encoder_degree3_golden():
 
 def test_encoder_respects_support_labels():
     base = fourier_encode_clause(local_satisfaction_clause(2))
-    moved = fourier_encode_clause(local_satisfaction_clause(2, support=(2, 5, 7)))
+    table = local_satisfaction_clause(2).truth_table
+    moved = fourier_encode_clause(Clause(support=(2, 5, 7), truth_table=table))
     relabel = {0: 2, 1: 5, 2: 7}
     expected = {mask_of(relabel[v] for v in vertices_of(m)): w
                 for m, w in base.terms}
@@ -146,16 +147,14 @@ def test_evaluate_classical_counts_satisfied_vertices():
         bits = rng.integers(0, 2, size=7)
         cut = np.where(bits == 1, 1, -1)
         count = sum(satisfied(g, cut, v) for v in range(7))
-        assert evaluate_classical(h, list(bits)) == pytest.approx(count, abs=1e-12)
+        x = mask_of(v for v in range(7) if bits[v])
+        assert evaluate_classical(h, x) == pytest.approx(count, abs=1e-12)
 
 
-def test_evaluate_classical_accepts_mask_or_bits():
+def test_evaluate_classical_refuses_mask_out_of_range():
     h = build_localmaxcut_hamiltonian(make_cycle(5))
-    for x in range(32):
-        bits = [(x >> v) & 1 for v in range(5)]
-        assert evaluate_classical(h, x) == evaluate_classical(h, bits)
-    with pytest.raises(ValueError):
-        evaluate_classical(h, [0, 1])  # wrong length
+    # every vertex agrees with both neighbours: none is satisfied
+    assert evaluate_classical(h, 0b11111) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         evaluate_classical(h, 1 << 5)  # mask out of range
 

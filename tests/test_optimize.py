@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,7 +8,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from derivations import q2_star
 from localmaxcut import (ClassicalParams, exact_prob, grid_sweep,
-                         optimal_preset, optimize_classical, report_to_json)
+                         optimal_preset, optimize_classical)
+from localmaxcut import optimize
 from localmaxcut.optimize import (DISTINCT_TOL, P_SEEDS, QAOA_BOX,
                                   QAOA_RESOLUTION, TOP_K,
                                   _canonical_classical, _top_k,
@@ -126,16 +129,17 @@ def test_compass_start_outside_box():
         compass_search(paraboloid, [(2.0, 0.0)], UNIT_BOX, (0.25, 0.25))
 
 
-def test_compass_never_worse_than_seed():
+def test_compass_never_worse_than_seed(monkeypatch):
     # a budget of one step ends unconverged, and the seed is kept
+    monkeypatch.setattr(optimize, "MAX_ITERS", 1)
     _, value, _, converged, _ = compass_search(paraboloid, [(0.3, 0.7)],
-                                               UNIT_BOX, (0.25, 0.25),
-                                               max_iters=1)
+                                               UNIT_BOX, (0.25, 0.25))
     assert value[0] >= paraboloid((0.3, 0.7))
     assert not converged[0]
 
 
-def test_compass_one_call_per_step_for_all_starts():
+def test_compass_one_call_per_step_for_all_starts(monkeypatch):
+    monkeypatch.setattr(optimize, "TOL", 1e-6)
     calls = []
 
     def counting(x):
@@ -144,7 +148,7 @@ def test_compass_one_call_per_step_for_all_starts():
 
     starts = [(0.0, 0.0, 0.5), (1.0, 1.0, 0.0), (0.3, 0.7, 0.0)]
     x, value, iters, converged, step = compass_search(
-        counting, starts, ((0.0, 1.0),) * 3, (0.1, 0.2, 0.1), tol=1e-6)
+        counting, starts, ((0.0, 1.0),) * 3, (0.1, 0.2, 0.1))
     assert x.shape == (3, 3)
     assert [a.shape for a in (value, iters, converged, step)] == [(3,)] * 4
     assert len(calls) == max(iters)
@@ -249,13 +253,13 @@ def test_optimize_classical_d3(classical_d3):
 def test_optimize_classical_d3_finds_both_maxima(classical_d3):
     report, _ = classical_d3
     assert len(report.maxima) == 2
-    (top, top_value), (second, second_value) = report.maxima
-    assert top_value == pytest.approx(0.7725678954133012, abs=1e-9)
-    assert top[0] == pytest.approx(0.39116622410642893, abs=1e-6)
-    assert top[3] == pytest.approx(0.0, abs=1e-6)
-    assert second_value == pytest.approx(0.7724641655016696, abs=1e-9)
-    assert second[0] == pytest.approx(0.5, abs=1e-6)
-    assert second[3] == pytest.approx(0.0730576, abs=1e-6)
+    top, second = report.maxima
+    assert top["value"] == pytest.approx(0.7725678954133012, abs=1e-9)
+    assert top["argmax"][0] == pytest.approx(0.39116622410642893, abs=1e-6)
+    assert top["argmax"][3] == pytest.approx(0.0, abs=1e-6)
+    assert second["value"] == pytest.approx(0.7724641655016696, abs=1e-9)
+    assert second["argmax"][0] == pytest.approx(0.5, abs=1e-6)
+    assert second["argmax"][3] == pytest.approx(0.0730576, abs=1e-6)
 
 
 def test_threshold_seeds_are_scored_rules():
@@ -296,12 +300,19 @@ def test_classical_curve_reaches_tuned_optimum(classical_d3):
 
 def test_maxima_are_distinct_and_ranked(classical_d2, qaoa_d2):
     for report, _ in (classical_d2, qaoa_d2):
-        values = [v for _, v in report.maxima]
+        values = [m["value"] for m in report.maxima]
         assert values == sorted(values, reverse=True)
-        assert report.maxima[0] == (report.argmax, report.value)
-        for i, (xi, _) in enumerate(report.maxima):
-            for xj, _ in report.maxima[i + 1:]:
+        assert report.maxima[0] == {"argmax": report.argmax,
+                                    "value": report.value}
+        points = [m["argmax"] for m in report.maxima]
+        for i, xi in enumerate(points):
+            for xj in points[i + 1:]:
                 assert math.dist(xi, xj) > DISTINCT_TOL
+
+
+def _json(report):
+    """The report as `reproduce` writes it."""
+    return json.loads(json.dumps(dataclasses.asdict(report)))
 
 
 def test_reports_describe_their_seeds(classical_d2, classical_d3, qaoa_d2,
@@ -312,14 +323,14 @@ def test_reports_describe_their_seeds(classical_d2, classical_d3, qaoa_d2,
         assert report.grid_resolution == shape
         assert report.grid_value is not None
         assert report.grid_value <= report.value
-        doc = report_to_json(report)
+        doc = _json(report)
         assert doc["grid_resolution"] == list(shape)
         assert doc["grid_value"] == report.grid_value
 
 
 def test_report_to_json(qaoa_d2):
     report, _ = qaoa_d2
-    doc = report_to_json(report)
+    doc = _json(report)
     assert doc["argmax"] == list(report.argmax)
     assert doc["value"] == report.value
     assert doc["grid_resolution"] == [256, 256]

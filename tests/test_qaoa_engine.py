@@ -34,8 +34,7 @@ from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
 from localmaxcut.qaoa_engine import (COSET_CAP, FAMILY_CAP, IMAG_TOL, _alphas,
                                      _bits, _factors, _families, _gather,
-                                     _real, _subsets, expectation_terms,
-                                     expectation_zk)
+                                     _real, _subsets, expectation_terms)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
 
@@ -133,7 +132,7 @@ def test_solution_families_cap():
     with pytest.raises(ValueError, match=(
             rf"light cone: 524288 families of 25 terms exceed the coset cap "
             rf"{COSET_CAP} at K = \[0\]")):
-        expectation_zk(h, 1, (0.3, 0.2))
+        expectation_terms(h, [1], (0.3, 0.2))[0]
 
 
 @settings(max_examples=60, deadline=None)
@@ -168,7 +167,8 @@ def test_term_alone_equals_term_among_all(graph):
     gammas, betas = _random_angles(5, 7)
     Ks = [K for K, _ in h.nonconstant_terms()]
     for K, value in zip(Ks, expectation_terms(h, Ks, (gammas, betas))):
-        assert np.array_equal(expectation_zk(h, K, (gammas, betas)), value)
+        assert np.array_equal(
+            expectation_terms(h, [K], (gammas, betas))[0], value)
 
 
 def loop_alphas(h, masks, families, gamma):
@@ -212,15 +212,15 @@ def test_family_products_match_term_loop(monkeypatch):
 def test_expectation_zk_rejects_bad_subsets():
     h = build_localmaxcut_hamiltonian(make_cycle(5))
     with pytest.raises(ValueError):
-        expectation_zk(h, 0, (0.3, 0.2))
+        expectation_terms(h, [0], (0.3, 0.2))[0]
     with pytest.raises(ValueError):
-        expectation_zk(h, 1 << 5, (0.3, 0.2))
+        expectation_terms(h, [1 << 5], (0.3, 0.2))[0]
 
 
 def test_breakdown_structure():
     h, K = girth7_certificate(2, "EDGE")
     gamma, beta = 0.37, 0.21
-    value = expectation_zk(h, K, (gamma, beta))
+    value = expectation_terms(h, [K], (gamma, beta))[0]
     bd = explain_zk(h, K, (gamma, beta))
     assert bd["K"] == vertices_of(K)
     assert bd["total"] == value
@@ -265,7 +265,7 @@ def test_breakdown_json():
 def test_patch_reproduces_closed_form(d, kind, closed_form):
     h, K = girth7_certificate(d, kind)
     for angles in ANGLES:
-        engine = expectation_zk(h, K, angles)
+        engine = expectation_terms(h, [K], angles)[0]
         assert engine == pytest.approx(closed_form(angles), abs=1e-12)
 
 
@@ -417,7 +417,8 @@ def test_expectation_terms_shapes():
     values = expectation_terms(h, Ks, (gammas, betas))
     assert values.shape == (5, 4, 3)
     for K, value in zip(Ks, values):
-        assert np.array_equal(value, expectation_zk(h, K, (gammas, betas)))
+        assert np.array_equal(
+            value, expectation_terms(h, [K], (gammas, betas))[0])
     assert expectation_terms(h, Ks, (0.3, 0.2)).shape == (5,)
     assert expectation_terms(h, [], (gammas, betas)).shape == (0, 4, 3)
 
@@ -441,9 +442,9 @@ def test_engine_batch_matches_scalar(graph):
                                 np.linspace(0.0, math.pi, 7), indexing="ij")
     points = list(zip(gammas.ravel().tolist(), betas.ravel().tolist()))
     for K, _ in h.nonconstant_terms():
-        batch = expectation_zk(h, K, (gammas, betas))
+        batch = expectation_terms(h, [K], (gammas, betas))[0]
         assert batch.shape == gammas.shape
-        scalar = [expectation_zk(h, K, a) for a in points]
+        scalar = [expectation_terms(h, [K], a)[0] for a in points]
         assert all(isinstance(v, float) for v in scalar)
         assert np.max(np.abs(batch.ravel() - scalar)) <= 1e-12
     batch = expectation_full(h, (gammas, betas))
@@ -455,11 +456,11 @@ def test_nan_angle_refused_by_residue_check():
     # a NaN angle is refused before any work, on every entry of a batch
     h, K = girth7_certificate(2, "EDGE")
     with pytest.raises(ValueError, match="must be finite"):
-        expectation_zk(h, K, (math.nan, 0.2))
+        expectation_terms(h, [K], (math.nan, 0.2))[0]
     with pytest.raises(ValueError, match="must be finite"):
         explain_zk(h, K, (0.3, math.nan))
     with pytest.raises(ValueError, match="must be finite"):
-        expectation_zk(h, K, (np.array([0.3, math.nan, 0.5]), 0.2))
+        expectation_terms(h, [K], (np.array([0.3, math.nan, 0.5]), 0.2))[0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -469,9 +470,9 @@ def test_non_finite_angle_refused_without_families(bad):
     h = build_localmaxcut_hamiltonian(make_cycle(5))
     assert all(len(codes) == 0 for *_, codes in gathered(h, 1))
     with pytest.raises(ValueError, match="must be finite"):
-        expectation_zk(h, 1, (bad, 0.3))
+        expectation_terms(h, [1], (bad, 0.3))[0]
     with pytest.raises(ValueError, match="must be finite"):
-        expectation_zk(h, 1, (0.3, bad))
+        expectation_terms(h, [1], (0.3, bad))[0]
     with pytest.raises(ValueError, match="must be finite"):
         explain_zk(h, 1, (bad, 1.0))
 
@@ -487,13 +488,13 @@ def test_overflowing_gamma_refused(graph, K):
         for angles in ((1e308, 0.2), (np.array([0.3, -1e308]), 0.2)):
             with pytest.raises(ValueError,
                                match=r"gamma = 1e\+308 overflows 2 gamma W_M"):
-                expectation_zk(h, K, angles)
+                expectation_terms(h, [K], angles)[0]
         with pytest.raises(ValueError, match="gamma = 1e\\+308"):
             explain_zk(h, K, (1e308, 0.2))
         with pytest.raises(ValueError, match=r"beta = 1e\+308 overflows"):
-            expectation_zk(h, K, (0.3, 1e308))
+            expectation_terms(h, [K], (0.3, 1e308))[0]
         # within range, a large gamma is still evaluated
-        assert abs(expectation_zk(h, K, (1e300, 0.2))) <= 1.0
+        assert abs(expectation_terms(h, [K], (1e300, 0.2))[0]) <= 1.0
     assert caught == []
 
 
@@ -525,7 +526,7 @@ def test_engine_beyond_64_vertices():
     far = DiagonalHamiltonian(n=100, terms=tuple((m << shift, w)
                                                  for m, w in h.terms))
     for angles in ANGLES:
-        assert abs(expectation_zk(far, K << shift, angles)
+        assert abs(expectation_terms(far, [K << shift], angles)[0]
                    - zk_edge_d2(angles)) <= 1e-12
     assert abs(expectation_full(far, ANGLES[1])
                - closed_form_f2(7, ANGLES[1])) <= 1e-12
@@ -599,7 +600,8 @@ def test_one_wide_term_pads_no_other():
     assert peak < 16 * 2 ** 20
     # each K's value is its own, whatever the other sizes in the call; the
     # first edge has the wide term in its cone
-    assert np.array_equal(values[0], expectation_zk(h, Ks[0], (gamma, beta)))
+    assert np.array_equal(values[0],
+                          expectation_terms(h, [Ks[0]], (gamma, beta))[0])
     for i in range(1, 4):
         assert np.array_equal(values[i].view(np.uint64), np.real(
             zk_per_pair(h, Ks[i], gamma, beta)).view(np.uint64))
@@ -615,7 +617,8 @@ def test_a_k_with_no_family_costs_its_cone():
     h = make_hamiltonian(40, {mask_of((0, 1)): 1.0, mask_of((2, 3)): 0.5})
     far = mask_of(range(20, 38))
     start = time.perf_counter()
-    peak, value = traced_peak(lambda: expectation_zk(h, far, ANGLES[0]))
+    peak, value = traced_peak(
+        lambda: expectation_terms(h, [far], ANGLES[0])[0])
     assert time.perf_counter() - start < 0.1
     assert peak < 2 * 2 ** 20
     assert value == 0.0
@@ -624,8 +627,8 @@ def test_a_k_with_no_family_costs_its_cone():
     values = expectation_terms(h, Ks, (gamma, beta))
     assert np.array_equal(values[1], np.zeros(5))
     for i in (0, 2):
-        assert np.array_equal(values[i], expectation_zk(h, Ks[i],
-                                                        (gamma, beta)))
+        assert np.array_equal(values[i], expectation_terms(
+            h, [Ks[i]], (gamma, beta))[0])
     record = explain_zk(h, mask_of(range(20, 23)), ANGLES[0])
     assert record["total"] == 0.0
     assert [rec["L"] for rec in record["contributions"]] == [
@@ -744,7 +747,7 @@ def test_family_cap_enforced_in_engine():
     weights = {mask_of((u, v)): -0.5 for u in range(n) for v in range(u + 1, n)}
     h = make_hamiltonian(n, weights)
     with pytest.raises(ValueError):
-        expectation_zk(h, mask_of((0, 1)), (0.3, 0.2))
+        expectation_terms(h, [mask_of((0, 1))], (0.3, 0.2))[0]
 
 
 def test_zero_angles_give_classical_mean():
