@@ -22,7 +22,8 @@ from .optimize import (GridSweep, OptimizationReport, grid_sweep,
                        optimize_classical, optimize_qaoa)
 from .qaoa_engine import expectation_full, explain_zk
 from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
-                          expectation_sv, qaoa_expectation_sv, uniform_state)
+                          expectation_sv, phase_table, qaoa_expectation_sv,
+                          uniform_state)
 
 __version__ = "0.1.0"
 
@@ -36,6 +37,6 @@ __all__ = [
     "load_edge_list", "local_satisfaction_clause", "make_cycle",
     "make_hamiltonian", "make_named", "make_random_regular", "mask_of",
     "monte_carlo", "neighborhood", "optimal_preset", "optimize_classical",
-    "optimize_qaoa", "qaoa_expectation_sv", "save_edge_list",
+    "optimize_qaoa", "phase_table", "qaoa_expectation_sv", "save_edge_list",
     "uniform_state", "vertices_of",
 ]

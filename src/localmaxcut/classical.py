@@ -29,6 +29,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import Generator, Philox
 
+from .graph import philox_key
+
 EXACT_MAX_DEGREE = 10  # the sum has O(d^3) terms: under 1 ms per point at d = 10
 MAX_TRIALS = 10**8  # Monte Carlo keeps one float per trial: 0.8 GB at the cap
 
@@ -96,11 +98,10 @@ def _agreeing(adj, x, ell):
 def monte_carlo(g, params, trials: int, seed: int = 0) -> RunStats:
     """Mean satisfied fraction over independent seeded trials, with stderr.
 
-    Trial t draws from Philox keyed (seed mod 2^64, t) at counter 0, the
-    key a uint64 array, so a negative seed keeps its bits.  One generator
-    is re-keyed through its state for each trial, which gives the draws a
-    new Philox with that key would without reading OS entropy for a seed
-    sequence that the key overrides."""
+    Trial t draws from Philox keyed `philox_key(seed, t)` at counter 0.
+    One generator is re-keyed through its state for each trial, which
+    gives the draws a new Philox with that key would without reading OS
+    entropy for a seed sequence that the key overrides."""
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"need 1 <= trials <= {MAX_TRIALS}, got {trials}")
     d = g.degree
@@ -110,16 +111,16 @@ def monte_carlo(g, params, trials: int, seed: int = 0) -> RunStats:
     p, q = params
     qv = np.asarray(q)
     adj = _adjacency_array(g, d)
-    bits = Philox(key=np.array([seed & (2**64 - 1), 0], dtype=np.uint64))
+    bits = Philox(key=philox_key(seed))
     fresh = bits.state  # counter 0 and an empty buffer
     rng = Generator(bits)
     ell = np.empty(g.n, dtype=np.min_scalar_type(d))
     fractions = np.empty(trials)
     for t in range(trials):
-        fresh["state"]["key"][1] = t
+        fresh["state"]["key"] = philox_key(seed, t)
         bits.state = fresh
         x0 = rng.random(g.n) < p
-        x1 = x0 ^ (rng.random(g.n) < qv[_agreeing(adj, x0, ell)])
+        x1 = x0 ^ (rng.random(g.n) < qv.take(_agreeing(adj, x0, ell)))
         fractions[t] = np.count_nonzero(_agreeing(adj, x1, ell) <= d // 2) / g.n
     stderr = float(np.std(fractions, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return RunStats(trials=trials, mean=float(np.mean(fractions)), stderr=stderr)

@@ -8,6 +8,7 @@ immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -55,11 +56,19 @@ class Graph:
     edges: tuple[tuple[int, int], ...]
     adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
 
-    @property
+    @functools.cached_property
     def degree(self) -> int | None:
         """Common vertex degree, or None if the graph is not regular."""
         degs = {len(nbrs) for nbrs in self.adjacency}
         return degs.pop() if len(degs) == 1 else None
+
+
+def philox_key(seed: int, stream: int = 0) -> np.ndarray:
+    """The Philox key of a seed: (seed mod 2^64, stream) as a uint64 array,
+    so a negative seed keeps its bits (a list key goes through float64).
+    The random regular generator, verify's angles and Monte Carlo (one
+    stream per trial) all draw from it."""
+    return np.array([seed & (2**64 - 1), stream], dtype=np.uint64)
 
 
 def build_graph(n, edges) -> Graph:
@@ -141,8 +150,7 @@ def make_random_regular(n: int, d: int, min_girth: int = 3,
     if n < bound:
         raise ValueError(f"no {d}-regular graph on {n} vertices has girth >= "
                          f"{min_girth}: the Moore bound needs n >= {bound}")
-    rng = Generator(Philox(key=np.array([seed & (2**64 - 1), 0],
-                                        dtype=np.uint64)))
+    rng = Generator(Philox(key=philox_key(seed)))
     slots = np.arange(n * d)  # stub s belongs to vertex s // d
     place = np.empty_like(slots)
     for _ in range(MAX_ATTEMPTS):

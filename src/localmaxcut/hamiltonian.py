@@ -13,9 +13,11 @@ C(x) = sum_S C_hat(S) chi_S(x), and the same transform, run the other
 way, turns a term map into its 2^n diagonal.  It is one butterfly per
 qubit over the pairs of entries that differ in that qubit's bit, which
 `pair_walk` hands out (to the statevector's mixer too): transposed
-blocks of PAIR_BLOCK entries for the lower half of the qubits, and each
-qubit's pairs as two contiguous arrays.  Each butterfly is elementwise
-and every entry meets the qubits in order, so the walk changes no bit.
+blocks of PAIR_BLOCK elements for the lower half of the qubits, and each
+qubit's pairs as two contiguous arrays.  An entry is a value, or a row
+of S values that the walk carries side by side.  Each butterfly is
+elementwise and every entry meets the qubits in order, so the walk
+changes no bit.
 
 Clause weights accumulate per subset when clauses overlap.  Terms whose
 accumulated weight is exactly zero are dropped, so the stored term list
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_CLAUSE_VARS = 16
-PAIR_BLOCK = 2 ** 14  # entries of one transposed block or chunk of a pair walk
+PAIR_BLOCK = 2 ** 14  # elements of one transposed block or chunk of a pair walk
 
 
 def mask_of(vertices) -> int:
@@ -95,18 +97,25 @@ def make_hamiltonian(n: int, weights: dict) -> DiagonalHamiltonian:
     return DiagonalHamiltonian(n=n, terms=terms)
 
 
+def block_entries(a: np.ndarray) -> int:
+    """Entries of `a`, each one row of its trailing values, that a block of
+    PAIR_BLOCK elements holds: a power of two, and at least one."""
+    width = a.size // len(a)
+    return max(1, PAIR_BLOCK >> (width - 1).bit_length())
+
+
 def _halves(x: np.ndarray, stride: int, scratch: np.ndarray):
-    """The pairs of the contiguous 1-D x whose indices differ by stride, as
-    (lo, hi) contiguous arrays; a copy in scratch is written back to x
-    once the caller has updated it."""
-    pairs = x.reshape(-1, 2, stride)
+    """The pairs of the contiguous x whose entries differ by stride along
+    its first axis, as (lo, hi) contiguous arrays; a copy in scratch is
+    written back to x once the caller has updated it."""
+    pairs = x.reshape(-1, 2, stride, *x.shape[1:])
     if len(pairs) == 1:
         yield pairs[0, 0], pairs[0, 1]
         return
-    halves = scratch[:len(x)].reshape(2, -1, stride)
-    np.copyto(halves, pairs.transpose(1, 0, 2))
+    halves = scratch[:len(x)].reshape(2, -1, stride, *x.shape[1:])
+    np.copyto(halves, pairs.swapaxes(0, 1))
     yield halves[0], halves[1]
-    np.copyto(pairs.transpose(1, 0, 2), halves)
+    np.copyto(pairs.swapaxes(0, 1), halves)
 
 
 def pair_walk(a: np.ndarray):
@@ -115,38 +124,44 @@ def pair_walk(a: np.ndarray):
     shape (bit v clear in lo, set in hi), for a caller that updates them
     in place before asking for the next; the walk writes them back.
 
-    The lower n // 2 qubits are taken on a transposed copy of a block of
-    rows of the (2^(n - n//2), 2^(n//2)) array, PAIR_BLOCK entries, which
-    is written back before the next block is copied, so their pairs are a
-    block row or more apart; the upper ones on `a` itself, PAIR_BLOCK
-    entries at a time.  Unless a qubit's pairs are already two contiguous
-    halves, they are copied into one scratch array and back: on a strided
-    (rows, run) view of 2^13 entries in four or more rows, numpy's
-    in-place multiply and add took three and five times as long as on a
-    contiguous array.  Every entry meets the qubits in ascending order,
-    and at most two blocks are held beside `a`."""
+    An entry is one value of a 1-D `a`, or one row of the trailing values
+    of a (2^n, S) `a`, whose S columns the walk carries side by side.  A
+    block holds `block_entries(a)` entries, PAIR_BLOCK elements.  The
+    lower n // 2 qubits are taken on a transposed copy of a block of rows
+    of the (2^(n - n//2), 2^(n//2)) entries, which is written back before
+    the next block is copied, so their pairs are a block row or more
+    apart; the upper ones on `a` itself, a block at a time.  Unless a
+    qubit's pairs are already two contiguous halves, they are copied into
+    one scratch array and back: on a strided (rows, run) view of 2^13
+    entries in four or more rows, numpy's in-place multiply and add took
+    three and five times as long as on a contiguous array.  Every entry
+    meets the qubits in ascending order, and at most two blocks are held
+    beside `a`."""
     n = len(a).bit_length() - 1
     if len(a) != 2 ** n:
         raise ValueError(f"{len(a)} entries is not a power of two")
+    tail = a.shape[1:]
+    chunk = block_entries(a)
     low = n // 2
-    scratch = np.empty(min(len(a), max(PAIR_BLOCK, 2 ** low)), dtype=a.dtype)
-    rows = a.reshape(-1, 2 ** low)
-    step = max(1, PAIR_BLOCK >> low)
+    scratch = np.empty((min(len(a), max(chunk, 2 ** low)), *tail),
+                       dtype=a.dtype)
+    rows = a.reshape(-1, 2 ** low, *tail)
+    step = max(1, chunk >> low)
     if low:
-        block = np.empty((2 ** low, min(step, len(rows))), dtype=a.dtype)
+        block = np.empty((2 ** low, min(step, len(rows)), *tail),
+                         dtype=a.dtype)
         for start in range(0, len(rows), step):
             part = rows[start:start + step]
-            np.copyto(block, part.T)
+            np.copyto(block, part.swapaxes(0, 1))
             for v in range(low):
-                yield from _halves(block.reshape(-1), block.shape[1] << v,
-                                   scratch)
-            np.copyto(part, block.T)
-    half = PAIR_BLOCK // 2
+                yield from _halves(block.reshape(-1, *tail),
+                                   block.shape[1] << v, scratch)
+            np.copyto(part, block.swapaxes(0, 1))
+    half = max(1, chunk // 2)
     for v in range(low, n):
-        if 2 ** v <= half:
-            for start in range(0, len(a), PAIR_BLOCK):
-                yield from _halves(a[start:start + PAIR_BLOCK], 2 ** v,
-                                   scratch)
+        if 2 ** v < chunk:
+            for start in range(0, len(a), chunk):
+                yield from _halves(a[start:start + chunk], 2 ** v, scratch)
         else:  # each run of a pair group is split into runs of half
             for group in range(0, len(a), 2 ** (v + 1)):
                 for at in range(group, group + 2 ** v, half):
@@ -157,7 +172,8 @@ def walsh_transform(values) -> np.ndarray:
     """Normalized Walsh-Hadamard transform of 2^k values:
     out[s] = 2^-k sum_t f[t] (-1)^{|s&t|}.  Applied twice it gives
     2^-k f, so 2^k times the transform inverts it.  One butterfly
-    (lo, hi) <- (lo + hi, lo - hi) per qubit, over `pair_walk`."""
+    (lo, hi) <- (lo + hi, lo - hi) per qubit, over `pair_walk`; a
+    (2^k, S) array is S columns transformed side by side."""
     a = np.array(values, dtype=float)
     for lo, hi in pair_walk(a):
         lo[:], hi[:] = lo + hi, lo - hi

@@ -43,7 +43,8 @@ Statevector.  `butterfly_walsh`, `loop_mixer` and `exp_phase` are the
 plain loops over the whole array: one butterfly or one 7-operation mixer
 gate per qubit, and one exponential per entry.  `walsh_transform`,
 `apply_mixer` and `apply_phase` walk blocks and take one exponential per
-distinct value, and must give the same bits.
+distinct value, and must give the same bits, on a lone array and on each
+column of a batch.
 """
 
 import cmath
@@ -56,7 +57,8 @@ from numpy.random import Generator, Philox
 
 from localmaxcut.classical import ClassicalParams, _check_params, _fab
 from localmaxcut.qaoa_engine import _families
-from localmaxcut.statevector import apply_mixer, apply_phase, uniform_state
+from localmaxcut.statevector import (apply_mixer, apply_phase, phase_table,
+                                     uniform_state)
 
 # The oracle holds one uint64 array of 2^V entries per vertex of the radius-2
 # tree, V = 1 + d + d(d-1): 17 MiB at d = 4, but about 13 GiB at d = 5.
@@ -284,7 +286,8 @@ def light_cone_statevector(d: int, angles) -> float:
         return (agree <= d // 2).astype(float)
 
     diagonal = sum(clause(u) for u in range(1 + d + d * (d - 1)))
-    state = apply_mixer(beta, apply_phase(diagonal, gamma, uniform_state(n)))
+    state = apply_mixer(beta, apply_phase(phase_table(diagonal), gamma,
+                                          uniform_state(n)))
     return float(np.abs(state.amplitudes) ** 2 @ clause(0))
 
 

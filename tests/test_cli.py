@@ -431,6 +431,33 @@ def test_verify_builds_diagonal_once(capsys, monkeypatch):
     assert calls == [7]
 
 
+@pytest.mark.parametrize("graph,batches", [("named:PETERSEN", [16] * 4 + [1]),
+                                          ("cycle:5", [64, 1])])
+def test_verify_batches_match_one_sample_at_a_time(capsys, monkeypatch,
+                                                   graph, batches):
+    # the statevector side runs min(samples left in the block,
+    # PAIR_BLOCK >> n) samples side by side, and a batch gives the bits of
+    # its samples one at a time: PAIR_BLOCK = 1 makes every batch one
+    # sample, and the report is byte-equal
+    widths = []
+    mixer = cli.apply_mixer
+
+    def counted(beta, state):
+        widths.append(state.amplitudes.shape[1])
+        return mixer(beta, state)
+
+    monkeypatch.setattr(cli, "apply_mixer", counted)
+    argv = ["verify", "--graph", graph, "--samples", "65", "--json",
+            "--no-timestamp"]
+    rc, batched, _ = run_cli(capsys, *argv)
+    assert rc == 0 and widths == batches
+    widths.clear()
+    monkeypatch.setattr(cli, "PAIR_BLOCK", 1)
+    rc, alone, _ = run_cli(capsys, *argv)
+    assert rc == 0 and widths == [1] * 65
+    assert batched == alone
+
+
 def test_verify_refuses_engine_caps_before_the_diagonal(capsys, monkeypatch):
     # degree 4 overflows the engine's light-cone cap; the 2^n diagonal
     # must not be built first, since at MAX_QUBITS it is the run's largest

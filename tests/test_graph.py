@@ -51,6 +51,13 @@ def test_degree_property():
     assert make_named("PETERSEN").degree == 3
     # a path is irregular: endpoints have degree 1
     assert load_edge_list("0 1\n1 2\n").degree is None
+    # computed on first read and kept on the frozen graph, which still
+    # compares and hashes by its vertices and edges
+    g = make_named("PETERSEN")
+    assert "degree" not in vars(g)
+    assert g.degree == 3 and vars(g)["degree"] == 3
+    assert g == make_named("PETERSEN")
+    assert hash(g) == hash(make_named("PETERSEN"))
 
 
 def test_make_cycle():

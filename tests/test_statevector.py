@@ -9,8 +9,8 @@ from derivations import butterfly_walsh, exp_phase, loop_mixer
 from localmaxcut import (MAX_QUBITS, apply_mixer, apply_phase,
                          build_localmaxcut_hamiltonian, evaluate_all,
                          evaluate_classical, expectation_sv, make_hamiltonian,
-                         make_named, mask_of, qaoa_expectation_sv,
-                         uniform_state)
+                         make_named, mask_of, phase_table,
+                         qaoa_expectation_sv, uniform_state)
 from localmaxcut import hamiltonian, statevector
 from localmaxcut.hamiltonian import PAIR_BLOCK, walsh_transform
 from localmaxcut.statevector import State
@@ -33,7 +33,8 @@ def test_apply_phase_single_zz_term():
     # H = Z_0 Z_1: value +1 on 00/11, -1 on 01/10; at gamma = pi/2 the
     # uniform amplitudes pick up -i and +i respectively
     h = make_hamiltonian(2, {mask_of((0, 1)): 1.0})
-    st = apply_phase(evaluate_all(h), math.pi / 2, uniform_state(2))
+    st = apply_phase(phase_table(evaluate_all(h)), math.pi / 2,
+                     uniform_state(2))
     assert np.allclose(st.amplitudes, [-0.5j, 0.5j, 0.5j, -0.5j])
 
 
@@ -41,7 +42,7 @@ def test_apply_phase_is_diagonal_phase():
     # |amplitude| is untouched and the phase is exactly -gamma * H(x)
     h = make_hamiltonian(3, {0: 0.5, 0b011: -0.25, 0b110: 1.5})
     values = evaluate_all(h)
-    st = apply_phase(values, 0.7, uniform_state(3))
+    st = apply_phase(phase_table(values), 0.7, uniform_state(3))
     expected = 2.0 ** -1.5 * np.exp(-1j * 0.7 * values)
     assert np.allclose(st.amplitudes, expected)
 
@@ -81,7 +82,8 @@ def test_mixer_matches_dense_kronecker():
 
 def test_gates_preserve_norm():
     h = make_hamiltonian(4, {0b0101: 0.3, 0b1110: -1.1})
-    st = apply_mixer(2.2, apply_phase(evaluate_all(h), 1.7, uniform_state(4)))
+    st = apply_mixer(2.2, apply_phase(phase_table(evaluate_all(h)), 1.7,
+                                      uniform_state(4)))
     assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0)
 
 
@@ -108,7 +110,7 @@ def test_uniform_expectation_is_constant_term():
 def test_dimension_mismatch_raises():
     h = make_hamiltonian(3, {0b011: 1.0})
     with pytest.raises(ValueError):
-        apply_phase(evaluate_all(h), 0.1, uniform_state(2))
+        apply_phase(phase_table(evaluate_all(h)), 0.1, uniform_state(2))
     with pytest.raises(ValueError):
         expectation_sv(evaluate_all(h), uniform_state(2))
 
@@ -120,8 +122,8 @@ BLOCKS = [(PAIR_BLOCK, 17), (16, 11), (2, 9)]
 
 @pytest.fixture(params=BLOCKS, ids=lambda b: f"block{b[0]}")
 def sizes(request, monkeypatch):
-    """The qubit counts 0..n-1 to check, with PAIR_BLOCK set for the walk
-    and the phase blocks."""
+    """The qubit counts 0..n-1 to check, with PAIR_BLOCK set for the walk,
+    the phase gate and its table's blocks."""
     block, n = request.param
     monkeypatch.setattr(hamiltonian, "PAIR_BLOCK", block)
     monkeypatch.setattr(statevector, "PAIR_BLOCK", block)
@@ -163,7 +165,8 @@ def test_apply_phase_is_one_exponential_per_entry(sizes):
                          rng.integers(0, n + 1, size=2 ** n).astype(float),
                          rng.choice([0.0, -0.0, 1.0, -2.5], size=2 ** n)):
             for gamma in (0.0, 0.7, -3.1, 1e3):
-                st = apply_phase(diagonal, gamma, State(n, amps.copy()))
+                st = apply_phase(phase_table(diagonal), gamma,
+                                 State(n, amps.copy()))
                 assert np.array_equal(bits(st.amplitudes),
                                       bits(exp_phase(diagonal, gamma, amps)))
 
@@ -173,9 +176,92 @@ def test_apply_phase_on_a_localmaxcut_diagonal():
     diagonal = evaluate_all(h)
     assert len(set(diagonal.tolist())) <= h.n + 1
     amps = uniform_state(h.n).amplitudes
-    st = apply_phase(diagonal, 2.2, uniform_state(h.n))
+    st = apply_phase(phase_table(diagonal), 2.2, uniform_state(h.n))
     assert np.array_equal(bits(st.amplitudes),
                           bits(exp_phase(diagonal, 2.2, amps)))
+
+
+def test_phase_table_tells_values_apart_by_bits():
+    # +0.0 and -0.0 are two levels, and the codes take the smallest
+    # unsigned dtype that indexes the levels
+    diagonal = np.array([0.0, -0.0, 1.0, 0.0, -2.5, -0.0, 1.0, 1.0])
+    table = phase_table(diagonal)
+    assert table.codes.dtype == np.uint8
+    assert len(table.levels) == 4
+    assert np.array_equal(bits(table.levels[table.codes]), bits(diagonal))
+    wide = phase_table(np.arange(2 ** 9) * 0.5)
+    assert wide.codes.dtype == np.uint16
+    assert np.array_equal(wide.levels[wide.codes], np.arange(2 ** 9) * 0.5)
+
+
+SAMPLES = (1, 2, 3, 50)
+BATCH_ELEMENTS = 2 ** 18  # the largest batch checked, S * 2^n
+
+
+def batches(sizes, rng):
+    """(n, S, a (2^n, S) complex batch) for every n of `sizes` and S of
+    SAMPLES whose batch has at most BATCH_ELEMENTS elements."""
+    for n in sizes:
+        for samples in SAMPLES:
+            if samples << n <= BATCH_ELEMENTS:
+                yield n, samples, (rng.normal(size=(2 ** n, samples))
+                                   + 1j * rng.normal(size=(2 ** n, samples)))
+
+
+def test_batched_walsh_transform_is_the_loop_per_column(sizes):
+    # a row of S values is one entry of the walk, so each column meets
+    # the butterflies as a lone array would
+    rng = np.random.default_rng(6)
+    for n, samples, values in batches(sizes, rng):
+        out = walsh_transform(values.real)
+        for j in range(samples):
+            assert np.array_equal(bits(out[:, j]),
+                                  bits(butterfly_walsh(values.real[:, j])))
+
+
+def test_batched_apply_mixer_is_the_loop_per_column(sizes):
+    rng = np.random.default_rng(7)
+    for n, samples, amps in batches(sizes, rng):
+        betas = rng.uniform(-math.pi, math.pi, size=samples)
+        st = apply_mixer(betas, State(n, amps.copy()))
+        for j in range(samples):
+            assert np.array_equal(bits(st.amplitudes[:, j]),
+                                  bits(loop_mixer(betas[j], amps[:, j])))
+
+
+def test_batched_apply_phase_is_one_exponential_per_entry(sizes):
+    # one exponential per level and sample, gathered through the codes;
+    # the +-0.0 diagonal keeps the sign of every zero in every column.
+    # A batch on 0 qubits is left out: numpy's in-place complex multiply
+    # rounds a lone entry differently from a row of entries (see
+    # exp_phase), and a graph always has a vertex
+    rng = np.random.default_rng(8)
+    for n, samples, amps in batches(sizes, rng):
+        if n == 0 and samples > 1:
+            continue
+        gammas = rng.uniform(-4.0, 4.0, size=samples)
+        for diagonal in (rng.integers(0, n + 1, size=2 ** n).astype(float),
+                         rng.choice([0.0, -0.0, 1.0, -2.5], size=2 ** n)):
+            st = apply_phase(phase_table(diagonal), gammas,
+                             State(n, amps.copy()))
+            for j in range(samples):
+                assert np.array_equal(
+                    bits(st.amplitudes[:, j]),
+                    bits(exp_phase(diagonal, gammas[j], amps[:, j])))
+
+
+def test_batched_expectation_is_the_lone_state_per_column():
+    # one dot per contiguous sample row gives each column the bits of its
+    # lone state's expectation
+    rng = np.random.default_rng(9)
+    for n in (1, 5, 10):
+        diagonal = rng.normal(size=2 ** n)
+        amps = rng.normal(size=(2 ** n, 7)) + 1j * rng.normal(size=(2 ** n, 7))
+        values = expectation_sv(diagonal, State(n, amps))
+        assert values.shape == (7,)
+        for j in range(7):
+            lone = expectation_sv(diagonal, State(n, amps[:, j].copy()))
+            assert bits(values[j]) == bits(np.float64(lone))
 
 
 def test_gates_hold_at_most_a_block_beside_the_state():
@@ -183,14 +269,18 @@ def test_gates_hold_at_most_a_block_beside_the_state():
     # beside the state: a whole-state transposed copy would take the
     # mixer to about twice the state, and the loop over the whole array
     # took it to 1.06 times, the transform to 2.06 times its output and
-    # the phase to 2.0 times
+    # the phase to 2.0 times.  A batch of 4 samples on 16 qubits holds as
+    # many elements, and PAIR_BLOCK counts elements, so it holds as little
     n = 18
-    amps = uniform_state(n).amplitudes
-    probs = np.abs(amps) ** 2
     diagonal = np.arange(2 ** n) % (n + 1) * 1.0
-    mixer, _ = traced_peak(lambda: apply_mixer(0.3, State(n, amps)))
-    phase, _ = traced_peak(lambda: apply_phase(diagonal, 0.3, State(n, amps)))
-    transform, _ = traced_peak(lambda: walsh_transform(probs))
-    assert mixer < 0.5 * amps.nbytes
-    assert phase < 0.5 * amps.nbytes
-    assert transform < 1.5 * probs.nbytes
+    for qubits, angle in ((n, 0.3), (n - 2, np.full(4, 0.3))):
+        amps = uniform_state(qubits, *np.shape(angle)).amplitudes
+        probs = np.abs(amps) ** 2
+        table = phase_table(diagonal[:2 ** qubits])
+        mixer, _ = traced_peak(lambda: apply_mixer(angle, State(qubits, amps)))
+        phase, _ = traced_peak(
+            lambda: apply_phase(table, angle, State(qubits, amps)))
+        transform, _ = traced_peak(lambda: walsh_transform(probs))
+        assert mixer < 0.5 * amps.nbytes
+        assert phase < 0.5 * amps.nbytes
+        assert transform < 1.5 * probs.nbytes
