@@ -49,14 +49,12 @@ from .classical import (EXACT_MAX_DEGREE, ClassicalParams, exact_prob,
                         monte_carlo, optimal_preset)
 from .graph import (Graph, girth, load_edge_list, make_cycle, make_named,
                     make_random_regular, philox_key, save_edge_list)
-from .hamiltonian import (PAIR_BLOCK, build_localmaxcut_hamiltonian,
-                          evaluate_all, hamiltonian_to_json, mask_of,
-                          walsh_transform)
+from .hamiltonian import (build_localmaxcut_hamiltonian, evaluate_all,
+                          hamiltonian_to_json, mask_of)
 from .optimize import (QAOA_BOX, classical_curve, grid_sweep,
                        optimize_classical, optimize_qaoa, qaoa_objective)
 from .qaoa_engine import expectation_terms, explain_zk
-from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
-                          expectation_sv, phase_table, uniform_state)
+from .statevector import MAX_QUBITS, phase_table, qaoa_values_sv
 
 VERIFY_TOL = 1e-9
 VERIFY_BLOCK = 64  # angle pairs per engine call in verify, for every term
@@ -218,19 +216,12 @@ def cmd_verify(args) -> int:
     """Compare engine and statevector on seeded random angles; 0 iff they agree.
 
     The angle pairs go VERIFY_BLOCK at a time, so memory does not grow
-    with --samples.  One engine call per block gives every <Z_m> of H at
-    every angle pair of the block, and the full value is
-    constant + sum_m w_m <Z_m>, summed in term order.  The statevector
-    side runs the samples of a block in batches of
-    S = min(samples left in the block, PAIR_BLOCK >> n), at least one:
-    one (2^n, S) state, a sample per column, so a batch is one block of
-    the pair walk and each gate's numpy calls serve all of its samples.
-    One Walsh-Hadamard transform of the batch's |amp|^2 gives every
-    <Z_m> of every sample, and the diagonal the full values.  A batch has
-    the bits of its samples run one at a time.  The diagonal and the
-    phase gate's codes table are built once, after the first engine call,
-    so an H over the engine's caps is refused before 2^n values are made
-    (and before the note that a large statevector is slow).
+    with --samples.  Per block, one engine call gives every <Z_m> of H at
+    every pair (the full value is constant + sum_m w_m <Z_m>, summed in
+    term order), and one `qaoa_values_sv` call the statevector's.  The
+    phase table is built once, after the first engine call, so an H over
+    the engine's caps is refused before its 2^n diagonal is made (and
+    before the note that a large statevector is slow).
     """
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
@@ -257,24 +248,13 @@ def cmd_verify(args) -> int:
             if slow:
                 print(f"note: statevector on {g.n} qubits is slow",
                       file=sys.stderr)
-            diagonal = evaluate_all(h)
-            table = phase_table(diagonal)
+            table = phase_table(evaluate_all(h))
         full = np.full(len(gammas), h.constant)
         for (_, w), values in zip(terms, engine):
             full += w * values
-        width = max(1, min(len(gammas), PAIR_BLOCK >> g.n))
-        for at in range(0, len(gammas), width):
-            batch = slice(at, at + width)
-            state = uniform_state(g.n, len(gammas[batch]))
-            apply_mixer(betas[batch],
-                        apply_phase(table, gammas[batch], state))
-            probs = np.abs(state.amplitudes) ** 2
-            sv_terms = 2.0 ** g.n * walsh_transform(probs)[masks]
-            max_term = max(max_term, float(np.max(
-                np.abs(engine[:, batch] - sv_terms), initial=0.0)))
-            max_full = max(max_full, float(np.max(
-                np.abs(full[batch] - expectation_sv(diagonal, state)),
-                initial=0.0)))
+        sv_full, sv_terms = qaoa_values_sv(table, masks, gammas, betas)
+        max_term = float(np.max(np.abs(engine - sv_terms), initial=max_term))
+        max_full = float(np.max(np.abs(full - sv_full), initial=max_full))
     ok = max_full <= args.tol and max_term <= args.tol
     shortest = girth(g)  # math.inf on a forest, which JSON writes as null
     payload = {

@@ -11,13 +11,9 @@ character chi_S(x) = (-1)^{|S & x|}.
 Boolean clauses enter through their Walsh-Hadamard expansion
 C(x) = sum_S C_hat(S) chi_S(x), and the same transform, run the other
 way, turns a term map into its 2^n diagonal.  It is one butterfly per
-qubit over the pairs of entries that differ in that qubit's bit, which
-`pair_walk` hands out (to the statevector's mixer too): transposed
-blocks of PAIR_BLOCK elements for the lower half of the qubits, and each
-qubit's pairs as two contiguous arrays.  An entry is a value, or a row
-of S values that the walk carries side by side.  Each butterfly is
-elementwise and every entry meets the qubits in order, so the walk
-changes no bit.
+qubit over the pairs that `pair_walk` hands out, in blocks of PAIR_BLOCK
+elements (the statevector's mixer and batches take the same walk and
+block); each butterfly is elementwise, so the walk changes no bit.
 
 Clause weights accumulate per subset when clauses overlap.  Terms whose
 accumulated weight is exactly zero are dropped, so the stored term list
@@ -48,6 +44,8 @@ def mask_of(vertices) -> int:
 def vertices_of(mask: int) -> list[int]:
     """The vertices of `mask` in ascending order, in time linear in their
     number rather than in the highest vertex."""
+    if mask < 0:
+        raise ValueError(f"mask {mask} is negative")
     vertices = []
     while mask:
         low = mask & -mask

@@ -3,18 +3,17 @@
 Serves as the exact oracle for the analytic expectation engine.  Basis
 state x (an index into the amplitude array) assigns vertex v the bit
 (x >> v) & 1, matching the bitmask convention of the hamiltonian module.
-The phase gate takes H as a `PhaseTable` and the expectation as its
-diagonal, the 2^n values `hamiltonian.evaluate_all` gives, so a caller
-that applies the same H at many angles builds both once.  The gate
-functions mutate a State in place and return it for chaining.
+The gate functions mutate a State in place and return it for chaining.
 
 A State holds one state, 2^n amplitudes, or a batch of S states side by
 side, a (2^n, S) array with one sample per column; the gates then take
 an angle per sample, and the expectation gives one value per sample.
 Every entry of a column meets the same operations as in a lone state, so
-a batch has the bits of its columns run one at a time.  `cli.verify`
-batches its samples up to one block of PAIR_BLOCK elements, so the
-numpy calls of a gate serve every sample of a small state at once.
+a batch has the bits of its columns run one at a time.  `qaoa_values_sv`
+is the one route through the gates, for `qaoa_expectation_sv` and
+`cli.verify` alike: it takes H as a `PhaseTable`, built once per H, and
+runs angle pairs in batches of up to PAIR_BLOCK elements, so each gate's
+numpy calls serve every sample of a small state at once.
 
 Each gate costs its arithmetic and keeps the elementwise operations, in
 their order, of the plain loop over the whole array, so every amplitude
@@ -22,10 +21,7 @@ has the same bits as there:
 
 - the mixer is one 2x2 rotation per qubit over the pairs of amplitudes
   that differ in its bit, as `hamiltonian.pair_walk` hands them out (the
-  Walsh transform's walk): the lower n // 2 qubits on transposed blocks
-  of PAIR_BLOCK elements, each qubit's pairs as two contiguous arrays, so
-  no pass runs over pairs a few entries apart and at most two blocks are
-  held beside the state;
+  Walsh transform's walk, which holds at most two blocks beside a state);
 - the phase gate takes exp(-i gamma v) once per distinct diagonal value
   v and sample (a LocalMaxCut diagonal has at most n + 1 values) and
   gathers it a block at a time, through the codes of a `PhaseTable`.
@@ -45,8 +41,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import (PAIR_BLOCK, DiagonalHamiltonian, block_entries,
-                          evaluate_all, pair_walk)
+from . import hamiltonian
+from .hamiltonian import (DiagonalHamiltonian, block_entries, evaluate_all,
+                          pair_walk, walsh_transform)
 
 MAX_QUBITS = 26  # 2^26 complex doubles = 1 GiB
 
@@ -58,17 +55,23 @@ class State:
 
 
 class PhaseTable(NamedTuple):
-    """A diagonal's distinct values, told apart by their bits, and each
-    entry's code into them, in the smallest unsigned dtype that holds it."""
+    """A diagonal's distinct values, told apart by their bits, each
+    entry's code into them, in the smallest unsigned dtype that holds it,
+    and the diagonal itself."""
     levels: np.ndarray
     codes: np.ndarray
+    diagonal: np.ndarray
+
+
+def _check_qubits(n: int) -> None:
+    if n > MAX_QUBITS:
+        raise ValueError(f"n={n} exceeds the {MAX_QUBITS}-qubit statevector cap")
 
 
 def uniform_state(n: int, samples: int | None = None) -> State:
     """The uniform superposition |s> with every amplitude 2^{-n/2}; with
     `samples`, that many copies side by side."""
-    if n > MAX_QUBITS:
-        raise ValueError(f"n={n} exceeds the {MAX_QUBITS}-qubit statevector cap")
+    _check_qubits(n)
     shape = (2 ** n,) if samples is None else (2 ** n, samples)
     amp = np.full(shape, 2.0 ** (-n / 2), dtype=complex)
     return State(n=n, amplitudes=amp)
@@ -80,16 +83,16 @@ def phase_table(diagonal: np.ndarray) -> PhaseTable:
     Each PAIR_BLOCK-entry block is sorted by bits and its distinct values
     kept, and one more sort merges the blocks' values; each block's codes
     are then a search among them."""
-    keys = np.asarray(diagonal, dtype=float).view(np.int64)  # by bits
-    found = []
-    for start in range(0, len(keys), PAIR_BLOCK):
-        found.append(_distinct(np.sort(keys[start:start + PAIR_BLOCK])))
+    diagonal = np.asarray(diagonal, dtype=float)
+    keys, block = diagonal.view(np.int64), hamiltonian.PAIR_BLOCK  # by bits
+    found = [_distinct(np.sort(keys[start:start + block]))
+             for start in range(0, len(keys), block)]
     levels = _distinct(np.sort(np.concatenate(found)))
     codes = np.empty(len(keys), dtype=np.min_scalar_type(len(levels) - 1))
-    for start in range(0, len(keys), PAIR_BLOCK):
-        codes[start:start + PAIR_BLOCK] = np.searchsorted(
-            levels, keys[start:start + PAIR_BLOCK])
-    return PhaseTable(levels=levels.view(float), codes=codes)
+    for start in range(0, len(keys), block):
+        codes[start:start + block] = np.searchsorted(
+            levels, keys[start:start + block])
+    return PhaseTable(levels.view(float), codes, diagonal)
 
 
 def _distinct(ordered: np.ndarray) -> np.ndarray:
@@ -143,10 +146,31 @@ def expectation_sv(diagonal: np.ndarray, state: State):
     return values.reshape(probs.shape[:-1])[()]  # a lone state's is a scalar
 
 
+def qaoa_values_sv(table: PhaseTable, Ks, gammas, betas):
+    """(F, Z) by direct simulation of U_M U_C |s> at each pair of the 1-D
+    angle arrays, for the H whose diagonal `table` holds: F the values
+    <H>, and Z, one row per K of `Ks`, the values <Z_K>.
+
+    The pairs run in batches of S = min(pairs left, PAIR_BLOCK >> n), at
+    least one, as one (2^n, S) state.  F is the expectation of the
+    diagonal, so it does not rest on Z, which is 2^n times one Walsh
+    transform of the batch's |amp|^2, taken only when `Ks` is not empty."""
+    n = len(table.codes).bit_length() - 1
+    F, Z = np.empty(len(gammas)), np.empty((len(Ks), len(gammas)))
+    width = max(1, min(len(gammas), hamiltonian.PAIR_BLOCK >> n))
+    for at in range(0, len(gammas), width):
+        batch = slice(at, at + width)
+        state = uniform_state(n, len(gammas[batch]))
+        apply_mixer(betas[batch], apply_phase(table, gammas[batch], state))
+        F[batch] = expectation_sv(table.diagonal, state)
+        if len(Ks):
+            probs = np.abs(state.amplitudes) ** 2
+            Z[:, batch] = 2.0 ** n * walsh_transform(probs)[list(Ks)]
+    return F, Z
+
+
 def qaoa_expectation_sv(h: DiagonalHamiltonian, angles) -> float:
     """F(gamma, beta) evaluated by direct simulation of U_M U_C |s>."""
-    gamma, beta = angles
-    state = uniform_state(h.n)  # refuses n > MAX_QUBITS before the diagonal
-    diagonal = evaluate_all(h)
-    apply_mixer(beta, apply_phase(phase_table(diagonal), gamma, state))
-    return float(expectation_sv(diagonal, state))
+    _check_qubits(h.n)  # before the 2^n diagonal
+    table = phase_table(evaluate_all(h))
+    return float(qaoa_values_sv(table, (), *np.reshape(angles, (2, 1)))[0][0])

@@ -20,13 +20,15 @@ from derivations import (closed_form_f2, closed_form_f3,
                          neighborhood_oracle_prob, prob_satisfied_initial,
                          zk_ball_d3, zk_edge_d2, zk_edge_d3, zk_pair_d2)
 from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
-                         exact_prob, expectation_full,
+                         evaluate_all, exact_prob, expectation_full,
                          fourier_encode_clause, girth,
                          local_satisfaction_clause, make_cycle, make_named,
                          make_random_regular, mask_of, monte_carlo,
-                         neighborhood, optimal_preset, qaoa_expectation_sv)
+                         neighborhood, optimal_preset, phase_table,
+                         qaoa_expectation_sv)
 from localmaxcut.cli import main
 from localmaxcut.qaoa_engine import expectation_terms
+from localmaxcut.statevector import qaoa_values_sv
 
 
 def check(num, ok, desc, detail=""):
@@ -94,10 +96,13 @@ def test_criterion_05_engine_matches_statevector():
         g = _fixture_graph(label)
         h = build_localmaxcut_hamiltonian(g)
         rng = np.random.Generator(np.random.Philox(key=[0, g.n]))
-        for _ in range(50):
-            angles = (rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, math.pi))
-            worst = max(worst, abs(expectation_full(h, angles)
-                                   - qaoa_expectation_sv(h, angles)))
+        # row j is pair j, gamma drawn before beta as the scalar calls were
+        gammas, betas = rng.uniform((0.0, 0.0), (2 * math.pi, math.pi),
+                                    size=(50, 2)).T
+        sv, _ = qaoa_values_sv(phase_table(evaluate_all(h)), (), gammas,
+                               betas)
+        worst = max(worst, float(np.max(np.abs(
+            expectation_full(h, (gammas, betas)) - sv))))
     seconds = time.perf_counter() - t0
     ok = worst <= 1e-9 and seconds < 60.0
     check(5, ok, "engine vs statevector on 12 fixtures, 50 angle pairs each",

@@ -14,7 +14,7 @@ from derivations import (closed_form_f2, hrss_preset, prob_satisfied_initial,
 from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
                          evaluate_all, exact_prob, girth, load_edge_list,
                          make_cycle, make_named, optimal_preset)
-from localmaxcut import cli, qaoa_engine, statevector
+from localmaxcut import cli, hamiltonian, qaoa_engine, statevector
 from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.cli import main, parse_graph_spec
 
@@ -437,22 +437,23 @@ def test_verify_batches_match_one_sample_at_a_time(capsys, monkeypatch,
                                                    graph, batches):
     # the statevector side runs min(samples left in the block,
     # PAIR_BLOCK >> n) samples side by side, and a batch gives the bits of
-    # its samples one at a time: PAIR_BLOCK = 1 makes every batch one
+    # its samples one at a time: PAIR_BLOCK = 2^n makes every batch one
     # sample, and the report is byte-equal
     widths = []
-    mixer = cli.apply_mixer
+    mixer = statevector.apply_mixer
 
     def counted(beta, state):
         widths.append(state.amplitudes.shape[1])
         return mixer(beta, state)
 
-    monkeypatch.setattr(cli, "apply_mixer", counted)
+    monkeypatch.setattr(statevector, "apply_mixer", counted)
     argv = ["verify", "--graph", graph, "--samples", "65", "--json",
             "--no-timestamp"]
     rc, batched, _ = run_cli(capsys, *argv)
     assert rc == 0 and widths == batches
     widths.clear()
-    monkeypatch.setattr(cli, "PAIR_BLOCK", 1)
+    monkeypatch.setattr(hamiltonian, "PAIR_BLOCK",
+                        2 ** parse_graph_spec(graph).n)
     rc, alone, _ = run_cli(capsys, *argv)
     assert rc == 0 and widths == [1] * 65
     assert batched == alone

@@ -16,6 +16,12 @@ def test_mask_vertices_roundtrip():
     assert vertices_of(0) == []
 
 
+def test_vertices_of_refuses_a_negative_mask():
+    # -1 has every bit set, so the lowest-bit loop would never end
+    with pytest.raises(ValueError):
+        vertices_of(-1)
+
+
 @given(st.sets(st.integers(min_value=0, max_value=30)))
 def test_mask_roundtrip_property(vs):
     assert vertices_of(mask_of(vs)) == sorted(vs)

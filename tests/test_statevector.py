@@ -13,7 +13,8 @@ from localmaxcut import (MAX_QUBITS, apply_mixer, apply_phase,
                          qaoa_expectation_sv, uniform_state)
 from localmaxcut import hamiltonian, statevector
 from localmaxcut.hamiltonian import PAIR_BLOCK, walsh_transform
-from localmaxcut.statevector import State
+from localmaxcut.qaoa_engine import expectation_terms
+from localmaxcut.statevector import State, qaoa_values_sv
 from test_qaoa_engine import traced_peak
 
 
@@ -107,6 +108,17 @@ def test_uniform_expectation_is_constant_term():
     assert qaoa_expectation_sv(h, (0.0, 0.8)) == pytest.approx(2.5, abs=1e-12)
 
 
+def test_qaoa_expectation_sv_refuses_the_cap_before_the_diagonal(
+        monkeypatch):
+    # the 2^n diagonal is the largest allocation, so the cap comes first
+    calls = []
+    monkeypatch.setattr(statevector, "evaluate_all", calls.append)
+    h = make_hamiltonian(MAX_QUBITS + 1, {1 << MAX_QUBITS: 1.0})
+    with pytest.raises(ValueError, match="qubit statevector cap"):
+        qaoa_expectation_sv(h, (0.3, 0.2))
+    assert calls == []
+
+
 def test_dimension_mismatch_raises():
     h = make_hamiltonian(3, {0b011: 1.0})
     with pytest.raises(ValueError):
@@ -123,10 +135,9 @@ BLOCKS = [(PAIR_BLOCK, 17), (16, 11), (2, 9)]
 @pytest.fixture(params=BLOCKS, ids=lambda b: f"block{b[0]}")
 def sizes(request, monkeypatch):
     """The qubit counts 0..n-1 to check, with PAIR_BLOCK set for the walk,
-    the phase gate and its table's blocks."""
+    the phase gate, its table's blocks and the batches of a route."""
     block, n = request.param
     monkeypatch.setattr(hamiltonian, "PAIR_BLOCK", block)
-    monkeypatch.setattr(statevector, "PAIR_BLOCK", block)
     return range(n)
 
 
@@ -284,3 +295,47 @@ def test_gates_hold_at_most_a_block_beside_the_state():
         assert mixer < 0.5 * amps.nbytes
         assert phase < 0.5 * amps.nbytes
         assert transform < 1.5 * probs.nbytes
+
+
+def test_route_batches_give_the_bits_of_one_pair_at_a_time(sizes):
+    # one call runs min(pairs, PAIR_BLOCK >> n) pairs side by side (16 on
+    # PETERSEN at the default block); each pair keeps the bits it has
+    # alone, and the per-term values match the engine.  A graph past the
+    # block's sizes is left out: at the 2-element block a PETERSEN pair
+    # takes 50 ms, and a HEAWOOD pair at 16 elements 140 ms
+    rng = np.random.default_rng(10)
+    for name in ("PETERSEN", "HEAWOOD"):
+        h = build_localmaxcut_hamiltonian(make_named(name))
+        if h.n not in sizes:
+            continue
+        Ks = [K for K, _ in h.nonconstant_terms()]
+        table = phase_table(evaluate_all(h))
+        gammas, betas = rng.uniform((0.0, 0.0), (2 * math.pi, math.pi),
+                                    size=(50, 2)).T
+        F, Z = qaoa_values_sv(table, Ks, gammas, betas)
+        assert Z.shape == (len(Ks), 50)
+        for j in range(50):
+            F1, Z1 = qaoa_values_sv(table, Ks, gammas[j:j + 1],
+                                    betas[j:j + 1])
+            assert bits(F[j]) == bits(F1[0])
+            assert np.array_equal(bits(Z[:, j]), bits(Z1[:, 0]))
+        engine = expectation_terms(h, Ks, (gammas, betas))
+        assert np.max(np.abs(Z - engine)) <= 1e-9
+
+
+def test_route_without_terms_takes_no_transform(monkeypatch):
+    calls = []
+    transform = statevector.walsh_transform
+
+    def counted(values):
+        calls.append(values.shape)
+        return transform(values)
+
+    monkeypatch.setattr(statevector, "walsh_transform", counted)
+    h = build_localmaxcut_hamiltonian(make_named("PETERSEN"))
+    table = phase_table(evaluate_all(h))
+    angles = np.linspace(0.1, 2.0, 20), np.linspace(0.3, 1.5, 20)
+    F, Z = qaoa_values_sv(table, (), *angles)
+    assert calls == [] and F.shape == (20,) and Z.shape == (0, 20)
+    qaoa_values_sv(table, [0b11], *angles)  # one transform per batch
+    assert calls == [(2 ** 10, 16), (2 ** 10, 4)]
