@@ -81,11 +81,6 @@ def optimal_preset(d: int) -> ClassicalParams:
     return OPTIMAL_PRESETS[d]
 
 
-def _adjacency_array(g, d):
-    """(n, d) neighbour array in column-major order, so each column is contiguous."""
-    return np.asfortranarray(np.array(g.adjacency, dtype=np.int64).reshape(g.n, d))
-
-
 def _agreeing(adj, x, ell):
     """Per-vertex count of neighbours whose boolean side equals its own,
     written into the array ell."""
@@ -110,7 +105,7 @@ def monte_carlo(g, params, trials: int, seed: int = 0) -> RunStats:
     _check_params(params, d)
     p, q = params
     qv = np.asarray(q)
-    adj = _adjacency_array(g, d)
+    adj = g.neighbours
     bits = Philox(key=philox_key(seed))
     fresh = bits.state  # counter 0 and an empty buffer
     rng = Generator(bits)

@@ -1,9 +1,13 @@
 """Simple undirected graphs with ordered neighborhoods.
 
-Vertices are integers 0..n-1.  Edges are stored as sorted (u, v) tuples with
-u < v.  Neighbor lists are sorted ascending, so the ordered neighborhood
-B(v) = (v, v_1, ..., v_d) is reproducible across runs.  Graph values are
-immutable after construction.
+Vertices are integers 0..n-1.  A graph is checked and sorted in numpy, then
+keeps its edges as sorted (u, v) tuples of Python ints with u < v, which
+define equality and hashing, and a regular graph also keeps an (n, d)
+read-only array of sorted neighbour rows, which Monte Carlo reads.  The
+per-vertex neighbour tuples are derived on first read.  Neighbour lists
+are sorted ascending, so the ordered neighborhood B(v) = (v, v_1, ..., v_d)
+is reproducible across runs.  Graph values are immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -54,13 +58,26 @@ NAMED_CUBIC = {
 class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
-    adjacency: tuple[tuple[int, ...], ...] = field(compare=False)
+    # (n, d) sorted neighbour rows if the graph is regular, else None
+    neighbours: np.ndarray | None = field(compare=False, repr=False)
+
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted neighbour tuples per vertex, built on first read."""
+        if self.neighbours is not None:
+            return tuple(map(tuple, self.neighbours.tolist()))
+        adj = [[] for _ in range(self.n)]
+        # sorted edges reach vertex w from its smaller neighbours first,
+        # each in ascending order, so every list comes out sorted
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
 
     @functools.cached_property
     def degree(self) -> int | None:
         """Common vertex degree, or None if the graph is not regular."""
-        degs = {len(nbrs) for nbrs in self.adjacency}
-        return degs.pop() if len(degs) == 1 else None
+        return None if self.neighbours is None else self.neighbours.shape[1]
 
 
 def philox_key(seed: int, stream: int = 0) -> np.ndarray:
@@ -72,35 +89,56 @@ def philox_key(seed: int, stream: int = 0) -> np.ndarray:
 
 
 def build_graph(n, edges) -> Graph:
-    """Validate an edge list and assemble a Graph with sorted adjacency.
+    """Validate an edge list and assemble a Graph: its sorted edges and,
+    if it is regular, its neighbour rows.
 
-    Vertex ids become Python ints, so numpy integers from the generators
-    do not leak into the stored edges.
+    edges is an iterable of (u, v) pairs or an (m, 2) integer array.  The
+    first bad edge in input order is reported: out of range, a self-loop,
+    or a repeat of an earlier edge, which sorting the codes lo*n + hi
+    finds.  A non-integer vertex raises TypeError.  Vertex ids become
+    Python ints, so numpy integers from the generators do not leak into
+    the stored edges.
     """
-    seen = set()
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        u, v = operator.index(u), operator.index(v)
+    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    if e.size == 0:
+        e = np.empty((0, 2), dtype=np.int64)
+    elif e.dtype.kind in "biu":
+        e = e.astype(np.int64, copy=False)
+    else:  # floats and strings fail as index() does; huge ints stay objects
+        e = np.array([operator.index(x) for x in e.flat], dtype=object).reshape(e.shape)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError(f"edges must be (u, v) pairs, got shape {e.shape}")
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    codes = lo * n + hi
+    order = np.argsort(codes, kind="stable")  # a repeat sorts after its first
+    codes = codes[order]
+    bad = (lo < 0) | (hi >= n) | (lo == hi)
+    bad[order[1:][codes[1:] == codes[:-1]]] = True
+    if bad.any():
+        u, v = e[bad.argmax()].tolist()
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
-        e = (min(u, v), max(u, v))
-        if e in seen:
-            raise ValueError(f"duplicate edge {e}")
-        seen.add(e)
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(n=n,
-                 edges=tuple(sorted(seen)),
-                 adjacency=tuple(tuple(sorted(a)) for a in adj))
+        raise ValueError(f"duplicate edge {(min(u, v), max(u, v))}")
+    pairs = np.stack([lo, hi], axis=1)[order].astype(np.int64, copy=False)
+    lo, hi = pairs[:, 0], pairs[:, 1]
+    counts = np.bincount(pairs.ravel(), minlength=n)
+    neighbours = None
+    if n and counts.min() == counts.max():
+        # each vertex's codes v*n + w sort its neighbours w into its row
+        both = np.sort(np.concatenate([lo * n + hi, hi * n + lo]), kind="stable")
+        neighbours = (both % n).reshape(n, counts[0])
+        neighbours.flags.writeable = False
+    return Graph(n=n, edges=tuple(map(tuple, pairs.tolist())), neighbours=neighbours)
 
 
 def make_cycle(n: int) -> Graph:
     """Cycle graph C_n; the only connected 2-regular graph on n vertices."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    i = np.arange(n)
+    return build_graph(n, np.stack([i, (i + 1) % n], axis=1))
 
 
 def make_named(name: str) -> Graph:
@@ -156,16 +194,17 @@ def make_random_regular(n: int, d: int, min_girth: int = 3,
     for _ in range(MAX_ATTEMPTS):
         rng.shuffle(slots)
         pairs = slots.reshape(-1, 2) // d
-        if np.any(pairs[:, 0] == pairs[:, 1]):
+        u, v = pairs[:, 0], pairs[:, 1]
+        if (u == v).any():  # a self-loop
+            continue
+        # stable sorts page in less of numpy than its default SIMD sort
+        codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v), kind="stable")
+        if (codes[1:] == codes[:-1]).any():  # a parallel edge
             continue
         place[slots] = np.arange(n * d)
         nbr = (slots[place ^ 1] // d).reshape(n, d)  # row v: v's partners
-        # stable sorts page in less of numpy than its default SIMD sort
-        ordered = np.sort(nbr, axis=1, kind="stable")
-        if np.any(ordered[:, 1:] == ordered[:, :-1]):
-            continue
         if not _has_short_cycle(nbr, min_girth):
-            return build_graph(n, pairs.tolist())
+            return build_graph(n, pairs)
     raise RuntimeError(
         f"no girth-{min_girth} {d}-regular graph on {n} vertices found "
         f"in {MAX_ATTEMPTS} attempts")

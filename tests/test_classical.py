@@ -14,8 +14,8 @@ from derivations import (_conditional_prob, four_path_form_d2, hrss_preset,
 from localmaxcut import (ClassicalParams, exact_prob, load_edge_list,
                          make_cycle, make_random_regular, monte_carlo,
                          optimal_preset)
-from localmaxcut import classical
-from localmaxcut.classical import EXACT_MAX_DEGREE, _adjacency_array, _fab
+from localmaxcut import cli
+from localmaxcut.classical import EXACT_MAX_DEGREE, _fab
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -284,7 +284,7 @@ def test_one_round_never_unsatisfies_with_zero_weak_flips():
     g2 = make_cycle(101)
     g3 = make_random_regular(60, 3, min_girth=4, seed=1)
     for g, prm, d in ((g2, optimal_preset(2), 2), (g3, optimal_preset(3), 3)):
-        adj = _adjacency_array(g, d)
+        adj = g.neighbours
         for seed in range(20):
             tau0, tau1, _ = one_round_cuts(adj, prm, trial_rng(seed, 0))
             for v in range(g.n):
@@ -294,7 +294,7 @@ def test_one_round_never_unsatisfies_with_zero_weak_flips():
 
 def test_one_round_deterministic():
     g = make_cycle(50)
-    adj = _adjacency_array(g, 2)
+    adj = g.neighbours
     _, tau_a, count_a = one_round_cuts(adj, optimal_preset(2),
                                        trial_rng(3, 0))
     _, tau_b, count_b = one_round_cuts(adj, optimal_preset(2),
@@ -317,7 +317,7 @@ def test_monte_carlo_stats():
                     (make_random_regular(40, 3, seed=2), 2 ** 40 + 3)):
         d = g.degree
         stats = monte_carlo(g, optimal_preset(d), trials=40, seed=seed)
-        adj = _adjacency_array(g, d)
+        adj = g.neighbours
         per_trial = np.array(
             [one_round(adj, optimal_preset(d), trial_rng(seed, t))[2] / g.n
              for t in range(40)])
@@ -330,16 +330,24 @@ def test_monte_carlo_stats():
         monte_carlo(g, optimal_preset(d), trials=0)
 
 
-def test_monte_carlo_builds_adjacency_once(monkeypatch):
-    calls = []
+def test_monte_carlo_builds_no_adjacency_tuples(monkeypatch):
+    # Monte Carlo reads the neighbour array, and `classical run` never asks
+    # for the per-vertex tuples, so they are not built
+    g = make_random_regular(40, 3, seed=2)
+    monte_carlo(g, optimal_preset(3), trials=5, seed=4)
+    assert "adjacency" not in vars(g)
+    seen = []
 
-    def counting(g, d):
-        calls.append(d)
-        return _adjacency_array(g, d)
+    def recording(g, *args, **kwargs):
+        seen.append(g)
+        return monte_carlo(g, *args, **kwargs)
 
-    monkeypatch.setattr(classical, "_adjacency_array", counting)
-    monte_carlo(make_cycle(30), optimal_preset(2), trials=5, seed=4)
-    assert calls == [2]
+    monkeypatch.setattr(cli, "monte_carlo", recording)
+    for spec in ("cycle:30", "random:40,3,4,1"):
+        assert cli.main(["classical", "run", "--graph", spec, "--trials", "5",
+                         "--json", "--no-timestamp"]) == 0
+    assert len(seen) == 2
+    assert all("adjacency" not in vars(g) for g in seen)
 
 
 def test_monte_carlo_single_trial_has_zero_stderr():

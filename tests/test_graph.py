@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from localmaxcut import (Graph, girth, load_edge_list, make_cycle, make_named,
+from localmaxcut import (girth, load_edge_list, make_cycle, make_named,
                          make_random_regular, neighborhood, save_edge_list)
 from localmaxcut import graph
 from localmaxcut.graph import _has_short_cycle, build_graph
@@ -46,6 +46,42 @@ def test_build_graph_rejects_bad_edges():
         build_graph(3, [(0, 3)])  # out of range
 
 
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 5), (1, 1)], r"edge \(0,5\) out of range for n=3"),
+    ([(1, 1), (0, 5)], "self-loop at vertex 1"),
+    ([(0, 1), (1, 0), (2, 2)], r"duplicate edge \(0, 1\)"),
+])
+def test_build_graph_reports_first_bad_edge(edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_graph(3, edges)
+
+
+def test_build_graph_vertex_types():
+    with pytest.raises(TypeError):
+        build_graph(3, [(0.0, 1)])
+    g = build_graph(3, [(np.int64(0), np.int32(1)), (1, 2)])
+    assert g.edges == ((0, 1), (1, 2))
+    assert all(type(v) is int for e in g.edges for v in e)
+    assert build_graph(3, np.array([[0, 1], [1, 2]])) == g
+
+
+def test_build_graph_degree_and_ragged_adjacency():
+    assert build_graph(0, []).degree is None
+    assert build_graph(0, []).neighbours is None
+    g = build_graph(5, [(4, 0), (0, 3), (1, 0), (2, 3)])
+    assert g.degree is None and g.neighbours is None
+    assert g.adjacency == ((1, 3, 4), (0,), (3,), (0, 2), (0,))
+
+
+def test_neighbours_are_sorted_read_only_rows():
+    g = make_named("PETERSEN")
+    assert g.neighbours.dtype == np.int64 and g.neighbours.shape == (10, 3)
+    assert g.neighbours.tolist() == [
+        sorted(w for e in g.edges if v in e for w in e if w != v) for v in range(g.n)]
+    with pytest.raises(ValueError):
+        g.neighbours[0, 0] = 9
+
+
 def test_degree_property():
     assert make_cycle(5).degree == 2
     assert make_named("PETERSEN").degree == 3
@@ -58,6 +94,21 @@ def test_degree_property():
     assert g.degree == 3 and vars(g)["degree"] == 3
     assert g == make_named("PETERSEN")
     assert hash(g) == hash(make_named("PETERSEN"))
+
+
+# SHA-256 of save_edge_list(make_cycle(n)), recorded when make_cycle built
+# its edge list as Python tuples
+CYCLE_PINNED = {
+    3: "0b3cf00b23b6326ad092eee8085e08aae69de649967f0c67855d9d18a34aa5af",
+    2010: "b1cf23e4295588165f325401d0872d56243f9bad990a55aeb27ed2d5a096578a",
+    8030: "c57020b25d528fd839e61b79b0d2b85630010f111a6aed4a487f19b3ebe5384c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CYCLE_PINNED))
+def test_make_cycle_output_pinned(n):
+    text = save_edge_list(make_cycle(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == CYCLE_PINNED[n]
 
 
 def test_make_cycle():
@@ -224,7 +275,7 @@ def test_edge_list_roundtrip():
     g = make_named("PETERSEN")
     text = save_edge_list(g)
     assert text.endswith("\n")
-    assert load_edge_list(text) == Graph(g.n, g.edges, g.adjacency)
+    assert load_edge_list(text) == build_graph(g.n, g.edges)
     assert load_edge_list(text).edges == g.edges
 
 
