@@ -55,11 +55,15 @@ per call, or per size of K:
   O(L): each pair's families come out contiguous and in coset order;
 - product: cos(2 gamma W_M) and i sin(-2 gamma W_M) are computed once
   per term in some cone.  Each alpha_F is one product reduction over
-  the cone that skips the terms outside O(L), taken PRODUCT_BLOCK
-  elements of (families, cone terms, angle pairs) at a time.  The pairs
-  of a block of PRODUCT_BLOCK pair sums are grouped by family count,
-  and the alpha_F of each group's pairs are summed as one (pairs,
-  families, angle pairs) array;
+  the cone that skips the terms outside O(L).  The families' factor
+  rows and O(L) bits are built PRODUCT_BLOCK elements of (families,
+  cone terms) at a time, whatever the number of angle pairs, and only
+  the take and the product run PRODUCT_BLOCK elements of (families,
+  cone terms, angle pairs) at a time.  The pairs of a block of
+  PRODUCT_BLOCK pair sums are grouped by family count, and the alpha_F
+  of each group's pairs are summed as one (pairs, families, angle
+  pairs) array, in chunks of pairs whose alpha_F and factor rows each
+  fit PRODUCT_BLOCK elements, or of one pair;
 - fold: each pair's sum times nu goes into its K's total by one
   unbuffered indexed add per block, the pairs in order, and those of
   each size of K in (rank of L, K) order, so every total is summed in
@@ -105,41 +109,39 @@ def _families(masks, K: int) -> np.ndarray:
     order (term i left out before it is put in), as integers: the family
     {i} at bit T-1-i.
 
-    Gauss-Jordan elimination over GF(2).  Each term enters as one integer,
-    its vertex mask in the high bits and the family {i} in the low T bits,
-    so that depth-first order is ascending order; the vertex part of every
-    basis vector stays the XOR of its family.  Reducing K by the basis
-    vectors with a vertex pivot leaves a particular family, or a nonzero
-    vertex part when there is none.  The basis vectors with no vertex part
-    span the coset of families with empty XOR; the basis is fully reduced,
-    so doubling a list once per such vector in ascending pivot order lists
-    that coset in ascending order, and a list that starts from the
-    particular family, not the empty one, gives the families in that
-    order too.  More than FAMILY_CAP terms, or a coset of more than
-    COSET_CAP families, is refused before anything is listed.
+    Forward elimination over GF(2).  Each term enters as one integer, its
+    vertex mask in the high bits and the family {i} in the low T bits, so
+    that depth-first order is ascending order; the vertex part of every
+    basis vector stays the XOR of its family.  A term is reduced once:
+    while its top bit is the pivot of a basis vector it takes that
+    vector's XOR, and the first top bit that is no pivot becomes its own.
+    Bit T-1-i is in no earlier vector, so no term vanishes, and there is
+    no back-substitution.  Reducing K the same way until its vertex part
+    is empty leaves a particular family, or stops on a vertex bit with no
+    pivot when there is none.  The basis vectors with a family
+    pivot have no vertex part and span the families with empty XOR; the
+    coset is listed by doubling a list that starts from the particular
+    family once per such vector, then sorted.  More than FAMILY_CAP terms,
+    or a coset of more than COSET_CAP families, is refused before anything
+    is listed.
     """
     size = len(masks)
     if size > FAMILY_CAP:
         raise ValueError(f"{size} terms exceed the enumeration cap "
                          f"{FAMILY_CAP}")
-    basis = {}  # pivot, as a power of two -> fully reduced vector
+    basis = {}  # pivot, as a power of two -> the vector whose top bit it is
     for i, m in enumerate(masks):
         v = m << size | 1 << (size - 1 - i)
-        for pivot, b in basis.items():
-            if v & pivot:
-                v ^= b
-        pivot = 1 << v.bit_length() - 1  # bit T-1-i survives, so v != 0
-        for p, b in basis.items():
-            if b & pivot:
-                basis[p] = b ^ v
+        while (b := basis.get(pivot := 1 << v.bit_length() - 1)) is not None:
+            v ^= b
         basis[pivot] = v
     target = K << size
-    for pivot, b in basis.items():
-        if pivot >> size and target & pivot:
-            target ^= b
+    while target >> size and (
+            b := basis.get(1 << target.bit_length() - 1)) is not None:
+        target ^= b
     if target >> size:
         return np.zeros(0, dtype=np.int32)
-    empty = [basis[p] for p in sorted(basis) if not p >> size]
+    empty = [b for p, b in basis.items() if not p >> size]
     if 2 ** len(empty) > COSET_CAP:
         raise ValueError(f"{2 ** len(empty)} families of {size} terms "
                          f"exceed the coset cap {COSET_CAP}")
@@ -147,6 +149,7 @@ def _families(masks, K: int) -> np.ndarray:
     coset[0] = target
     for j, b in enumerate(empty):
         np.bitwise_xor(coset[:1 << j], b, out=coset[1 << j:2 << j])
+    coset.sort()
     return coset
 
 
@@ -316,21 +319,27 @@ def _alphas(pairs: _Pairs, pair, codes, factors) -> np.ndarray:
 
     Each alpha_F is one product over the terms of O(L) in term order; the
     other terms of the cone are skipped, not multiplied by 1 (a factor of
-    1 + 0j can change the sign of a zero).  It is taken for blocks of
-    families that keep (families, S, B) within PRODUCT_BLOCK elements."""
+    1 + 0j can change the sign of a zero).  The factor rows and the O(L)
+    bits, which do not depend on B, are built for blocks of families that
+    keep (families, S) within PRODUCT_BLOCK elements; the take and the
+    product run on parts of a block that keep (families, S, B) within
+    PRODUCT_BLOCK elements."""
     size = pairs.cones.shape[1]
     terms, count = len(factors) // 2, factors.shape[1]
     alphas = np.empty((len(codes), count), dtype=complex)
+    span = max(1, PRODUCT_BLOCK // max(1, size))
     step = max(1, PRODUCT_BLOCK // max(1, size * count))
-    for start in range(0, len(codes), step):
-        block = slice(start, start + step)
+    for low in range(0, len(codes), span):
+        block = slice(low, low + span)
         rows = (pairs.cones[pairs.k[pair[block]]]
                 + terms * _bits(codes[block], size))
-        np.multiply.reduce(factors.take(rows, axis=0), axis=1,
-                           initial=1 + 0j,
-                           where=_bits(pairs.within[pair[block]],
-                                       size)[..., None],
-                           out=alphas[block])
+        within = _bits(pairs.within[pair[block]], size)[..., None]
+        out = alphas[block]
+        for start in range(0, len(rows), step):
+            part = slice(start, start + step)
+            np.multiply.reduce(factors.take(rows[part], axis=0), axis=1,
+                               initial=1 + 0j, where=within[part],
+                               out=out[part])
     return alphas
 
 
@@ -378,7 +387,8 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
     # the pairs with families, a block of PRODUCT_BLOCK sums at a time and
     # in order, so each K's total is summed in (|L|, L) order; a pair's
     # families are contiguous, so the pairs of one family count give a
-    # compact array
+    # compact array, taken in chunks of pairs whose (families, S) rows
+    # and (families, B) alpha_F fit PRODUCT_BLOCK elements, or of one pair
     span = max(1, PRODUCT_BLOCK // max(1, count))
     for low in range(0, len(live), span):
         part = live[low:low + span]
@@ -386,7 +396,7 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
         sums = np.empty((len(part), count), dtype=complex)
         for group in sorted(set(families.tolist())):
             members = np.flatnonzero(families == group)
-            step = max(1, PRODUCT_BLOCK // (group * size * max(1, count)))
+            step = max(1, PRODUCT_BLOCK // (group * max(1, size, count)))
             for start in range(0, len(members), step):
                 chunk = members[start:start + step]
                 rows = (first[part[chunk], None] + np.arange(group)).ravel()

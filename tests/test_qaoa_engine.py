@@ -136,10 +136,13 @@ def test_solution_families_cap():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=63), min_size=0, max_size=9),
+@given(st.lists(st.integers(min_value=1, max_value=63), min_size=0,
+                max_size=12),
        st.integers(min_value=0, max_value=63))
 def test_solution_families_complete(masks, K):
-    # the same families in the same order, which `qaoa explain` prints
+    # the same families in the same order, which `qaoa explain` prints:
+    # with 12 terms on 6 vertices a K that is reached has 64 families or
+    # more, listed by doubling and then sorted
     assert solution_families(masks, K) == brute_families(masks, K)
 
 
@@ -367,11 +370,13 @@ def assert_matches_per_pair(h, count, seed):
     return families, size
 
 
-@pytest.mark.parametrize("graph", ["K4", "RANDOM", "HEAWOOD"])
+@pytest.mark.parametrize("graph", ["K4", "RANDOM", "HEAWOOD", "K33",
+                                   "PETERSEN"])
 @pytest.mark.parametrize("count", [1, 2, 50])
 def test_expectation_terms_match_per_pair_route(graph, count):
     # grouping the (K, L) pairs of every term by shape, in blocks of whole
-    # pairs or of rows of one pair's families, changes no bit of any <Z_K>
+    # pairs or of rows of one pair's families, changes no bit of any <Z_K>;
+    # on K33 and PETERSEN a family group at 50 pairs spans many blocks
     if graph == "RANDOM":
         g = make_random_regular(12, 3, min_girth=3, seed=4)
         assert girth(g) == 3
@@ -381,6 +386,9 @@ def test_expectation_terms_match_per_pair_route(graph, count):
         build_localmaxcut_hamiltonian(g), count, seed=count)
     # the split block holds about half of that pair's rows of families
     assert families >= 2
+    if graph in ("K33", "PETERSEN") and count == 50:
+        # one pair's (families, S, B) product spans dozens of blocks
+        assert families * size * count > 16 * qaoa_engine.PRODUCT_BLOCK
 
 
 @settings(max_examples=40, deadline=None)
@@ -391,7 +399,7 @@ def test_expectation_terms_match_per_pair_route_random(data):
                             seed=data.draw(st.integers(0, 2 ** 16)))
 
 
-@pytest.mark.parametrize("name", ["PETERSEN", "HEAWOOD"])
+@pytest.mark.parametrize("name", ["K33", "PETERSEN", "HEAWOOD"])
 def test_one_block_of_every_term_stays_small(name):
     # the where-array and the alpha_F are made a chunk at a time, so one
     # call over every term at verify's block size stays within a few MiB
