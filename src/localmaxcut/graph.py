@@ -64,8 +64,6 @@ class Graph:
     @functools.cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbour tuples per vertex, built on first read."""
-        if self.neighbours is not None:
-            return tuple(map(tuple, self.neighbours.tolist()))
         adj = [[] for _ in range(self.n)]
         # sorted edges reach vertex w from its smaller neighbours first,
         # each in ascending order, so every list comes out sorted

@@ -71,7 +71,7 @@ per call, or per size of K:
 
 Each alpha_F is its own product and each total its own sum in a fixed
 order, so neither the blocks nor the grouping changes a bit of the
-result.
+result; only one angle pair against many can (see `expectation_terms`).
 
 `tree_coefficients(d)` gives the value <C_v> of one vertex's clause on
 the infinite d-regular tree as a trigonometric polynomial.  By the
@@ -372,6 +372,10 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
     shape (len(Ks),) + that shape.  A pair with no family adds nothing,
     so only the pairs with families are multiplied out and folded, and a
     K whose coset is empty lists no pairs at all: its value is 0.0.
+
+    The last bits depend on B, the number of angle pairs: numpy sums a
+    pair's alpha_F over (pairs, families, B) pairwise when B = 1 and in
+    order when B >= 2, so a pair alone and in a batch may differ by 1e-15.
     """
     Ks = list(Ks)
     gamma, beta, shape = _angles(h, angles)

@@ -3,17 +3,18 @@
 Serves as the exact oracle for the analytic expectation engine.  Basis
 state x (an index into the amplitude array) assigns vertex v the bit
 (x >> v) & 1, matching the bitmask convention of the hamiltonian module.
-The gate functions mutate a State in place and return it for chaining.
 
-A State holds one state, 2^n amplitudes, or a batch of S states side by
-side, a (2^n, S) array with one sample per column; the gates then take
-an angle per sample, and the expectation gives one value per sample.
-Every entry of a column meets the same operations as in a lone state, so
-a batch has the bits of its columns run one at a time.  `qaoa_values_sv`
-is the one route through the gates, for `qaoa_expectation_sv` and
-`cli.verify` alike: it takes H as a `PhaseTable`, built once per H, and
-runs angle pairs in batches of up to PAIR_BLOCK elements, so each gate's
-numpy calls serve every sample of a small state at once.
+A state is its amplitude array: 2^n complex amplitudes, or a batch of S
+states side by side, a (2^n, S) array with one sample per column, and n
+is read from its length.  The gates update the array in place and return
+it for chaining; on a batch they take an angle per sample, and the
+expectation gives one value per sample.  Every entry of a column meets
+the same operations as in a lone state, so a batch has the bits of its
+columns run one at a time.  `qaoa_values_sv` is the one route through
+the gates, for `qaoa_expectation_sv` and `cli.verify` alike: it takes H
+as a `PhaseTable`, built once per H, and runs angle pairs in batches of
+up to PAIR_BLOCK elements, so each gate's numpy calls serve every sample
+of a small state at once.
 
 Each gate costs its arithmetic and keeps the elementwise operations, in
 their order, of the plain loop over the whole array, so every amplitude
@@ -36,7 +37,6 @@ has the same bits as there:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -46,12 +46,6 @@ from .hamiltonian import (DiagonalHamiltonian, block_entries, evaluate_all,
                           pair_walk, walsh_transform)
 
 MAX_QUBITS = 26  # 2^26 complex doubles = 1 GiB
-
-
-@dataclass
-class State:
-    n: int
-    amplitudes: np.ndarray  # (2^n,), or (2^n, S) for S samples side by side
 
 
 class PhaseTable(NamedTuple):
@@ -68,13 +62,12 @@ def _check_qubits(n: int) -> None:
         raise ValueError(f"n={n} exceeds the {MAX_QUBITS}-qubit statevector cap")
 
 
-def uniform_state(n: int, samples: int | None = None) -> State:
+def uniform_state(n: int, samples: int | None = None) -> np.ndarray:
     """The uniform superposition |s> with every amplitude 2^{-n/2}; with
     `samples`, that many copies side by side."""
     _check_qubits(n)
     shape = (2 ** n,) if samples is None else (2 ** n, samples)
-    amp = np.full(shape, 2.0 ** (-n / 2), dtype=complex)
-    return State(n=n, amplitudes=amp)
+    return np.full(shape, 2.0 ** (-n / 2), dtype=complex)
 
 
 def phase_table(diagonal: np.ndarray) -> PhaseTable:
@@ -103,26 +96,26 @@ def _distinct(ordered: np.ndarray) -> np.ndarray:
     return ordered[first]
 
 
-def apply_phase(table: PhaseTable, gamma, state: State) -> State:
+def apply_phase(table: PhaseTable, gamma, state: np.ndarray) -> np.ndarray:
     """Apply exp(-i gamma H): scale amplitude x by exp(-i gamma H(x)).
     gamma is one angle, or one per sample of a batch."""
     codes = table.codes
-    if len(codes) != 2 ** state.n:
-        raise ValueError(f"{len(codes)} diagonal values, state on "
-                         f"{state.n} qubits")
+    if len(codes) != len(state):
+        raise ValueError(f"{len(codes)} diagonal values, state of "
+                         f"{len(state)} amplitudes")
     factors = np.exp(np.multiply.outer(table.levels, -1j * gamma))
-    chunk = block_entries(state.amplitudes)
+    chunk = block_entries(state)
     for start in range(0, len(codes), chunk):
-        state.amplitudes[start:start + chunk] *= factors.take(
+        state[start:start + chunk] *= factors.take(
             codes[start:start + chunk], axis=0)
     return state
 
 
-def apply_mixer(beta, state: State) -> State:
+def apply_mixer(beta, state: np.ndarray) -> np.ndarray:
     """Apply exp(-i beta X) to every qubit (the X_v commute).  beta is one
     angle, or one per sample of a batch."""
     c, s = np.cos(beta), -1j * np.sin(beta)
-    for lo, hi in pair_walk(state.amplitudes):
+    for lo, hi in pair_walk(state):
         a = lo.copy()
         lo *= c
         lo += s * hi
@@ -131,16 +124,16 @@ def apply_mixer(beta, state: State) -> State:
     return state
 
 
-def expectation_sv(diagonal: np.ndarray, state: State):
+def expectation_sv(diagonal: np.ndarray, state: np.ndarray):
     """<state| H |state> = sum_x |amp_x|^2 H(x): a float, or an array of
     one per sample of a batch.
 
     Each sample's probabilities are summed as one contiguous row by one
     dot product: a dot over a strided column changes the last bits."""
-    if len(diagonal) != 2 ** state.n:
-        raise ValueError(f"{len(diagonal)} diagonal values, state on "
-                         f"{state.n} qubits")
-    probs = np.abs(state.amplitudes.T, order="C") ** 2  # a row per sample
+    if len(diagonal) != len(state):
+        raise ValueError(f"{len(diagonal)} diagonal values, state of "
+                         f"{len(state)} amplitudes")
+    probs = np.abs(state.T, order="C") ** 2  # a row per sample
     values = np.array([row @ diagonal
                        for row in probs.reshape(-1, len(diagonal))])
     return values.reshape(probs.shape[:-1])[()]  # a lone state's is a scalar
@@ -160,11 +153,12 @@ def qaoa_values_sv(table: PhaseTable, Ks, gammas, betas):
     width = max(1, min(len(gammas), hamiltonian.PAIR_BLOCK >> n))
     for at in range(0, len(gammas), width):
         batch = slice(at, at + width)
+        # bound before the gates run, so the last batch's state is freed
         state = uniform_state(n, len(gammas[batch]))
         apply_mixer(betas[batch], apply_phase(table, gammas[batch], state))
         F[batch] = expectation_sv(table.diagonal, state)
         if len(Ks):
-            probs = np.abs(state.amplitudes) ** 2
+            probs = np.abs(state) ** 2
             Z[:, batch] = 2.0 ** n * walsh_transform(probs)[list(Ks)]
     return F, Z
 

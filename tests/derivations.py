@@ -288,7 +288,7 @@ def light_cone_statevector(d: int, angles) -> float:
     diagonal = sum(clause(u) for u in range(1 + d + d * (d - 1)))
     state = apply_mixer(beta, apply_phase(phase_table(diagonal), gamma,
                                           uniform_state(n)))
-    return float(np.abs(state.amplitudes) ** 2 @ clause(0))
+    return float(np.abs(state) ** 2 @ clause(0))
 
 
 def tree_enumeration(d: int, angles) -> float:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from derivations import (_conditional_prob, four_path_form_d2, hrss_preset,
                          neighborhood_oracle_prob, one_round,
@@ -100,6 +100,7 @@ def test_flip_prob_hand_case():
 
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 1), st.integers(0, 1), params_strategy(3))
+@example(0, 1, ClassicalParams(0.3340145311422223, (1.0, 1.0, 1.0, 0.0)))
 def test_flip_prob_complement_symmetry(a, b, prm):
     # complementing every bit swaps p and 1-p but preserves agreement
     p, q = prm

@@ -443,7 +443,7 @@ def test_verify_batches_match_one_sample_at_a_time(capsys, monkeypatch,
     mixer = statevector.apply_mixer
 
     def counted(beta, state):
-        widths.append(state.amplitudes.shape[1])
+        widths.append(state.shape[1])
         return mixer(beta, state)
 
     monkeypatch.setattr(statevector, "apply_mixer", counted)

@@ -10,6 +10,7 @@ import pytest
 from localmaxcut import (girth, load_edge_list, make_cycle, make_named,
                          make_random_regular, neighborhood, save_edge_list)
 from localmaxcut import graph
+from localmaxcut.cli import parse_graph_spec
 from localmaxcut.graph import _has_short_cycle, build_graph
 
 # SHA-256 of save_edge_list for each spec (n, d, min_girth, seed), recorded
@@ -80,6 +81,16 @@ def test_neighbours_are_sorted_read_only_rows():
         sorted(w for e in g.edges if v in e for w in e if w != v) for v in range(g.n)]
     with pytest.raises(ValueError):
         g.neighbours[0, 0] = 9
+
+
+@pytest.mark.parametrize("spec", [
+    "cycle:3", "cycle:2001", *(f"named:{name}" for name in graph.NAMED_CUBIC),
+    "random:1000,3,3,2", "random:200,4,3,3", "random:500,3,5,4"])
+def test_adjacency_is_the_neighbour_rows_on_regular_graphs(spec):
+    # the walk over sorted edges, the one derivation, lists each row of
+    # the numpy neighbour array
+    g = parse_graph_spec(spec)
+    assert g.adjacency == tuple(map(tuple, g.neighbours.tolist()))
 
 
 def test_degree_property():

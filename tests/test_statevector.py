@@ -14,15 +14,15 @@ from localmaxcut import (MAX_QUBITS, apply_mixer, apply_phase,
 from localmaxcut import hamiltonian, statevector
 from localmaxcut.hamiltonian import PAIR_BLOCK, walsh_transform
 from localmaxcut.qaoa_engine import expectation_terms
-from localmaxcut.statevector import State, qaoa_values_sv
+from localmaxcut.statevector import qaoa_values_sv
 from test_qaoa_engine import traced_peak
 
 
 def test_uniform_state():
     st = uniform_state(3)
-    assert st.n == 3
-    assert np.allclose(st.amplitudes, 2.0 ** -1.5)
-    assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0)
+    assert st.shape == (8,)
+    assert np.allclose(st, 2.0 ** -1.5)
+    assert np.linalg.norm(st) == pytest.approx(1.0)
 
 
 def test_qubit_cap():
@@ -36,7 +36,7 @@ def test_apply_phase_single_zz_term():
     h = make_hamiltonian(2, {mask_of((0, 1)): 1.0})
     st = apply_phase(phase_table(evaluate_all(h)), math.pi / 2,
                      uniform_state(2))
-    assert np.allclose(st.amplitudes, [-0.5j, 0.5j, 0.5j, -0.5j])
+    assert np.allclose(st, [-0.5j, 0.5j, 0.5j, -0.5j])
 
 
 def test_apply_phase_is_diagonal_phase():
@@ -45,13 +45,13 @@ def test_apply_phase_is_diagonal_phase():
     values = evaluate_all(h)
     st = apply_phase(phase_table(values), 0.7, uniform_state(3))
     expected = 2.0 ** -1.5 * np.exp(-1j * 0.7 * values)
-    assert np.allclose(st.amplitudes, expected)
+    assert np.allclose(st, expected)
 
 
 def test_apply_mixer_single_qubit():
-    st = State(1, np.array([1.0, 0.0], dtype=complex))
+    st = np.array([1.0, 0.0], dtype=complex)
     apply_mixer(0.3, st)
-    assert np.allclose(st.amplitudes, [math.cos(0.3), -1j * math.sin(0.3)])
+    assert np.allclose(st, [math.cos(0.3), -1j * math.sin(0.3)])
 
 
 def test_mixer_composes_additively():
@@ -59,12 +59,12 @@ def test_mixer_composes_additively():
     rng = np.random.default_rng(0)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
-    once = State(3, amps.copy())
+    once = amps.copy()
     apply_mixer(0.9, once)
-    twice = State(3, amps.copy())
+    twice = amps.copy()
     apply_mixer(0.4, twice)
     apply_mixer(0.5, twice)
-    assert np.allclose(once.amplitudes, twice.amplitudes)
+    assert np.allclose(once, twice)
 
 
 def test_mixer_matches_dense_kronecker():
@@ -76,16 +76,16 @@ def test_mixer_matches_dense_kronecker():
     rng = np.random.default_rng(1)
     amps = rng.normal(size=8) + 1j * rng.normal(size=8)
     amps /= np.linalg.norm(amps)
-    st = State(3, amps.copy())
+    st = amps.copy()
     apply_mixer(beta, st)
-    assert np.allclose(st.amplitudes, dense @ amps)
+    assert np.allclose(st, dense @ amps)
 
 
 def test_gates_preserve_norm():
     h = make_hamiltonian(4, {0b0101: 0.3, 0b1110: -1.1})
     st = apply_mixer(2.2, apply_phase(phase_table(evaluate_all(h)), 1.7,
                                       uniform_state(4)))
-    assert np.linalg.norm(st.amplitudes) == pytest.approx(1.0)
+    assert np.linalg.norm(st) == pytest.approx(1.0)
 
 
 def test_expectation_on_basis_state():
@@ -94,7 +94,7 @@ def test_expectation_on_basis_state():
     for x in range(8):
         amps = np.zeros(8, dtype=complex)
         amps[x] = 1.0
-        assert expectation_sv(diagonal, State(3, amps)) == pytest.approx(
+        assert expectation_sv(diagonal, amps) == pytest.approx(
             evaluate_classical(h, x), abs=1e-12)
 
 
@@ -120,11 +120,24 @@ def test_qaoa_expectation_sv_refuses_the_cap_before_the_diagonal(
 
 
 def test_dimension_mismatch_raises():
+    # the qubit count is the array's: both lengths are named
     h = make_hamiltonian(3, {0b011: 1.0})
-    with pytest.raises(ValueError):
+    message = "8 diagonal values, state of 4 amplitudes"
+    with pytest.raises(ValueError, match=message):
         apply_phase(phase_table(evaluate_all(h)), 0.1, uniform_state(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         expectation_sv(evaluate_all(h), uniform_state(2))
+    with pytest.raises(ValueError, match=message):
+        expectation_sv(evaluate_all(h), uniform_state(2, 3))
+
+
+def test_walks_refuse_a_length_not_a_power_of_two():
+    message = "6 entries is not a power of two"
+    for values in (np.ones(6, dtype=complex), np.ones((6, 2), dtype=complex)):
+        with pytest.raises(ValueError, match=message):
+            apply_mixer(0.3, values)
+        with pytest.raises(ValueError, match=message):
+            walsh_transform(values.real)
 
 
 # the default block, where 2^15 and 2^16 entries take more than one, and
@@ -161,9 +174,8 @@ def test_apply_mixer_is_the_qubit_loop(sizes):
     for n in sizes:
         amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         for beta in (0.0, 0.37, -2.9, math.pi / 2):
-            st = apply_mixer(beta, State(n, amps.copy()))
-            assert np.array_equal(bits(st.amplitudes),
-                                  bits(loop_mixer(beta, amps)))
+            st = apply_mixer(beta, amps.copy())
+            assert np.array_equal(bits(st), bits(loop_mixer(beta, amps)))
 
 
 def test_apply_phase_is_one_exponential_per_entry(sizes):
@@ -176,9 +188,8 @@ def test_apply_phase_is_one_exponential_per_entry(sizes):
                          rng.integers(0, n + 1, size=2 ** n).astype(float),
                          rng.choice([0.0, -0.0, 1.0, -2.5], size=2 ** n)):
             for gamma in (0.0, 0.7, -3.1, 1e3):
-                st = apply_phase(phase_table(diagonal), gamma,
-                                 State(n, amps.copy()))
-                assert np.array_equal(bits(st.amplitudes),
+                st = apply_phase(phase_table(diagonal), gamma, amps.copy())
+                assert np.array_equal(bits(st),
                                       bits(exp_phase(diagonal, gamma, amps)))
 
 
@@ -186,9 +197,9 @@ def test_apply_phase_on_a_localmaxcut_diagonal():
     h = build_localmaxcut_hamiltonian(make_named("HEAWOOD"))
     diagonal = evaluate_all(h)
     assert len(set(diagonal.tolist())) <= h.n + 1
-    amps = uniform_state(h.n).amplitudes
+    amps = uniform_state(h.n)
     st = apply_phase(phase_table(diagonal), 2.2, uniform_state(h.n))
-    assert np.array_equal(bits(st.amplitudes),
+    assert np.array_equal(bits(st),
                           bits(exp_phase(diagonal, 2.2, amps)))
 
 
@@ -234,9 +245,9 @@ def test_batched_apply_mixer_is_the_loop_per_column(sizes):
     rng = np.random.default_rng(7)
     for n, samples, amps in batches(sizes, rng):
         betas = rng.uniform(-math.pi, math.pi, size=samples)
-        st = apply_mixer(betas, State(n, amps.copy()))
+        st = apply_mixer(betas, amps.copy())
         for j in range(samples):
-            assert np.array_equal(bits(st.amplitudes[:, j]),
+            assert np.array_equal(bits(st[:, j]),
                                   bits(loop_mixer(betas[j], amps[:, j])))
 
 
@@ -253,11 +264,10 @@ def test_batched_apply_phase_is_one_exponential_per_entry(sizes):
         gammas = rng.uniform(-4.0, 4.0, size=samples)
         for diagonal in (rng.integers(0, n + 1, size=2 ** n).astype(float),
                          rng.choice([0.0, -0.0, 1.0, -2.5], size=2 ** n)):
-            st = apply_phase(phase_table(diagonal), gammas,
-                             State(n, amps.copy()))
+            st = apply_phase(phase_table(diagonal), gammas, amps.copy())
             for j in range(samples):
                 assert np.array_equal(
-                    bits(st.amplitudes[:, j]),
+                    bits(st[:, j]),
                     bits(exp_phase(diagonal, gammas[j], amps[:, j])))
 
 
@@ -268,10 +278,10 @@ def test_batched_expectation_is_the_lone_state_per_column():
     for n in (1, 5, 10):
         diagonal = rng.normal(size=2 ** n)
         amps = rng.normal(size=(2 ** n, 7)) + 1j * rng.normal(size=(2 ** n, 7))
-        values = expectation_sv(diagonal, State(n, amps))
+        values = expectation_sv(diagonal, amps)
         assert values.shape == (7,)
         for j in range(7):
-            lone = expectation_sv(diagonal, State(n, amps[:, j].copy()))
+            lone = expectation_sv(diagonal, amps[:, j].copy())
             assert bits(values[j]) == bits(np.float64(lone))
 
 
@@ -285,12 +295,11 @@ def test_gates_hold_at_most_a_block_beside_the_state():
     n = 18
     diagonal = np.arange(2 ** n) % (n + 1) * 1.0
     for qubits, angle in ((n, 0.3), (n - 2, np.full(4, 0.3))):
-        amps = uniform_state(qubits, *np.shape(angle)).amplitudes
+        amps = uniform_state(qubits, *np.shape(angle))
         probs = np.abs(amps) ** 2
         table = phase_table(diagonal[:2 ** qubits])
-        mixer, _ = traced_peak(lambda: apply_mixer(angle, State(qubits, amps)))
-        phase, _ = traced_peak(
-            lambda: apply_phase(table, angle, State(qubits, amps)))
+        mixer, _ = traced_peak(lambda: apply_mixer(angle, amps))
+        phase, _ = traced_peak(lambda: apply_phase(table, angle, amps))
         transform, _ = traced_peak(lambda: walsh_transform(probs))
         assert mixer < 0.5 * amps.nbytes
         assert phase < 0.5 * amps.nbytes
