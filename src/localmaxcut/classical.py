@@ -130,7 +130,7 @@ def _fab(a: int, b: int, p: float, q, d: int) -> float:
     """
     agree = p if b == 1 else 1 - p
     ell0 = 1 if a == b else 0
-    total = 0.0
+    total = 0
     for k, weight in enumerate(_binomial_pmf(d - 1, agree)):
         total += weight * q[ell0 + k]
     return np.minimum(total, 1.0) if np.ndim(total) else min(total, 1.0)
@@ -143,7 +143,7 @@ def _binomial_pmf(n: int, r):
 
 def _pmf_of_sum(x, y):
     """Distribution of X + Y for independent X, Y given as pmf lists."""
-    out = [0.0] * (len(x) + len(y) - 1)
+    out = [0] * (len(x) + len(y) - 1)
     for i, xi in enumerate(x):
         for j, yj in enumerate(y):
             out[i + j] += xi * yj
@@ -160,16 +160,17 @@ def exact_prob(d: int, params):
     Bin(d - l, f_ab).  The center stays with probability 1 - q_l and is
     then satisfied iff S <= floor(d/2); it moves with probability q_l and
     is then satisfied iff d - S <= floor(d/2).  O(d^3) terms of plain
-    arithmetic, so p and the q entries may be floats or numpy arrays of
-    one shape, and the result has that shape.  Agrees with the
-    brute-force oracle for every (p, q).
+    arithmetic, so p and the q entries may be floats, Fractions (kept
+    exact: every sum starts at the integer 0, so all-integer inputs can
+    give an int) or numpy arrays of one shape, and the result has that
+    shape.  Agrees with the brute-force oracle for every (p, q).
     """
     if not 1 <= d <= EXACT_MAX_DEGREE:
         raise ValueError(f"exact sum covers 1 <= d <= {EXACT_MAX_DEGREE}, got {d}")
     p, q = params
     _check_params(params, d)
     m = d // 2
-    total = 0.0
+    total = 0
     for a, pa in ((0, 1 - p), (1, p)):
         f_same, f_diff = _fab(a, a, p, q, d), _fab(a, 1 - a, p, q, d)
         for l in range(d + 1):

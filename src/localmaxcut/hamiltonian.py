@@ -10,10 +10,10 @@ character chi_S(x) = (-1)^{|S & x|}.
 `walsh_transform` is the one place where terms and basis values meet.
 Boolean clauses enter through their Walsh-Hadamard expansion
 C(x) = sum_S C_hat(S) chi_S(x), and the same transform, run the other
-way, turns a term map into its 2^n diagonal.  It is one butterfly per
-qubit over the pairs that `pair_walk` hands out, in blocks of PAIR_BLOCK
-elements (the statevector's mixer and batches take the same walk and
-block); each butterfly is elementwise, so the walk changes no bit.
+way, turns a term map into its 2^n diagonal.  It is one elementwise
+butterfly per qubit, lo + hi and (-hi) + lo = lo - hi, on the pairs
+that `pair_walk` views in place a block of PAIR_BLOCK elements at a
+time (as do the statevector's mixer and batches), so no bit changes.
 
 Clause weights accumulate per subset when clauses overlap.  Terms whose
 accumulated weight is exactly zero are dropped, so the stored term list
@@ -102,47 +102,49 @@ def block_entries(a: np.ndarray) -> int:
     return max(1, PAIR_BLOCK >> (width - 1).bit_length())
 
 
-def _halves(x: np.ndarray, stride: int, scratch: np.ndarray):
+def _pairs(x: np.ndarray, stride: int, buffer: np.ndarray):
     """The pairs of the contiguous x whose entries differ by stride along
-    its first axis, as (lo, hi) contiguous arrays; a copy in scratch is
-    written back to x once the caller has updated it."""
+    its first axis, as (groups, 2, run, ...) views of at most len(buffer)
+    entries, whole groups while one fits, else runs of half that, each
+    with a view of its shape cut from the front of buffer."""
     pairs = x.reshape(-1, 2, stride, *x.shape[1:])
-    if len(pairs) == 1:
-        yield pairs[0, 0], pairs[0, 1]
-        return
-    halves = scratch[:len(x)].reshape(2, -1, stride, *x.shape[1:])
-    np.copyto(halves, pairs.swapaxes(0, 1))
-    yield halves[0], halves[1]
-    np.copyto(pairs.swapaxes(0, 1), halves)
+    groups = max(1, len(buffer) // (2 * stride))
+    run = min(stride, len(buffer) // 2)
+    for g in range(0, len(pairs), groups):
+        for at in range(0, stride, run):
+            view = pairs[g:g + groups, :, at:at + run]
+            yield view, buffer[:2 * len(view) * run].reshape(view.shape)
 
 
 def pair_walk(a: np.ndarray):
     """For v = 0..n-1, the pairs of entries of the 2^n entries `a` whose
-    indices differ in bit v alone, as (lo, hi) contiguous arrays of equal
-    shape (bit v clear in lo, set in hi), for a caller that updates them
-    in place before asking for the next; the walk writes them back.
+    indices differ in bit v alone, as (pairs, scratch), for a caller that
+    updates pairs in place before asking for the next: pairs a
+    (groups, 2, run, ...) view, [:, 0] the entries with bit v clear and
+    [:, 1] their partners, and scratch a C-contiguous array of its shape
+    cut from one buffer, allocated once per walk, for the caller to fill.
 
     An entry is one value of a 1-D `a`, or one row of the trailing values
     of a (2^n, S) `a`, whose S columns the walk carries side by side.  A
-    block holds `block_entries(a)` entries, PAIR_BLOCK elements.  The
-    lower n // 2 qubits are taken on a transposed copy of a block of rows
-    of the (2^(n - n//2), 2^(n//2)) entries, which is written back before
-    the next block is copied, so their pairs are a block row or more
-    apart; the upper ones on `a` itself, a block at a time.  Unless a
-    qubit's pairs are already two contiguous halves, they are copied into
-    one scratch array and back: on a strided (rows, run) view of 2^13
-    entries in four or more rows, numpy's in-place multiply and add took
-    three and five times as long as on a contiguous array.  Every entry
-    meets the qubits in ascending order, and at most two blocks are held
-    beside `a`."""
+    block holds `block_entries(a)` entries, PAIR_BLOCK elements; a view
+    and the buffer hold at most max(2, block_entries(a)) entries.  The
+    lower n // 2 qubits are viewed in a transposed copy of a block of
+    rows of the (2^(n - n//2), 2^(n//2)) entries, written back before the
+    next block is copied (nothing else is copied), so their pairs are a
+    block row or more apart; the upper ones in `a` itself.  A view is then
+    one contiguous stretch or two contiguous runs, and only a caller's
+    read of pairs[:, ::-1] is strided: on a strided (rows, run) view of
+    2^13 entries in four or more rows, numpy's in-place multiply and add
+    took three and five times as long as on a contiguous array.  Every
+    entry meets the qubits in ascending order, and at most two blocks
+    are held beside `a`."""
     n = len(a).bit_length() - 1
     if len(a) != 2 ** n:
         raise ValueError(f"{len(a)} entries is not a power of two")
     tail = a.shape[1:]
     chunk = block_entries(a)
+    buffer = np.empty((min(len(a), max(2, chunk)), *tail), dtype=a.dtype)
     low = n // 2
-    scratch = np.empty((min(len(a), max(chunk, 2 ** low)), *tail),
-                       dtype=a.dtype)
     rows = a.reshape(-1, 2 ** low, *tail)
     step = max(1, chunk >> low)
     if low:
@@ -152,29 +154,24 @@ def pair_walk(a: np.ndarray):
             part = rows[start:start + step]
             np.copyto(block, part.swapaxes(0, 1))
             for v in range(low):
-                yield from _halves(block.reshape(-1, *tail),
-                                   block.shape[1] << v, scratch)
+                yield from _pairs(block.reshape(-1, *tail),
+                                  block.shape[1] << v, buffer)
             np.copyto(part, block.swapaxes(0, 1))
-    half = max(1, chunk // 2)
     for v in range(low, n):
-        if 2 ** v < chunk:
-            for start in range(0, len(a), chunk):
-                yield from _halves(a[start:start + chunk], 2 ** v, scratch)
-        else:  # each run of a pair group is split into runs of half
-            for group in range(0, len(a), 2 ** (v + 1)):
-                for at in range(group, group + 2 ** v, half):
-                    yield a[at:at + half], a[at + 2 ** v:at + 2 ** v + half]
+        yield from _pairs(a, 2 ** v, buffer)
 
 
 def walsh_transform(values) -> np.ndarray:
     """Normalized Walsh-Hadamard transform of 2^k values:
     out[s] = 2^-k sum_t f[t] (-1)^{|s&t|}.  Applied twice it gives
     2^-k f, so 2^k times the transform inverts it.  One butterfly
-    (lo, hi) <- (lo + hi, lo - hi) per qubit, over `pair_walk`; a
+    (lo, hi) <- (lo + hi, (-hi) + lo) per qubit, over `pair_walk`; a
     (2^k, S) array is S columns transformed side by side."""
     a = np.array(values, dtype=float)
-    for lo, hi in pair_walk(a):
-        lo[:], hi[:] = lo + hi, lo - hi
+    for pairs, scratch in pair_walk(a):
+        np.copyto(scratch, pairs[:, ::-1])
+        np.negative(pairs[:, 1], out=pairs[:, 1])
+        pairs += scratch
     a /= len(a)
     return a
 

@@ -20,9 +20,9 @@ Each gate costs its arithmetic and keeps the elementwise operations, in
 their order, of the plain loop over the whole array, so every amplitude
 has the same bits as there:
 
-- the mixer is one 2x2 rotation per qubit over the pairs of amplitudes
-  that differ in its bit, as `hamiltonian.pair_walk` hands them out (the
-  Walsh transform's walk, which holds at most two blocks beside a state);
+- the mixer is one 2x2 rotation per qubit on the pairs of amplitudes
+  that differ in its bit, in place in `hamiltonian.pair_walk`'s views
+  (the Walsh transform's walk, at most two blocks beside a state);
 - the phase gate takes exp(-i gamma v) once per distinct diagonal value
   v and sample (a LocalMaxCut diagonal has at most n + 1 values) and
   gathers it a block at a time, through the codes of a `PhaseTable`.
@@ -115,12 +115,11 @@ def apply_mixer(beta, state: np.ndarray) -> np.ndarray:
     """Apply exp(-i beta X) to every qubit (the X_v commute).  beta is one
     angle, or one per sample of a batch."""
     c, s = np.cos(beta), -1j * np.sin(beta)
-    for lo, hi in pair_walk(state):
-        a = lo.copy()
-        lo *= c
-        lo += s * hi
-        hi *= c
-        hi += s * a
+    for pairs, scratch in pair_walk(state):
+        # into the walk's scratch: a product numpy allocates was slower
+        np.multiply(s, pairs[:, ::-1], out=scratch)
+        pairs *= c
+        pairs += scratch
     return state
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -74,6 +75,15 @@ def test_optimal_presets():
         0.7725678954133012, abs=1e-12)
     with pytest.raises(ValueError):
         optimal_preset(4)
+
+
+def test_exact_prob_keeps_the_type_of_its_inputs():
+    # every sum starts at the integer 0: the degree-2 preset in exact
+    # arithmetic gives 19/20 itself, and all-integer inputs an int
+    value = exact_prob(2, ClassicalParams(Fraction(1, 2),
+                                          (0, 0, Fraction(4, 5))))
+    assert type(value) is Fraction and value == Fraction(19, 20)
+    assert type(exact_prob(1, ClassicalParams(1, (0, 0)))) is int
 
 
 def test_prob_satisfied_initial():

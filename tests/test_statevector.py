@@ -12,7 +12,8 @@ from localmaxcut import (MAX_QUBITS, apply_mixer, apply_phase,
                          make_named, mask_of, phase_table,
                          qaoa_expectation_sv, uniform_state)
 from localmaxcut import hamiltonian, statevector
-from localmaxcut.hamiltonian import PAIR_BLOCK, walsh_transform
+from localmaxcut.hamiltonian import (PAIR_BLOCK, block_entries, pair_walk,
+                                    walsh_transform)
 from localmaxcut.qaoa_engine import expectation_terms
 from localmaxcut.statevector import qaoa_values_sv
 from test_qaoa_engine import traced_peak
@@ -152,6 +153,35 @@ def sizes(request, monkeypatch):
     block, n = request.param
     monkeypatch.setattr(hamiltonian, "PAIR_BLOCK", block)
     return range(n)
+
+
+def test_pair_walk_views_every_pair_once_in_qubit_order(sizes):
+    # walked without updates, each view holds the indices of its entries,
+    # a row of three equal values on the batch
+    for n in sizes:
+        index = np.arange(2 ** n)
+        for a in (index.astype(float), np.repeat(index[:, None], 3, axis=1)
+                  .astype(float)):
+            met = np.zeros(2 ** n, dtype=int)  # the qubits each index met
+            lows = [[] for _ in range(n)]
+            for pairs, scratch in pair_walk(a):
+                assert scratch.shape == pairs.shape
+                assert scratch.flags.c_contiguous
+                entries = pairs.reshape(*pairs.shape[:3], -1)
+                assert math.prod(pairs.shape[:3]) <= max(2, block_entries(a))
+                assert (entries == entries[..., :1]).all()
+                lo, hi = entries[:, 0, :, 0], entries[:, 1, :, 0]
+                v = int(hi[0, 0] - lo[0, 0]).bit_length() - 1
+                assert (hi - lo == 2 ** v).all()
+                lo, hi = lo.astype(int).ravel(), hi.astype(int).ravel()
+                assert (met[lo] == v).all() and (met[hi] == v).all()
+                met[lo] += 1
+                met[hi] += 1
+                lows[v].append(lo)
+            assert (met == n).all()
+            for v in range(n):
+                assert np.array_equal(np.sort(np.concatenate(lows[v])),
+                                      index[index >> v & 1 == 0])
 
 
 def bits(a):
