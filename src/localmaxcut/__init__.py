@@ -21,9 +21,8 @@ from .hamiltonian import (Clause, DiagonalHamiltonian,
 from .optimize import (GridSweep, OptimizationReport, grid_sweep,
                        optimize_classical, optimize_qaoa)
 from .qaoa_engine import expectation_full, explain_zk
-from .statevector import (MAX_QUBITS, apply_mixer, apply_phase,
-                          expectation_sv, phase_table, qaoa_expectation_sv,
-                          uniform_state)
+from .statevector import (MAX_QUBITS, apply_mixer, apply_phase, phase_table,
+                          qaoa_expectation_sv)
 
 __version__ = "0.1.0"
 
@@ -32,11 +31,11 @@ __all__ = [
     "GridSweep", "MAX_QUBITS", "NAMED_CUBIC", "OptimizationReport",
     "RunStats", "apply_mixer", "apply_phase",
     "build_localmaxcut_hamiltonian", "evaluate_all", "evaluate_classical",
-    "exact_prob", "expectation_full", "expectation_sv", "explain_zk",
+    "exact_prob", "expectation_full", "explain_zk",
     "fourier_encode_clause", "girth", "grid_sweep", "hamiltonian_to_json",
     "load_edge_list", "local_satisfaction_clause", "make_cycle",
     "make_hamiltonian", "make_named", "make_random_regular", "mask_of",
     "monte_carlo", "neighborhood", "optimal_preset", "optimize_classical",
     "optimize_qaoa", "phase_table", "qaoa_expectation_sv", "save_edge_list",
-    "uniform_state", "vertices_of",
+    "vertices_of",
 ]

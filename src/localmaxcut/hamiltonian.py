@@ -8,12 +8,13 @@ a basis state x (also a bitmask, bit v = assignment of vertex v, with bit
 character chi_S(x) = (-1)^{|S & x|}.
 
 `walsh_transform` is the one place where terms and basis values meet.
-Boolean clauses enter through their Walsh-Hadamard expansion
-C(x) = sum_S C_hat(S) chi_S(x), and the same transform, run the other
-way, turns a term map into its 2^n diagonal.  It is one elementwise
-butterfly per qubit, lo + hi and (-hi) + lo = lo - hi, on the pairs
-that `pair_walk` views in place a block of PAIR_BLOCK elements at a
-time (as do the statevector's mixer and batches), so no bit changes.
+It gives the plain sums sum_t f[t] chi_s(t), unscaled: a term map's
+transform is its 2^n diagonal, and a clause's truth table's transform,
+over its 2^k entries, gives its Walsh-Hadamard expansion
+C(x) = sum_S C_hat(S) chi_S(x).  It is one elementwise butterfly per
+qubit, lo + hi and (-hi) + lo = lo - hi, on the pairs that `pair_walk`
+views in place a block of PAIR_BLOCK elements at a time (as do the
+statevector's mixer and batches), so no bit changes.
 
 Clause weights accumulate per subset when clauses overlap.  Terms whose
 accumulated weight is exactly zero are dropped, so the stored term list
@@ -162,23 +163,22 @@ def pair_walk(a: np.ndarray):
 
 
 def walsh_transform(values) -> np.ndarray:
-    """Normalized Walsh-Hadamard transform of 2^k values:
-    out[s] = 2^-k sum_t f[t] (-1)^{|s&t|}.  Applied twice it gives
-    2^-k f, so 2^k times the transform inverts it.  One butterfly
-    (lo, hi) <- (lo + hi, (-hi) + lo) per qubit, over `pair_walk`; a
-    (2^k, S) array is S columns transformed side by side."""
-    a = np.array(values, dtype=float)
+    """Walsh-Hadamard transform of 2^k values, unscaled:
+    out[s] = sum_t f[t] (-1)^{|s&t|}.  Applied twice it gives 2^k f.
+    One butterfly (lo, hi) <- (lo + hi, (-hi) + lo) per qubit, over
+    `pair_walk`, on a C-ordered copy; a (2^k, S) array is S columns
+    transformed side by side."""
+    a = np.array(values, dtype=float, order="C")
     for pairs, scratch in pair_walk(a):
         np.copyto(scratch, pairs[:, ::-1])
         np.negative(pairs[:, 1], out=pairs[:, 1])
         pairs += scratch
-    a /= len(a)
     return a
 
 
 def fourier_encode_clause(c: Clause) -> DiagonalHamiltonian:
     """Encode one clause as a diagonal Hamiltonian on its support vertices."""
-    coeffs = walsh_transform(c.truth_table)
+    coeffs = walsh_transform(c.truth_table) / len(c.truth_table)
     weights = {}
     for s, w in enumerate(coeffs):
         if w != 0.0:
@@ -240,11 +240,11 @@ def evaluate_classical(h: DiagonalHamiltonian, x: int) -> float:
 
 def evaluate_all(h: DiagonalHamiltonian) -> np.ndarray:
     """The diagonal: evaluate_classical over all 2^n basis states, in basis
-    order, as 2^n times the transform of the weights placed at their masks."""
+    order, as the transform of the weights placed at their masks."""
     weights = np.zeros(2 ** h.n)
     for m, w in h.terms:
         weights[m] = w
-    return 2.0 ** h.n * walsh_transform(weights)
+    return walsh_transform(weights)
 
 
 def hamiltonian_to_json(h: DiagonalHamiltonian) -> dict:

@@ -450,11 +450,12 @@ def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
 def expectation_full(h: DiagonalHamiltonian, angles):
     """F(gamma, beta) = <gamma,beta| H |gamma,beta> via the Z_K decomposition.
 
-    gamma and beta may be floats (a float comes back) or arrays of one
-    shape (an array of that shape comes back).
+    gamma and beta may be floats (a float comes back) or arrays that
+    broadcast to one shape (an array of that shape comes back, also when
+    H is only a constant).
     """
     terms = h.nonconstant_terms()
-    total = h.constant
+    total = np.full(np.broadcast_shapes(*map(np.shape, angles)), h.constant)
     for (_, w), value in zip(terms, expectation_terms(
             h, [m for m, _ in terms], angles)):
         total = total + w * value

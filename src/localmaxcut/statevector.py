@@ -7,14 +7,13 @@ state x (an index into the amplitude array) assigns vertex v the bit
 A state is its amplitude array: 2^n complex amplitudes, or a batch of S
 states side by side, a (2^n, S) array with one sample per column, and n
 is read from its length.  The gates update the array in place and return
-it for chaining; on a batch they take an angle per sample, and the
-expectation gives one value per sample.  Every entry of a column meets
-the same operations as in a lone state, so a batch has the bits of its
-columns run one at a time.  `qaoa_values_sv` is the one route through
-the gates, for `qaoa_expectation_sv` and `cli.verify` alike: it takes H
-as a `PhaseTable`, built once per H, and runs angle pairs in batches of
-up to PAIR_BLOCK elements, so each gate's numpy calls serve every sample
-of a small state at once.
+it for chaining; on a batch they take an angle per sample.  Every entry
+of a column meets the same operations as in a lone state, so a batch
+has the bits of its columns run one at a time.  `qaoa_values_sv` is the
+one route through the gates, for `qaoa_expectation_sv` and `cli.verify`
+alike: it takes H as a `PhaseTable`, built once per H, and runs angle
+pairs in batches of up to PAIR_BLOCK elements, so each gate's numpy
+calls serve every sample of a small state at once.
 
 Each gate costs its arithmetic and keeps the elementwise operations, in
 their order, of the plain loop over the whole array, so every amplitude
@@ -55,19 +54,6 @@ class PhaseTable(NamedTuple):
     levels: np.ndarray
     codes: np.ndarray
     diagonal: np.ndarray
-
-
-def _check_qubits(n: int) -> None:
-    if n > MAX_QUBITS:
-        raise ValueError(f"n={n} exceeds the {MAX_QUBITS}-qubit statevector cap")
-
-
-def uniform_state(n: int, samples: int | None = None) -> np.ndarray:
-    """The uniform superposition |s> with every amplitude 2^{-n/2}; with
-    `samples`, that many copies side by side."""
-    _check_qubits(n)
-    shape = (2 ** n,) if samples is None else (2 ** n, samples)
-    return np.full(shape, 2.0 ** (-n / 2), dtype=complex)
 
 
 def phase_table(diagonal: np.ndarray) -> PhaseTable:
@@ -123,47 +109,38 @@ def apply_mixer(beta, state: np.ndarray) -> np.ndarray:
     return state
 
 
-def expectation_sv(diagonal: np.ndarray, state: np.ndarray):
-    """<state| H |state> = sum_x |amp_x|^2 H(x): a float, or an array of
-    one per sample of a batch.
-
-    Each sample's probabilities are summed as one contiguous row by one
-    dot product: a dot over a strided column changes the last bits."""
-    if len(diagonal) != len(state):
-        raise ValueError(f"{len(diagonal)} diagonal values, state of "
-                         f"{len(state)} amplitudes")
-    probs = np.abs(state.T, order="C") ** 2  # a row per sample
-    values = np.array([row @ diagonal
-                       for row in probs.reshape(-1, len(diagonal))])
-    return values.reshape(probs.shape[:-1])[()]  # a lone state's is a scalar
-
-
 def qaoa_values_sv(table: PhaseTable, Ks, gammas, betas):
     """(F, Z) by direct simulation of U_M U_C |s> at each pair of the 1-D
     angle arrays, for the H whose diagonal `table` holds: F the values
     <H>, and Z, one row per K of `Ks`, the values <Z_K>.
 
     The pairs run in batches of S = min(pairs left, PAIR_BLOCK >> n), at
-    least one, as one (2^n, S) state.  F is the expectation of the
-    diagonal, so it does not rest on Z, which is 2^n times one Walsh
-    transform of the batch's |amp|^2, taken only when `Ks` is not empty."""
+    least one, as one (2^n, S) state from the uniform amplitude 2^{-n/2}.
+    Its |amp|^2 is taken once, a contiguous row per sample.  F is one dot
+    of each row with the diagonal (a dot over a strided column changes
+    the last bits), so it does not rest on Z, which is one Walsh
+    transform of the rows as columns, taken only when `Ks` is not
+    empty."""
     n = len(table.codes).bit_length() - 1
     F, Z = np.empty(len(gammas)), np.empty((len(Ks), len(gammas)))
     width = max(1, min(len(gammas), hamiltonian.PAIR_BLOCK >> n))
     for at in range(0, len(gammas), width):
         batch = slice(at, at + width)
         # bound before the gates run, so the last batch's state is freed
-        state = uniform_state(n, len(gammas[batch]))
+        state = np.full((2 ** n, len(gammas[batch])), 2.0 ** (-n / 2),
+                        dtype=complex)
         apply_mixer(betas[batch], apply_phase(table, gammas[batch], state))
-        F[batch] = expectation_sv(table.diagonal, state)
+        probs = np.abs(state.T, order="C") ** 2  # a row per sample
+        F[batch] = [row @ table.diagonal for row in probs]
         if len(Ks):
-            probs = np.abs(state) ** 2
-            Z[:, batch] = 2.0 ** n * walsh_transform(probs)[list(Ks)]
+            Z[:, batch] = walsh_transform(probs.T)[list(Ks)]
     return F, Z
 
 
 def qaoa_expectation_sv(h: DiagonalHamiltonian, angles) -> float:
     """F(gamma, beta) evaluated by direct simulation of U_M U_C |s>."""
-    _check_qubits(h.n)  # before the 2^n diagonal
+    if h.n > MAX_QUBITS:  # before the 2^n diagonal
+        raise ValueError(f"n={h.n} exceeds the {MAX_QUBITS}-qubit "
+                         "statevector cap")
     table = phase_table(evaluate_all(h))
     return float(qaoa_values_sv(table, (), *np.reshape(angles, (2, 1)))[0][0])

@@ -57,8 +57,7 @@ from numpy.random import Generator, Philox
 
 from localmaxcut.classical import ClassicalParams, _check_params, _fab
 from localmaxcut.qaoa_engine import _families
-from localmaxcut.statevector import (apply_mixer, apply_phase, phase_table,
-                                     uniform_state)
+from localmaxcut.statevector import apply_mixer, apply_phase, phase_table
 
 # The oracle holds one uint64 array of 2^V entries per vertex of the radius-2
 # tree, V = 1 + d + d(d-1): 17 MiB at d = 4, but about 13 GiB at d = 5.
@@ -286,8 +285,8 @@ def light_cone_statevector(d: int, angles) -> float:
         return (agree <= d // 2).astype(float)
 
     diagonal = sum(clause(u) for u in range(1 + d + d * (d - 1)))
-    state = apply_mixer(beta, apply_phase(phase_table(diagonal), gamma,
-                                          uniform_state(n)))
+    state = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
+    apply_mixer(beta, apply_phase(phase_table(diagonal), gamma, state))
     return float(np.abs(state) ** 2 @ clause(0))
 
 
@@ -432,15 +431,15 @@ def one_round(adj, params, rng):
 
 
 def butterfly_walsh(values) -> np.ndarray:
-    """The normalized Walsh-Hadamard transform as one butterfly per qubit
-    over the whole array, lowest qubit first."""
+    """The Walsh-Hadamard transform as one butterfly per qubit over the
+    whole array, lowest qubit first."""
     a = np.array(values, dtype=float)
     h = 1
     while h < len(a):
         lo, hi = a.reshape(-1, 2, h).transpose(1, 0, 2)  # views into a
         lo[:], hi[:] = lo + hi, lo - hi
         h *= 2
-    return a / len(a)
+    return a
 
 
 def loop_mixer(beta, amplitudes) -> np.ndarray:

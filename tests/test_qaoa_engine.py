@@ -464,6 +464,20 @@ def test_engine_batch_matches_scalar(graph):
     assert np.max(np.abs(batch.ravel() - scalar)) <= 1e-12
 
 
+def test_expectation_full_of_a_constant_has_the_angles_shape():
+    # with no term to sum, F is the constant at every angle pair, as a
+    # float for float angles and an array of their broadcast shape else
+    h = make_hamiltonian(2, {0: 1.5})
+    assert isinstance(expectation_full(h, (0.3, 0.2)), float)
+    for gammas, betas in ((np.zeros(4), np.ones(4)),
+                          (np.zeros((2, 3)), np.ones((2, 3))),
+                          (np.zeros((2, 1)), np.ones(3))):
+        value = expectation_full(h, (gammas, betas))
+        assert isinstance(value, np.ndarray)
+        assert value.shape == np.broadcast_shapes(gammas.shape, betas.shape)
+        assert (value == 1.5).all()
+
+
 def test_nan_angle_refused_by_residue_check():
     # a NaN angle is refused before any work, on every entry of a batch
     h, K = girth7_certificate(2, "EDGE")

@@ -8,9 +8,8 @@ import pytest
 from derivations import butterfly_walsh, exp_phase, loop_mixer
 from localmaxcut import (MAX_QUBITS, apply_mixer, apply_phase,
                          build_localmaxcut_hamiltonian, evaluate_all,
-                         evaluate_classical, expectation_sv, make_hamiltonian,
-                         make_named, mask_of, phase_table,
-                         qaoa_expectation_sv, uniform_state)
+                         make_hamiltonian, make_named, mask_of, phase_table,
+                         qaoa_expectation_sv)
 from localmaxcut import hamiltonian, statevector
 from localmaxcut.hamiltonian import (PAIR_BLOCK, block_entries, pair_walk,
                                     walsh_transform)
@@ -19,24 +18,26 @@ from localmaxcut.statevector import qaoa_values_sv
 from test_qaoa_engine import traced_peak
 
 
+def uniform(n, *samples):
+    """|s> on n qubits, every amplitude 2^{-n/2}; `samples` side by side."""
+    return np.full((2 ** n, *samples), 2.0 ** (-n / 2), dtype=complex)
+
+
 def test_uniform_state():
-    st = uniform_state(3)
-    assert st.shape == (8,)
-    assert np.allclose(st, 2.0 ** -1.5)
-    assert np.linalg.norm(st) == pytest.approx(1.0)
-
-
-def test_qubit_cap():
-    with pytest.raises(ValueError):
-        uniform_state(MAX_QUBITS + 1)
+    # at gamma = beta = 0 the route measures |s> itself: the empty K reads
+    # its norm, every other Z_K reads 0, and F the diagonal's mean
+    diagonal = np.arange(8.0)
+    F, Z = qaoa_values_sv(phase_table(diagonal), range(8), np.zeros(3),
+                          np.zeros(3))
+    assert np.allclose(F, 3.5)
+    assert np.allclose(Z[0], 1.0) and np.allclose(Z[1:], 0.0)
 
 
 def test_apply_phase_single_zz_term():
     # H = Z_0 Z_1: value +1 on 00/11, -1 on 01/10; at gamma = pi/2 the
     # uniform amplitudes pick up -i and +i respectively
     h = make_hamiltonian(2, {mask_of((0, 1)): 1.0})
-    st = apply_phase(phase_table(evaluate_all(h)), math.pi / 2,
-                     uniform_state(2))
+    st = apply_phase(phase_table(evaluate_all(h)), math.pi / 2, uniform(2))
     assert np.allclose(st, [-0.5j, 0.5j, 0.5j, -0.5j])
 
 
@@ -44,7 +45,7 @@ def test_apply_phase_is_diagonal_phase():
     # |amplitude| is untouched and the phase is exactly -gamma * H(x)
     h = make_hamiltonian(3, {0: 0.5, 0b011: -0.25, 0b110: 1.5})
     values = evaluate_all(h)
-    st = apply_phase(phase_table(values), 0.7, uniform_state(3))
+    st = apply_phase(phase_table(values), 0.7, uniform(3))
     expected = 2.0 ** -1.5 * np.exp(-1j * 0.7 * values)
     assert np.allclose(st, expected)
 
@@ -85,25 +86,14 @@ def test_mixer_matches_dense_kronecker():
 def test_gates_preserve_norm():
     h = make_hamiltonian(4, {0b0101: 0.3, 0b1110: -1.1})
     st = apply_mixer(2.2, apply_phase(phase_table(evaluate_all(h)), 1.7,
-                                      uniform_state(4)))
+                                      uniform(4)))
     assert np.linalg.norm(st) == pytest.approx(1.0)
-
-
-def test_expectation_on_basis_state():
-    h = make_hamiltonian(3, {0: 1.0, 0b011: -0.5, 0b101: 0.25})
-    diagonal = evaluate_all(h)
-    for x in range(8):
-        amps = np.zeros(8, dtype=complex)
-        amps[x] = 1.0
-        assert expectation_sv(diagonal, amps) == pytest.approx(
-            evaluate_classical(h, x), abs=1e-12)
 
 
 def test_uniform_expectation_is_constant_term():
     # <s|chi_S|s> = 0 for S nonempty, so only the identity weight survives
     h = make_hamiltonian(4, {0: 2.5, 0b0011: -0.5, 0b1100: 0.75})
-    assert expectation_sv(evaluate_all(h), uniform_state(4)) == pytest.approx(
-        2.5, abs=1e-12)
+    assert qaoa_expectation_sv(h, (0.0, 0.0)) == pytest.approx(2.5, abs=1e-12)
     # and the mixer alone cannot change that
     assert qaoa_expectation_sv(h, (1.3, 0.0)) == pytest.approx(2.5, abs=1e-12)
     assert qaoa_expectation_sv(h, (0.0, 0.8)) == pytest.approx(2.5, abs=1e-12)
@@ -125,11 +115,10 @@ def test_dimension_mismatch_raises():
     h = make_hamiltonian(3, {0b011: 1.0})
     message = "8 diagonal values, state of 4 amplitudes"
     with pytest.raises(ValueError, match=message):
-        apply_phase(phase_table(evaluate_all(h)), 0.1, uniform_state(2))
+        apply_phase(phase_table(evaluate_all(h)), 0.1, uniform(2))
     with pytest.raises(ValueError, match=message):
-        expectation_sv(evaluate_all(h), uniform_state(2))
-    with pytest.raises(ValueError, match=message):
-        expectation_sv(evaluate_all(h), uniform_state(2, 3))
+        apply_phase(phase_table(evaluate_all(h)), np.full(3, 0.1),
+                    uniform(2, 3))
 
 
 def test_walks_refuse_a_length_not_a_power_of_two():
@@ -199,6 +188,20 @@ def test_walsh_transform_is_the_butterfly_loop(sizes):
                                   bits(butterfly_walsh(values)))
 
 
+def test_walsh_transform_is_the_unscaled_sum(sizes):
+    # a unit impulse sums to a one at every s, and on integers, where every
+    # sum is exact, the transform applied twice is exactly 2^k the input,
+    # also on columns read from a transposed array
+    rng = np.random.default_rng(11)
+    for n in sizes:
+        impulse = np.zeros(2 ** n)
+        impulse[0] = 1.0
+        assert np.array_equal(walsh_transform(impulse), np.ones(2 ** n))
+        values = rng.integers(-3, 4, size=(3, 2 ** n)).astype(float).T
+        assert np.array_equal(walsh_transform(walsh_transform(values)),
+                              2 ** n * values)
+
+
 def test_apply_mixer_is_the_qubit_loop(sizes):
     rng = np.random.default_rng(4)
     for n in sizes:
@@ -227,8 +230,8 @@ def test_apply_phase_on_a_localmaxcut_diagonal():
     h = build_localmaxcut_hamiltonian(make_named("HEAWOOD"))
     diagonal = evaluate_all(h)
     assert len(set(diagonal.tolist())) <= h.n + 1
-    amps = uniform_state(h.n)
-    st = apply_phase(phase_table(diagonal), 2.2, uniform_state(h.n))
+    amps = uniform(h.n)
+    st = apply_phase(phase_table(diagonal), 2.2, uniform(h.n))
     assert np.array_equal(bits(st),
                           bits(exp_phase(diagonal, 2.2, amps)))
 
@@ -301,20 +304,6 @@ def test_batched_apply_phase_is_one_exponential_per_entry(sizes):
                     bits(exp_phase(diagonal, gammas[j], amps[:, j])))
 
 
-def test_batched_expectation_is_the_lone_state_per_column():
-    # one dot per contiguous sample row gives each column the bits of its
-    # lone state's expectation
-    rng = np.random.default_rng(9)
-    for n in (1, 5, 10):
-        diagonal = rng.normal(size=2 ** n)
-        amps = rng.normal(size=(2 ** n, 7)) + 1j * rng.normal(size=(2 ** n, 7))
-        values = expectation_sv(diagonal, amps)
-        assert values.shape == (7,)
-        for j in range(7):
-            lone = expectation_sv(diagonal, amps[:, j].copy())
-            assert bits(values[j]) == bits(np.float64(lone))
-
-
 def test_gates_hold_at_most_a_block_beside_the_state():
     # at 18 qubits (4 MiB of amplitudes) the gates hold a block or two
     # beside the state: a whole-state transposed copy would take the
@@ -325,7 +314,7 @@ def test_gates_hold_at_most_a_block_beside_the_state():
     n = 18
     diagonal = np.arange(2 ** n) % (n + 1) * 1.0
     for qubits, angle in ((n, 0.3), (n - 2, np.full(4, 0.3))):
-        amps = uniform_state(qubits, *np.shape(angle))
+        amps = uniform(qubits, *np.shape(angle))
         probs = np.abs(amps) ** 2
         table = phase_table(diagonal[:2 ** qubits])
         mixer, _ = traced_peak(lambda: apply_mixer(angle, amps))
