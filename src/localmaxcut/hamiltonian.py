@@ -27,6 +27,7 @@ on the assignment where support[j] takes bit j of t.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +169,11 @@ def walsh_transform(values) -> np.ndarray:
     One butterfly (lo, hi) <- (lo + hi, (-hi) + lo) per qubit, over
     `pair_walk`, on a C-ordered copy; a (2^k, S) array is S columns
     transformed side by side."""
-    a = np.array(values, dtype=float, order="C")
+    return _butterflies(np.array(values, dtype=float, order="C"))
+
+
+def _butterflies(a: np.ndarray) -> np.ndarray:
+    """`walsh_transform` in place on the C-contiguous float array a."""
     for pairs, scratch in pair_walk(a):
         np.copyto(scratch, pairs[:, ::-1])
         np.negative(pairs[:, 1], out=pairs[:, 1])
@@ -214,14 +219,24 @@ def build_localmaxcut_hamiltonian(g) -> DiagonalHamiltonian:
     d = g.degree
     if d is None:
         raise ValueError("graph is not regular")
-    base = fourier_encode_clause(local_satisfaction_clause(d))
+    terms = _clause_terms(d)
     weights = {}
     for v in range(g.n):
-        ball = neighborhood(g, v)
-        for pmask, w in base.terms:
-            m = mask_of(ball[j] for j in vertices_of(pmask))
+        bits = [1 << u for u in neighborhood(g, v)]
+        for positions, w in terms:
+            m = 0
+            for j in positions:
+                m |= bits[j]
             weights[m] = weights.get(m, 0.0) + w
     return make_hamiltonian(g.n, weights)
+
+
+@functools.cache
+def _clause_terms(d: int) -> tuple[tuple[tuple[int, ...], float], ...]:
+    """The degree-d satisfaction clause's terms, encoded once per degree,
+    as (ball positions, weight) in term order."""
+    base = fourier_encode_clause(local_satisfaction_clause(d))
+    return tuple((tuple(vertices_of(m)), w) for m, w in base.terms)
 
 
 def evaluate_classical(h: DiagonalHamiltonian, x: int) -> float:
@@ -244,7 +259,7 @@ def evaluate_all(h: DiagonalHamiltonian) -> np.ndarray:
     weights = np.zeros(2 ** h.n)
     for m, w in h.terms:
         weights[m] = w
-    return walsh_transform(weights)
+    return _butterflies(weights)
 
 
 def hamiltonian_to_json(h: DiagonalHamiltonian) -> dict:

@@ -32,6 +32,19 @@ has the same bits as there:
   HEAWOOD the table takes about 0.45 ms once, and then a phase takes
   0.055 ms, where sorting the block for every call took 0.3-0.5 ms
   (2-CPU Xeon, numpy 2.4).
+
+A LocalMaxCut diagonal depends only on which edges are cut, so
+H(x) = H(~x) for the complement ~x = 2^n - 1 - x, and its codes read the
+same backwards.  The uniform start and the mixer commute with flipping
+every qubit, so amp(x) = amp(~x) at every step, bit for bit, and the
+route simulates only the first half of such a state, x < 2^(n-1): the
+lower n - 1 qubits as on the whole state, and the top qubit by pairing x
+with 2^(n-1) - 1 - x, the complement of its partner x + 2^(n-1).  The
+|amp|^2 rows are the half's followed by their reverse, and the Walsh
+transform stays full length, since one over the half alone would sum in
+another order.  Any other diagonal, or n <= 1, runs the whole state.  On
+the twelve fixture graphs of the verify benchmark, 50 pairs each, the
+route took 67 ms against 99 ms on whole states (2-CPU Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -109,6 +122,31 @@ def apply_mixer(beta, state: np.ndarray) -> np.ndarray:
     return state
 
 
+def _mix_top(beta, half: np.ndarray) -> np.ndarray:
+    """Apply exp(-i beta X) to the top qubit of a state whose second half
+    is its first half reversed, given that first half: entry x of the
+    lower quarter pairs with entry len(half) - 1 - x, which holds the
+    amplitude of its partner x + len(half).  The operations are
+    `apply_mixer`'s, in its order, a block of PAIR_BLOCK elements at a
+    time (half from each end)."""
+    c, s = np.cos(beta), -1j * np.sin(beta)
+    quarter, step = len(half) // 2, max(1, block_entries(half) // 2)
+    buffer = np.empty((2, min(step, quarter), *half.shape[1:]),
+                      dtype=half.dtype)
+    for start in range(0, quarter, step):
+        stop = min(start + step, quarter)
+        lo = half[start:stop]
+        hi = half[len(half) - stop:len(half) - start][::-1]
+        scratch = buffer[:, :stop - start]
+        np.multiply(s, hi, out=scratch[0])
+        np.multiply(s, lo, out=scratch[1])
+        lo *= c
+        lo += scratch[0]
+        hi *= c
+        hi += scratch[1]
+    return half
+
+
 def qaoa_values_sv(table: PhaseTable, Ks, gammas, betas):
     """(F, Z) by direct simulation of U_M U_C |s> at each pair of the 1-D
     angle arrays, for the H whose diagonal `table` holds: F the values
@@ -120,17 +158,32 @@ def qaoa_values_sv(table: PhaseTable, Ks, gammas, betas):
     of each row with the diagonal (a dot over a strided column changes
     the last bits), so it does not rest on Z, which is one Walsh
     transform of the rows as columns, taken only when `Ks` is not
-    empty."""
+    empty.
+
+    When the codes read the same backwards and n >= 2, amp(x) equals
+    amp(2^n - 1 - x) and only the first half of each state, x < 2^(n-1),
+    is simulated: the phase reads the first half of the codes, the mixer
+    runs qubits 0..n-2 on it, and `_mix_top` pairs x with 2^(n-1) - 1 - x
+    on the top qubit.  The |amp|^2 rows are the half's followed by their
+    reverse; the Walsh transform stays full length, since one over the
+    half alone would sum in another order and change bits."""
     n = len(table.codes).bit_length() - 1
+    mirrored = n >= 2 and np.array_equal(table.codes, table.codes[::-1])
+    if mirrored:
+        table = table._replace(codes=table.codes[:2 ** (n - 1)])
     F, Z = np.empty(len(gammas)), np.empty((len(Ks), len(gammas)))
     width = max(1, min(len(gammas), hamiltonian.PAIR_BLOCK >> n))
     for at in range(0, len(gammas), width):
         batch = slice(at, at + width)
         # bound before the gates run, so the last batch's state is freed
-        state = np.full((2 ** n, len(gammas[batch])), 2.0 ** (-n / 2),
-                        dtype=complex)
+        state = np.full((len(table.codes), len(gammas[batch])),
+                        2.0 ** (-n / 2), dtype=complex)
         apply_mixer(betas[batch], apply_phase(table, gammas[batch], state))
+        if mirrored:
+            _mix_top(betas[batch], state)
         probs = np.abs(state.T, order="C") ** 2  # a row per sample
+        if mirrored:
+            probs = np.concatenate((probs, probs[:, ::-1]), axis=1)
         F[batch] = [row @ table.diagonal for row in probs]
         if len(Ks):
             Z[:, batch] = walsh_transform(probs.T)[list(Ks)]

@@ -7,6 +7,7 @@ from localmaxcut import (Clause, build_localmaxcut_hamiltonian, evaluate_all,
                          hamiltonian_to_json, local_satisfaction_clause,
                          make_cycle, make_hamiltonian, make_named, mask_of,
                          vertices_of)
+from test_qaoa_engine import traced_peak
 
 
 def test_mask_vertices_roundtrip():
@@ -185,6 +186,16 @@ def test_evaluate_all_matches_pointwise_on_random_weights():
         vals = evaluate_all(h)
         for x in range(2 ** n):
             assert abs(vals[x] - evaluate_classical(h, x)) <= 1e-12
+
+
+def test_evaluate_all_transforms_its_weights_in_place():
+    # the weights array it fills becomes the diagonal: a copy of it for
+    # the transform would take the peak to about twice the output
+    n = 18
+    h = make_hamiltonian(n, {0: 1.5, 0b11: -0.5, 0b101 << 15: 0.25,
+                             (1 << n) - 1: 2.0})
+    peak, values = traced_peak(lambda: evaluate_all(h))
+    assert peak < 1.5 * values.nbytes
 
 
 def test_hamiltonian_to_json_sorted():

@@ -8,8 +8,8 @@ import pytest
 from derivations import butterfly_walsh, exp_phase, loop_mixer
 from localmaxcut import (MAX_QUBITS, apply_mixer, apply_phase,
                          build_localmaxcut_hamiltonian, evaluate_all,
-                         make_hamiltonian, make_named, mask_of, phase_table,
-                         qaoa_expectation_sv)
+                         make_cycle, make_hamiltonian, make_named, mask_of,
+                         phase_table, qaoa_expectation_sv)
 from localmaxcut import hamiltonian, statevector
 from localmaxcut.hamiltonian import (PAIR_BLOCK, block_entries, pair_walk,
                                     walsh_transform)
@@ -309,7 +309,9 @@ def test_gates_hold_at_most_a_block_beside_the_state():
     # beside the state: a whole-state transposed copy would take the
     # mixer to about twice the state, and the loop over the whole array
     # took it to 1.06 times, the transform to 2.06 times its output and
-    # the phase to 2.0 times.  A batch of 4 samples on 16 qubits holds as
+    # the phase to 2.0 times; the top-qubit rotation of a mirrored state
+    # holds one block, where unblocked its scratch is as large as the
+    # array it rotates.  A batch of 4 samples on 16 qubits holds as
     # many elements, and PAIR_BLOCK counts elements, so it holds as little
     n = 18
     diagonal = np.arange(2 ** n) % (n + 1) * 1.0
@@ -318,9 +320,11 @@ def test_gates_hold_at_most_a_block_beside_the_state():
         probs = np.abs(amps) ** 2
         table = phase_table(diagonal[:2 ** qubits])
         mixer, _ = traced_peak(lambda: apply_mixer(angle, amps))
+        top, _ = traced_peak(lambda: statevector._mix_top(angle, amps))
         phase, _ = traced_peak(lambda: apply_phase(table, angle, amps))
         transform, _ = traced_peak(lambda: walsh_transform(probs))
         assert mixer < 0.5 * amps.nbytes
+        assert top < 0.5 * amps.nbytes
         assert phase < 0.5 * amps.nbytes
         assert transform < 1.5 * probs.nbytes
 
@@ -367,3 +371,64 @@ def test_route_without_terms_takes_no_transform(monkeypatch):
     assert calls == [] and F.shape == (20,) and Z.shape == (0, 20)
     qaoa_values_sv(table, [0b11], *angles)  # one transform per batch
     assert calls == [(2 ** 10, 16), (2 ** 10, 4)]
+
+
+def test_route_simulates_half_a_mirrored_state(monkeypatch):
+    # a LocalMaxCut diagonal reads the same backwards, so the mixer sees
+    # the first half of the state; an odd-size term breaks the symmetry
+    # and the whole state is simulated
+    lengths = []
+    mixer = statevector.apply_mixer
+
+    def recorded(beta, state):
+        lengths.append(len(state))
+        return mixer(beta, state)
+
+    monkeypatch.setattr(statevector, "apply_mixer", recorded)
+    h = build_localmaxcut_hamiltonian(make_named("PETERSEN"))
+    qaoa_values_sv(phase_table(evaluate_all(h)), (), np.full(1, 0.3),
+                   np.full(1, 0.2))
+    assert lengths == [2 ** 9]
+    lengths.clear()
+    qaoa_expectation_sv(make_hamiltonian(3, {0b001: 0.5, 0b011: 1.0}),
+                        (0.3, 0.2))
+    assert lengths == [2 ** 3]
+
+
+def full_state_values(table, Ks, gammas, betas):
+    """(F, Z) of one batch by the gates on the whole state, read as the
+    route reads them."""
+    n = len(table.codes).bit_length() - 1
+    state = apply_mixer(betas, apply_phase(table, gammas,
+                                           uniform(n, len(gammas))))
+    probs = np.abs(state.T, order="C") ** 2
+    F = np.array([row @ table.diagonal for row in probs])
+    return F, walsh_transform(probs.T)[list(Ks)]
+
+
+def test_half_state_route_is_the_full_state_gates():
+    # on a diagonal that reads the same backwards the route simulates
+    # half the state; F and Z keep the bits of the gates on the whole
+    # state, at one pair and at a batch, and a diagonal that does not
+    # read the same backwards takes the whole state as it is
+    rng = np.random.default_rng(12)
+    for n in range(1, 13):
+        levels = rng.integers(0, n + 1, size=2 ** n).astype(float)
+        even = make_hamiltonian(n, {
+            int(m): float(rng.normal()) for m in rng.integers(0, 2 ** n, 8)
+            if int(m).bit_count() % 2 == 0})
+        diagonals = [np.maximum(levels, levels[::-1]), levels,
+                     evaluate_all(even)]
+        if n >= 3:
+            cycle = build_localmaxcut_hamiltonian(make_cycle(n))
+            diagonals.append(evaluate_all(cycle))
+        Ks = [0, 1, 2 ** n - 1, int(rng.integers(0, 2 ** n))]
+        for diagonal in diagonals:
+            table = phase_table(diagonal)
+            for pairs in (1, min(3, PAIR_BLOCK >> n)):
+                gammas, betas = rng.uniform((-4.0, -4.0), (4.0, 4.0),
+                                            size=(pairs, 2)).T
+                F, Z = qaoa_values_sv(table, Ks, gammas, betas)
+                F1, Z1 = full_state_values(table, Ks, gammas, betas)
+                assert np.array_equal(bits(F), bits(F1))
+                assert np.array_equal(bits(Z), bits(Z1))
