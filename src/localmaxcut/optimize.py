@@ -53,7 +53,8 @@ class OptimizationReport:
     grid_resolution: tuple[int, ...]  # shape of the seed table
     grid_value: float                 # its best value
     iterations: int
-    converged: bool
+    converged: bool                   # the best start's
+    unconverged: int                  # starts stopped by MAX_ITERS
     tol: float
     tolerance_achieved: float
     maxima: tuple[dict, ...]  # {"argmax": ..., "value": ...}, best first
@@ -174,7 +175,9 @@ def _multistart(objective, seeds, scores, box, steps, canonical):
                               grid_resolution=scores.shape,
                               grid_value=float(scores.ravel()[top[0]]),
                               iterations=int(iters.sum()),
-                              converged=bool(converged[best]), tol=TOL,
+                              converged=bool(converged[best]),
+                              unconverged=int(np.count_nonzero(~converged)),
+                              tol=TOL,
                               tolerance_achieved=float(step[best]),
                               maxima=tuple({"argmax": xi, "value": v}
                                            for xi, v in kept

@@ -15,10 +15,14 @@ then <Z_K> is the sum over L of
     alpha_F  = prod_{M in F} i sin(-2 gamma W_M)
                * prod_{N in O(L) \\ F} cos(2 gamma W_N).
 
-The complex arithmetic is carried verbatim (including sin(-2 gamma W)
-rather than -sin(2 gamma W), and each alpha_F multiplied out in term
-order); the total must come out real and the imaginary residue is
-checked before being discarded.
+Every factor of alpha_F is real, cos(2 gamma W_N), or imaginary,
+i sin(-2 gamma W_M) (sin(-2 gamma W) as written, not -sin(2 gamma W)),
+so alpha_F is i^|F| times one real product, multiplied out in term
+order.  The engine takes that product in real arithmetic and rotates it
+by i^(|F| mod 4).  The complex product of the same factors keeps one
+part an exact +-0 and the other this real product, so the two differ at
+most in the sign of a zero.  The total must come out real and the
+imaginary residue is checked before being discarded.
 
 O_K(L) is the solution set of a linear system over GF(2): one family
 whose symmetric difference is K, XOR every combination of a basis of the
@@ -53,13 +57,14 @@ per call, or per size of K:
   cosets of those Ks are concatenated, and a broadcast over (rank of L,
   coset entry), taken in blocks of ranks, keeps the families within
   O(L): each pair's families come out contiguous and in coset order;
-- product: cos(2 gamma W_M) and i sin(-2 gamma W_M) are computed once
-  per term in some cone.  Each alpha_F is one product reduction over
-  the cone that skips the terms outside O(L).  The families' factor
-  rows and O(L) bits are built PRODUCT_BLOCK elements of (families,
-  cone terms) at a time, whatever the number of angle pairs, and only
-  the take and the product run PRODUCT_BLOCK elements of (families,
-  cone terms, angle pairs) at a time.  The pairs of a block of
+- product: 1.0, cos(2 gamma W_M) and sin(-2 gamma W_M) are computed
+  once per term in some cone, as three rows of one real table.  Each
+  alpha_F is one real product reduction over the cone, which reads 1.0
+  for the terms outside O(L), rotated by i^|F|.  The families' rows
+  into the table are built PRODUCT_BLOCK elements of (families, cone
+  terms) at a time, whatever the number of angle pairs, and only the
+  take and the product run PRODUCT_BLOCK elements of (families, cone
+  terms, angle pairs) at a time.  The pairs of a block of
   PRODUCT_BLOCK pair sums are grouped by family count, and the alpha_F
   of each group's pairs are summed as one (pairs, families, angle
   pairs) array, in chunks of pairs whose alpha_F and factor rows each
@@ -306,40 +311,44 @@ def _subsets(K: int, pairs: _Pairs):
 
 
 def _factors(terms, gamma) -> np.ndarray:
-    """(2 U, B): for U (mask, weight) terms, cos(2 gamma W_M) of terms[r]
-    at row r and i sin(-2 gamma W_M) at row U + r."""
+    """(3 U, B): for U (mask, weight) terms, the rows of terms[r] at 3 r,
+    3 r + 1 and 3 r + 2: 1.0, cos(2 gamma W_M) and sin(-2 gamma W_M)."""
     w = np.array([w for _, w in terms], dtype=float)[:, None]
-    return np.concatenate([np.cos(2 * gamma * w),
-                           1j * np.sin(-2 * gamma * w)])
+    angle = 2 * gamma * w
+    return np.stack([np.ones_like(angle), np.cos(angle), np.sin(-angle)],
+                    axis=1).reshape(-1, len(gamma))
 
 
 def _alphas(pairs: _Pairs, pair, codes, factors) -> np.ndarray:
     """alpha_F of families given by their (F,) codes and the (F,) index of
-    their pair, with the (2 U, B) factors of pairs.terms, as (F, B).
+    their pair, with the (3 U, B) factors of pairs.terms, as (F, B).
 
-    Each alpha_F is one product over the terms of O(L) in term order; the
-    other terms of the cone are skipped, not multiplied by 1 (a factor of
-    1 + 0j can change the sign of a zero).  The factor rows and the O(L)
-    bits, which do not depend on B, are built for blocks of families that
-    keep (families, S) within PRODUCT_BLOCK elements; the take and the
-    product run on parts of a block that keep (families, S, B) within
-    PRODUCT_BLOCK elements."""
+    Each alpha_F is i^|F| times one real product over the cone, in term
+    order, of row 3 (cone term) + [term in O(L)] + [term in F]: 1.0
+    outside O(L), the cosine in O(L) \\ F and the sine in F, since F lies
+    in O(L).  A padding slot of a shorter cone is term 0 in no O(L), so
+    it reads 1.0 too, and multiplying by 1.0 changes no bit of a real.
+    The products fill the real part of a zeroed complex array, which is
+    then rotated in place by i^(|F| mod 4).  The rows, which do not
+    depend on B, are built for blocks of families that keep (families, S)
+    within PRODUCT_BLOCK elements; the take and the product run on parts
+    of a block that keep (families, S, B) within PRODUCT_BLOCK elements."""
     size = pairs.cones.shape[1]
-    terms, count = len(factors) // 2, factors.shape[1]
-    alphas = np.empty((len(codes), count), dtype=complex)
+    count = factors.shape[1]
+    alphas = np.zeros((len(codes), count), dtype=complex)
     span = max(1, PRODUCT_BLOCK // max(1, size))
     step = max(1, PRODUCT_BLOCK // max(1, size * count))
     for low in range(0, len(codes), span):
         block = slice(low, low + span)
-        rows = (pairs.cones[pairs.k[pair[block]]]
-                + terms * _bits(codes[block], size))
-        within = _bits(pairs.within[pair[block]], size)[..., None]
-        out = alphas[block]
+        rows = (3 * pairs.cones[pairs.k[pair[block]]]
+                + _bits(pairs.within[pair[block]], size)
+                + _bits(codes[block], size))
+        out = alphas.real[block]
         for start in range(0, len(rows), step):
             part = slice(start, start + step)
             np.multiply.reduce(factors.take(rows[part], axis=0), axis=1,
-                               initial=1 + 0j, where=within[part],
                                out=out[part])
+    alphas *= np.array([1, 1j, -1, -1j])[np.bitwise_count(codes) & 3, None]
     return alphas
 
 
@@ -417,9 +426,13 @@ def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
     """The per-L record behind <gamma,beta| Z_K |gamma,beta> at one angle
     pair, given as floats or one-element arrays, as plain data: subsets as
     vertex lists, complex numbers as [re, im].  An L with no family keeps
-    its record, with rho = nu * 0."""
+    its record, with rho = nu * 0.  An exact zero is written 0.0, never
+    -0.0, so the record does not depend on how the arithmetic reached it."""
+    def r(x):
+        return float(x) + 0.0  # -0.0 + 0.0 is 0.0; no other value moves
+
     def c(z):
-        return [float(z.real), float(z.imag)]
+        return [r(z.real), r(z.imag)]
 
     gamma, beta, _ = _angles(h, angles)
     if len(gamma) != 1:
@@ -443,7 +456,7 @@ def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
             "alphas": [c(a) for a in alphas[families, 0]],
             "rho": c(rho[0]),
         })
-    return {"K": vertices_of(K), "total": float(_real(total)[0]),
+    return {"K": vertices_of(K), "total": r(_real(total)[0]),
             "contributions": contributions}
 
 

@@ -54,8 +54,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import hamiltonian
-from .hamiltonian import (DiagonalHamiltonian, block_entries, evaluate_all,
-                          pair_walk, walsh_transform)
+from .hamiltonian import (DiagonalHamiltonian, _butterflies, block_entries,
+                          evaluate_all, pair_walk)
 
 MAX_QUBITS = 26  # 2^26 complex doubles = 1 GiB
 
@@ -154,19 +154,22 @@ def qaoa_values_sv(table: PhaseTable, Ks, gammas, betas):
 
     The pairs run in batches of S = min(pairs left, PAIR_BLOCK >> n), at
     least one, as one (2^n, S) state from the uniform amplitude 2^{-n/2}.
-    Its |amp|^2 is taken once, a contiguous row per sample.  F is one dot
-    of each row with the diagonal (a dot over a strided column changes
-    the last bits), so it does not rest on Z, which is one Walsh
-    transform of the rows as columns, taken only when `Ks` is not
-    empty.
+    Its |amp|^2 is taken once, a contiguous row per sample, and the state
+    is dropped before the rows are squared in place.  F is one dot of each
+    row with the diagonal (a dot over a strided column changes the last
+    bits), so it does not rest on Z, which is the Walsh butterflies run
+    in place on the rows as columns (a copy only when S > 1), taken only
+    when `Ks` is not empty.
 
     When the codes read the same backwards and n >= 2, amp(x) equals
     amp(2^n - 1 - x) and only the first half of each state, x < 2^(n-1),
     is simulated: the phase reads the first half of the codes, the mixer
     runs qubits 0..n-2 on it, and `_mix_top` pairs x with 2^(n-1) - 1 - x
     on the top qubit.  The |amp|^2 rows are the half's followed by their
-    reverse; the Walsh transform stays full length, since one over the
-    half alone would sum in another order and change bits."""
+    reverse, made once the half state is gone; the Walsh transform stays
+    full length, since one over the half alone would sum in another order
+    and change bits.  At 20 qubits one pair holds 12 MiB above its table:
+    the half state and half the rows, then the rows and their first half."""
     n = len(table.codes).bit_length() - 1
     mirrored = n >= 2 and np.array_equal(table.codes, table.codes[::-1])
     if mirrored:
@@ -175,18 +178,19 @@ def qaoa_values_sv(table: PhaseTable, Ks, gammas, betas):
     width = max(1, min(len(gammas), hamiltonian.PAIR_BLOCK >> n))
     for at in range(0, len(gammas), width):
         batch = slice(at, at + width)
-        # bound before the gates run, so the last batch's state is freed
         state = np.full((len(table.codes), len(gammas[batch])),
                         2.0 ** (-n / 2), dtype=complex)
         apply_mixer(betas[batch], apply_phase(table, gammas[batch], state))
         if mirrored:
             _mix_top(betas[batch], state)
-        probs = np.abs(state.T, order="C") ** 2  # a row per sample
+        probs = np.abs(state.T, order="C")  # a row per sample
+        del state  # before the rows grow to full length
+        probs **= 2
         if mirrored:
             probs = np.concatenate((probs, probs[:, ::-1]), axis=1)
         F[batch] = [row @ table.diagonal for row in probs]
         if len(Ks):
-            Z[:, batch] = walsh_transform(probs.T)[list(Ks)]
+            Z[:, batch] = _butterflies(np.ascontiguousarray(probs.T))[list(Ks)]
     return F, Z
 
 

@@ -315,6 +315,21 @@ def _json(report):
     return json.loads(json.dumps(dataclasses.asdict(report)))
 
 
+def test_reports_count_their_unconverged_starts(monkeypatch, classical_d3,
+                                               qaoa_d3):
+    # `converged` is the best start's alone; `unconverged` counts every
+    # start that MAX_ITERS stopped.  The d = 3 classical starts take 37 to
+    # 46 steps, so a budget of 41 stops four of them and one of 3 all
+    for report, _ in (classical_d3, qaoa_d3):
+        assert report.unconverged == 0 and _json(report)["unconverged"] == 0
+    for budget, stalled in ((41, 4), (3, TOP_K)):
+        monkeypatch.setattr(optimize, "MAX_ITERS", budget)
+        report = optimize_classical(3)
+        assert report.unconverged == stalled
+        assert _json(report)["unconverged"] == stalled
+    assert not report.converged
+
+
 def test_reports_describe_their_seeds(classical_d2, classical_d3, qaoa_d2,
                                       qaoa_d3):
     for (report, _), shape in ((classical_d2, (P_SEEDS,)),

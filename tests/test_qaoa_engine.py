@@ -188,18 +188,24 @@ def loop_alphas(h, masks, families, gamma):
 
 def test_family_products_match_term_loop(monkeypatch):
     # whole blocks and one row of families at a time give the bits of the
-    # term-by-term loop, so every <Z_K> keeps its bits too
+    # complex term-by-term loop, up to the sign of a zero: alpha_F is
+    # i^|F| times one real product, so one part of it is an exact zero.
+    # The terms of H have families of odd size and the XOR of two terms
+    # even ones, so every |F| mod 4 is met; gamma = 0 makes every sine 0
     h = build_localmaxcut_hamiltonian(make_named("HEAWOOD"))
     gamma, beta = _random_angles(50, 14)
+    gamma[:2] = 0.0
+    terms = [K for K, _ in h.nonconstant_terms()]
+    Ks = terms + [terms[0] ^ terms[2], terms[3] ^ terms[7]]
     for block in (qaoa_engine.PRODUCT_BLOCK, 1):
         monkeypatch.setattr(qaoa_engine, "PRODUCT_BLOCK", block)
-        most = 0
-        for K, _ in h.nonconstant_terms():
+        most, sizes = 0, set()
+        for K in Ks:
             pairs = _gather(h, [K])
             factors = _factors(pairs.terms, gamma)
             for L, masks, within, rows, pair in _subsets(K, pairs):
-                # the product runs over the cone and skips the terms
-                # outside O(L); the loop runs over O(L) alone
+                # the product runs over the cone and reads 1.0 for the
+                # terms outside O(L); the loop runs over O(L) alone
                 codes = pairs.codes[rows]
                 odd = _bits(within, len(masks))
                 families = _bits(codes, len(masks))
@@ -208,8 +214,13 @@ def test_family_products_match_term_loop(monkeypatch):
                                  factors)
                 assert np.array_equal(alphas, loop_alphas(
                     h, odd_masks(h.terms, L), families[:, odd], gamma))
+                size = np.bitwise_count(codes)
+                assert not np.any(alphas.real[size & 1 == 1])
+                assert not np.any(alphas.imag[size & 1 == 0])
+                assert not np.any(alphas[:, :2])
                 most = max(most, len(families))
-        assert most > 1
+                sizes.update((size & 3).tolist())
+        assert most > 1 and sizes == {0, 1, 2, 3}
 
 
 def test_expectation_zk_rejects_bad_subsets():
@@ -257,6 +268,26 @@ def test_breakdown_json():
     assert rec["L"] in ([2], [3])
     assert all(len(z) == 2 and all(type(x) is float for x in z)
                for z in rec["alphas"])
+
+
+def test_breakdown_writes_no_negative_zero():
+    # at gamma = 0 every sine is -0.0 and each alpha_F and rho an exact
+    # zero; every zero part is written 0.0, whatever sign the arithmetic
+    # gave it, so the record does not rest on how a zero was reached
+    h = build_localmaxcut_hamiltonian(make_named("PETERSEN"))
+    terms = [K for K, _ in h.nonconstant_terms()]
+    for K in (terms[0], max(terms, key=int.bit_count)):
+        for gamma, beta in ((0.0, 0.3), (-0.0, 0.0), (0.37, 0.21)):
+            bd = explain_zk(h, K, (gamma, beta))
+            records = bd["contributions"]
+            parts = [bd["total"]] + [x for rec in records for z in (
+                rec["nu"], rec["rho"], *rec["alphas"]) for x in z]
+            assert all(math.copysign(1.0, x) == 1.0
+                       for x in parts if x == 0.0)
+            if gamma == 0.0:
+                assert any(rec["alphas"] for rec in records)
+                assert not any(any(z) for rec in records
+                               for z in (rec["rho"], *rec["alphas"]))
 
 
 @pytest.mark.parametrize("d,kind,closed_form", [

@@ -329,6 +329,24 @@ def test_gates_hold_at_most_a_block_beside_the_state():
         assert transform < 1.5 * probs.nbytes
 
 
+def test_route_readout_holds_the_rows_and_half_as_much_again():
+    # at 18 qubits the rows of |amp|^2 take 2 MiB.  The route drops the
+    # state once |amp|^2 is taken and transforms the rows in place: a
+    # mirrored state peaks at 1.5 times the rows (the half state and
+    # half the rows, then the rows and their first half), the whole
+    # state at 3 times.  Squaring into a second array, keeping the
+    # state and transforming a copy took them to 3.2 and 4.2 times
+    n = 18
+    levels = np.arange(2 ** n) % (n + 1) * 1.0
+    angles = np.full(1, 0.3), np.full(1, 0.2)
+    for diagonal, most in ((np.minimum(levels, levels[::-1]), 1.6),
+                           (levels, 3.1)):
+        table = phase_table(diagonal)
+        peak, _ = traced_peak(
+            lambda: qaoa_values_sv(table, [1, 3, 2 ** n - 1], *angles))
+        assert peak < most * diagonal.nbytes
+
+
 def test_route_batches_give_the_bits_of_one_pair_at_a_time(sizes):
     # one call runs min(pairs, PAIR_BLOCK >> n) pairs side by side (16 on
     # PETERSEN at the default block); each pair keeps the bits it has
@@ -357,13 +375,13 @@ def test_route_batches_give_the_bits_of_one_pair_at_a_time(sizes):
 
 def test_route_without_terms_takes_no_transform(monkeypatch):
     calls = []
-    transform = statevector.walsh_transform
+    transform = statevector._butterflies
 
     def counted(values):
         calls.append(values.shape)
         return transform(values)
 
-    monkeypatch.setattr(statevector, "walsh_transform", counted)
+    monkeypatch.setattr(statevector, "_butterflies", counted)
     h = build_localmaxcut_hamiltonian(make_named("PETERSEN"))
     table = phase_table(evaluate_all(h))
     angles = np.linspace(0.1, 2.0, 20), np.linspace(0.3, 1.5, 20)
