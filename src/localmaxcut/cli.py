@@ -53,7 +53,7 @@ from .hamiltonian import (build_localmaxcut_hamiltonian, evaluate_all,
                           hamiltonian_to_json, mask_of)
 from .optimize import (QAOA_BOX, classical_curve, grid_sweep,
                        optimize_classical, optimize_qaoa, qaoa_objective)
-from .qaoa_engine import expectation_terms, explain_zk
+from .qaoa_engine import expectation_terms, explain_zk, full_value
 from .statevector import MAX_QUBITS, phase_table, qaoa_values_sv
 
 VERIFY_TOL = 1e-9
@@ -217,11 +217,11 @@ def cmd_verify(args) -> int:
 
     The angle pairs go VERIFY_BLOCK at a time, so memory does not grow
     with --samples.  Per block, one engine call gives every <Z_m> of H at
-    every pair (the full value is constant + sum_m w_m <Z_m>, summed in
-    term order), and one `qaoa_values_sv` call the statevector's.  The
-    phase table is built once, after the first engine call, so an H over
-    the engine's caps is refused before its 2^n diagonal is made (and
-    before the note that a large statevector is slow).
+    every pair (`full_value` sums them into F), and one `qaoa_values_sv`
+    call the statevector's.  The phase table is built once, after the
+    first engine call, so an H over the engine's caps is refused before
+    its 2^n diagonal is made (and before the note that a large
+    statevector is slow).
     """
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
@@ -234,10 +234,8 @@ def cmd_verify(args) -> int:
     slow = g.n >= SLOW_QUBITS
     h = build_localmaxcut_hamiltonian(g)
     rng = Generator(Philox(key=philox_key(args.seed)))
-    terms = h.nonconstant_terms()
-    masks = [m for m, _ in terms]
-    max_full = 0.0
-    max_term = 0.0
+    masks = [m for m, _ in h.nonconstant_terms()]
+    max_full = max_term = 0.0
     for start in range(0, args.samples, VERIFY_BLOCK):
         # row j is sample start + j; gamma is drawn before beta, as one
         # uniform(0, 2 pi) and one uniform(0, pi) call per sample would
@@ -249,9 +247,7 @@ def cmd_verify(args) -> int:
                 print(f"note: statevector on {g.n} qubits is slow",
                       file=sys.stderr)
             table = phase_table(evaluate_all(h))
-        full = np.full(len(gammas), h.constant)
-        for (_, w), values in zip(terms, engine):
-            full += w * values
+        full = full_value(h, engine)
         sv_full, sv_terms = qaoa_values_sv(table, masks, gammas, betas)
         max_term = float(np.max(np.abs(engine - sv_terms), initial=max_term))
         max_full = float(np.max(np.abs(full - sv_full), initial=max_full))

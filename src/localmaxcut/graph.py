@@ -7,7 +7,7 @@ read-only array of sorted neighbour rows, which Monte Carlo reads.  The
 per-vertex neighbour tuples are derived on first read.  Neighbour lists
 are sorted ascending, so the ordered neighborhood B(v) = (v, v_1, ..., v_d)
 is reproducible across runs.  Graph values are immutable after
-construction.
+construction.  The short-cycle search chunks by `hamiltonian.BLOCK`.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import Generator, Philox
 
-# walk entries the short-cycle search holds at once (128 KiB of int64), unless
-# one root's walks need more: small chunks stop sooner at a short cycle and
-# keep peak memory low
-WALK_BUDGET = 1 << 14
+from . import hamiltonian
+
 MAX_ATTEMPTS = 1000  # pairings the random regular generator draws at most
 
 NAMED_CUBIC = {
@@ -219,8 +217,9 @@ def _has_short_cycle(nbr, min_girth: int) -> bool:
     every root end on distinct vertices exactly when no cycle is shorter
     than 2r+1.  For even min_girth, a cycle of length 2r+1 shows as a walk
     of r+1 steps ending where a shorter one does.  Roots go in chunks whose
-    walks hold about WALK_BUDGET vertices, and the search stops at the
-    first chunk with a short cycle.
+    walks hold about `hamiltonian.BLOCK` vertices, or one root's if more,
+    and the search stops at the first chunk with a short cycle: small
+    chunks stop sooner and keep peak memory low.
     """
     if min_girth <= 3:  # a simple graph has no shorter cycle
         return False
@@ -228,7 +227,7 @@ def _has_short_cycle(nbr, min_girth: int) -> bool:
     r = (min_girth - 1) // 2
     even = min_girth % 2 == 0
     width = 1 + sum(d * (d - 1) ** k for k in range(r + even))
-    chunk = max(1, WALK_BUDGET // width)
+    chunk = max(1, hamiltonian.BLOCK // width)
     for start in range(0, n, chunk):
         roots = np.arange(start, min(start + chunk, n))
         rows = len(roots)

@@ -13,8 +13,10 @@ transform is its 2^n diagonal, and a clause's truth table's transform,
 over its 2^k entries, gives its Walsh-Hadamard expansion
 C(x) = sum_S C_hat(S) chi_S(x).  It is one elementwise butterfly per
 qubit, lo + hi and (-hi) + lo = lo - hi, on the pairs that `pair_walk`
-views in place a block of PAIR_BLOCK elements at a time (as do the
-statevector's mixer and batches), so no bit changes.
+views in place a block of BLOCK elements at a time, so no bit changes.
+BLOCK is the package's one element budget: every layer that blocks (the
+walk, the statevector, the engine, the short-cycle search) reads it here,
+as `hamiltonian.BLOCK`, when called, and no block size changes a bit.
 
 Clause weights accumulate per subset when clauses overlap.  Terms whose
 accumulated weight is exactly zero are dropped, so the stored term list
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_CLAUSE_VARS = 16
-PAIR_BLOCK = 2 ** 14  # elements of one transposed block or chunk of a pair walk
+BLOCK = 2 ** 14  # elements a blocked temporary holds, in every layer
 
 
 def mask_of(vertices) -> int:
@@ -99,9 +101,9 @@ def make_hamiltonian(n: int, weights: dict) -> DiagonalHamiltonian:
 
 def block_entries(a: np.ndarray) -> int:
     """Entries of `a`, each one row of its trailing values, that a block of
-    PAIR_BLOCK elements holds: a power of two, and at least one."""
+    BLOCK elements holds: a power of two, and at least one."""
     width = a.size // len(a)
-    return max(1, PAIR_BLOCK >> (width - 1).bit_length())
+    return max(1, BLOCK >> (width - 1).bit_length())
 
 
 def _pairs(x: np.ndarray, stride: int, buffer: np.ndarray):
@@ -128,7 +130,7 @@ def pair_walk(a: np.ndarray):
 
     An entry is one value of a 1-D `a`, or one row of the trailing values
     of a (2^n, S) `a`, whose S columns the walk carries side by side.  A
-    block holds `block_entries(a)` entries, PAIR_BLOCK elements; a view
+    block holds `block_entries(a)` entries, BLOCK elements; a view
     and the buffer hold at most max(2, block_entries(a)) entries.  The
     lower n // 2 qubits are viewed in a transposed copy of a block of
     rows of the (2^(n - n//2), 2^(n//2)) entries, written back before the

@@ -61,22 +61,22 @@ per call, or per size of K:
   once per term in some cone, as three rows of one real table.  Each
   alpha_F is one real product reduction over the cone, which reads 1.0
   for the terms outside O(L), rotated by i^|F|.  The families' rows
-  into the table are built PRODUCT_BLOCK elements of (families, cone
-  terms) at a time, whatever the number of angle pairs, and only the
-  take and the product run PRODUCT_BLOCK elements of (families, cone
-  terms, angle pairs) at a time.  The pairs of a block of
-  PRODUCT_BLOCK pair sums are grouped by family count, and the alpha_F
-  of each group's pairs are summed as one (pairs, families, angle
-  pairs) array, in chunks of pairs whose alpha_F and factor rows each
-  fit PRODUCT_BLOCK elements, or of one pair;
+  into the table are built BLOCK elements of (families, cone terms) at
+  a time, whatever the number of angle pairs, and only the take and the
+  product run BLOCK elements of (families, cone terms, angle pairs) at
+  a time.  The pairs of a block of BLOCK pair sums are grouped by family
+  count, and the alpha_F of each group's pairs are summed as one (pairs,
+  families, angle pairs) array, in chunks of pairs whose alpha_F and
+  factor rows each fit BLOCK elements, or of one pair;
 - fold: each pair's sum times nu goes into its K's total by one
   unbuffered indexed add per block, the pairs in order, and those of
   each size of K in (rank of L, K) order, so every total is summed in
   (|L|, L) order.
 
-Each alpha_F is its own product and each total its own sum in a fixed
-order, so neither the blocks nor the grouping changes a bit of the
-result; only one angle pair against many can (see `expectation_terms`).
+BLOCK is `hamiltonian.BLOCK`, the one element budget.  Each alpha_F is
+its own product and each total its own sum in a fixed order, so neither
+the blocks nor the grouping changes a bit of the result; only one angle
+pair against many can (see `expectation_terms`).
 
 `tree_coefficients(d)` gives the value <C_v> of one vertex's clause on
 the infinite d-regular tree as a trigonometric polynomial.  By the
@@ -92,14 +92,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import hamiltonian
 from .classical import EXACT_MAX_DEGREE
 from .hamiltonian import DiagonalHamiltonian, vertices_of
 
 FAMILY_CAP = 25
 COSET_CAP = 2 ** 18
 IMAG_TOL = 1e-9
-
-PRODUCT_BLOCK = 2 ** 14  # elements of one block of the membership or product
 
 
 def _bits(codes, size: int) -> np.ndarray:
@@ -209,7 +208,7 @@ def _size_pairs(k: int, members, patterns, sizes, cosets):
     coset = np.concatenate([np.zeros(0, dtype=np.int32), *cosets])
     shift = width - sizes  # from each K's own cone, as the cosets are, to S
     entries = max(1, len(coset))
-    step = max(1, PRODUCT_BLOCK // max(entries, patterns.size))
+    step = max(1, hamiltonian.BLOCK // max(entries, patterns.size))
     within, found = [], []
     for start in range(0, len(subsets), step):
         odd = np.bitwise_count(patterns & subsets[start:start + step, None,
@@ -240,7 +239,7 @@ def _gather(h: DiagonalHamiltonian, Ks, skip_empty: bool = False) -> _Pairs:
     are the members of that coset within O(L), in the same order.  The Ks
     of one size share that size's subsets, and their pairs are taken by
     a broadcast over (rank, coset entry), a block of ranks within
-    PRODUCT_BLOCK elements at a time."""
+    BLOCK elements at a time."""
     union = 0
     for K in Ks:
         if K == 0:
@@ -331,13 +330,13 @@ def _alphas(pairs: _Pairs, pair, codes, factors) -> np.ndarray:
     The products fill the real part of a zeroed complex array, which is
     then rotated in place by i^(|F| mod 4).  The rows, which do not
     depend on B, are built for blocks of families that keep (families, S)
-    within PRODUCT_BLOCK elements; the take and the product run on parts
-    of a block that keep (families, S, B) within PRODUCT_BLOCK elements."""
+    within BLOCK elements; the take and the product run on parts of a
+    block that keep (families, S, B) within BLOCK elements."""
     size = pairs.cones.shape[1]
     count = factors.shape[1]
     alphas = np.zeros((len(codes), count), dtype=complex)
-    span = max(1, PRODUCT_BLOCK // max(1, size))
-    step = max(1, PRODUCT_BLOCK // max(1, size * count))
+    span = max(1, hamiltonian.BLOCK // max(1, size))
+    step = max(1, hamiltonian.BLOCK // max(1, size * count))
     for low in range(0, len(codes), span):
         block = slice(low, low + span)
         rows = (3 * pairs.cones[pairs.k[pair[block]]]
@@ -397,19 +396,19 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
     first = np.cumsum(pairs.count) - pairs.count
     live = np.flatnonzero(pairs.count)
     totals = np.zeros((len(Ks), count), dtype=complex)
-    # the pairs with families, a block of PRODUCT_BLOCK sums at a time and
+    # the pairs with families, a block of BLOCK sums at a time and
     # in order, so each K's total is summed in (|L|, L) order; a pair's
     # families are contiguous, so the pairs of one family count give a
     # compact array, taken in chunks of pairs whose (families, S) rows
-    # and (families, B) alpha_F fit PRODUCT_BLOCK elements, or of one pair
-    span = max(1, PRODUCT_BLOCK // max(1, count))
+    # and (families, B) alpha_F fit BLOCK elements, or of one pair
+    span = max(1, hamiltonian.BLOCK // max(1, count))
     for low in range(0, len(live), span):
         part = live[low:low + span]
         families = pairs.count[part]
         sums = np.empty((len(part), count), dtype=complex)
         for group in sorted(set(families.tolist())):
             members = np.flatnonzero(families == group)
-            step = max(1, PRODUCT_BLOCK // (group * max(1, size, count)))
+            step = max(1, hamiltonian.BLOCK // (group * max(1, size, count)))
             for start in range(0, len(members), step):
                 chunk = members[start:start + step]
                 rows = (first[part[chunk], None] + np.arange(group)).ravel()
@@ -461,18 +460,21 @@ def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
 
 
 def expectation_full(h: DiagonalHamiltonian, angles):
-    """F(gamma, beta) = <gamma,beta| H |gamma,beta> via the Z_K decomposition.
+    """F(gamma, beta) = <gamma,beta| H |gamma,beta> via the Z_K decomposition,
+    at floats (a float comes back) or arrays that broadcast to one shape
+    (an array of that shape comes back, also when H is only a constant)."""
+    total = full_value(h, expectation_terms(
+        h, [m for m, _ in h.nonconstant_terms()], angles))
+    return float(total) if total.ndim == 0 else total
 
-    gamma and beta may be floats (a float comes back) or arrays that
-    broadcast to one shape (an array of that shape comes back, also when
-    H is only a constant).
-    """
-    terms = h.nonconstant_terms()
-    total = np.full(np.broadcast_shapes(*map(np.shape, angles)), h.constant)
-    for (_, w), value in zip(terms, expectation_terms(
-            h, [m for m, _ in terms], angles)):
-        total = total + w * value
-    return float(total) if np.ndim(total) == 0 else total
+
+def full_value(h: DiagonalHamiltonian, values) -> np.ndarray:
+    """F = constant + sum_M w_M <Z_M>, summed in term order, from the
+    (terms,) + shape `expectation_terms` of h's nonconstant terms."""
+    total = np.full(np.shape(values)[1:], h.constant)
+    for (_, w), value in zip(h.nonconstant_terms(), values):
+        total += w * value
+    return total
 
 
 # ----------------------------------------------------------------------

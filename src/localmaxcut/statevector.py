@@ -12,8 +12,8 @@ of a column meets the same operations as in a lone state, so a batch
 has the bits of its columns run one at a time.  `qaoa_values_sv` is the
 one route through the gates, for `qaoa_expectation_sv` and `cli.verify`
 alike: it takes H as a `PhaseTable`, built once per H, and runs angle
-pairs in batches of up to PAIR_BLOCK elements, so each gate's numpy
-calls serve every sample of a small state at once.
+pairs in batches of up to `hamiltonian.BLOCK` elements (the one element
+budget), so each gate's numpy calls serve every sample of a small state.
 
 Each gate costs its arithmetic and keeps the elementwise operations, in
 their order, of the plain loop over the whole array, so every amplitude
@@ -72,11 +72,11 @@ class PhaseTable(NamedTuple):
 def phase_table(diagonal: np.ndarray) -> PhaseTable:
     """The codes table of a diagonal, for `apply_phase`.
 
-    Each PAIR_BLOCK-entry block is sorted by bits and its distinct values
+    Each BLOCK-entry block is sorted by bits and its distinct values
     kept, and one more sort merges the blocks' values; each block's codes
     are then a search among them."""
     diagonal = np.asarray(diagonal, dtype=float)
-    keys, block = diagonal.view(np.int64), hamiltonian.PAIR_BLOCK  # by bits
+    keys, block = diagonal.view(np.int64), hamiltonian.BLOCK  # by bits
     found = [_distinct(np.sort(keys[start:start + block]))
              for start in range(0, len(keys), block)]
     levels = _distinct(np.sort(np.concatenate(found)))
@@ -127,7 +127,7 @@ def _mix_top(beta, half: np.ndarray) -> np.ndarray:
     is its first half reversed, given that first half: entry x of the
     lower quarter pairs with entry len(half) - 1 - x, which holds the
     amplitude of its partner x + len(half).  The operations are
-    `apply_mixer`'s, in its order, a block of PAIR_BLOCK elements at a
+    `apply_mixer`'s, in its order, a block of BLOCK elements at a
     time (half from each end)."""
     c, s = np.cos(beta), -1j * np.sin(beta)
     quarter, step = len(half) // 2, max(1, block_entries(half) // 2)
@@ -152,7 +152,7 @@ def qaoa_values_sv(table: PhaseTable, Ks, gammas, betas):
     angle arrays, for the H whose diagonal `table` holds: F the values
     <H>, and Z, one row per K of `Ks`, the values <Z_K>.
 
-    The pairs run in batches of S = min(pairs left, PAIR_BLOCK >> n), at
+    The pairs run in batches of S = min(pairs left, BLOCK >> n), at
     least one, as one (2^n, S) state from the uniform amplitude 2^{-n/2}.
     Its |amp|^2 is taken once, a contiguous row per sample, and the state
     is dropped before the rows are squared in place.  F is one dot of each
@@ -175,7 +175,7 @@ def qaoa_values_sv(table: PhaseTable, Ks, gammas, betas):
     if mirrored:
         table = table._replace(codes=table.codes[:2 ** (n - 1)])
     F, Z = np.empty(len(gammas)), np.empty((len(Ks), len(gammas)))
-    width = max(1, min(len(gammas), hamiltonian.PAIR_BLOCK >> n))
+    width = max(1, min(len(gammas), hamiltonian.BLOCK >> n))
     for at in range(0, len(gammas), width):
         batch = slice(at, at + width)
         state = np.full((len(table.codes), len(gammas[batch])),

@@ -436,27 +436,50 @@ def test_verify_builds_diagonal_once(capsys, monkeypatch):
 def test_verify_batches_match_one_sample_at_a_time(capsys, monkeypatch,
                                                    graph, batches):
     # the statevector side runs min(samples left in the block,
-    # PAIR_BLOCK >> n) samples side by side, and a batch gives the bits of
-    # its samples one at a time: PAIR_BLOCK = 2^n makes every batch one
-    # sample, and the report is byte-equal
-    widths = []
-    mixer = statevector.apply_mixer
+    # BLOCK >> n) samples side by side, and a batch gives the bits of
+    # its samples one at a time: BLOCK = 2^n makes every batch one
+    # sample, and the report is byte-equal.  The one budget sizes the
+    # engine's product blocks too, so the same setting splits them into
+    # more calls of _alphas, and no bit moves either
+    widths, products = [], []
+    mixer, alphas = statevector.apply_mixer, qaoa_engine._alphas
 
     def counted(beta, state):
         widths.append(state.shape[1])
         return mixer(beta, state)
 
+    def counted_alphas(*args):
+        products.append(len(args[2]))
+        return alphas(*args)
+
     monkeypatch.setattr(statevector, "apply_mixer", counted)
+    monkeypatch.setattr(qaoa_engine, "_alphas", counted_alphas)
     argv = ["verify", "--graph", graph, "--samples", "65", "--json",
             "--no-timestamp"]
     rc, batched, _ = run_cli(capsys, *argv)
     assert rc == 0 and widths == batches
+    whole = len(products)
     widths.clear()
-    monkeypatch.setattr(hamiltonian, "PAIR_BLOCK",
+    products.clear()
+    monkeypatch.setattr(hamiltonian, "BLOCK",
                         2 ** parse_graph_spec(graph).n)
     rc, alone, _ = run_cli(capsys, *argv)
     assert rc == 0 and widths == [1] * 65
+    assert len(products) > whole
     assert batched == alone
+
+
+def test_classical_run_matches_one_root_per_chunk(capsys, monkeypatch):
+    # the generator's short-cycle search takes its roots in chunks sized
+    # by the one budget; at one element each chunk holds one root, as on
+    # a graph of thousands of vertices at the default, and the graph the
+    # generator accepts, and so the report, is byte-equal
+    argv = ["classical", "run", "--graph", "random:200,3,5,1", "--trials",
+            "20", "--json", "--no-timestamp"]
+    rc, whole, _ = run_cli(capsys, *argv)
+    monkeypatch.setattr(hamiltonian, "BLOCK", 1)
+    rc1, chunked, _ = run_cli(capsys, *argv)
+    assert rc == rc1 == 0 and whole == chunked
 
 
 def test_verify_refuses_engine_caps_before_the_diagonal(capsys, monkeypatch):

@@ -87,19 +87,26 @@ def _names_imported_by_demos():
 
 
 def _public_definitions():
-    """(module.name, name) of every public function and class defined at
-    the top level of a package module."""
+    """(module.name, name) of every public function and class, and every
+    UPPER_CASE constant, defined at the top level of a package module."""
     for path in PACKAGE.glob("*.py"):
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
                 yield f"{path.stem}.{node.name}", node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                for name in (n.id for t in targets for n in ast.walk(t)
+                             if isinstance(n, ast.Name)):
+                    if name.isupper():
+                        yield f"{path.stem}.{name}", name
 
 
 def test_every_export_is_used_by_the_package_or_a_demo():
     used = _names_used_by_package() | _names_imported_by_demos()
     unused = set(localmaxcut.__all__) - used
     assert not unused, f"exported but used only by tests: {sorted(unused)}"
-    # nor is any public function or class kept for tests alone
+    # nor is any public function, class or module constant kept for tests
+    # alone: a constant that only tests set is a knob no caller turns
     unread = sorted(q for q, name in _public_definitions() if name not in used)
     assert not unread, f"defined but used only by tests: {unread}"

@@ -9,7 +9,7 @@ import pytest
 
 from localmaxcut import (girth, load_edge_list, make_cycle, make_named,
                          make_random_regular, neighborhood, save_edge_list)
-from localmaxcut import graph
+from localmaxcut import graph, hamiltonian
 from localmaxcut.cli import parse_graph_spec
 from localmaxcut.graph import _has_short_cycle, build_graph
 
@@ -249,7 +249,10 @@ def test_random_regular_exhausts_attempts_on_rare_specs():
         make_random_regular(40, 4, min_girth=4, seed=1)
 
 
-def test_short_cycle_search_matches_girth():
+def test_short_cycle_search_matches_girth(monkeypatch):
+    # at the default budget every graph here fits one chunk of roots; at a
+    # budget of one element each chunk holds one root, as the roots of a
+    # graph of thousands of vertices span many chunks at the default
     rng = np.random.default_rng(0)
     simple = 0
     while simple < 300:
@@ -260,9 +263,11 @@ def test_short_cycle_search_matches_girth():
             continue
         simple += 1
         g = build_graph(n, edges)
-        nbr = np.array(g.adjacency)
-        for min_girth in range(3, 8):
-            assert _has_short_cycle(nbr, min_girth) == (girth(g) < min_girth)
+        nbr, shortest = np.array(g.adjacency), girth(g)
+        for budget in (hamiltonian.BLOCK, 1):
+            monkeypatch.setattr(hamiltonian, "BLOCK", budget)
+            for min_girth in range(3, 8):
+                assert _has_short_cycle(nbr, min_girth) == (shortest < min_girth)
 
 
 def test_random_regular_huge_girth_bounded_memory(monkeypatch):

@@ -27,7 +27,7 @@ from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
                          make_hamiltonian, make_named, make_random_regular,
                          mask_of, neighborhood,
                          qaoa_expectation_sv, vertices_of)
-from localmaxcut import qaoa_engine
+from localmaxcut import hamiltonian
 from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.cli import VERIFY_BLOCK
 from localmaxcut.hamiltonian import DiagonalHamiltonian
@@ -197,8 +197,8 @@ def test_family_products_match_term_loop(monkeypatch):
     gamma[:2] = 0.0
     terms = [K for K, _ in h.nonconstant_terms()]
     Ks = terms + [terms[0] ^ terms[2], terms[3] ^ terms[7]]
-    for block in (qaoa_engine.PRODUCT_BLOCK, 1):
-        monkeypatch.setattr(qaoa_engine, "PRODUCT_BLOCK", block)
+    for block in (hamiltonian.BLOCK, 1):
+        monkeypatch.setattr(hamiltonian, "BLOCK", block)
         most, sizes = 0, set()
         for K in Ks:
             pairs = _gather(h, [K])
@@ -370,19 +370,19 @@ def test_engine_vs_statevector_random_hamiltonians(data):
 
 
 @contextlib.contextmanager
-def product_block(elements):
-    """PRODUCT_BLOCK set to `elements` for the duration."""
-    saved = qaoa_engine.PRODUCT_BLOCK
-    qaoa_engine.PRODUCT_BLOCK = elements
+def element_budget(elements):
+    """hamiltonian.BLOCK set to `elements` for the duration."""
+    saved = hamiltonian.BLOCK
+    hamiltonian.BLOCK = elements
     try:
         yield
     finally:
-        qaoa_engine.PRODUCT_BLOCK = saved
+        hamiltonian.BLOCK = saved
 
 
 def assert_matches_per_pair(h, count, seed):
     """expectation_terms over every term of h equals zk_per_pair bit for
-    bit at `count` angle pairs, for the default PRODUCT_BLOCK, for blocks
+    bit at `count` angle pairs, for the default BLOCK, for blocks
     of one element, and for blocks that split the largest pair's families
     in two.  Returns that pair's (families, cone width)."""
     Ks = [K for K, _ in h.nonconstant_terms()]
@@ -392,8 +392,8 @@ def assert_matches_per_pair(h, count, seed):
     pairs = _gather(h, Ks)
     families, size = int(pairs.count.max(initial=0)), pairs.cones.shape[1]
     split = max(1, families * size * count // 2)
-    for block in (qaoa_engine.PRODUCT_BLOCK, 1, split):
-        with product_block(block):
+    for block in (hamiltonian.BLOCK, 1, split):
+        with element_budget(block):
             values = expectation_terms(h, Ks, (gamma, beta))
         assert values.shape == (len(Ks), count)
         assert np.array_equal(values.view(np.uint64),
@@ -419,7 +419,7 @@ def test_expectation_terms_match_per_pair_route(graph, count):
     assert families >= 2
     if graph in ("K33", "PETERSEN") and count == 50:
         # one pair's (families, S, B) product spans dozens of blocks
-        assert families * size * count > 16 * qaoa_engine.PRODUCT_BLOCK
+        assert families * size * count > 16 * hamiltonian.BLOCK
 
 
 @settings(max_examples=40, deadline=None)
@@ -604,8 +604,8 @@ def test_engine_beyond_64_vertices_at_array_angles():
     far = DiagonalHamiltonian(n=100, terms=tuple((m << shift, w)
                                                  for m, w in h.terms))
     angles = _random_angles(50, 100)
-    for block in (qaoa_engine.PRODUCT_BLOCK, 1):
-        with product_block(block):
+    for block in (hamiltonian.BLOCK, 1):
+        with element_budget(block):
             near, moved = (expectation_terms(
                 hh, [m for m, _ in hh.nonconstant_terms()], angles)
                 for hh in (h, far))

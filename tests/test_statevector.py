@@ -11,7 +11,7 @@ from localmaxcut import (MAX_QUBITS, apply_mixer, apply_phase,
                          make_cycle, make_hamiltonian, make_named, mask_of,
                          phase_table, qaoa_expectation_sv)
 from localmaxcut import hamiltonian, statevector
-from localmaxcut.hamiltonian import (PAIR_BLOCK, block_entries, pair_walk,
+from localmaxcut.hamiltonian import (BLOCK, block_entries, pair_walk,
                                     walsh_transform)
 from localmaxcut.qaoa_engine import expectation_terms
 from localmaxcut.statevector import qaoa_values_sv
@@ -132,15 +132,16 @@ def test_walks_refuse_a_length_not_a_power_of_two():
 
 # the default block, where 2^15 and 2^16 entries take more than one, and
 # blocks small enough that every size past a few qubits takes many
-BLOCKS = [(PAIR_BLOCK, 17), (16, 11), (2, 9)]
+BLOCKS = [(BLOCK, 17), (16, 11), (2, 9)]
 
 
 @pytest.fixture(params=BLOCKS, ids=lambda b: f"block{b[0]}")
 def sizes(request, monkeypatch):
-    """The qubit counts 0..n-1 to check, with PAIR_BLOCK set for the walk,
-    the phase gate, its table's blocks and the batches of a route."""
+    """The qubit counts 0..n-1 to check, with BLOCK set for the walk,
+    the phase gate, its table's blocks and the batches of a route, and
+    for the engine's blocks where a test compares with the engine."""
     block, n = request.param
-    monkeypatch.setattr(hamiltonian, "PAIR_BLOCK", block)
+    monkeypatch.setattr(hamiltonian, "BLOCK", block)
     return range(n)
 
 
@@ -312,7 +313,7 @@ def test_gates_hold_at_most_a_block_beside_the_state():
     # the phase to 2.0 times; the top-qubit rotation of a mirrored state
     # holds one block, where unblocked its scratch is as large as the
     # array it rotates.  A batch of 4 samples on 16 qubits holds as
-    # many elements, and PAIR_BLOCK counts elements, so it holds as little
+    # many elements, and BLOCK counts elements, so it holds as little
     n = 18
     diagonal = np.arange(2 ** n) % (n + 1) * 1.0
     for qubits, angle in ((n, 0.3), (n - 2, np.full(4, 0.3))):
@@ -348,7 +349,7 @@ def test_route_readout_holds_the_rows_and_half_as_much_again():
 
 
 def test_route_batches_give_the_bits_of_one_pair_at_a_time(sizes):
-    # one call runs min(pairs, PAIR_BLOCK >> n) pairs side by side (16 on
+    # one call runs min(pairs, BLOCK >> n) pairs side by side (16 on
     # PETERSEN at the default block); each pair keeps the bits it has
     # alone, and the per-term values match the engine.  A graph past the
     # block's sizes is left out: at the 2-element block a PETERSEN pair
@@ -443,7 +444,7 @@ def test_half_state_route_is_the_full_state_gates():
         Ks = [0, 1, 2 ** n - 1, int(rng.integers(0, 2 ** n))]
         for diagonal in diagonals:
             table = phase_table(diagonal)
-            for pairs in (1, min(3, PAIR_BLOCK >> n)):
+            for pairs in (1, min(3, BLOCK >> n)):
                 gammas, betas = rng.uniform((-4.0, -4.0), (4.0, 4.0),
                                             size=(pairs, 2)).T
                 F, Z = qaoa_values_sv(table, Ks, gammas, betas)
