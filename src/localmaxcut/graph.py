@@ -7,7 +7,7 @@ read-only array of sorted neighbour rows, which Monte Carlo reads.  The
 per-vertex neighbour tuples are derived on first read.  Neighbour lists
 are sorted ascending, so the ordered neighborhood B(v) = (v, v_1, ..., v_d)
 is reproducible across runs.  Graph values are immutable after
-construction.  The short-cycle search chunks by `hamiltonian.BLOCK`.
+construction.
 """
 
 from __future__ import annotations

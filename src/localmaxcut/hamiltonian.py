@@ -14,9 +14,9 @@ over its 2^k entries, gives its Walsh-Hadamard expansion
 C(x) = sum_S C_hat(S) chi_S(x).  It is one elementwise butterfly per
 qubit, lo + hi and (-hi) + lo = lo - hi, on the pairs that `pair_walk`
 views in place a block of BLOCK elements at a time, so no bit changes.
-BLOCK is the package's one element budget: every layer that blocks (the
-walk, the statevector, the engine, the short-cycle search) reads it here,
-as `hamiltonian.BLOCK`, when called, and no block size changes a bit.
+BLOCK is the package's one element budget; every layer that blocks reads
+it here at call time.  `graph` imports this module with no cycle, as this
+module imports `graph` only inside `build_localmaxcut_hamiltonian`.
 
 Clause weights accumulate per subset when clauses overlap.  Terms whose
 accumulated weight is exactly zero are dropped, so the stored term list

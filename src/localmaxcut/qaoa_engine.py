@@ -471,8 +471,8 @@ def expectation_full(h: DiagonalHamiltonian, angles):
 def full_value(h: DiagonalHamiltonian, values) -> np.ndarray:
     """F = constant + sum_M w_M <Z_M>, summed in term order, from the
     (terms,) + shape `expectation_terms` of h's nonconstant terms."""
-    total = np.full(np.shape(values)[1:], h.constant)
-    for (_, w), value in zip(h.nonconstant_terms(), values):
+    total = np.full(np.shape(values)[1:], h.constant, dtype=float)
+    for (_, w), value in zip(h.nonconstant_terms(), values, strict=True):
         total += w * value
     return total
 

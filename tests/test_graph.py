@@ -253,6 +253,7 @@ def test_short_cycle_search_matches_girth(monkeypatch):
     # at the default budget every graph here fits one chunk of roots; at a
     # budget of one element each chunk holds one root, as the roots of a
     # graph of thousands of vertices span many chunks at the default
+    budgets = (hamiltonian.BLOCK, 1)
     rng = np.random.default_rng(0)
     simple = 0
     while simple < 300:
@@ -264,7 +265,7 @@ def test_short_cycle_search_matches_girth(monkeypatch):
         simple += 1
         g = build_graph(n, edges)
         nbr, shortest = np.array(g.adjacency), girth(g)
-        for budget in (hamiltonian.BLOCK, 1):
+        for budget in budgets:
             monkeypatch.setattr(hamiltonian, "BLOCK", budget)
             for min_girth in range(3, 8):
                 assert _has_short_cycle(nbr, min_girth) == (shortest < min_girth)

@@ -34,7 +34,8 @@ from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
 from localmaxcut.qaoa_engine import (COSET_CAP, FAMILY_CAP, IMAG_TOL, _alphas,
                                      _bits, _factors, _families, _gather,
-                                     _real, _subsets, expectation_terms)
+                                     _real, _subsets, expectation_terms,
+                                     full_value)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
 
@@ -507,6 +508,20 @@ def test_expectation_full_of_a_constant_has_the_angles_shape():
         assert isinstance(value, np.ndarray)
         assert value.shape == np.broadcast_shapes(gammas.shape, betas.shape)
         assert (value == 1.5).all()
+
+
+def test_full_value_takes_int_weights_and_one_row_per_term():
+    # a term map built directly may hold ints; F comes out as the float
+    # one of the same weights gives, and values of another term list fail
+    exact = DiagonalHamiltonian(3, ((0, 1), (0b011, 2), (0b110, -1)))
+    floats = DiagonalHamiltonian(3, ((0, 1.0), (0b011, 2.0), (0b110, -1.0)))
+    for angles in ((0.3, 0.2), (np.linspace(0.0, 3.0, 5), np.ones(5))):
+        value = expectation_full(exact, angles)
+        assert np.array_equal(value, expectation_full(floats, angles))
+    assert isinstance(expectation_full(exact, (0.3, 0.2)), float)
+    values = expectation_terms(floats, [0b011], (0.3, 0.2))
+    with pytest.raises(ValueError):
+        full_value(floats, values)
 
 
 def test_nan_angle_refused_by_residue_check():
