@@ -37,8 +37,10 @@ print("\nDecomposition of <Z_{0,1}> on PETERSEN at gamma=0.9, beta=0.4:")
 h = build_localmaxcut_hamiltonian(make_named("PETERSEN"))
 breakdown = explain_zk(h, 0b11, (0.9, 0.4))
 for rec in breakdown["contributions"]:
-    rho = complex(*rec["rho"])
+    rho, imag = rec["rho"]
+    assert imag == 0.0
     print(f"  L={str(rec['L']):>8}  |O_K(L)|={len(rec['families']):>3}  "
-          f"rho={rho.real:+.6f}{rho.imag:+.2e}j")
-print(f"  total: {breakdown['total']:+.6f}  "
-      "(imaginary parts cancel to < 1e-9)")
+          f"rho={rho:+.6f}")
+# every family F of O_K(L) has |F| of the parity of |L|, so each
+# nu(L) alpha_F, and so each rho, is exactly real: nothing has to cancel
+print(f"  total: {breakdown['total']:+.6f}  (each rho real: |F| = |L| mod 2)")

@@ -17,12 +17,12 @@ then <Z_K> is the sum over L of
 
 Every factor of alpha_F is real, cos(2 gamma W_N), or imaginary,
 i sin(-2 gamma W_M) (sin(-2 gamma W) as written, not -sin(2 gamma W)),
-so alpha_F is i^|F| times one real product, multiplied out in term
-order.  The engine takes that product in real arithmetic and rotates it
-by i^(|F| mod 4).  The complex product of the same factors keeps one
-part an exact +-0 and the other this real product, so the two differ at
-most in the sign of a zero.  The total must come out real and the
-imaginary residue is checked before being discarded.
+and |F| = |L| (mod 2), as every M in F meets L an odd number of times
+and F's XOR is K.  So nu(L) alpha_F is real, for any diagonal H: the
+engine sums alpha'_F = (-1)^floor(|F|/2) times the real product, in term
+order, times nu'(L) = (-1)^ceil(|L|/2) sin(2 beta)^|L| cos(2 beta)^(|K|-|L|),
+each with the bits of its complex value's nonzero part, and refuses a
+family of the other parity.
 
 O_K(L) is the solution set of a linear system over GF(2): one family
 whose symmetric difference is K, XOR every combination of a basis of the
@@ -59,16 +59,16 @@ per call, or per size of K:
   O(L): each pair's families come out contiguous and in coset order;
 - product: 1.0, cos(2 gamma W_M) and sin(-2 gamma W_M) are computed
   once per term in some cone, as three rows of one real table.  Each
-  alpha_F is one real product reduction over the cone, which reads 1.0
-  for the terms outside O(L), rotated by i^|F|.  The families' rows
-  into the table are built BLOCK elements of (families, cone terms) at
-  a time, whatever the number of angle pairs, and only the take and the
-  product run BLOCK elements of (families, cone terms, angle pairs) at
-  a time.  The pairs of a block of BLOCK pair sums are grouped by family
-  count, and the alpha_F of each group's pairs are summed as one (pairs,
-  families, angle pairs) array, in chunks of pairs whose alpha_F and
-  factor rows each fit BLOCK elements, or of one pair;
-- fold: each pair's sum times nu goes into its K's total by one
+  alpha'_F is one real product reduction over the cone, which reads 1.0
+  for the terms outside O(L), negated when floor(|F|/2) is odd.  The
+  families' rows into the table are built BLOCK elements of (families,
+  cone terms) at a time, whatever the number of angle pairs, and only
+  the take and the product run BLOCK elements of (families, cone terms,
+  angle pairs) at a time.  The pairs of a block of BLOCK pair sums are
+  grouped by family count, and the alpha'_F of each group's pairs are
+  summed as one (pairs, families, angle pairs) array, in chunks of pairs
+  whose alpha'_F and factor rows each fit BLOCK elements, or of one pair;
+- fold: each pair's sum times nu' goes into its K's total by one
   unbuffered indexed add per block, the pairs in order, and those of
   each size of K in (rank of L, K) order, so every total is summed in
   (|L|, L) order.
@@ -98,7 +98,6 @@ from .hamiltonian import DiagonalHamiltonian, vertices_of
 
 FAMILY_CAP = 25
 COSET_CAP = 2 ** 18
-IMAG_TOL = 1e-9
 
 
 def _bits(codes, size: int) -> np.ndarray:
@@ -239,7 +238,7 @@ def _gather(h: DiagonalHamiltonian, Ks, skip_empty: bool = False) -> _Pairs:
     are the members of that coset within O(L), in the same order.  The Ks
     of one size share that size's subsets, and their pairs are taken by
     a broadcast over (rank, coset entry), a block of ranks within
-    BLOCK elements at a time."""
+    BLOCK elements at a time.  A family of |F| != |L| (mod 2) is refused."""
     union = 0
     for K in Ks:
         if K == 0:
@@ -290,8 +289,11 @@ def _gather(h: DiagonalHamiltonian, Ks, skip_empty: bool = False) -> _Pairs:
             continue
         parts.append(_size_pairs(k, members, cone_patterns[members],
                                  sizes[members], [cosets[i] for i in members]))
-    return _Pairs(terms, cone_rows,
-                  *(np.concatenate(p) for p in zip(*parts)))
+    pairs = _Pairs(terms, cone_rows, *(np.concatenate(p) for p in zip(*parts)))
+    odd = np.repeat(np.bitwise_count(pairs.subset) & 1, pairs.count)
+    if np.any(np.bitwise_count(pairs.codes) & 1 != odd):
+        raise ArithmeticError("a family's |F| and |L| differ in parity")
+    return pairs
 
 
 def _subsets(K: int, pairs: _Pairs):
@@ -319,22 +321,21 @@ def _factors(terms, gamma) -> np.ndarray:
 
 
 def _alphas(pairs: _Pairs, pair, codes, factors) -> np.ndarray:
-    """alpha_F of families given by their (F,) codes and the (F,) index of
+    """alpha'_F of families given by their (F,) codes and the (F,) index of
     their pair, with the (3 U, B) factors of pairs.terms, as (F, B).
 
-    Each alpha_F is i^|F| times one real product over the cone, in term
+    alpha_F is i^|F| times one real product over the cone, in term
     order, of row 3 (cone term) + [term in O(L)] + [term in F]: 1.0
     outside O(L), the cosine in O(L) \\ F and the sine in F, since F lies
     in O(L).  A padding slot of a shorter cone is term 0 in no O(L), so
     it reads 1.0 too, and multiplying by 1.0 changes no bit of a real.
-    The products fill the real part of a zeroed complex array, which is
-    then rotated in place by i^(|F| mod 4).  The rows, which do not
-    depend on B, are built for blocks of families that keep (families, S)
-    within BLOCK elements; the take and the product run on parts of a
-    block that keep (families, S, B) within BLOCK elements."""
+    alpha'_F is that product, negated when floor(|F|/2) is odd.  The rows,
+    which do not depend on B, are built for blocks of families that keep
+    (families, S) within BLOCK elements; the take and the product run on
+    parts of a block that keep (families, S, B) within BLOCK elements."""
     size = pairs.cones.shape[1]
     count = factors.shape[1]
-    alphas = np.zeros((len(codes), count), dtype=complex)
+    alphas = np.empty((len(codes), count))
     span = max(1, hamiltonian.BLOCK // max(1, size))
     step = max(1, hamiltonian.BLOCK // max(1, size * count))
     for low in range(0, len(codes), span):
@@ -342,35 +343,30 @@ def _alphas(pairs: _Pairs, pair, codes, factors) -> np.ndarray:
         rows = (3 * pairs.cones[pairs.k[pair[block]]]
                 + _bits(pairs.within[pair[block]], size)
                 + _bits(codes[block], size))
-        out = alphas.real[block]
         for start in range(0, len(rows), step):
             part = slice(start, start + step)
             np.multiply.reduce(factors.take(rows[part], axis=0), axis=1,
-                               out=out[part])
-    alphas *= np.array([1, 1j, -1, -1j])[np.bitwise_count(codes) & 3, None]
+                               out=alphas[block][part])
+    alphas[np.bitwise_count(codes) & 2 > 0] *= -1.0
     return alphas
 
 
 def _nus(Ks, beta) -> np.ndarray:
-    """nu at [|K|, |L|] for every size of K in Ks, (B,) each."""
-    k_max = max((K.bit_count() for K in Ks), default=0)
+    """nu' at [|K|, |L|] for every size of K in Ks, (B,) each, with sin^l
+    as numpy's complex power takes it: s^(l - top) s^top for l's top bit."""
     s2b, c2b = np.sin(2 * beta), np.cos(2 * beta)
-    nus = np.zeros((k_max + 1, k_max + 1, len(beta)), dtype=complex)
+    k_max = max((K.bit_count() for K in Ks), default=0)
+    sines = [np.ones_like(s2b), s2b]
+    for l_bits in range(2, k_max + 1):
+        top = 1 << l_bits.bit_length() - 1
+        rest = top // 2 if l_bits == top else l_bits - top
+        sines.append(sines[rest] * sines[l_bits - rest])
+    nus = np.zeros((k_max + 1, k_max + 1, len(beta)))
     for k_bits in {K.bit_count() for K in Ks}:
         for l_bits in range(k_bits + 1):
-            nus[k_bits, l_bits] = (1j * s2b) ** l_bits * c2b ** (k_bits - l_bits)
+            nus[k_bits, l_bits] = ((-1.0) ** ((l_bits + 1) // 2)
+                                   * sines[l_bits] * c2b ** (k_bits - l_bits))
     return nus
-
-
-def _real(total: np.ndarray) -> np.ndarray:
-    """The real part of a summed <Z_K>, refusing any entry whose imaginary
-    residue is above IMAG_TOL or not a number."""
-    residue = np.abs(total.imag)
-    if not np.all(residue <= IMAG_TOL):
-        raise ArithmeticError(
-            f"imaginary residue {np.max(residue):.3e} in <Z_K>; "
-            "the decomposition must sum to a real number")
-    return total.real
 
 
 def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
@@ -382,7 +378,7 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
     K whose coset is empty lists no pairs at all: its value is 0.0.
 
     The last bits depend on B, the number of angle pairs: numpy sums a
-    pair's alpha_F over (pairs, families, B) pairwise when B = 1 and in
+    pair's alpha'_F over (pairs, families, B) pairwise when B = 1 and in
     order when B >= 2, so a pair alone and in a batch may differ by 1e-15.
     """
     Ks = list(Ks)
@@ -395,7 +391,7 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
     k_bits = np.array([K.bit_count() for K in Ks], dtype=np.intp)
     first = np.cumsum(pairs.count) - pairs.count
     live = np.flatnonzero(pairs.count)
-    totals = np.zeros((len(Ks), count), dtype=complex)
+    totals = np.zeros((len(Ks), count))
     # the pairs with families, a block of BLOCK sums at a time and
     # in order, so each K's total is summed in (|L|, L) order; a pair's
     # families are contiguous, so the pairs of one family count give a
@@ -405,7 +401,7 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
     for low in range(0, len(live), span):
         part = live[low:low + span]
         families = pairs.count[part]
-        sums = np.empty((len(part), count), dtype=complex)
+        sums = np.empty((len(part), count))
         for group in sorted(set(families.tolist())):
             members = np.flatnonzero(families == group)
             step = max(1, hamiltonian.BLOCK // (group * max(1, size, count)))
@@ -418,20 +414,21 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
         ks = pairs.k[part]
         np.add.at(totals, ks, nus[k_bits[ks],
                                   np.bitwise_count(pairs.subset[part])] * sums)
-    return _real(totals).reshape((len(Ks),) + shape)
+    return totals.reshape((len(Ks),) + shape)
 
 
 def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
     """The per-L record behind <gamma,beta| Z_K |gamma,beta> at one angle
     pair, given as floats or one-element arrays, as plain data: subsets as
-    vertex lists, complex numbers as [re, im].  An L with no family keeps
-    its record, with rho = nu * 0.  An exact zero is written 0.0, never
-    -0.0, so the record does not depend on how the arithmetic reached it."""
+    vertex lists, complex numbers as [re, im]: nu and alpha_F, from nu' and
+    alpha'_F, are imaginary when |L| is odd, and rho is real.  An L with no
+    family keeps its record, with rho = nu * 0.  An exact zero is written
+    0.0, never -0.0, so the record does not rest on how it was reached."""
     def r(x):
         return float(x) + 0.0  # -0.0 + 0.0 is 0.0; no other value moves
 
-    def c(z):
-        return [r(z.real), r(z.imag)]
+    def c(x, odd):  # x, or i x when odd, as [re, im]
+        return [0.0, r(x)] if odd else [r(x), 0.0]
 
     gamma, beta, _ = _angles(h, angles)
     if len(gamma) != 1:
@@ -441,21 +438,22 @@ def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
                                       pairs.count),
                      pairs.codes, _factors(pairs.terms, gamma))
     nus = _nus([K], beta)
-    total = np.zeros(1, dtype=complex)
+    total = np.zeros(1)
     contributions = []
     for L, cone, _, families, _ in _subsets(K, pairs):
+        odd = L.bit_count() & 1
         nu = nus[K.bit_count(), L.bit_count()]
         rho = nu * alphas[None, families].sum(axis=1)[0]
         total += rho
         contributions.append({
             "L": vertices_of(L),
-            "nu": c(nu[0]),
+            "nu": c(-nu[0] if odd else nu[0], odd),
             "families": [[vertices_of(m) for m, r in zip(cone, row) if r]
                          for row in _bits(pairs.codes[families], len(cone))],
-            "alphas": [c(a) for a in alphas[families, 0]],
-            "rho": c(rho[0]),
+            "alphas": [c(a, odd) for a in alphas[families, 0]],
+            "rho": c(rho[0], False),
         })
-    return {"K": vertices_of(K), "total": r(_real(total)[0]),
+    return {"K": vertices_of(K), "total": r(total[0]),
             "contributions": contributions}
 
 

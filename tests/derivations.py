@@ -228,7 +228,11 @@ def zk_per_pair(h, K: int, gamma, beta) -> np.ndarray:
                 axis=1, initial=1 + 0j)
         nu = (1j * s2b) ** L.bit_count() * c2b ** (K.bit_count()
                                                     - L.bit_count())
-        total += nu * alphas.sum(axis=0)
+        # the real and imaginary parts as two float sums: at B = 1 numpy
+        # groups a complex array's pairwise sum differently from a float
+        # array's, and the engine sums floats
+        total += nu * (alphas.real.sum(axis=0)
+                       + 1j * alphas.imag.sum(axis=0))
     return total
 
 

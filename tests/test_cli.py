@@ -176,8 +176,19 @@ def test_threads_flag_refused(capsys, monkeypatch):
     assert "threads" not in doc["config"]
 
 
-def test_byte_stable_output(capsys):
-    argv = ("classical", "exact", "--degree", "3", "--json", "--no-timestamp")
+@pytest.mark.parametrize("argv", [
+    ("classical", "exact", "--degree", "3"),
+    ("classical", "run", "--graph", "cycle:9", "--trials", "20", "--seed",
+     "3"),
+    ("ham", "dump", "--graph", "named:K33"),
+    # one angle pair: the engine's pair sums at B = 1
+    ("verify", "--graph", "named:K33", "--samples", "1"),
+    ("qaoa", "explain", "--graph", "named:K33", "--subset", "0,3",
+     "--gamma", "0.9", "--beta", "0.4"),
+], ids=["classical-exact", "classical-run", "ham-dump", "verify",
+        "qaoa-explain"])
+def test_byte_stable_output(capsys, argv):
+    argv = (*argv, "--json", "--no-timestamp")
     rc1, out1, _ = run_cli(capsys, *argv)
     rc2, out2, _ = run_cli(capsys, *argv)
     assert rc1 == rc2 == 0

@@ -27,15 +27,14 @@ from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
                          make_hamiltonian, make_named, make_random_regular,
                          mask_of, neighborhood,
                          qaoa_expectation_sv, vertices_of)
-from localmaxcut import hamiltonian
+from localmaxcut import hamiltonian, qaoa_engine
 from localmaxcut.classical import EXACT_MAX_DEGREE
-from localmaxcut.cli import VERIFY_BLOCK
+from localmaxcut.cli import VERIFY_BLOCK, main
 from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
-from localmaxcut.qaoa_engine import (COSET_CAP, FAMILY_CAP, IMAG_TOL, _alphas,
-                                     _bits, _factors, _families, _gather,
-                                     _real, _subsets, expectation_terms,
-                                     full_value)
+from localmaxcut.qaoa_engine import (COSET_CAP, FAMILY_CAP, _alphas, _bits,
+                                     _factors, _families, _gather, _subsets,
+                                     expectation_terms, full_value)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
 
@@ -190,7 +189,8 @@ def loop_alphas(h, masks, families, gamma):
 def test_family_products_match_term_loop(monkeypatch):
     # whole blocks and one row of families at a time give the bits of the
     # complex term-by-term loop, up to the sign of a zero: alpha_F is
-    # i^|F| times one real product, so one part of it is an exact zero.
+    # i^|F| times one real product, and alpha'_F is that product with the
+    # sign of i^|F| or of i^(|F|-1), so alpha'_F i^(|F| mod 2) is alpha_F.
     # The terms of H have families of odd size and the XOR of two terms
     # even ones, so every |F| mod 4 is met; gamma = 0 makes every sine 0
     h = build_localmaxcut_hamiltonian(make_named("HEAWOOD"))
@@ -213,11 +213,12 @@ def test_family_products_match_term_loop(monkeypatch):
                 assert not np.any(families[:, ~odd])
                 alphas = _alphas(pairs, np.full(len(codes), pair), codes,
                                  factors)
-                assert np.array_equal(alphas, loop_alphas(
-                    h, odd_masks(h.terms, L), families[:, odd], gamma))
+                assert alphas.dtype == np.float64
                 size = np.bitwise_count(codes)
-                assert not np.any(alphas.real[size & 1 == 1])
-                assert not np.any(alphas.imag[size & 1 == 0])
+                assert np.array_equal(
+                    np.where(size[:, None] & 1, 1j * alphas, alphas),
+                    loop_alphas(h, odd_masks(h.terms, L), families[:, odd],
+                                gamma))
                 assert not np.any(alphas[:, :2])
                 most = max(most, len(families))
                 sizes.update((size & 3).tolist())
@@ -433,9 +434,10 @@ def test_expectation_terms_match_per_pair_route_random(data):
 
 @pytest.mark.parametrize("name", ["K33", "PETERSEN", "HEAWOOD"])
 def test_one_block_of_every_term_stays_small(name):
-    # the where-array and the alpha_F are made a chunk at a time, so one
-    # call over every term at verify's block size stays within a few MiB
-    # (made whole, they took 201 MiB on PETERSEN and 36 MiB on HEAWOOD)
+    # the where-array and the alpha'_F are made a chunk at a time, so one
+    # call over every term at verify's block size stays within 1.5 MiB
+    # (made whole, they took 201 MiB on PETERSEN and 36 MiB on HEAWOOD;
+    # complex alpha_F and sums took K33 and PETERSEN above 1.5 MiB)
     h = build_localmaxcut_hamiltonian(make_named(name))
     Ks = [K for K, _ in h.nonconstant_terms()]
     angles = _random_angles(VERIFY_BLOCK, 5)
@@ -446,7 +448,7 @@ def test_one_block_of_every_term_stays_small(name):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2 ** 20
+    assert peak < 1.5 * 2 ** 20
 
 
 def test_expectation_terms_shapes():
@@ -570,15 +572,22 @@ def test_overflowing_gamma_refused(graph, K):
     assert caught == []
 
 
-def test_real_refuses_imaginary_residue():
-    # |imag| > IMAG_TOL is False for NaN, so the check is written as
-    # not (|imag| <= IMAG_TOL) and must refuse every NaN entry of a batch
-    assert np.array_equal(_real(np.array([0.5 + 1e-10j, -0.25])),
-                          [0.5, -0.25])
-    with pytest.raises(ArithmeticError, match="imaginary residue nan"):
-        _real(np.array([0.5, complex(0.1, math.nan), 0.2]))
-    with pytest.raises(ArithmeticError, match="imaginary residue 2.000e-09"):
-        _real(np.array([0.5, 0.1 + 2 * IMAG_TOL * 1j]))
+def test_family_of_other_parity_refused(capsys, monkeypatch):
+    # nu(L) alpha_F is real because |F| = |L| (mod 2) for every family of
+    # O_K(L); a solver that flips one term of every family breaks that
+    # parity, and the gather refuses it rather than sum a wrong real part
+    solve = qaoa_engine._families
+    monkeypatch.setattr(qaoa_engine, "_families",
+                        lambda masks, K: solve(masks, K) ^ 1)
+    h = build_localmaxcut_hamiltonian(make_cycle(7))
+    with pytest.raises(ArithmeticError, match="parity"):
+        expectation_terms(h, [K for K, _ in h.nonconstant_terms()],
+                          (0.3, 0.2))
+    for argv in (["verify", "--graph", "cycle:7"],
+                 ["qaoa", "explain", "--graph", "cycle:7", "--subset", "0,1",
+                  "--gamma", "0.3", "--beta", "0.2"]):
+        assert main(argv) == 2
+        assert "parity" in capsys.readouterr().err
 
 
 def test_closed_form_f2_on_high_girth_cycles():
