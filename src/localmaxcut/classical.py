@@ -15,7 +15,9 @@ initial bit and agreeing-neighbor count (`exact_prob`, every degree up to
 EXACT_MAX_DEGREE, on scalars or numpy batches), and seeded Monte Carlo on
 concrete graphs.  The test suite checks both against a third, a
 brute-force enumeration oracle on the radius-2 tree
-(`tests/derivations.py`, the arbiter).
+(`tests/derivations.py`, the arbiter).  `exact_prob` takes the initial
+bit as an array axis and each power once, and keeps every bit of the
+plain loop form there, `exact_prob_loops`.
 Randomness is counter-based (Philox keyed by master seed and trial index)
 so runs are reproducible and trial order is irrelevant.
 """
@@ -29,9 +31,10 @@ from typing import NamedTuple
 import numpy as np
 from numpy.random import Generator, Philox
 
+from . import hamiltonian
 from .graph import philox_key
 
-EXACT_MAX_DEGREE = 10  # the sum has O(d^3) terms: under 1 ms per point at d = 10
+EXACT_MAX_DEGREE = 10  # O(d^3) terms: at d = 10, 2 us a point in a batch, 0.7 ms alone
 MAX_TRIALS = 10**8  # Monte Carlo keeps one float per trial: 0.8 GB at the cap
 
 
@@ -40,19 +43,24 @@ class ClassicalParams(NamedTuple):
     q: tuple[float, ...]
 
 
-def _is_probability(x) -> bool:
-    """Whether x, or every entry of an array x, lies in [0,1] (NaN does not)."""
-    if isinstance(x, np.ndarray):
-        return bool(np.all((x >= 0.0) & (x <= 1.0)))
-    return 0.0 <= x <= 1.0
-
-
 def _check_params(params, d: int):
+    """(p, q0..qd) stacked, each checked to lie in [0,1] (NaN does not):
+    float64 in their broadcast shape if any is an array, else an object
+    array of the scalars, which keep their own arithmetic."""
     p, q = params
-    if not all(_is_probability(x) for x in (p, *q)):
+    entries = (p, *q)
+    if any(isinstance(e, np.ndarray) for e in entries):
+        x = np.array(np.broadcast_arrays(*entries), dtype=float)
+        with np.errstate(invalid="ignore"):  # NaN compares false
+            inside = np.all((x >= 0.0) & (x <= 1.0))
+    else:
+        x = np.array(entries, dtype=object)
+        inside = all(0.0 <= e <= 1.0 for e in entries)
+    if not inside:
         raise ValueError(f"probabilities must lie in [0,1], got p={p}, q={q}")
     if len(q) != d + 1:
         raise ValueError(f"flip vector has {len(q)} entries, expected d+1={d + 1}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -121,35 +129,6 @@ def monte_carlo(g, params, trials: int, seed: int = 0) -> RunStats:
     return RunStats(trials=trials, mean=float(np.mean(fractions)), stderr=stderr)
 
 
-def _fab(a: int, b: int, p: float, q, d: int) -> float:
-    """f_ab: probability that a vertex with own bit b flips, given one
-    visible neighbor with bit a, marginalized over its d-1 hidden neighbors.
-    Unvalidated: callers check the parameters once per evaluation.  No
-    term is negative, but the sum can round past 1, so it is capped, a
-    float by `min` (a numpy scalar's first arithmetic costs 0.16 MiB).
-    """
-    agree = p if b == 1 else 1 - p
-    ell0 = 1 if a == b else 0
-    total = 0
-    for k, weight in enumerate(_binomial_pmf(d - 1, agree)):
-        total += weight * q[ell0 + k]
-    return np.minimum(total, 1.0) if np.ndim(total) else min(total, 1.0)
-
-
-def _binomial_pmf(n: int, r):
-    """[Pr[Bin(n, r) = k] for k = 0..n]."""
-    return [math.comb(n, k) * r ** k * (1 - r) ** (n - k) for k in range(n + 1)]
-
-
-def _pmf_of_sum(x, y):
-    """Distribution of X + Y for independent X, Y given as pmf lists."""
-    out = [0] * (len(x) + len(y) - 1)
-    for i, xi in enumerate(x):
-        for j, yj in enumerate(y):
-            out[i + j] += xi * yj
-    return out
-
-
 def exact_prob(d: int, params):
     """Pr[v satisfied after one round] on a locally tree-like d-regular graph.
 
@@ -159,24 +138,90 @@ def exact_prob(d: int, params):
     number S of neighbors ending on side a is Bin(l, 1 - f_aa) +
     Bin(d - l, f_ab).  The center stays with probability 1 - q_l and is
     then satisfied iff S <= floor(d/2); it moves with probability q_l and
-    is then satisfied iff d - S <= floor(d/2).  O(d^3) terms of plain
-    arithmetic, so p and the q entries may be floats, Fractions (kept
-    exact: every sum starts at the integer 0, so all-integer inputs can
-    give an int) or numpy arrays of one shape, and the result has that
-    shape.  Agrees with the brute-force oracle for every (p, q).
+    is then satisfied iff d - S <= floor(d/2).  p and the q entries may
+    be arrays that broadcast together (the result has their shape) or
+    scalars, each keeping its arithmetic: Fractions stay exact and
+    all-integer inputs give an int.  Agrees with the brute-force oracle
+    for every (p, q).
     """
     if not 1 <= d <= EXACT_MAX_DEGREE:
         raise ValueError(f"exact sum covers 1 <= d <= {EXACT_MAX_DEGREE}, got {d}")
-    p, q = params
-    _check_params(params, d)
+    x = _check_params(params, d)
+    points = x.reshape(d + 2, -1)
+    out = np.empty(points.shape[1], dtype=x.dtype)
+    # from BLOCK // 4 points a block, each block pages in fresh memory:
+    # 20,000-point calls took 1.3-1.4x the loop form's time, not 0.85x
+    step = max(1, hamiltonian.BLOCK // 8)
+    for start in range(0, len(out), step):
+        out[start:start + step] = _satisfied(d, points[:, start:start + step])
+    return out.reshape(x.shape[1:])[()]
+
+
+def _pmf(n: int, up, down):
+    """[Pr[Bin(n, r) = k] for k = 0..n], C(n, k) * up[k] * down[n - k] from
+    up[k] = r ** k and down[k] = (1 - r) ** k.  An end is a power itself:
+    C(n, 0) = C(n, n) = 1 and x ** 0 = 1 exactly."""
+    if n == 0:
+        return [up[0]]
+    return [down[n], *(math.comb(n, k) * up[k] * down[n - k]
+                       for k in range(1, n)), up[n]]
+
+
+def _pmf_of_sum(x, y):
+    """Distribution of X + Y for independent X, Y given as pmf lists, each
+    entry summed in sequence from its first term.  A one-entry pmf, [1],
+    is X = 0 and leaves the other as it is."""
+    if len(x) == 1:
+        return y
+    if len(y) == 1:
+        return x
+    out = []
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            if i + j < len(out):
+                out[i + j] += xi * yj
+            else:
+                out.append(xi * yj)
+    return out
+
+
+def _sum(terms):
+    """terms[0] + terms[1] + ..., in sequence from the first term."""
+    return sum(terms[1:], terms[0])
+
+
+def _satisfied(d: int, x):
+    """exact_prob on the columns (p, q0..qd) of the (d+2, B) array x, with
+    the center's bit a as an axis of length 2 and l and the pmf entries as
+    loops.  Every value has the bits of `exact_prob_loops`: its operations
+    in its order, less products by an exact 1 (`_pmf`, `_pmf_of_sum`), each
+    power `r ** k` taken once (an array exponent, a reversed view or
+    repeated products round otherwise), each sum from its first term.  The
+    loop form's sums start at 0, which changes only the sign of a zero and
+    so no later value but a zero: only the final sum does here."""
     m = d // 2
-    total = 0
-    for a, pa in ((0, 1 - p), (1, p)):
-        f_same, f_diff = _fab(a, a, p, q, d), _fab(a, 1 - a, p, q, d)
-        for l in range(d + 1):
-            s = _pmf_of_sum(_binomial_pmf(l, 1 - f_same),
-                            _binomial_pmf(d - l, f_diff))
-            weight = math.comb(d, l) * pa ** (l + 1) * (1 - pa) ** (d - l)
-            total += weight * ((1 - q[l]) * sum(s[:m + 1])
-                               + q[l] * sum(s[d - m:]))
-    return total
+    p, q = x[0], x[1:]
+    u = 1 - p
+    base = np.array((1 - u, u, p))  # (1 - (1-p), 1-p, p)
+    pw = [base ** j for j in range(d + 2)]
+    up = [w[1:] for w in pw]  # p_a ** j
+    down = [w[:2] for w in pw]  # (1 - p_a) ** j
+    # f_ab over the d - 1 hidden neighbors: f_aa counts the visible one as
+    # agreeing (q from q1), f_ab does not (q0) and has p_b = p_(1-a), so
+    # comes out in reversed a.  Capped: a sum can round past 1
+    hidden = _pmf(d - 1, up, down)
+    f_same = np.minimum(_sum([h * q[k + 1] for k, h in enumerate(hidden)]), 1.0)
+    f_diff = np.minimum(_sum([h * q[k] for k, h in enumerate(hidden)])[::-1], 1.0)
+    # S = Bin(l, 1 - f_aa) + Bin(d - l, f_ab), the neighbors ending on a
+    r = np.array((1 - f_same, f_diff))
+    rc = 1 - r
+    rise, fall = [r ** j for j in range(d + 1)], [rc ** j for j in range(d + 1)]
+    stay = [w[0] for w in rise], [w[0] for w in fall]
+    join = [w[1] for w in rise], [w[1] for w in fall]
+    qc = 1 - q
+    terms = []
+    for l in range(d + 1):
+        s = _pmf_of_sum(_pmf(l, *stay), _pmf(d - l, *join))
+        weight = math.comb(d, l) * up[l + 1] * down[d - l]
+        terms.append(weight * (qc[l] * _sum(s[:m + 1]) + q[l] * _sum(s[d - m:])))
+    return sum([t[0] for t in terms] + [t[1] for t in terms])  # a = 0 first

@@ -5,7 +5,10 @@ package route from a different direction.
 
 Classical side.  `neighborhood_oracle_prob` enumerates every initial
 assignment and flip pattern of the radius-2 tree, the brute-force
-arbiter for `exact_prob`; `prob_satisfied_initial` is its closed form at
+arbiter for `exact_prob`; `exact_prob_loops` is the same sum as
+`exact_prob` written as plain loops, one numpy operation per term, with
+the flip probability `_fab` and the pmfs as lists, and `exact_prob` must
+give its bits; `prob_satisfied_initial` is its closed form at
 the frozen uniform start, and `satisfied` the per-vertex check on a
 concrete cut.  `hrss_preset` is the threshold rule of Hirvonen, Rybicki,
 Schmid and Suomela (arXiv:1402.2543), one of the rules that
@@ -55,7 +58,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox
 
-from localmaxcut.classical import ClassicalParams, _check_params, _fab
+from localmaxcut.classical import ClassicalParams, _check_params
 from localmaxcut.qaoa_engine import _families
 from localmaxcut.statevector import apply_mixer, apply_phase, phase_table
 
@@ -86,6 +89,60 @@ def prob_satisfied_initial(d: int) -> float:
     has this closed form; other biases go through the oracle.
     """
     return sum(math.comb(d, j) for j in range(d // 2 + 1)) / 2 ** d
+
+
+def _fab(a: int, b: int, p: float, q, d: int) -> float:
+    """f_ab: probability that a vertex with own bit b flips, given one
+    visible neighbor with bit a, marginalized over its d-1 hidden neighbors.
+    Unvalidated.  No term is negative, but the sum can round past 1, so it
+    is capped.
+    """
+    agree = p if b == 1 else 1 - p
+    ell0 = 1 if a == b else 0
+    total = 0
+    for k, weight in enumerate(_binomial_pmf(d - 1, agree)):
+        total += weight * q[ell0 + k]
+    return np.minimum(total, 1.0) if np.ndim(total) else min(total, 1.0)
+
+
+def _binomial_pmf(n: int, r):
+    """[Pr[Bin(n, r) = k] for k = 0..n]."""
+    return [math.comb(n, k) * r ** k * (1 - r) ** (n - k) for k in range(n + 1)]
+
+
+def _pmf_of_sum(x, y):
+    """Distribution of X + Y for independent X, Y given as pmf lists."""
+    out = [0] * (len(x) + len(y) - 1)
+    for i, xi in enumerate(x):
+        for j, yj in enumerate(y):
+            out[i + j] += xi * yj
+    return out
+
+
+def exact_prob_loops(d: int, params):
+    """`exact_prob`'s sum as loops over the center's bit a, its agreeing
+    count l and every pmf entry, each term one operation on p and q.
+
+    Given a and l, each neighbor flips independently (with f_aa if it
+    agreed, f_ab if not), so the number S of neighbors ending on side a
+    is Bin(l, 1 - f_aa) + Bin(d - l, f_ab); the center stays with
+    probability 1 - q_l and is then satisfied iff S <= floor(d/2), and
+    moves with probability q_l and is then satisfied iff
+    d - S <= floor(d/2).  Every sum starts at the integer 0.
+    """
+    _check_params(params, d)
+    p, q = params
+    m = d // 2
+    total = 0
+    for a, pa in ((0, 1 - p), (1, p)):
+        f_same, f_diff = _fab(a, a, p, q, d), _fab(a, 1 - a, p, q, d)
+        for l in range(d + 1):
+            s = _pmf_of_sum(_binomial_pmf(l, 1 - f_same),
+                            _binomial_pmf(d - l, f_diff))
+            weight = math.comb(d, l) * pa ** (l + 1) * (1 - pa) ** (d - l)
+            total += weight * ((1 - q[l]) * sum(s[:m + 1])
+                               + q[l] * sum(s[d - m:]))
+    return total
 
 
 def neighborhood_oracle_prob(d: int, params, ball_condition=None) -> float:

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from derivations import (_conditional_prob, four_path_form_d2, hrss_preset,
+from derivations import (_conditional_prob, _fab, exact_prob_loops,
+                         four_path_form_d2, hrss_preset,
                          neighborhood_oracle_prob, one_round,
                          prob_satisfied_initial, q2_star,
                          reduced_objective_d2, satisfied, trial_rng)
 from localmaxcut import (ClassicalParams, exact_prob, load_edge_list,
                          make_cycle, make_random_regular, monte_carlo,
                          optimal_preset)
-from localmaxcut import cli
-from localmaxcut.classical import EXACT_MAX_DEGREE, _fab
+from localmaxcut import cli, hamiltonian
+from localmaxcut.classical import EXACT_MAX_DEGREE
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -167,6 +168,44 @@ def test_exact_batch_matches_pointwise(d):
     for k in range(32):
         point = ClassicalParams(float(prm.p[k]), tuple(float(t[k]) for t in prm.q))
         assert abs(batch[k] - exact_prob(d, point)) <= 1e-15
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64),
+                          np.asarray(b, dtype=float).view(np.uint64))
+
+
+@pytest.mark.parametrize("d", range(1, EXACT_MAX_DEGREE + 1))
+def test_exact_prob_has_the_bits_of_the_loop_form(d):
+    rng = np.random.Generator(np.random.Philox(key=[3, d]))
+    # a batch crossing a block boundary, with 0/1 and -0.0 entries
+    x = rng.uniform(size=(d + 2, hamiltonian.BLOCK // 8 + 40))
+    x[:, :24] = rng.integers(0, 2, size=(d + 2, 24))
+    x[:, 24] = -0.0
+    prm = ClassicalParams(x[0], tuple(x[1:]))
+    assert _same_bits(exact_prob(d, prm), exact_prob_loops(d, prm))
+    # threshold_seeds' shapes: every threshold rule at every p
+    rules = (np.arange(d + 1) >= np.arange(d + 2)[:, None]).astype(float)
+    prm = ClassicalParams(np.linspace(0.0, 1.0, 11)[:, None], tuple(rules.T))
+    value = exact_prob(d, prm)
+    assert value.shape == (11, d + 2)
+    assert _same_bits(value, exact_prob_loops(d, prm))
+    # scalars keep their own type and arithmetic
+    for k in range(3):
+        for kind in (float, np.float64):
+            prm = ClassicalParams(kind(x[0, 30 + k]),
+                                  tuple(kind(t) for t in x[1:, 30 + k]))
+            value, loops = exact_prob(d, prm), exact_prob_loops(d, prm)
+            assert type(value) is type(loops) is kind
+            assert _same_bits(value, loops)
+    prm = ClassicalParams(Fraction(1, 3), tuple(Fraction(k % 4, 3)
+                                                for k in range(d + 1)))
+    value = exact_prob(d, prm)
+    assert type(value) is Fraction and value == exact_prob_loops(d, prm)
+    for bits in rng.integers(0, 2, size=(4, d + 2)).tolist():
+        prm = ClassicalParams(bits[0], tuple(bits[1:]))
+        value = exact_prob(d, prm)
+        assert type(value) is int and value == exact_prob_loops(d, prm)
 
 
 @pytest.mark.parametrize("d", range(1, 9))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from derivations import q2_star
+from derivations import exact_prob_loops, q2_star
 from localmaxcut import (ClassicalParams, exact_prob, grid_sweep,
                          optimal_preset, optimize_classical)
 from localmaxcut import optimize
@@ -290,6 +290,19 @@ def test_optimize_classical_other_degrees(d):
         d, np.linspace(0.0, 1.0, P_SEEDS))[1].max()
     assert report.value == pytest.approx(
         classical_curve(d, np.linspace(0.0, 1.0, 101)).max(), abs=1e-9)
+
+
+def test_optimizer_sees_the_loop_form_bits(monkeypatch, classical_d2,
+                                           classical_d3):
+    # exact_prob has every bit of the loop form, so the optimizer takes
+    # the same steps on either and reports the same maxima
+    ps = np.linspace(0.0, 1.0, 11)
+    curve = classical_curve(3, ps)
+    monkeypatch.setattr(optimize, "exact_prob", exact_prob_loops)
+    assert optimize_classical(2) == classical_d2[0]
+    assert optimize_classical(3) == classical_d3[0]
+    assert np.array_equal(classical_curve(3, ps).view(np.uint64),
+                          curve.view(np.uint64))
 
 
 def test_classical_curve_reaches_tuned_optimum(classical_d3):
