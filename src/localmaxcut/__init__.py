@@ -11,8 +11,7 @@ and `cli` packages everything behind one command.
 from .classical import (ClassicalParams, RunStats, exact_prob, monte_carlo,
                         optimal_preset)
 from .graph import (NAMED_CUBIC, Graph, girth, load_edge_list, make_cycle,
-                    make_named, make_random_regular, neighborhood,
-                    save_edge_list)
+                    make_named, make_random_regular, save_edge_list)
 from .hamiltonian import (Clause, DiagonalHamiltonian,
                           build_localmaxcut_hamiltonian, evaluate_all,
                           evaluate_classical, fourier_encode_clause,
@@ -35,7 +34,6 @@ __all__ = [
     "fourier_encode_clause", "girth", "grid_sweep", "hamiltonian_to_json",
     "load_edge_list", "local_satisfaction_clause", "make_cycle",
     "make_hamiltonian", "make_named", "make_random_regular", "mask_of",
-    "monte_carlo", "neighborhood", "optimal_preset", "optimize_classical",
-    "optimize_qaoa", "phase_table", "qaoa_expectation_sv", "save_edge_list",
-    "vertices_of",
+    "monte_carlo", "optimal_preset", "optimize_classical", "optimize_qaoa",
+    "phase_table", "qaoa_expectation_sv", "save_edge_list", "vertices_of",
 ]

@@ -1,12 +1,12 @@
-"""Simple undirected graphs with ordered neighborhoods.
+"""Simple undirected graphs with sorted neighbour rows.
 
 Vertices are integers 0..n-1.  A graph is checked and sorted in numpy, then
 keeps its edges as sorted (u, v) tuples of Python ints with u < v, which
 define equality and hashing, and a regular graph also keeps an (n, d)
-read-only array of sorted neighbour rows, which Monte Carlo reads.  The
-per-vertex neighbour tuples are derived on first read.  Neighbour lists
-are sorted ascending, so the ordered neighborhood B(v) = (v, v_1, ..., v_d)
-is reproducible across runs.  Graph values are immutable after
+read-only array of sorted neighbour rows, which Monte Carlo and the
+Hamiltonian build read.  The per-vertex neighbour tuples are derived on
+first read.  Neighbour lists are sorted ascending, so every order read
+from them is reproducible across runs.  Graph values are immutable after
 construction.
 """
 
@@ -296,13 +296,6 @@ def girth(g: Graph):
             queue = nxt
         delete([root])
     return best
-
-
-def neighborhood(g: Graph, v: int) -> tuple[int, ...]:
-    """Ordered neighborhood B(v) = (v, neighbors ascending)."""
-    if not 0 <= v < g.n:
-        raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return (v,) + g.adjacency[v]
 
 
 def load_edge_list(text: str) -> Graph:

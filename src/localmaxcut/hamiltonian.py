@@ -15,8 +15,7 @@ C(x) = sum_S C_hat(S) chi_S(x).  It is one elementwise butterfly per
 qubit, lo + hi and (-hi) + lo = lo - hi, on the pairs that `pair_walk`
 views in place a block of BLOCK elements at a time, so no bit changes.
 BLOCK is the package's one element budget; every layer that blocks reads
-it here at call time.  `graph` imports this module with no cycle, as this
-module imports `graph` only inside `build_localmaxcut_hamiltonian`.
+it here at call time.
 
 Clause weights accumulate per subset when clauses overlap.  Terms whose
 accumulated weight is exactly zero are dropped, so the stored term list
@@ -213,18 +212,18 @@ def local_satisfaction_clause(d: int) -> Clause:
 def build_localmaxcut_hamiltonian(g) -> DiagonalHamiltonian:
     """Sum of per-vertex satisfaction clauses over a d-regular graph.
 
-    Weights accumulate per subset, so coinciding terms (short cycles) merge
-    and exact cancellations drop out of the term map.
+    Vertex v's clause lies on its ball B(v) = (v, v's neighbours), the
+    centre at position 0 and the sorted neighbour row after it.  Weights
+    accumulate per subset, so coinciding terms (short cycles) merge and
+    exact cancellations drop out of the term map.
     """
-    from .graph import neighborhood
-
     d = g.degree
     if d is None:
         raise ValueError("graph is not regular")
     terms = _clause_terms(d)
     weights = {}
-    for v in range(g.n):
-        bits = [1 << u for u in neighborhood(g, v)]
+    for v, row in enumerate(g.neighbours.tolist()):
+        bits = [1 << v, *(1 << u for u in row)]
         for positions, w in terms:
             m = 0
             for j in positions:

@@ -97,10 +97,11 @@ def compass_search(objective, starts, box, steps):
     """Maximize `objective` by compass search from every row of `starts` at once.
 
     Each step evaluates every active start x together with x +- s*steps[j]
-    along each axis j, clamped to `box`: 2D+1 points per start, passed as
-    one packed point whose coordinates have shape (active starts, 2D+1).
-    x moves to the best of them, staying put on ties, and s (initially 1/2)
-    halves whenever x stays.  A step of 0 holds its axis fixed.  Every
+    along each axis j whose step is nonzero, clamped to `box`: 2J+1 points
+    per start for J such axes, passed as one packed point whose coordinates
+    have shape (active starts, 2J+1).  x moves to the best of them, staying
+    put on ties, and s (initially 1/2) halves whenever x stays.  A step of
+    0 holds its axis fixed and adds no point.  Every
     start takes at least one step and stops once s*max(steps) < TOL; one
     still moving after MAX_ITERS steps is not converged.  No result is
     worse than its start.  Returns per-start arrays (argmax of shape (k, D),
@@ -110,8 +111,8 @@ def compass_search(objective, starts, box, steps):
     x = np.atleast_2d(np.array(starts, dtype=float))
     if x.shape[1] != len(lo) or np.any((x < lo) | (x > hi)):
         raise ValueError(f"starts {x.tolist()} leave the search box {box}")
-    moves = np.eye(len(lo)) * steps
-    stencil = np.vstack([np.zeros(len(lo)), moves, -moves])  # (2D+1, D)
+    moves = (np.eye(len(lo)) * steps)[np.flatnonzero(steps)]
+    stencil = np.vstack([np.zeros(len(lo)), moves, -moves])  # (2J+1, D)
     reach = float(max(steps))
     k = len(x)
     value = np.empty(k)

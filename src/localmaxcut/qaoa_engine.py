@@ -296,21 +296,6 @@ def _gather(h: DiagonalHamiltonian, Ks, skip_empty: bool = False) -> _Pairs:
     return pairs
 
 
-def _subsets(K: int, pairs: _Pairs):
-    """The pairs of `pairs`, the gather of K alone, in (|L|, L) order, as
-    (L as a vertex mask, the masks of K's cone in term order, O(L), the
-    pair's slice of pairs.codes, the pair's index)."""
-    cone = [pairs.terms[r][0] for r in pairs.cones[0].tolist()]
-    vertices = vertices_of(K)
-    end = 0
-    for pair, (subset, within, count) in enumerate(zip(
-            pairs.subset.tolist(), pairs.within.tolist(),
-            pairs.count.tolist())):
-        L = sum(1 << v for j, v in enumerate(vertices) if subset >> j & 1)
-        yield L, cone, within, slice(end, end + count), pair
-        end += count
-
-
 def _factors(terms, gamma) -> np.ndarray:
     """(3 U, B): for U (mask, weight) terms, the rows of terms[r] at 3 r,
     3 r + 1 and 3 r + 2: 1.0, cos(2 gamma W_M) and sin(-2 gamma W_M)."""
@@ -438,22 +423,28 @@ def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
                                       pairs.count),
                      pairs.codes, _factors(pairs.terms, gamma))
     nus = _nus([K], beta)
+    cone = [pairs.terms[t][0] for t in pairs.cones[0].tolist()]
+    vertices = vertices_of(K)
     total = np.zeros(1)
     contributions = []
-    for L, cone, _, families, _ in _subsets(K, pairs):
-        odd = L.bit_count() & 1
-        nu = nus[K.bit_count(), L.bit_count()]
+    end = 0
+    for subset, count in zip(pairs.subset.tolist(), pairs.count.tolist()):
+        families = slice(end, end + count)
+        end += count
+        L = [v for j, v in enumerate(vertices) if subset >> j & 1]
+        odd = len(L) & 1
+        nu = nus[len(vertices), len(L)]
         rho = nu * alphas[None, families].sum(axis=1)[0]
         total += rho
         contributions.append({
-            "L": vertices_of(L),
+            "L": L,
             "nu": c(-nu[0] if odd else nu[0], odd),
             "families": [[vertices_of(m) for m, r in zip(cone, row) if r]
                          for row in _bits(pairs.codes[families], len(cone))],
             "alphas": [c(a, odd) for a in alphas[families, 0]],
             "rho": c(rho[0], False),
         })
-    return {"K": vertices_of(K), "total": r(total[0]),
+    return {"K": vertices, "total": r(total[0]),
             "contributions": contributions}
 
 

@@ -24,7 +24,7 @@ from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
                          fourier_encode_clause, girth,
                          local_satisfaction_clause, make_cycle, make_named,
                          make_random_regular, mask_of, monte_carlo,
-                         neighborhood, optimal_preset, phase_table,
+                         optimal_preset, phase_table,
                          qaoa_expectation_sv)
 from localmaxcut.cli import main
 from localmaxcut.qaoa_engine import expectation_terms
@@ -138,7 +138,7 @@ def test_criterion_06_closed_form_fidelity():
     certificates = [(h7, mask_of((2, 3)), zk_edge_d2),
                     (h7, mask_of((2, 4)), zk_pair_d2),
                     (hm, mask_of((0, gm.adjacency[0][0])), zk_edge_d3),
-                    (hm, mask_of(neighborhood(gm, 0)), zk_ball_d3)]
+                    (hm, mask_of((0, *gm.neighbours[0].tolist())), zk_ball_d3)]
     grid = np.meshgrid(gammas, betas, indexing="ij")
     worst_term = max(np.max(np.abs(expectation_terms(h, [K], grid)[0]
                                    - fn(grid)))

@@ -53,6 +53,21 @@ def test_cli_import_leaves_scipy_unloaded():
     assert result.stdout.split() == ["False", "False"]
 
 
+def test_hamiltonian_imports_no_package_module():
+    # the other layers build on hamiltonian, so it imports none of them,
+    # not even inside a function: the clause's support order and the
+    # ball B(v) that fills it live in that one module
+    imports = []
+    for node in ast.walk(ast.parse((PACKAGE / "hamiltonian.py").read_text())):
+        if isinstance(node, ast.Import):
+            imports += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imports.append("." * node.level + (node.module or ""))
+    package = [name for name in imports
+               if name.startswith(".") or name.split(".")[0] == "localmaxcut"]
+    assert not package, f"hamiltonian imports {package}"
+
+
 def test_all_lists_every_public_binding():
     bound = {name for name, value in vars(localmaxcut).items()
              if not name.startswith("_")

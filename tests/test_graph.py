@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from localmaxcut import (girth, load_edge_list, make_cycle, make_named,
-                         make_random_regular, neighborhood, save_edge_list)
+                         make_random_regular, save_edge_list)
 from localmaxcut import graph, hamiltonian
 from localmaxcut.cli import parse_graph_spec
 from localmaxcut.graph import _has_short_cycle, build_graph
@@ -170,14 +170,6 @@ def test_girth_matches_networkx():
             G.add_edge(rng.randrange(new), new)
         g = build_graph(G.number_of_nodes(), list(G.edges()))
         assert girth(g) == nx.girth(G), seed
-
-
-def test_neighborhood():
-    g = make_named("PETERSEN")
-    assert neighborhood(g, 0) == (0, 1, 4, 5)
-    assert neighborhood(make_cycle(5), 0) == (0, 1, 4)
-    with pytest.raises(ValueError):
-        neighborhood(g, 10)
 
 
 def test_random_regular_basic():

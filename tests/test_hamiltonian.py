@@ -146,16 +146,19 @@ def test_build_requires_regular_graph():
 
 
 def test_evaluate_classical_counts_satisfied_vertices():
+    # at d = 2 the clause is symmetric in its three ball positions, so only
+    # the degree-3 graph pins the centre of B(v) at position 0
     from derivations import satisfied
-    g = make_cycle(7)
-    h = build_localmaxcut_hamiltonian(g)
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        bits = rng.integers(0, 2, size=7)
-        cut = np.where(bits == 1, 1, -1)
-        count = sum(satisfied(g, cut, v) for v in range(7))
-        x = mask_of(v for v in range(7) if bits[v])
-        assert evaluate_classical(h, x) == pytest.approx(count, abs=1e-12)
+    for g in (make_cycle(7), make_named("PETERSEN")):
+        h = build_localmaxcut_hamiltonian(g)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            bits = rng.integers(0, 2, size=g.n)
+            cut = np.where(bits == 1, 1, -1)
+            count = sum(satisfied(g, cut, v) for v in range(g.n))
+            x = mask_of(v for v in range(g.n) if bits[v])
+            assert evaluate_classical(h, x) == pytest.approx(count,
+                                                             abs=1e-12)
 
 
 def test_evaluate_classical_refuses_mask_out_of_range():

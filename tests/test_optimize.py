@@ -162,10 +162,18 @@ def test_compass_one_call_per_step_for_all_starts(monkeypatch):
 
 
 def test_compass_zero_step_holds_axis():
-    x, *_ = compass_search(paraboloid, [(0.1, 0.0), (0.9, 1.0)], UNIT_BOX,
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return paraboloid(x)
+
+    x, *_ = compass_search(counting, [(0.1, 0.0), (0.9, 1.0)], UNIT_BOX,
                            (0.0, 0.5))
     assert x[:, 0].tolist() == [0.1, 0.9]
     assert x[:, 1] == pytest.approx((0.7, 0.7), abs=1e-6)
+    # the held axis adds no point: x and x +- s e_1, 3 per live start
+    assert all(pt[0].shape[1] == 3 for pt in calls)
 
 
 def test_compass_restarts_stalled_d2_point():

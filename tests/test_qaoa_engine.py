@@ -25,15 +25,14 @@ from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
                          expectation_full, explain_zk,
                          fourier_encode_clause, girth, make_cycle,
                          make_hamiltonian, make_named, make_random_regular,
-                         mask_of, neighborhood,
-                         qaoa_expectation_sv, vertices_of)
+                         mask_of, qaoa_expectation_sv, vertices_of)
 from localmaxcut import hamiltonian, qaoa_engine
 from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.cli import VERIFY_BLOCK, main
 from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
 from localmaxcut.qaoa_engine import (COSET_CAP, FAMILY_CAP, _alphas, _bits,
-                                     _factors, _families, _gather, _subsets,
+                                     _factors, _families, _gather,
                                      expectation_terms, full_value)
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
@@ -51,7 +50,7 @@ def girth7_certificate(d, kind):
     h = build_localmaxcut_hamiltonian(g)
     if kind == "EDGE":
         return h, mask_of((0, g.adjacency[0][0]))
-    return h, mask_of(neighborhood(g, 0))
+    return h, mask_of((0, *g.neighbours[0].tolist()))
 
 
 def brute_families(masks, K):
@@ -79,11 +78,25 @@ def odd_masks(terms, L):
     return [m for m, _ in odd_intersection_terms(terms, L)]
 
 
+def pair_records(pairs, K):
+    """The pairs of `pairs`, the gather of K alone, in (|L|, L) order, as
+    (L as a vertex mask, the masks of K's cone in term order, O(L), the
+    pair's slice of pairs.codes, the pair's index)."""
+    masks = [pairs.terms[t][0] for t in pairs.cones[0].tolist()]
+    vertices = vertices_of(K)
+    starts = (np.cumsum(pairs.count) - pairs.count).tolist()
+    for pair, (subset, within, start, count) in enumerate(zip(
+            pairs.subset.tolist(), pairs.within.tolist(), starts,
+            pairs.count.tolist())):
+        L = mask_of(v for j, v in enumerate(vertices) if subset >> j & 1)
+        yield L, masks, within, slice(start, start + count), pair
+
+
 def gathered(h, K):
     """(L, masks of K's cone, O(L), families) for each subset L of K in
     (|L|, L) order, read from the engine's gather of K alone."""
     pairs = _gather(h, [K])
-    for L, masks, within, families, _ in _subsets(K, pairs):
+    for L, masks, within, families, _ in pair_records(pairs, K):
         yield L, masks, within, pairs.codes[families]
 
 
@@ -204,7 +217,7 @@ def test_family_products_match_term_loop(monkeypatch):
         for K in Ks:
             pairs = _gather(h, [K])
             factors = _factors(pairs.terms, gamma)
-            for L, masks, within, rows, pair in _subsets(K, pairs):
+            for L, masks, within, rows, pair in pair_records(pairs, K):
                 # the product runs over the cone and reads 1.0 for the
                 # terms outside O(L); the loop runs over O(L) alone
                 codes = pairs.codes[rows]
