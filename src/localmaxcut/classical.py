@@ -89,22 +89,20 @@ def optimal_preset(d: int) -> ClassicalParams:
     return OPTIMAL_PRESETS[d]
 
 
-def _agreeing(adj, x, ell):
-    """Per-vertex count of neighbours whose boolean side equals its own,
-    written into the array ell."""
-    ell[:] = 0
-    for j in range(adj.shape[1]):
-        ell += x[adj[:, j]] == x
-    return ell
-
-
 def monte_carlo(g, params, trials: int, seed: int = 0) -> RunStats:
     """Mean satisfied fraction over independent seeded trials, with stderr.
 
     Trial t draws from Philox keyed `philox_key(seed, t)` at counter 0.
     One generator is re-keyed through its state for each trial, which
     gives the draws a new Philox with that key would without reading OS
-    entropy for a seed sequence that the key overrides."""
+    entropy for a seed sequence that the key overrides.  A trial draws n
+    doubles u in [0, 1) into one buffer for the initial bits (u < p), and
+    n more for the flip coins (u < q_l) only when some q_l lies strictly
+    inside (0, 1): otherwise u < q_l is u < 1, always true, or u < 0,
+    never, and the next trial is re-keyed, so skipping them changes no
+    bit.  A vertex's count of cut edges c is summed over the neighbour
+    columns in the smallest dtype that holds d; it flips with q_(d - c)
+    and is satisfied when c >= d - floor(d/2)."""
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"need 1 <= trials <= {MAX_TRIALS}, got {trials}")
     d = g.degree
@@ -112,21 +110,36 @@ def monte_carlo(g, params, trials: int, seed: int = 0) -> RunStats:
         raise ValueError("graph is not regular")
     _check_params(params, d)
     p, q = params
-    qv = np.asarray(q)
-    adj = g.neighbours
+    flip = np.asarray(q)[::-1]  # by cut count, d - l
+    coins = any(0 < e < 1 for e in q)
+    if not coins:
+        flip = flip == 1
+    columns = np.ascontiguousarray(g.neighbours.T)
     bits = Philox(key=philox_key(seed))
     fresh = bits.state  # counter 0 and an empty buffer
     rng = Generator(bits)
-    ell = np.empty(g.n, dtype=np.min_scalar_type(d))
+    u = np.empty(g.n)
+    cut = np.empty(g.n, dtype=np.min_scalar_type(d))
     fractions = np.empty(trials)
     for t in range(trials):
         fresh["state"]["key"] = philox_key(seed, t)
         bits.state = fresh
-        x0 = rng.random(g.n) < p
-        x1 = x0 ^ (rng.random(g.n) < qv.take(_agreeing(adj, x0, ell)))
-        fractions[t] = np.count_nonzero(_agreeing(adj, x1, ell) <= d // 2) / g.n
+        x = rng.random(out=u) < p
+        moves = flip.take(_cut(columns, x, cut))
+        if coins:
+            moves = rng.random(out=u) < moves
+        x ^= moves
+        fractions[t] = np.count_nonzero(_cut(columns, x, cut) >= d - d // 2) / g.n
     stderr = float(np.std(fractions, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return RunStats(trials=trials, mean=float(np.mean(fractions)), stderr=stderr)
+
+
+def _cut(columns, x, cut):
+    """Per-vertex count of cut edges under the boolean sides x, written
+    into the array cut: x at the (d, n) neighbour columns XOR x, summed
+    over the columns."""
+    x = x.view(np.uint8)
+    return np.add.reduce(x.take(columns) ^ x, axis=0, dtype=cut.dtype, out=cut)
 
 
 def exact_prob(d: int, params):

@@ -169,10 +169,14 @@ def make_random_regular(n: int, d: int, min_girth: int = 3,
                         seed: int = 0) -> Graph:
     """Random d-regular graph with girth >= min_girth via the pairing model.
 
-    Each attempt shuffles the n*d stub list, pairs consecutive stubs, and
-    rejects on self-loops, parallel edges, or short cycles, MAX_ATTEMPTS
-    times at most.  Deterministic for a fixed (n, d, min_girth, seed).  An
-    n below the Moore bound is refused before any sampling.
+    Each attempt shuffles the n*d stub list and pairs consecutive stubs,
+    MAX_ATTEMPTS times at most.  It is rejected, tested in this order, on
+    a self-loop, on a parallel edge (a repeat in a vertex's sorted row of
+    partners) or on a cycle shorter than min_girth (`_has_short_cycle`).
+    Every attempt takes one shuffle, whatever rejects it, so the order of
+    the tests does not change which pairing is accepted.  Deterministic
+    for a fixed (n, d, min_girth, seed).  An n below the Moore bound is
+    refused before any sampling.
     """
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
@@ -193,13 +197,13 @@ def make_random_regular(n: int, d: int, min_girth: int = 3,
         u, v = pairs[:, 0], pairs[:, 1]
         if (u == v).any():  # a self-loop
             continue
-        # stable sorts page in less of numpy than its default SIMD sort
-        codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v), kind="stable")
-        if (codes[1:] == codes[:-1]).any():  # a parallel edge
-            continue
         place[slots] = np.arange(n * d)
         nbr = (slots[place ^ 1] // d).reshape(n, d)  # row v: v's partners
-        if not _has_short_cycle(nbr, min_girth):
+        # stable sorts page in less of numpy than its default SIMD sort
+        rows = np.sort(nbr, axis=1, kind="stable")
+        if (rows[:, 1:] == rows[:, :-1]).any():  # a parallel edge
+            continue
+        if not _has_short_cycle(rows, min_girth):
             return build_graph(n, pairs)
     raise RuntimeError(
         f"no girth-{min_girth} {d}-regular graph on {n} vertices found "
@@ -216,10 +220,13 @@ def _has_short_cycle(nbr, min_girth: int) -> bool:
     its far side.  So the walks of at most r = (min_girth-1)//2 steps from
     every root end on distinct vertices exactly when no cycle is shorter
     than 2r+1.  For even min_girth, a cycle of length 2r+1 shows as a walk
-    of r+1 steps ending where a shorter one does.  Roots go in chunks whose
-    walks hold about `hamiltonian.BLOCK` vertices, or one root's if more,
-    and the search stops at the first chunk with a short cycle: small
-    chunks stop sooner and keep peak memory low.
+    of r+1 steps ending where a shorter one does.  Roots go in chunks of
+    64, 128, 256, ... roots, doubling up to those whose walks hold about
+    `hamiltonian.BLOCK` vertices (or one root's, if more), and the search
+    stops at the first chunk with a short cycle.  A pairing's short cycles
+    fall on random roots, so small first chunks stop the search near the
+    first one instead of after a whole capped chunk, and the cap keeps
+    peak memory low.
     """
     if min_girth <= 3:  # a simple graph has no shorter cycle
         return False
@@ -227,9 +234,11 @@ def _has_short_cycle(nbr, min_girth: int) -> bool:
     r = (min_girth - 1) // 2
     even = min_girth % 2 == 0
     width = 1 + sum(d * (d - 1) ** k for k in range(r + even))
-    chunk = max(1, hamiltonian.BLOCK // width)
-    for start in range(0, n, chunk):
+    cap = max(1, hamiltonian.BLOCK // width)
+    start, chunk = 0, min(64, cap)
+    while start < n:
         roots = np.arange(start, min(start + chunk, n))
+        start, chunk = start + chunk, min(2 * chunk, cap)
         rows = len(roots)
         prev, ends = np.full((rows, 1), -1), roots[:, None]
         tagged = [2 * ends]  # 2v + 1 marks an end after r+1 steps

@@ -38,9 +38,17 @@ the pairs of many K as arrays, sums them in groups of equal family count,
 and must give the same bits.
 
 Monte Carlo.  `one_round` is one trial of the classical algorithm on the
-generator `trial_rng(seed, t)` builds, a new Philox keyed (seed, t);
-`classical.monte_carlo` re-keys one generator per trial and must give
-the same draws and counts.
+generator `trial_rng(seed, t)` builds, a new Philox keyed (seed, t),
+drawing the flip coins whatever q is; `classical.monte_carlo` re-keys
+one generator per trial, skips coins it cannot read, and must give the
+same counts.
+
+Random regular graphs.  `random_regular_loops` is the pairing model's
+rejection loop as first written: a self-loop test, a stable sort of all
+the edge codes for parallel edges, and `short_cycle_fixed_chunks`, the
+short-cycle search over chunks of roots of one size.
+`graph.make_random_regular` tests parallel edges on its partner rows and
+searches roots in growing chunks, and must accept the same pairing.
 
 Statevector.  `butterfly_walsh`, `loop_mixer` and `exp_phase` are the
 plain loops over the whole array: one butterfly or one 7-operation mixer
@@ -58,6 +66,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox
 
+from localmaxcut import graph, hamiltonian
 from localmaxcut.classical import ClassicalParams, _check_params
 from localmaxcut.qaoa_engine import _families
 from localmaxcut.statevector import apply_mixer, apply_phase, phase_table
@@ -489,6 +498,66 @@ def one_round(adj, params, rng):
     x0 = rng.random(n) < p
     x1 = x0 ^ (rng.random(n) < qv[agreeing(x0)])
     return x0, x1, np.count_nonzero(agreeing(x1) <= d // 2)
+
+
+def random_regular_loops(n: int, d: int, min_girth: int, seed: int):
+    """The pairing the random regular generator accepts for a valid spec,
+    as (pairs, rejected): the (n*d/2, 2) array of accepted vertex pairs,
+    or None after `graph.MAX_ATTEMPTS`, and the count of pairings rejected
+    for a self-loop, a parallel edge and a short cycle, in that order.
+    Each attempt shuffles the stub list once, whatever rejects it."""
+    rng = Generator(Philox(key=graph.philox_key(seed)))
+    slots = np.arange(n * d)  # stub s belongs to vertex s // d
+    place = np.empty_like(slots)
+    rejected = [0, 0, 0]
+    for _ in range(graph.MAX_ATTEMPTS):
+        rng.shuffle(slots)
+        pairs = slots.reshape(-1, 2) // d
+        u, v = pairs[:, 0], pairs[:, 1]
+        if (u == v).any():
+            rejected[0] += 1
+            continue
+        codes = np.sort(np.minimum(u, v) * n + np.maximum(u, v), kind="stable")
+        if (codes[1:] == codes[:-1]).any():
+            rejected[1] += 1
+            continue
+        place[slots] = np.arange(n * d)
+        nbr = (slots[place ^ 1] // d).reshape(n, d)  # row v: v's partners
+        if short_cycle_fixed_chunks(nbr, min_girth):
+            rejected[2] += 1
+            continue
+        return pairs, tuple(rejected)
+    return None, tuple(rejected)
+
+
+def short_cycle_fixed_chunks(nbr, min_girth: int) -> bool:
+    """Whether the simple graph with (n, d) neighbour array nbr has a cycle
+    shorter than min_girth: the walks of at most r = (min_girth-1)//2
+    steps from each root, plus one more step for even min_girth, in chunks
+    of max(1, BLOCK // walk width) roots, and the first chunk in which a
+    vertex is reached twice, once within r steps, ends the search."""
+    if min_girth <= 3:
+        return False
+    n, d = nbr.shape
+    r = (min_girth - 1) // 2
+    even = min_girth % 2 == 0
+    width = 1 + sum(d * (d - 1) ** k for k in range(r + even))
+    chunk = max(1, hamiltonian.BLOCK // width)
+    for start in range(0, n, chunk):
+        roots = np.arange(start, min(start + chunk, n))
+        rows = len(roots)
+        prev, ends = np.full((rows, 1), -1), roots[:, None]
+        tagged = [2 * ends]  # 2v + 1 marks an end after r+1 steps
+        for k in range(r + even):
+            step = nbr[ends]
+            keep = step != prev[..., None]
+            prev = np.broadcast_to(ends[..., None], step.shape)[keep].reshape(rows, -1)
+            ends = step[keep].reshape(rows, -1)
+            tagged.append(2 * ends + (k == r))
+        seen = np.sort(np.concatenate(tagged, axis=1), axis=1, kind="stable")
+        if np.any((seen[:, 1:] >> 1 == seen[:, :-1] >> 1) & (seen[:, :-1] & 1 == 0)):
+            return True
+    return False
 
 
 def butterfly_walsh(values) -> np.ndarray:

@@ -16,8 +16,9 @@ from derivations import (_conditional_prob, _fab, exact_prob_loops,
 from localmaxcut import (ClassicalParams, exact_prob, load_edge_list,
                          make_cycle, make_random_regular, monte_carlo,
                          optimal_preset)
-from localmaxcut import cli, hamiltonian
-from localmaxcut.classical import EXACT_MAX_DEGREE
+from localmaxcut import classical, cli, hamiltonian
+from localmaxcut.classical import EXACT_MAX_DEGREE, RunStats
+from localmaxcut.graph import build_graph
 
 probs = st.floats(min_value=0.0, max_value=1.0)
 
@@ -378,6 +379,62 @@ def test_monte_carlo_stats():
         assert again == stats
     with pytest.raises(ValueError):
         monte_carlo(g, optimal_preset(d), trials=0)
+
+
+def one_round_stats(g, params, trials, seed):
+    """`monte_carlo`'s RunStats from `one_round` on a new generator per
+    trial, which draws the flip coins whatever q is."""
+    per_trial = np.array(
+        [one_round(g.neighbours, params, trial_rng(seed, t))[2] / g.n
+         for t in range(trials)])
+    return RunStats(trials=trials, mean=float(np.mean(per_trial)),
+                    stderr=float(np.std(per_trial, ddof=1) / np.sqrt(trials)))
+
+
+# one graph per degree 1..4, and flip vectors with every q in {0, 1}
+# (the threshold rule: no coins drawn) or with fractional entries
+MC_GRAPHS = {
+    1: lambda: build_graph(30, [(v, v + 1) for v in range(0, 30, 2)]),
+    2: lambda: make_cycle(31),
+    3: lambda: make_random_regular(30, 3, min_girth=4, seed=1),
+    4: lambda: make_random_regular(25, 4, seed=3),
+}
+
+
+@pytest.mark.parametrize("d", sorted(MC_GRAPHS))
+@pytest.mark.parametrize("p", [0.0, 1.0, 0.3])
+@pytest.mark.parametrize("coins", [False, True])
+def test_monte_carlo_has_the_bits_of_one_round(d, p, coins):
+    # skipping coins that u < 0 or u < 1 would decide, counting cut edges
+    # for agreeing ones, and reading q reversed by that count keep every
+    # count, so RunStats keeps its bits
+    q = hrss_preset(d).q
+    if coins:
+        q = tuple((0.0, 0.7, 1.0, 0.25)[l % 4] for l in range(d + 1))
+    params = ClassicalParams(p=p, q=q)
+    g = MC_GRAPHS[d]()
+    assert (monte_carlo(g, params, trials=25, seed=d)
+            == one_round_stats(g, params, 25, d))
+
+
+def test_monte_carlo_draws_coins_only_when_a_flip_is_fractional(monkeypatch):
+    draws = []
+    generator = classical.Generator
+
+    class Counted:
+        def __init__(self, bits):
+            self.rng = generator(bits)
+
+        def random(self, *args, **kwargs):
+            draws.append(1)
+            return self.rng.random(*args, **kwargs)
+
+    monkeypatch.setattr(classical, "Generator", Counted)
+    g = make_cycle(20)
+    for q, per_trial in (((0.0, 1.0, 1.0), 1), ((0.0, 0.0, 0.8), 2)):
+        draws.clear()
+        monte_carlo(g, ClassicalParams(p=0.5, q=q), trials=5)
+        assert len(draws) == 5 * per_trial
 
 
 def test_monte_carlo_builds_no_adjacency_tuples(monkeypatch):

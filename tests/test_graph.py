@@ -9,6 +9,7 @@ import pytest
 
 from localmaxcut import (girth, load_edge_list, make_cycle, make_named,
                          make_random_regular, save_edge_list)
+from derivations import random_regular_loops
 from localmaxcut import graph, hamiltonian
 from localmaxcut.cli import parse_graph_spec
 from localmaxcut.graph import _has_short_cycle, build_graph
@@ -261,6 +262,59 @@ def test_short_cycle_search_matches_girth(monkeypatch):
             monkeypatch.setattr(hamiltonian, "BLOCK", budget)
             for min_girth in range(3, 8):
                 assert _has_short_cycle(nbr, min_girth) == (shortest < min_girth)
+
+
+# (n, d, min_girth, seed): degrees 2..5 and girths 3..6 from the Moore
+# bound up to n = 2000, accepted and exhausted; the classical Monte Carlo
+# benchmark's girth-5 panel and six of its verify_cold graphs
+GENERATOR_SPECS = [
+    (3, 2, 3, 0), (7, 2, 5, 7), (12, 2, 6, 7), (2000, 2, 4, 7), (2000, 2, 6, 0),
+    (4, 3, 3, 7), (6, 3, 4, 7), (10, 3, 5, 7), (14, 3, 6, 7), (60, 3, 6, 0),
+    (200, 3, 4, 7), (500, 3, 6, 2), (2000, 3, 3, 7),
+    (1000, 3, 5, 1), (1500, 3, 5, 2), (2000, 3, 5, 3),
+    (10, 3, 3, 365194888), (10, 3, 4, 190322391), (12, 3, 3, 1813093863),
+    (12, 3, 4, 1961820489), (14, 3, 3, 889309816), (14, 3, 4, 981990933),
+    (5, 4, 3, 7), (200, 4, 4, 7), (17, 4, 5, 7), (26, 4, 6, 7), (2000, 4, 3, 7),
+    (6, 5, 3, 7), (60, 5, 3, 2), (10, 5, 4, 7), (26, 5, 5, 7), (42, 5, 6, 7),
+]
+
+
+def test_random_regular_accepts_the_pairing_of_the_first_loop():
+    # the row test for parallel edges and the growing root chunks reject
+    # the same pairings as the sorted edge codes and fixed chunks, and each
+    # attempt still takes one shuffle, so the same pairing is accepted, or
+    # none; over the list every rejection branch is taken
+    rejected = np.zeros(3, dtype=int)
+    for n, d, min_girth, seed in GENERATOR_SPECS:
+        pairs, counts = random_regular_loops(n, d, min_girth, seed)
+        rejected += counts
+        if pairs is None:
+            with pytest.raises(RuntimeError, match="attempts"):
+                make_random_regular(n, d, min_girth=min_girth, seed=seed)
+        else:
+            g = make_random_regular(n, d, min_girth=min_girth, seed=seed)
+            assert g.edges == build_graph(n, pairs).edges
+    assert rejected.all()
+
+
+def test_short_cycle_search_reaches_every_root_chunk():
+    # at the default budget girth-4 walks on a cubic graph take 1,638
+    # roots a chunk, after chunks of 64, 128, ..., 1,024 roots, so 4,000
+    # roots span seven chunks, from roots 0, 64, 192, 448, 960, 1984 and
+    # 3622.  The one triangle is seen only from its own vertices: numbered
+    # from each chunk's first root on, through root 0 and as the highest
+    # three, it is found
+    g = make_random_regular(4000, 3, min_girth=3, seed=3)
+    nbr = g.neighbours
+    triangles = [(u, v, int(w)) for u, v in g.edges for w in nbr[u]
+                 if v < w and w in nbr[v]]
+    assert len(triangles) == 1
+    rest = [v for v in range(g.n) if v not in triangles[0]]
+    label = np.empty(g.n, dtype=int)
+    for first in (0, 64, 192, 448, 960, 1984, 3622, g.n - 3):
+        label[rest[:first] + [*triangles[0]] + rest[first:]] = np.arange(g.n)
+        h = build_graph(g.n, label[np.array(g.edges)])
+        assert girth(h) == 3 and _has_short_cycle(h.neighbours, 4), first
 
 
 def test_random_regular_huge_girth_bounded_memory(monkeypatch):

@@ -389,7 +389,8 @@ def test_route_without_terms_takes_no_transform(monkeypatch):
     F, Z = qaoa_values_sv(table, (), *angles)
     assert calls == [] and F.shape == (20,) and Z.shape == (0, 20)
     qaoa_values_sv(table, [0b11], *angles)  # one transform per batch
-    assert calls == [(2 ** 10, 16), (2 ** 10, 4)]
+    # PETERSEN's diagonal reads the same backwards: half-length rows
+    assert calls == [(2 ** 9, 16), (2 ** 9, 4)]
 
 
 def test_route_simulates_half_a_mirrored_state(monkeypatch):
@@ -451,3 +452,28 @@ def test_half_state_route_is_the_full_state_gates():
                 F1, Z1 = full_state_values(table, Ks, gammas, betas)
                 assert np.array_equal(bits(F), bits(F1))
                 assert np.array_equal(bits(Z), bits(Z1))
+
+
+def test_half_state_readout_is_the_full_length_transform():
+    # a mirrored state's Walsh transform is twice the half rows' transform
+    # at K & (2^(n-1) - 1) for even |K| and +0.0 for odd |K|, bit for bit,
+    # since the top qubit's butterfly pairs each value with itself or its
+    # negation.  Every K at 4 and 10 qubits, and some at 13 and 14, with
+    # one pair and three
+    rng = np.random.default_rng(14)
+    for g in (make_named("K4"), make_named("PETERSEN"), make_cycle(13),
+              make_named("HEAWOOD")):
+        n = g.n
+        table = phase_table(evaluate_all(build_localmaxcut_hamiltonian(g)))
+        Ks = (range(2 ** n) if n <= 10 else
+              [0, 1, 3, 2 ** n - 1, 2 ** n - 2, *rng.integers(0, 2 ** n, 60)])
+        for pairs in (1, 3):
+            gammas, betas = rng.uniform((-4.0, -4.0), (4.0, 4.0),
+                                        size=(pairs, 2)).T
+            F, Z = qaoa_values_sv(table, Ks, gammas, betas)
+            F1, Z1 = full_state_values(table, Ks, gammas, betas)
+            assert np.array_equal(bits(F), bits(F1))
+            assert np.array_equal(bits(Z), bits(Z1))
+            odd = [i for i, K in enumerate(Ks) if int(K).bit_count() % 2]
+            assert np.array_equal(bits(Z[odd]),
+                                  bits(np.zeros((len(odd), pairs))))
