@@ -351,9 +351,8 @@ def cmd_qaoa_explain(args) -> int:
     h = build_localmaxcut_hamiltonian(g)
     breakdown = explain_zk(h, mask_of(subset), (args.gamma, args.beta))
     value = breakdown["total"]
-    contributing = sum(1 for c in breakdown["contributions"] if c["families"])
     lines = [f"<Z_{{{','.join(map(str, subset))}}}> = {value:.12f} "
-             f"({contributing} contributing subsets L)"]
+             f"({len(breakdown['contributions'])} contributing subsets L)"]
     _emit(args, {"value": value, "breakdown": breakdown}, lines, subset=subset)
     return 0
 
@@ -361,7 +360,8 @@ def cmd_qaoa_explain(args) -> int:
 def _parents():
     """The shared flags as parent parsers: --out for every command, --json
     and --no-timestamp for the report commands, --seed for the commands
-    that draw random numbers."""
+    that draw random numbers, --graph for the commands that read a graph,
+    and --p/--q for the classical commands that take parameters."""
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", metavar="PATH", default=None,
                      help="write the CSV/JSON artifact here")
@@ -373,7 +373,14 @@ def _parents():
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=0,
                         help="RNG seed; defaults to 0 and is echoed back")
-    return [out], [out, report], [out, report, seeded]
+    graph = argparse.ArgumentParser(add_help=False)
+    graph.add_argument("--graph", required=True,
+                       help="graph spec: cycle:<n>, named:<name>, "
+                            "random:<n>,<d>,<girth>,<seed> or file:<path>")
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument("--p", type=float, default=None)
+    params.add_argument("--q", default=None, help="comma-separated q_0..q_d")
+    return [out], [out, report], [out, report, seeded], graph, params
 
 
 @functools.cache  # argparse measures the terminal on every add_argument
@@ -381,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localmaxcut",
         description="One-round quantum vs classical comparison on LocalMaxCut.")
-    table, report, seeded = _parents()
+    table, report, seeded, graph, params = _parents()
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reproduce", parents=report,
@@ -398,26 +405,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resolution", type=int, default=64)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("verify", parents=seeded,
+    p = sub.add_parser("verify", parents=[*seeded, graph],
                        help="engine vs statevector cross-check")
-    p.add_argument("--graph", required=True)
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--tol", type=float, default=VERIFY_TOL)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classical", help="one-round classical algorithm")
     csub = p.add_subparsers(dest="subcommand", required=True)
-    run = csub.add_parser("run", parents=seeded, help="seeded Monte Carlo")
-    run.add_argument("--graph", required=True)
+    run = csub.add_parser("run", parents=[*seeded, graph, params],
+                          help="seeded Monte Carlo")
     run.add_argument("--trials", type=int, default=200)
-    run.add_argument("--p", type=float, default=None)
-    run.add_argument("--q", default=None, help="comma-separated q_0..q_d")
     run.set_defaults(func=cmd_classical_run)
-    exact = csub.add_parser("exact", parents=report,
+    exact = csub.add_parser("exact", parents=[*report, params],
                             help="tree-exact probability at (p, q)")
     exact.add_argument("--degree", type=int, required=True)
-    exact.add_argument("--p", type=float, default=None)
-    exact.add_argument("--q", default=None, help="comma-separated q_0..q_d")
     exact.set_defaults(func=cmd_classical_exact)
     curve = csub.add_parser("curve", parents=table,
                             help="CSV over p of the probability at the best q")
@@ -428,23 +430,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph", help="graph utilities")
     gsub = p.add_subparsers(dest="subcommand", required=True)
-    gen = gsub.add_parser("gen", parents=table,
+    gen = gsub.add_parser("gen", parents=[*table, graph],
                           help="emit a graph spec as an edge list")
-    gen.add_argument("--graph", required=True)
     gen.set_defaults(func=cmd_graph_gen)
 
     p = sub.add_parser("ham", help="Hamiltonian utilities")
     hsub = p.add_subparsers(dest="subcommand", required=True)
-    dump = hsub.add_parser("dump", parents=report,
+    dump = hsub.add_parser("dump", parents=[*report, graph],
                            help="JSON dump of the LocalMaxCut Hamiltonian")
-    dump.add_argument("--graph", required=True)
     dump.set_defaults(func=cmd_ham_dump)
 
     p = sub.add_parser("qaoa", help="expectation engine utilities")
     qsub = p.add_subparsers(dest="subcommand", required=True)
-    explain = qsub.add_parser("explain", parents=report,
+    explain = qsub.add_parser("explain", parents=[*report, graph],
                               help="family breakdown of one <Z_K>")
-    explain.add_argument("--graph", required=True)
     explain.add_argument("--subset", required=True,
                          help="comma-separated vertex list K")
     explain.add_argument("--gamma", type=float, required=True)

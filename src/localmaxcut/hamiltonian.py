@@ -197,10 +197,14 @@ def local_satisfaction_clause(d: int) -> Clause:
 
     Variables are (x_v, x_1, ..., x_d) on support 0..d; the clause is 1
     exactly when at least ceil(d/2) neighbors disagree with x_v, i.e. at
-    most floor(d/2) agree.
+    most floor(d/2) agree.  Its d + 1 variables are checked against
+    MAX_CLAUSE_VARS before the 2^(d+1) entries are listed.
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
+    if d + 1 > MAX_CLAUSE_VARS:
+        raise ValueError(f"clause on {d + 1} variables exceeds cap "
+                         f"{MAX_CLAUSE_VARS}")
     table = []
     for t in range(2 ** (d + 1)):
         center = t & 1

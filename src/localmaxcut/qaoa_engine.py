@@ -39,7 +39,8 @@ is solved once, within the call, and O_K(L) is the part of that coset
 within O(L).  The cone is capped at FAMILY_CAP = 25 terms (locally
 tree-like instances of degree <= 3 stay under 20), and its coset at
 COSET_CAP = 2^18 families (1 MiB of integers), which is refused before
-it is listed.  The engine keeps no state between calls.
+it is listed; so are the 2^|K| subsets of a K with families, past
+COSET_CAP, that is |K| > 18.  The engine keeps no state between calls.
 
 `expectation_terms(h, Ks, angles)` gives every <Z_K> of a list in one
 pass, and the other routes call it.  Evaluation is numpy arithmetic, so
@@ -51,12 +52,15 @@ per call, or per size of K:
 - gather: the terms are listed by vertex, over the vertices of the Ks
   alone, so K's cone, and each cone term restricted to K's vertices as
   a |K|-bit pattern, cost the cone times |K|: no array holds a vertex
-  mask and nothing depends on n.  The subsets L of the Ks of one size
-  come from one pattern table in (|L|, L) order, and O(L) is the cone
-  terms whose pattern shares an odd number of bits with L's.  The
-  cosets of those Ks are concatenated, and a broadcast over (rank of L,
-  coset entry), taken in blocks of ranks, keeps the families within
-  O(L): each pair's families come out contiguous and in coset order;
+  mask and nothing depends on n.  A K whose coset is empty lists no
+  subset.  The subsets L of the other Ks of one size come from one
+  pattern table in (|L|, L) order, and O(L) is the cone terms whose
+  pattern shares an odd number of bits with L's.  The cosets of those
+  Ks are concatenated, and a broadcast over (rank of L, coset entry),
+  taken in blocks of ranks, keeps the families within O(L): each
+  pair's families come out contiguous and in coset order, and only the
+  (K, L) pairs with at least one family are listed, since an L with
+  none adds nothing to <Z_K>;
 - product: 1.0, cos(2 gamma W_M) and sin(-2 gamma W_M) are computed
   once per term in some cone, as three rows of one real table.  Each
   alpha'_F is one real product reduction over the cone, which reads 1.0
@@ -195,12 +199,13 @@ class _Pairs(NamedTuple):
 
 
 def _size_pairs(k: int, members, patterns, sizes, cosets):
-    """The pairs of the Ks `members`, all of k vertices, in (rank, K)
-    order: their K, L, O(L), family count and families, as for _Pairs.
-    `patterns` is each cone term restricted to its K's vertices and
-    `sizes` each K's cone size, both over the (Ks, S) cones."""
+    """The pairs with families of the Ks `members`, all of k vertices, in
+    (rank, K) order: their K, L, O(L), family count and families, as for
+    _Pairs.  `patterns` is each cone term restricted to its K's vertices
+    and `sizes` each K's cone size, both over the (Ks, S) cones."""
     width = patterns.shape[1]
-    subsets = np.array(sorted(range(2 ** k), key=lambda L: (L.bit_count(), L)))
+    subsets = np.arange(2 ** k)
+    subsets = subsets[np.argsort(np.bitwise_count(subsets), kind="stable")]
     powers = 1 << np.arange(width - 1, -1, -1, dtype=np.int32)
     lengths = [len(c) for c in cosets]
     starts = np.cumsum(lengths) - lengths
@@ -219,16 +224,18 @@ def _size_pairs(k: int, members, patterns, sizes, cosets):
         found.append(np.flatnonzero(outside == 0) + start * entries)
     ranks, entry = np.divmod(np.concatenate(found), entries)
     ks = np.searchsorted(starts, entry, side="right") - 1
-    count = np.bincount(ranks * len(members) + ks,
-                        minlength=len(subsets) * len(members))
-    return (np.tile(members, len(subsets)), np.repeat(subsets, len(members)),
-            np.concatenate(within), count, coset[entry] << shift[ks])
+    live, count = np.unique(ranks * len(members) + ks, return_counts=True)
+    rank, which = np.divmod(live, len(members))
+    return (np.asarray(members)[which], subsets[rank],
+            np.concatenate(within)[live], count, coset[entry] << shift[ks])
 
 
-def _gather(h: DiagonalHamiltonian, Ks, skip_empty: bool = False) -> _Pairs:
-    """Every (K, L) pair's O(L) and families, for the Ks in the order given;
-    with skip_empty, only those of the Ks whose coset is not empty, so a K
-    with no family costs its cone and not its 2^|K| subsets.
+def _gather(h: DiagonalHamiltonian, Ks) -> _Pairs:
+    """The O(L) and families of every (K, L) pair that has a family, for
+    the Ks in the order given.  A K whose coset is empty lists no subset,
+    so it costs its cone and not its 2^|K| subsets; a K whose coset is
+    not empty and whose 2^|K| subsets exceed COSET_CAP is refused before
+    they are listed.
 
     The terms are listed by vertex, over the vertices of the Ks alone, so
     K's cone and each cone term's restriction to K's vertices, as a
@@ -267,6 +274,10 @@ def _gather(h: DiagonalHamiltonian, Ks, skip_empty: bool = False) -> _Pairs:
         except ValueError as e:
             raise ValueError(
                 f"light cone: {e} at K = {vertices_of(K)}") from None
+        if len(cosets[-1]) and 2 ** K.bit_count() > COSET_CAP:
+            raise ValueError(f"{2 ** K.bit_count()} subsets L of |K| = "
+                             f"{K.bit_count()} vertices exceed the coset cap "
+                             f"{COSET_CAP}")
         cones.append(cone)
         patterns.append([pattern[r] for r in cone])
     sizes = np.array([len(c) for c in cones], dtype=np.int32)
@@ -284,7 +295,7 @@ def _gather(h: DiagonalHamiltonian, Ks, skip_empty: bool = False) -> _Pairs:
               np.zeros(0, dtype=np.int32))]
     for k in sorted(set(k_bits)):
         members = [i for i, b in enumerate(k_bits)
-                   if b == k and (len(cosets[i]) or not skip_empty)]
+                   if b == k and len(cosets[i])]
         if not members:
             continue
         parts.append(_size_pairs(k, members, cone_patterns[members],
@@ -359,8 +370,8 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
 
     gamma and beta may be floats or arrays of one shape; the result has
     shape (len(Ks),) + that shape.  A pair with no family adds nothing,
-    so only the pairs with families are multiplied out and folded, and a
-    K whose coset is empty lists no pairs at all: its value is 0.0.
+    and the gather lists none, so a K whose coset is empty has the value
+    0.0.
 
     The last bits depend on B, the number of angle pairs: numpy sums a
     pair's alpha'_F over (pairs, families, B) pairwise when B = 1 and in
@@ -368,23 +379,22 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
     """
     Ks = list(Ks)
     gamma, beta, shape = _angles(h, angles)
-    pairs = _gather(h, Ks, skip_empty=True)
+    pairs = _gather(h, Ks)
     factors = _factors(pairs.terms, gamma)
     count = len(gamma)
     size = pairs.cones.shape[1]
     nus = _nus(Ks, beta)
     k_bits = np.array([K.bit_count() for K in Ks], dtype=np.intp)
     first = np.cumsum(pairs.count) - pairs.count
-    live = np.flatnonzero(pairs.count)
     totals = np.zeros((len(Ks), count))
-    # the pairs with families, a block of BLOCK sums at a time and
-    # in order, so each K's total is summed in (|L|, L) order; a pair's
-    # families are contiguous, so the pairs of one family count give a
-    # compact array, taken in chunks of pairs whose (families, S) rows
-    # and (families, B) alpha_F fit BLOCK elements, or of one pair
+    # the pairs, a block of BLOCK sums at a time and in order, so each
+    # K's total is summed in (|L|, L) order; a pair's families are
+    # contiguous, so the pairs of one family count give a compact array,
+    # taken in chunks of pairs whose (families, S) rows and (families, B)
+    # alpha_F fit BLOCK elements, or of one pair
     span = max(1, hamiltonian.BLOCK // max(1, count))
-    for low in range(0, len(live), span):
-        part = live[low:low + span]
+    for low in range(0, len(pairs.count), span):
+        part = np.arange(low, min(low + span, len(pairs.count)))
         families = pairs.count[part]
         sums = np.empty((len(part), count))
         for group in sorted(set(families.tolist())):
@@ -403,11 +413,11 @@ def expectation_terms(h: DiagonalHamiltonian, Ks, angles) -> np.ndarray:
 
 
 def explain_zk(h: DiagonalHamiltonian, K: int, angles) -> dict:
-    """The per-L record behind <gamma,beta| Z_K |gamma,beta> at one angle
-    pair, given as floats or one-element arrays, as plain data: subsets as
-    vertex lists, complex numbers as [re, im]: nu and alpha_F, from nu' and
-    alpha'_F, are imaginary when |L| is odd, and rho is real.  An L with no
-    family keeps its record, with rho = nu * 0.  An exact zero is written
+    """The record of each contributing L, one with a family, behind
+    <gamma,beta| Z_K |gamma,beta> at one angle pair, given as floats or
+    one-element arrays, as plain data: subsets as vertex lists, complex
+    numbers as [re, im]: nu and alpha_F, from nu' and alpha'_F, are
+    imaginary when |L| is odd, and rho is real.  An exact zero is written
     0.0, never -0.0, so the record does not rest on how it was reached."""
     def r(x):
         return float(x) + 0.0  # -0.0 + 0.0 is 0.0; no other value moves

@@ -597,15 +597,15 @@ def test_qaoa_explain(capsys):
     assert doc["value"] == pytest.approx(zk_edge_d2((0.37, 0.21)), abs=1e-12)
     assert doc["breakdown"]["K"] == [0, 1]
     assert doc["config"]["subset"] == [0, 1]
-    assert len(doc["breakdown"]["contributions"]) == 4
+    assert len(doc["breakdown"]["contributions"]) == 3
 
 
 @pytest.mark.parametrize("graph,subset,families",
-                         [("cycle:7", "0,1", [0, 1, 1, 2]),
-                          ("cycle:5", "0", [0, 0])])
+                         [("cycle:7", "0,1", [1, 1, 2]),
+                          ("cycle:5", "0", [])])
 def test_qaoa_explain_counts_contributing_subsets(capsys, graph, subset,
                                                   families):
-    # every L keeps its record, but only those with a family contribute
+    # only the Ls with a family contribute, and only they have a record
     # (the count used to be every L: 4 and 2)
     argv = ("qaoa", "explain", "--graph", graph, "--subset", subset,
             "--gamma", "0.6", "--beta", "0.31")
@@ -615,8 +615,41 @@ def test_qaoa_explain_counts_contributing_subsets(capsys, graph, subset,
         == families
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
-    contributing = sum(1 for f in families if f)
-    assert f"({contributing} contributing subsets L)" in out
+    assert f"({len(families)} contributing subsets L)" in out
+
+
+def test_qaoa_explain_caps_the_subsets_of_a_wide_k(capsys, tmp_path):
+    # on a perfect matching a K of whole pairs has one family: 18 vertices
+    # print their 512 contributing subsets; 20 exceed COSET_CAP's 2^18
+    # subsets and exit 2 before they are listed; 19 cut a pair, so K has
+    # no family and lists no subset
+    path = tmp_path / "matching.txt"
+    path.write_text("".join(f"{2 * i} {2 * i + 1}\n" for i in range(10)))
+    explain = ("qaoa", "explain", "--graph", f"file:{path}", "--gamma", "0.3",
+               "--beta", "0.2", "--subset")
+    rc, doc, _ = run_json(capsys, *explain, ",".join(map(str, range(18))))
+    assert rc == 0
+    assert len(doc["breakdown"]["contributions"]) == 512
+    rc, out, err = run_cli(capsys, *explain, ",".join(map(str, range(20))))
+    assert rc == 2 and out == ""
+    assert err == ("error: 1048576 subsets L of |K| = 20 vertices exceed "
+                   "the coset cap 262144\n")
+    rc, out, _ = run_cli(capsys, *explain, ",".join(map(str, range(19))))
+    assert rc == 0
+    assert "= 0.000000000000 (0 contributing subsets L)" in out
+
+
+def test_ham_dump_refuses_a_clause_over_the_cap(capsys, tmp_path):
+    # K_17 has degree 16, so each clause has 17 variables: refused before
+    # its 2^17-entry truth table is listed
+    path = tmp_path / "k17.txt"
+    path.write_text("".join(f"{u} {v}\n" for u in range(17)
+                            for v in range(u + 1, 17)))
+    t0 = time.perf_counter()
+    rc, out, err = run_cli(capsys, "ham", "dump", "--graph", f"file:{path}")
+    assert time.perf_counter() - t0 < 0.2
+    assert rc == 2 and out == ""
+    assert err == "error: clause on 17 variables exceeds cap 16\n"
 
 
 def test_classical_run_negative_seeds_keep_their_key(capsys):

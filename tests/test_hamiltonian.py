@@ -4,9 +4,10 @@ from hypothesis import given, strategies as st
 
 from localmaxcut import (Clause, build_localmaxcut_hamiltonian, evaluate_all,
                          evaluate_classical, fourier_encode_clause,
-                         hamiltonian_to_json, local_satisfaction_clause,
-                         make_cycle, make_hamiltonian, make_named, mask_of,
-                         vertices_of)
+                         hamiltonian_to_json, load_edge_list,
+                         local_satisfaction_clause, make_cycle,
+                         make_hamiltonian, make_named, mask_of, vertices_of)
+from localmaxcut import hamiltonian
 from test_qaoa_engine import traced_peak
 
 
@@ -57,6 +58,29 @@ def test_clause_validation():
         Clause(support=(1, 1), truth_table=(0.0,) * 4)  # repeated vertex
     with pytest.raises(ValueError):
         Clause(support=tuple(range(17)), truth_table=(0.0,) * 2 ** 17)
+
+
+def test_clause_cap_refused_before_the_table(monkeypatch):
+    # a degree-d clause has d + 1 variables; past MAX_CLAUSE_VARS it is
+    # refused, with Clause's message, before its 2^(d+1) entries are
+    # listed (K_21 spent 6.3 s listing them), so a stand-in for Clause
+    # never sees a table longer than 2^16
+    real = hamiltonian.Clause
+
+    def stand_in(support, truth_table):
+        assert len(truth_table) <= 2 ** hamiltonian.MAX_CLAUSE_VARS
+        return real(support=support, truth_table=truth_table)
+
+    monkeypatch.setattr(hamiltonian, "Clause", stand_in)
+    assert len(local_satisfaction_clause(15).truth_table) == 2 ** 16
+    for d in (16, 20):
+        with pytest.raises(ValueError, match=(
+                f"clause on {d + 1} variables exceeds cap 16")):
+            local_satisfaction_clause(d)
+    complete = load_edge_list("".join(f"{u} {v}\n" for u in range(17)
+                                      for v in range(u + 1, 17)))
+    with pytest.raises(ValueError, match="clause on 17 variables"):
+        build_localmaxcut_hamiltonian(complete)
 
 
 def test_encoder_degree2_golden():
@@ -140,7 +164,6 @@ def test_build_cycle_girth5_profile():
 
 
 def test_build_requires_regular_graph():
-    from localmaxcut import load_edge_list
     with pytest.raises(ValueError):
         build_localmaxcut_hamiltonian(load_edge_list("0 1\n1 2\n"))
 

@@ -23,12 +23,13 @@ from derivations import (closed_form_f2, closed_form_f3,
                          zk_edge_d2, zk_edge_d3, zk_pair_d2, zk_per_pair)
 from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
                          expectation_full, explain_zk,
-                         fourier_encode_clause, girth, make_cycle,
-                         make_hamiltonian, make_named, make_random_regular,
-                         mask_of, qaoa_expectation_sv, vertices_of)
+                         fourier_encode_clause, girth, load_edge_list,
+                         make_cycle, make_hamiltonian, make_named,
+                         make_random_regular, mask_of, qaoa_expectation_sv,
+                         vertices_of)
 from localmaxcut import hamiltonian, qaoa_engine
 from localmaxcut.classical import EXACT_MAX_DEGREE
-from localmaxcut.cli import VERIFY_BLOCK, main
+from localmaxcut.cli import VERIFY_BLOCK, main, parse_graph_spec
 from localmaxcut.hamiltonian import DiagonalHamiltonian
 from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
 from localmaxcut.qaoa_engine import (COSET_CAP, FAMILY_CAP, _alphas, _bits,
@@ -253,9 +254,11 @@ def test_breakdown_structure():
     bd = explain_zk(h, K, (gamma, beta))
     assert bd["K"] == vertices_of(K)
     assert bd["total"] == value
-    # one record per subset L of K, ordered by size
+    # one record per contributing subset L of K, ordered by size: L = {}
+    # has none, as O(empty) is empty and no family reaches K
     records = bd["contributions"]
-    assert [len(rec["L"]) for rec in records] == [0, 1, 1, 2]
+    assert [len(rec["L"]) for rec in records] == [1, 1, 2]
+    assert all(rec["families"] for rec in records)
     # nu(L) = i^|L| sin(2b)^|L| cos(2b)^(|K|-|L|)
     s, c = math.sin(2 * beta), math.cos(2 * beta)
     for rec in records:
@@ -265,9 +268,6 @@ def test_breakdown_structure():
         assert complex(*rec["rho"]) == pytest.approx(
             nu * sum(complex(*a) for a in rec["alphas"]))
     assert sum(rec["rho"][0] for rec in records) == pytest.approx(value)
-    # L = {} contributes nothing: O(empty) is empty and no family reaches K
-    assert records[0]["families"] == []
-    assert records[0]["rho"] == [0.0, 0.0]
 
 
 def test_breakdown_json():
@@ -706,8 +706,8 @@ def test_one_wide_term_pads_no_other():
 def test_a_k_with_no_family_costs_its_cone():
     # an 18-vertex K that no term touches has an empty coset: the engine
     # lists none of its 2^18 subsets (0.95 s and 28 MiB when it did), and
-    # its value is 0.0 beside the Ks that have families; explain_zk still
-    # lists every L of such a K, each with no family
+    # its value is 0.0 beside the Ks that have families, and explain_zk
+    # gives it no record
     h = make_hamiltonian(40, {mask_of((0, 1)): 1.0, mask_of((2, 3)): 0.5})
     far = mask_of(range(20, 38))
     start = time.perf_counter()
@@ -725,9 +725,91 @@ def test_a_k_with_no_family_costs_its_cone():
             h, [Ks[i]], (gamma, beta))[0])
     record = explain_zk(h, mask_of(range(20, 23)), ANGLES[0])
     assert record["total"] == 0.0
-    assert [rec["L"] for rec in record["contributions"]] == [
-        [], [20], [21], [22], [20, 21], [20, 22], [21, 22], [20, 21, 22]]
-    assert all(rec["families"] == [] for rec in record["contributions"])
+    assert record["contributions"] == []
+
+
+def submasks(K):
+    """The subsets L of K in (|L|, L) order."""
+    subsets = [K]
+    while subsets[-1]:
+        subsets.append((subsets[-1] - 1) & K)
+    return sorted(subsets, key=lambda L: (L.bit_count(), L))
+
+
+def assert_lists_the_contributing_pairs(h, Ks):
+    """The gather of Ks lists, for each K in (|L|, L) order, exactly the
+    subsets L with a family of O(L) whose XOR is K, each with its family
+    count: no pair without a family, and no L with one left out."""
+    pairs = _gather(h, Ks)
+    assert np.all(pairs.count >= 1)
+    listed = [[] for _ in Ks]
+    for i, subset, count in zip(pairs.k.tolist(), pairs.subset.tolist(),
+                                pairs.count.tolist()):
+        vertices = vertices_of(Ks[i])
+        L = mask_of(v for j, v in enumerate(vertices) if subset >> j & 1)
+        listed[i].append((L, count))
+    for K, found in zip(Ks, listed):
+        counts = [(L, len(_families(odd_masks(h.terms, L), K)))
+                  for L in submasks(K)]
+        assert found == [(L, n) for L, n in counts if n]
+
+
+@pytest.mark.parametrize("spec", [f"cycle:{n}" for n in range(3, 10)] + [
+    f"named:{name}" for name in ("K4", "CUBE", "K33", "PETERSEN", "HEAWOOD")])
+def test_gather_lists_only_the_pairs_with_families(spec):
+    # every term of H, the XOR of two terms, and vertex 0 alone, which
+    # has no family on the cycles of girth 5 and more, in one gather
+    h = build_localmaxcut_hamiltonian(parse_graph_spec(spec))
+    terms = [K for K, _ in h.nonconstant_terms()]
+    Ks = terms + [terms[0] ^ terms[-1], terms[1] ^ terms[2], 1]
+    assert_lists_the_contributing_pairs(h, [K for K in Ks if K])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_gather_lists_only_the_pairs_with_families_random(data):
+    h = draw_hamiltonian(data)
+    Ks = [K for K, _ in h.nonconstant_terms()] + [1 << v for v in range(h.n)]
+    assert_lists_the_contributing_pairs(h, Ks)
+
+
+def matching_hamiltonian(n):
+    """The LocalMaxCut Hamiltonian of a perfect matching on n vertices:
+    one edge term per pair, so the only family of a K made of whole
+    pairs is those pairs, reached by the L that takes one end of each."""
+    return build_localmaxcut_hamiltonian(load_edge_list(
+        "".join(f"{2 * i} {2 * i + 1}\n" for i in range(n // 2))))
+
+
+def test_wide_k_explains_only_its_contributing_subsets():
+    # an 18-vertex K of a matching has 2^18 subsets and 2^9 contributing
+    # ones; explain lists those 512 (the 262,144 records of every L took
+    # 6.6 s and 284 MiB), with the total's bits unchanged
+    h = matching_hamiltonian(18)
+    K = mask_of(range(18))
+    peak, record = traced_peak(lambda: explain_zk(h, K, (0.3, 0.2)))
+    assert peak < 16 * 2 ** 20
+    assert len(record["contributions"]) == 512
+    assert all(len(rec["L"]) == 9 and len(rec["families"]) == 1
+               for rec in record["contributions"])
+    assert record["total"] == -0.00029347762930961575
+    assert record["total"] == expectation_terms(h, [K], (0.3, 0.2))[0]
+
+
+def test_subsets_of_a_k_with_families_are_capped():
+    # 2^|K| subsets past COSET_CAP are refused before they are listed when
+    # K's coset is not empty; a K with no family lists none, whatever |K|
+    h = matching_hamiltonian(40)
+    wide = mask_of(range(20))
+    for call in (lambda: expectation_terms(h, [wide], (0.3, 0.2)),
+                 lambda: explain_zk(h, wide, (0.3, 0.2))):
+        with pytest.raises(ValueError, match=(
+                rf"1048576 subsets L of \|K\| = 20 vertices exceed the "
+                rf"coset cap {COSET_CAP}")):
+            call()
+    odd = mask_of(range(21))  # 21 vertices cut the pair {20, 21}
+    assert expectation_terms(h, [odd], (0.3, 0.2))[0] == 0.0
+    assert explain_zk(h, odd, (0.3, 0.2))["contributions"] == []
 
 
 def test_closed_form_f2_fails_below_girth_threshold():
