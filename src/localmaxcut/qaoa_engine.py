@@ -63,15 +63,18 @@ per call, or per size of K:
   none adds nothing to <Z_K>;
 - product: 1.0, cos(2 gamma W_M) and sin(-2 gamma W_M) are computed
   once per term in some cone, as three rows of one real table.  Each
-  alpha'_F is one real product reduction over the cone, which reads 1.0
-  for the terms outside O(L), negated when floor(|F|/2) is odd.  The
-  families' rows into the table are built BLOCK elements of (families,
-  cone terms) at a time, whatever the number of angle pairs, and only
-  the take and the product run BLOCK elements of (families, cone terms,
-  angle pairs) at a time.  The pairs of a block of BLOCK pair sums are
-  grouped by family count, and the alpha'_F of each group's pairs are
-  summed as one (pairs, families, angle pairs) array, in chunks of pairs
-  whose alpha'_F and factor rows each fit BLOCK elements, or of one pair;
+  alpha'_F is one real product over the cone, in term order, which reads
+  1.0 for the terms outside O(L), negated when floor(|F|/2) is odd.  The
+  families' rows into the table are built with the cone position as the
+  leading axis, BLOCK elements of (cone terms, families) at a time,
+  whatever the number of angle pairs, and only the take and the product
+  run BLOCK elements of (cone terms, families, angle pairs) at a time:
+  the product reduces the leading axis, one contiguous multiply over
+  (families, angle pairs) per cone term.  The pairs of a block of BLOCK
+  pair sums are grouped by family count, and the alpha'_F of each
+  group's pairs are summed as one (pairs, families, angle pairs) array,
+  in chunks of pairs whose alpha'_F and factor rows each fit BLOCK
+  elements, or of one pair;
 - fold: each pair's sum times nu' goes into its K's total by one
   unbuffered indexed add per block, the pairs in order, and those of
   each size of K in (rank of L, K) order, so every total is summed in
@@ -325,23 +328,30 @@ def _alphas(pairs: _Pairs, pair, codes, factors) -> np.ndarray:
     outside O(L), the cosine in O(L) \\ F and the sine in F, since F lies
     in O(L).  A padding slot of a shorter cone is term 0 in no O(L), so
     it reads 1.0 too, and multiplying by 1.0 changes no bit of a real.
-    alpha'_F is that product, negated when floor(|F|/2) is odd.  The rows,
-    which do not depend on B, are built for blocks of families that keep
-    (families, S) within BLOCK elements; the take and the product run on
-    parts of a block that keep (families, S, B) within BLOCK elements."""
+    alpha'_F is that product, negated when floor(|F|/2) is odd.
+
+    The cone position is the leading axis: the rows, which do not depend
+    on B, are built as (S, families) for blocks of families that keep it
+    within BLOCK elements, and a part of a block that keeps (S, families,
+    B) within BLOCK elements is taken as that array and reduced over its
+    first axis, so each of the S steps is one contiguous multiply over
+    (families, B).  numpy's multiply reduction runs in order on any axis,
+    so each alpha'_F is the same left-to-right product in term order."""
     size = pairs.cones.shape[1]
     count = factors.shape[1]
     alphas = np.empty((len(codes), count))
     span = max(1, hamiltonian.BLOCK // max(1, size))
     step = max(1, hamiltonian.BLOCK // max(1, size * count))
+    shifts = np.arange(size - 1, -1, -1)[:, None]  # cone term c at bit S-1-c
     for low in range(0, len(codes), span):
         block = slice(low, low + span)
-        rows = (3 * pairs.cones[pairs.k[pair[block]]]
-                + _bits(pairs.within[pair[block]], size)
-                + _bits(codes[block], size))
-        for start in range(0, len(rows), step):
+        at = pair[block]
+        rows = (3 * pairs.cones.T[:, pairs.k[at]]
+                + (pairs.within[at] >> shifts & 1)
+                + (codes[block] >> shifts & 1))
+        for start in range(0, rows.shape[1], step):
             part = slice(start, start + step)
-            np.multiply.reduce(factors.take(rows[part], axis=0), axis=1,
+            np.multiply.reduce(factors.take(rows[:, part], axis=0), axis=0,
                                out=alphas[block][part])
     alphas[np.bitwise_count(codes) & 2 > 0] *= -1.0
     return alphas

@@ -4,8 +4,12 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -478,6 +482,27 @@ def test_verify_batches_match_one_sample_at_a_time(capsys, monkeypatch,
     assert rc == 0 and widths == [1] * 65
     assert len(products) > whole
     assert batched == alone
+
+
+def test_verify_report_does_not_rest_on_blas_threads():
+    # <H> on the statevector side must not go through a BLAS dot:
+    # OpenBLAS splits one across threads and sums it in another order,
+    # which at 18 qubits moves the bits of max_abs_diff_full
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-m", "localmaxcut.cli", "verify", "--graph",
+             "random:18,3,5,1", "--samples", "2", "--json", "--no-timestamp"],
+            cwd=root, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path,
+                 "OPENBLAS_NUM_THREADS": threads})
+        assert result.returncode == 0, result.stderr
+        outs.append(result.stdout)
+    assert json.loads(outs[0])["ok"] is True
+    assert outs[0] == outs[1]
 
 
 def test_classical_run_matches_one_root_per_chunk(capsys, monkeypatch):

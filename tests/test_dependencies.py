@@ -14,27 +14,47 @@ import localmaxcut
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "localmaxcut"
+TESTS = ROOT / "tests"
 
 
-def _imported_top_levels():
+def _third_party_imports(directory):
+    """The top-level modules the files of `directory` import, or name in
+    a `pytest.importorskip` call, outside the standard library and the
+    modules of the package and of `directory` itself."""
     names = set()
-    for path in PACKAGE.glob("*.py"):
+    for path in directory.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 names.update(a.name.split(".")[0] for a in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 names.add(node.module.split(".")[0])
-    return names
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "importorskip"):
+                names.add(node.args[0].value.split(".")[0])
+    local = {"localmaxcut"} | {p.stem for p in directory.glob("*.py")}
+    return {n for n in names - local if n not in sys.stdlib_module_names}
+
+
+def _declared(*extras):
+    """The distribution names of pyproject's dependencies and of the
+    optional-dependency groups `extras`."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+    declared = project["dependencies"] + [
+        r for e in extras for r in project["optional-dependencies"][e]]
+    return {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in declared}
 
 
 def test_declared_dependencies_match_imports():
-    tomllib = pytest.importorskip("tomllib")
-    with open(ROOT / "pyproject.toml", "rb") as f:
-        declared = tomllib.load(f)["project"]["dependencies"]
-    declared = {re.match(r"[A-Za-z0-9_.-]+", r).group().lower() for r in declared}
-    third_party = {n for n in _imported_top_levels()
-                   if n not in sys.stdlib_module_names and n != "localmaxcut"}
-    assert third_party == declared == {"numpy"}
+    assert _third_party_imports(PACKAGE) == _declared() == {"numpy"}
+
+
+def test_test_extra_declares_every_test_import():
+    # an undeclared test dependency turns its test into a silent skip
+    assert _third_party_imports(TESTS) == _declared("test") == {
+        "numpy", "pytest", "hypothesis", "networkx"}
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -417,12 +417,16 @@ def test_route_simulates_half_a_mirrored_state(monkeypatch):
 
 def full_state_values(table, Ks, gammas, betas):
     """(F, Z) of one batch by the gates on the whole state, read as the
-    route reads them."""
+    route reads them: F is twice the einsum over the first half of the
+    rows and the diagonal when the codes read the same backwards."""
     n = len(table.codes).bit_length() - 1
     state = apply_mixer(betas, apply_phase(table, gammas,
                                            uniform(n, len(gammas))))
     probs = np.abs(state.T, order="C") ** 2
-    F = np.array([row @ table.diagonal for row in probs])
+    mirrored = n >= 2 and np.array_equal(table.codes, table.codes[::-1])
+    end = 2 ** (n - 1) if mirrored else 2 ** n
+    F = np.array([np.einsum("i,i->", row[:end], table.diagonal[:end])
+                  for row in probs]) * (2 if mirrored else 1)
     return F, walsh_transform(probs.T)[list(Ks)]
 
 
