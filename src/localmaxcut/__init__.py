@@ -13,15 +13,14 @@ from .classical import (ClassicalParams, RunStats, exact_prob, monte_carlo,
 from .graph import (NAMED_CUBIC, Graph, girth, load_edge_list, make_cycle,
                     make_named, make_random_regular, save_edge_list)
 from .hamiltonian import (Clause, DiagonalHamiltonian,
-                          build_localmaxcut_hamiltonian, evaluate_all,
-                          evaluate_classical, fourier_encode_clause,
-                          hamiltonian_to_json, local_satisfaction_clause,
-                          make_hamiltonian, mask_of, vertices_of)
+                          build_localmaxcut_hamiltonian, evaluate_classical,
+                          fourier_encode_clause, hamiltonian_to_json,
+                          local_satisfaction_clause, make_hamiltonian,
+                          mask_of, vertices_of)
 from .optimize import (GridSweep, OptimizationReport, grid_sweep,
                        optimize_classical, optimize_qaoa)
 from .qaoa_engine import expectation_full, explain_zk
-from .statevector import (MAX_QUBITS, apply_mixer, apply_phase, phase_table,
-                          qaoa_expectation_sv)
+from .statevector import MAX_QUBITS, apply_mixer, apply_phase
 
 __version__ = "0.1.0"
 
@@ -29,11 +28,11 @@ __all__ = [
     "ClassicalParams", "Clause", "DiagonalHamiltonian", "Graph",
     "GridSweep", "MAX_QUBITS", "NAMED_CUBIC", "OptimizationReport",
     "RunStats", "apply_mixer", "apply_phase",
-    "build_localmaxcut_hamiltonian", "evaluate_all", "evaluate_classical",
+    "build_localmaxcut_hamiltonian", "evaluate_classical",
     "exact_prob", "expectation_full", "explain_zk",
     "fourier_encode_clause", "girth", "grid_sweep", "hamiltonian_to_json",
     "load_edge_list", "local_satisfaction_clause", "make_cycle",
     "make_hamiltonian", "make_named", "make_random_regular", "mask_of",
     "monte_carlo", "optimal_preset", "optimize_classical", "optimize_qaoa",
-    "phase_table", "qaoa_expectation_sv", "save_edge_list", "vertices_of",
+    "save_edge_list", "vertices_of",
 ]

@@ -49,12 +49,12 @@ from .classical import (EXACT_MAX_DEGREE, ClassicalParams, exact_prob,
                         monte_carlo, optimal_preset)
 from .graph import (Graph, girth, load_edge_list, make_cycle, make_named,
                     make_random_regular, philox_key, save_edge_list)
-from .hamiltonian import (build_localmaxcut_hamiltonian, evaluate_all,
-                          hamiltonian_to_json, mask_of)
+from .hamiltonian import (build_localmaxcut_hamiltonian, hamiltonian_to_json,
+                          mask_of)
 from .optimize import (QAOA_BOX, classical_curve, grid_sweep,
                        optimize_classical, optimize_qaoa, qaoa_objective)
 from .qaoa_engine import expectation_terms, explain_zk, full_value
-from .statevector import MAX_QUBITS, phase_table, qaoa_values_sv
+from .statevector import MAX_QUBITS, qaoa_values_sv, satisfied_counts
 
 VERIFY_TOL = 1e-9
 VERIFY_BLOCK = 64  # angle pairs per engine call in verify, for every term
@@ -218,10 +218,11 @@ def cmd_verify(args) -> int:
     The angle pairs go VERIFY_BLOCK at a time, so memory does not grow
     with --samples.  Per block, one engine call gives every <Z_m> of H at
     every pair (`full_value` sums them into F), and one `qaoa_values_sv`
-    call the statevector's.  The phase table is built once, after the
-    first engine call, so an H over the engine's caps is refused before
-    its 2^n diagonal is made (and before the note that a large
-    statevector is slow).
+    call the statevector's.  The statevector's diagonal is counted from
+    the graph, not read from H, so a fault in the build of H moves one
+    side only.  It is made once, after the first engine call, so an H
+    over the engine's caps is refused before its 2^n codes are made (and
+    before the note that a large statevector is slow).
     """
     if args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
@@ -246,9 +247,9 @@ def cmd_verify(args) -> int:
             if slow:
                 print(f"note: statevector on {g.n} qubits is slow",
                       file=sys.stderr)
-            table = phase_table(evaluate_all(h))
+            codes = satisfied_counts(g)
         full = full_value(h, engine)
-        sv_full, sv_terms = qaoa_values_sv(table, masks, gammas, betas)
+        sv_full, sv_terms = qaoa_values_sv(codes, masks, gammas, betas)
         max_term = float(np.max(np.abs(engine - sv_terms), initial=max_term))
         max_full = float(np.max(np.abs(full - sv_full), initial=max_full))
     ok = max_full <= args.tol and max_term <= args.tol

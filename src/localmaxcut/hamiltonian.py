@@ -258,15 +258,6 @@ def evaluate_classical(h: DiagonalHamiltonian, x: int) -> float:
     return total
 
 
-def evaluate_all(h: DiagonalHamiltonian) -> np.ndarray:
-    """The diagonal: evaluate_classical over all 2^n basis states, in basis
-    order, as the transform of the weights placed at their masks."""
-    weights = np.zeros(2 ** h.n)
-    for m, w in h.terms:
-        weights[m] = w
-    return _butterflies(weights)
-
-
 def hamiltonian_to_json(h: DiagonalHamiltonian) -> dict:
     """JSON-friendly dump: subsets as sorted vertex arrays with weights."""
     items = [{"subset": vertices_of(m), "weight": w} for m, w in h.terms]

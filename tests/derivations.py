@@ -54,8 +54,12 @@ Statevector.  `butterfly_walsh`, `loop_mixer` and `exp_phase` are the
 plain loops over the whole array: one butterfly or one 7-operation mixer
 gate per qubit, and one exponential per entry.  `walsh_transform`,
 `apply_mixer` and `apply_phase` walk blocks and take one exponential per
-distinct value, and must give the same bits, on a lone array and on each
-column of a batch.
+integer code, and must give the same bits, on a lone array and on each
+column of a batch.  `term_diagonal` is the transform of a Hamiltonian's
+weights, its 2^n diagonal read from its terms, and `loop_expectation`
+the plain-loop statevector on it: the package's statevector counts its
+diagonal from the graph, so these serve every H that is not a graph's
+LocalMaxCut, and the check that H's build matches the count.
 """
 
 import cmath
@@ -69,7 +73,7 @@ from numpy.random import Generator, Philox
 from localmaxcut import graph, hamiltonian
 from localmaxcut.classical import ClassicalParams, _check_params
 from localmaxcut.qaoa_engine import _families
-from localmaxcut.statevector import apply_mixer, apply_phase, phase_table
+from localmaxcut.statevector import apply_mixer, apply_phase
 
 # The oracle holds one uint64 array of 2^V entries per vertex of the radius-2
 # tree, V = 1 + d + d(d-1): 17 MiB at d = 4, but about 13 GiB at d = 5.
@@ -354,9 +358,9 @@ def light_cone_statevector(d: int, angles) -> float:
         agree = sum((x >> w & 1) == (x >> u & 1) for w in adjacency[u])
         return (agree <= d // 2).astype(float)
 
-    diagonal = sum(clause(u) for u in range(1 + d + d * (d - 1)))
+    codes = sum(clause(u) for u in range(1 + d + d * (d - 1))).astype(np.uint8)
     state = np.full(2 ** n, 2.0 ** (-n / 2), dtype=complex)
-    apply_mixer(beta, apply_phase(phase_table(diagonal), gamma, state))
+    apply_mixer(beta, apply_phase(codes, gamma, state))
     return float(np.abs(state) ** 2 @ clause(0))
 
 
@@ -595,3 +599,21 @@ def exp_phase(diagonal, gamma, amplitudes) -> np.ndarray:
     amplitudes = amplitudes.copy()
     amplitudes *= np.exp(-1j * gamma * diagonal)
     return amplitudes
+
+
+def term_diagonal(h) -> np.ndarray:
+    """The 2^n diagonal of h: its weights placed at their masks and
+    transformed by `butterfly_walsh`."""
+    weights = np.zeros(2 ** h.n)
+    for m, w in h.terms:
+        weights[m] = w
+    return butterfly_walsh(weights)
+
+
+def loop_expectation(h, angles) -> float:
+    """<H> at one angle pair by the plain loops over the whole state."""
+    gamma, beta = angles
+    diagonal = term_diagonal(h)
+    state = np.full(2 ** h.n, 2.0 ** (-h.n / 2), dtype=complex)
+    state = loop_mixer(beta, exp_phase(diagonal, gamma, state))
+    return float(np.abs(state) ** 2 @ diagonal)

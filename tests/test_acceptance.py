@@ -20,15 +20,13 @@ from derivations import (closed_form_f2, closed_form_f3,
                          neighborhood_oracle_prob, prob_satisfied_initial,
                          zk_ball_d3, zk_edge_d2, zk_edge_d3, zk_pair_d2)
 from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
-                         evaluate_all, exact_prob, expectation_full,
-                         fourier_encode_clause, girth,
-                         local_satisfaction_clause, make_cycle, make_named,
-                         make_random_regular, mask_of, monte_carlo,
-                         optimal_preset, phase_table,
-                         qaoa_expectation_sv)
+                         exact_prob, expectation_full, fourier_encode_clause,
+                         girth, local_satisfaction_clause, make_cycle,
+                         make_named, make_random_regular, mask_of,
+                         monte_carlo, optimal_preset)
 from localmaxcut.cli import main
 from localmaxcut.qaoa_engine import expectation_terms
-from localmaxcut.statevector import qaoa_values_sv
+from localmaxcut.statevector import qaoa_values_sv, satisfied_counts
 
 
 def check(num, ok, desc, detail=""):
@@ -99,8 +97,7 @@ def test_criterion_05_engine_matches_statevector():
         # row j is pair j, gamma drawn before beta as the scalar calls were
         gammas, betas = rng.uniform((0.0, 0.0), (2 * math.pi, math.pi),
                                     size=(50, 2)).T
-        sv, _ = qaoa_values_sv(phase_table(evaluate_all(h)), (), gammas,
-                               betas)
+        sv, _ = qaoa_values_sv(satisfied_counts(g), (), gammas, betas)
         worst = max(worst, float(np.max(np.abs(
             expectation_full(h, (gammas, betas)) - sv))))
     seconds = time.perf_counter() - t0
@@ -113,13 +110,12 @@ def test_criterion_05_engine_matches_statevector():
 def test_criterion_05_slow_mcgee_statevector():
     # 24-qubit statevector: minutes of runtime, ~0.5 GiB of amplitude arrays
     t0 = time.perf_counter()
-    h = build_localmaxcut_hamiltonian(make_named("MCGEE"))
+    g = make_named("MCGEE")
+    h = build_localmaxcut_hamiltonian(g)
     rng = np.random.Generator(np.random.Philox(key=[0, 24]))
-    worst = 0.0
-    for _ in range(3):
-        angles = (rng.uniform(0.0, 2 * math.pi), rng.uniform(0.0, math.pi))
-        worst = max(worst, abs(expectation_full(h, angles)
-                               - qaoa_expectation_sv(h, angles)))
+    angles = rng.uniform((0.0, 0.0), (2 * math.pi, math.pi), size=(3, 2)).T
+    sv, _ = qaoa_values_sv(satisfied_counts(g), (), *angles)
+    worst = float(np.max(np.abs(expectation_full(h, angles) - sv)))
     seconds = time.perf_counter() - t0
     ok = worst <= 1e-8 and seconds < 600.0
     check(5, ok, "engine vs statevector on MCGEE (slow)",

@@ -16,8 +16,8 @@ import pytest
 from derivations import (closed_form_f2, hrss_preset, prob_satisfied_initial,
                          q2_star, zk_edge_d2)
 from localmaxcut import (ClassicalParams, build_localmaxcut_hamiltonian,
-                         evaluate_all, exact_prob, girth, load_edge_list,
-                         make_cycle, make_named, optimal_preset)
+                         exact_prob, girth, load_edge_list, make_cycle,
+                         make_hamiltonian, make_named, optimal_preset)
 from localmaxcut import cli, hamiltonian, qaoa_engine, statevector
 from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.cli import main, parse_graph_spec
@@ -430,20 +430,38 @@ def test_verify_solves_each_light_cone_once_per_block(capsys, monkeypatch):
 
 
 def test_verify_builds_diagonal_once(capsys, monkeypatch):
-    # the statevector gates take the diagonal, so --samples does not
-    # multiply its cost (it used to be built twice per sample)
+    # the statevector gates take the codes counted from the graph, so
+    # --samples does not multiply their cost (the diagonal used to be
+    # built twice per sample)
     calls = []
+    count = statevector.satisfied_counts
 
-    def counted(h):
-        calls.append(h.n)
-        return evaluate_all(h)
+    def counted(g):
+        calls.append(g.n)
+        return count(g)
 
-    for module in (cli, statevector):
-        monkeypatch.setattr(module, "evaluate_all", counted, raising=False)
+    monkeypatch.setattr(cli, "satisfied_counts", counted)
     rc, doc, _ = run_json(capsys, "verify", "--graph", "cycle:7",
                           "--samples", str(cli.VERIFY_BLOCK + 1))
     assert rc == 0 and doc["ok"] is True
     assert calls == [7]
+
+
+@pytest.mark.parametrize("graph", ["named:PETERSEN", "cycle:7"])
+def test_verify_fails_on_a_fault_in_the_build_of_h(capsys, monkeypatch,
+                                                     graph):
+    # the statevector counts satisfied vertices from the graph, so a
+    # fault in H moves the engine's side alone: H's first nonconstant
+    # weight raised by 0.25 fails, which a statevector reading H would pass
+    def planted(g):
+        h = build_localmaxcut_hamiltonian(g)
+        m, w = h.nonconstant_terms()[0]
+        return make_hamiltonian(h.n, {**dict(h.terms), m: w + 0.25})
+
+    monkeypatch.setattr(cli, "build_localmaxcut_hamiltonian", planted)
+    rc, doc, _ = run_json(capsys, "verify", "--graph", graph)
+    assert rc == 1 and doc["ok"] is False
+    assert doc["max_abs_diff_full"] > 0.1
 
 
 @pytest.mark.parametrize("graph,batches", [("named:PETERSEN", [16] * 4 + [1]),
@@ -519,11 +537,11 @@ def test_classical_run_matches_one_root_per_chunk(capsys, monkeypatch):
 
 
 def test_verify_refuses_engine_caps_before_the_diagonal(capsys, monkeypatch):
-    # degree 4 overflows the engine's light-cone cap; the 2^n diagonal
-    # must not be built first, since at MAX_QUBITS it is the run's largest
-    # allocation
+    # degree 4 overflows the engine's light-cone cap; the 2^n codes must
+    # not be counted first, since at MAX_QUBITS they take 64 MiB and
+    # 1.7 s (2-CPU Xeon)
     calls = []
-    monkeypatch.setattr(cli, "evaluate_all", calls.append)
+    monkeypatch.setattr(cli, "satisfied_counts", calls.append)
     rc, out, err = run_cli(capsys, "verify", "--graph", "random:16,4,3,1")
     assert rc == 2 and out == ""
     assert "exceed the enumeration cap" in err

@@ -88,6 +88,37 @@ def test_hamiltonian_imports_no_package_module():
     assert not package, f"hamiltonian imports {package}"
 
 
+def test_statevector_takes_only_the_walk_from_hamiltonian():
+    # verify's two sides stay independent by construction: the
+    # statevector counts its diagonal from the graph, and takes from
+    # hamiltonian only the pair walk, the butterflies and the element
+    # budget, never a Hamiltonian, and from no other package module
+    walk = {"pair_walk", "_butterflies", "block_entries", "BLOCK"}
+    taken, others, names = set(), [], set()
+    tree = ast.parse((PACKAGE / "statevector.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or node.module.split(".")[0] == "localmaxcut"):
+            source = "." * node.level + (node.module or "")
+            for alias in node.names:
+                if source == ".hamiltonian":
+                    taken.add(alias.name)
+                elif (source, alias.name) != (".", "hamiltonian"):
+                    others.append(f"{source} {alias.name}")
+        elif isinstance(node, ast.Import):
+            others += [a.name for a in node.names
+                       if a.name.split(".")[0] == "localmaxcut"]
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+            if getattr(node.value, "id", None) == "hamiltonian":
+                taken.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert not others, f"statevector imports {others}"
+    assert taken <= walk, f"statevector takes {taken - walk} from hamiltonian"
+    assert "DiagonalHamiltonian" not in names
+
+
 def test_all_lists_every_public_binding():
     bound = {name for name, value in vars(localmaxcut).items()
              if not name.startswith("_")

@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from localmaxcut import (Clause, build_localmaxcut_hamiltonian, evaluate_all,
-                         evaluate_classical, fourier_encode_clause,
+from derivations import satisfied, term_diagonal
+from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
+                         evaluate_classical, fourier_encode_clause, girth,
                          hamiltonian_to_json, load_edge_list,
                          local_satisfaction_clause, make_cycle,
-                         make_hamiltonian, make_named, mask_of, vertices_of)
+                         make_hamiltonian, make_named, make_random_regular,
+                         mask_of, vertices_of)
 from localmaxcut import hamiltonian
-from test_qaoa_engine import traced_peak
+from localmaxcut.statevector import satisfied_counts
 
 
 def test_mask_vertices_roundtrip():
@@ -169,12 +171,25 @@ def test_build_requires_regular_graph():
 
 
 def test_evaluate_classical_counts_satisfied_vertices():
-    # at d = 2 the clause is symmetric in its three ball positions, so only
-    # the degree-3 graph pins the centre of B(v) at position 0
-    from derivations import satisfied
-    for g in (make_cycle(7), make_named("PETERSEN")):
+    # H's build against counts taken from the graph alone, on the verify
+    # benchmark's fixture graphs and on random cubic graphs of girth 3
+    # and 4, where balls overlap and terms merge: the transform of H's
+    # weights equals the statevector's count of satisfied vertices
+    # exactly at every state, and evaluate_classical the per-vertex check
+    # at some.  At d = 2 the clause is symmetric in its three ball
+    # positions, so only the degree-3 graphs pin the centre of B(v) at
+    # position 0
+    randoms = [(make_random_regular(n, 3, min_girth=k, seed=seed), k)
+               for n in (8, 10, 12, 14) for k in (3, 4) for seed in (2, 3)]
+    assert all(girth(g) == k for g, k in randoms)
+    graphs = [make_cycle(n) for n in range(3, 10)] + [
+        make_named(name)
+        for name in ("K4", "CUBE", "K33", "PETERSEN", "HEAWOOD")] + [
+        g for g, _ in randoms]
+    rng = np.random.default_rng(2)
+    for g in graphs:
         h = build_localmaxcut_hamiltonian(g)
-        rng = np.random.default_rng(2)
+        assert np.array_equal(term_diagonal(h), satisfied_counts(g))
         for _ in range(20):
             bits = rng.integers(0, 2, size=g.n)
             cut = np.where(bits == 1, 1, -1)
@@ -193,14 +208,17 @@ def test_evaluate_classical_refuses_mask_out_of_range():
 
 
 def test_evaluate_all_matches_pointwise():
-    h = build_localmaxcut_hamiltonian(make_named("K4"))
-    vals = evaluate_all(h)
+    # the diagonal over all 16 basis states of K4, built from the graph,
+    # against evaluate_classical state by state
+    g = make_named("K4")
+    h = build_localmaxcut_hamiltonian(g)
+    vals = satisfied_counts(g)
     assert vals.shape == (16,)
     for x in range(16):
         assert vals[x] == pytest.approx(evaluate_classical(h, x), abs=1e-12)
 
 
-def test_evaluate_all_matches_pointwise_on_random_weights():
+def test_evaluate_classical_matches_the_transform_on_random_weights():
     # non-dyadic weights, so the transform's sums round differently from
     # the per-term sum of evaluate_classical
     rng = np.random.default_rng(5)
@@ -209,19 +227,9 @@ def test_evaluate_all_matches_pointwise_on_random_weights():
         masks = rng.integers(0, 2 ** n, size=int(rng.integers(1, 12)))
         h = make_hamiltonian(n, {int(m): float(rng.uniform(-2, 2))
                                  for m in masks})
-        vals = evaluate_all(h)
+        vals = term_diagonal(h)
         for x in range(2 ** n):
             assert abs(vals[x] - evaluate_classical(h, x)) <= 1e-12
-
-
-def test_evaluate_all_transforms_its_weights_in_place():
-    # the weights array it fills becomes the diagonal: a copy of it for
-    # the transform would take the peak to about twice the output
-    n = 18
-    h = make_hamiltonian(n, {0: 1.5, 0b11: -0.5, 0b101 << 15: 0.25,
-                             (1 << n) - 1: 2.0})
-    peak, values = traced_peak(lambda: evaluate_all(h))
-    assert peak < 1.5 * values.nbytes
 
 
 def test_hamiltonian_to_json_sorted():

@@ -18,15 +18,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from derivations import (closed_form_f2, closed_form_f3,
-                         light_cone_statevector, odd_intersection_terms,
-                         prob_satisfied_initial, tree_enumeration, zk_ball_d3,
-                         zk_edge_d2, zk_edge_d3, zk_pair_d2, zk_per_pair)
+                         light_cone_statevector, loop_expectation,
+                         odd_intersection_terms, prob_satisfied_initial,
+                         tree_enumeration, zk_ball_d3, zk_edge_d2, zk_edge_d3,
+                         zk_pair_d2, zk_per_pair)
 from localmaxcut import (Clause, build_localmaxcut_hamiltonian,
                          expectation_full, explain_zk,
                          fourier_encode_clause, girth, load_edge_list,
                          make_cycle, make_hamiltonian, make_named,
-                         make_random_regular, mask_of, qaoa_expectation_sv,
-                         vertices_of)
+                         make_random_regular, mask_of, vertices_of)
 from localmaxcut import hamiltonian, qaoa_engine
 from localmaxcut.classical import EXACT_MAX_DEGREE
 from localmaxcut.cli import VERIFY_BLOCK, main, parse_graph_spec
@@ -35,6 +35,7 @@ from localmaxcut.optimize import _canonical_qaoa, qaoa_objective
 from localmaxcut.qaoa_engine import (COSET_CAP, FAMILY_CAP, _alphas, _bits,
                                      _factors, _families, _gather,
                                      expectation_terms, full_value)
+from localmaxcut.statevector import qaoa_values_sv, satisfied_counts
 
 ANGLES = [(0.37, 0.21), (1.1, 0.8), (2.8, 2.9), (5.9, 0.05)]
 
@@ -319,11 +320,11 @@ def test_patch_reproduces_closed_form(d, kind, closed_form):
 
 
 def test_engine_vs_statevector_smoke():
+    angles = np.transpose(ANGLES)
     for g in (make_cycle(3), make_cycle(4), make_cycle(5), make_named("K4")):
         h = build_localmaxcut_hamiltonian(g)
-        for angles in ANGLES:
-            assert expectation_full(h, angles) == pytest.approx(
-                qaoa_expectation_sv(h, angles), abs=1e-10)
+        F, _ = qaoa_values_sv(satisfied_counts(g), (), *angles)
+        assert expectation_full(h, angles) == pytest.approx(F, abs=1e-10)
 
 
 def draw_hamiltonian(data):
@@ -371,7 +372,7 @@ def test_densest_drawn_cone_fits_the_coset_cap():
     assert len(cone) == 24 and len(_families(cone, 0b1111)) == COSET_CAP
     for angles in ANGLES[:2]:
         assert expectation_full(h, angles) == pytest.approx(
-            qaoa_expectation_sv(h, angles), abs=1e-9)
+            loop_expectation(h, angles), abs=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -381,7 +382,7 @@ def test_engine_vs_statevector_random_hamiltonians(data):
     angles = (data.draw(st.floats(min_value=0.0, max_value=2 * math.pi)),
               data.draw(st.floats(min_value=0.0, max_value=math.pi)))
     assert expectation_full(h, angles) == pytest.approx(
-        qaoa_expectation_sv(h, angles), abs=1e-9)
+        loop_expectation(h, angles), abs=1e-9)
 
 
 @contextlib.contextmanager
