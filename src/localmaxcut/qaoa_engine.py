@@ -126,9 +126,11 @@ def _families(masks, K: int) -> np.ndarray:
     while its top bit is the pivot of a basis vector it takes that
     vector's XOR, and the first top bit that is no pivot becomes its own.
     Bit T-1-i is in no earlier vector, so no term vanishes, and there is
-    no back-substitution.  Reducing K the same way until its vertex part
-    is empty leaves a particular family, or stops on a vertex bit with no
-    pivot when there is none.  The basis vectors with a family
+    no back-substitution.  A basis vector is keyed by its bit length, its
+    pivot's position plus one, so the keys above T are vertex pivots and
+    the others family pivots.  Reducing K the same way until its vertex
+    part is empty leaves a particular family, or stops on a vertex bit
+    with no pivot when there is none.  The basis vectors with a family
     pivot have no vertex part and span the families with empty XOR; the
     coset is listed by doubling a list that starts from the particular
     family once per such vector, then sorted.  More than FAMILY_CAP terms,
@@ -139,19 +141,19 @@ def _families(masks, K: int) -> np.ndarray:
     if size > FAMILY_CAP:
         raise ValueError(f"{size} terms exceed the enumeration cap "
                          f"{FAMILY_CAP}")
-    basis = {}  # pivot, as a power of two -> the vector whose top bit it is
+    basis = {}  # pivot, as a bit length -> the vector whose top bit it is
     for i, m in enumerate(masks):
         v = m << size | 1 << (size - 1 - i)
-        while (b := basis.get(pivot := 1 << v.bit_length() - 1)) is not None:
+        while (b := basis.get(top := v.bit_length())) is not None:
             v ^= b
-        basis[pivot] = v
+        basis[top] = v
     target = K << size
-    while target >> size and (
-            b := basis.get(1 << target.bit_length() - 1)) is not None:
+    while (top := target.bit_length()) > size and (
+            b := basis.get(top)) is not None:
         target ^= b
     if target >> size:
         return np.zeros(0, dtype=np.int32)
-    empty = [b for p, b in basis.items() if not p >> size]
+    empty = [b for top, b in basis.items() if top <= size]
     if 2 ** len(empty) > COSET_CAP:
         raise ValueError(f"{2 ** len(empty)} families of {size} terms "
                          f"exceed the coset cap {COSET_CAP}")
@@ -205,7 +207,11 @@ def _size_pairs(k: int, members, patterns, sizes, cosets):
     """The pairs with families of the Ks `members`, all of k vertices, in
     (rank, K) order: their K, L, O(L), family count and families, as for
     _Pairs.  `patterns` is each cone term restricted to its K's vertices
-    and `sizes` each K's cone size, both over the (Ks, S) cones."""
+    and `sizes` each K's cone size, both over the (Ks, S) cones.
+
+    The families are found in (rank, coset entry) order, so their
+    (rank, K) keys come out sorted, and each live pair and its family
+    count are a run of equal keys."""
     width = patterns.shape[1]
     subsets = np.arange(2 ** k)
     subsets = subsets[np.argsort(np.bitwise_count(subsets), kind="stable")]
@@ -227,7 +233,11 @@ def _size_pairs(k: int, members, patterns, sizes, cosets):
         found.append(np.flatnonzero(outside == 0) + start * entries)
     ranks, entry = np.divmod(np.concatenate(found), entries)
     ks = np.searchsorted(starts, entry, side="right") - 1
-    live, count = np.unique(ranks * len(members) + ks, return_counts=True)
+    keys = ranks * len(members) + ks  # ascending, as the entries are found
+    edges = np.ones(len(keys) + 1, dtype=bool)  # where a run starts or ends
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    bounds = np.flatnonzero(edges)
+    live, count = keys[bounds[:-1]], np.diff(bounds)
     rank, which = np.divmod(live, len(members))
     return (np.asarray(members)[which], subsets[rank],
             np.concatenate(within)[live], count, coset[entry] << shift[ks])
@@ -265,15 +275,17 @@ def _gather(h: DiagonalHamiltonian, Ks) -> _Pairs:
             on.setdefault(v, []).append(len(terms))
         if vertices:
             terms.append(term)
+    masks = [m for m, _ in terms]
     cones, patterns, cosets = [], [], []
     for K in Ks:
         pattern = {}  # cone row -> its pattern, vertex j of K at bit j
         for j, v in enumerate(vertices_of(K)):
+            bit = 1 << j
             for r in on.get(v, ()):
-                pattern[r] = pattern.get(r, 0) | 1 << j
+                pattern[r] = pattern.get(r, 0) | bit
         cone = sorted(pattern)
         try:
-            cosets.append(_families([terms[r][0] for r in cone], K))
+            cosets.append(_families([masks[r] for r in cone], K))
         except ValueError as e:
             raise ValueError(
                 f"light cone: {e} at K = {vertices_of(K)}") from None

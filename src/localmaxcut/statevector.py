@@ -31,17 +31,18 @@ has the same bits as there:
 
 A count of satisfied vertices depends only on which edges are cut, so
 its value at x equals its value at the complement ~x = 2^n - 1 - x, and
-the codes read the same backwards.  The uniform start and the mixer
-commute with flipping every qubit, so amp(x) = amp(~x) at every step,
-bit for bit, and the route simulates only the first half of the state,
-x < 2^(n-1): the lower n - 1 qubits as on the whole state, and the top
-qubit by pairing x with 2^(n-1) - 1 - x, the complement of its partner
-x + 2^(n-1).  F is twice the half's |amp|^2 rows against the codes'
-first half, and the Walsh transform runs on the half's rows alone: the
-full-length one is twice it at K & (2^(n-1) - 1) for even |K| and +0.0
-for odd |K|, bit for bit.  On the twelve fixture graphs of the verify
-benchmark, 50 pairs each, the half took 67 ms against 99 ms on whole
-states (2-CPU Xeon, numpy 2.4).
+the codes read the same backwards: `satisfied_counts` counts the first
+half, x < 2^(n-1), and makes the second half its reversed copy.  The
+uniform start and the mixer commute with flipping every qubit, so
+amp(x) = amp(~x) at every step, bit for bit, and the route simulates
+only the first half of the state, x < 2^(n-1): the lower n - 1 qubits
+as on the whole state, and the top qubit by pairing x with
+2^(n-1) - 1 - x, the complement of its partner x + 2^(n-1).  F is twice
+the half's |amp|^2 rows against the codes' first half, and the Walsh
+transform runs on the half's rows alone: the full-length one is twice it
+at K & (2^(n-1) - 1) for even |K| and +0.0 for odd |K|, bit for bit.  On
+the twelve fixture graphs of the verify benchmark, 50 pairs each, the
+half took 67 ms against 99 ms on whole states (2-CPU Xeon, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -59,20 +60,23 @@ def satisfied_counts(g) -> np.ndarray:
     the regular graph g, as uint8 codes in basis order.
 
     Vertex v is satisfied when its count of cut edges c is at least
-    d - floor(d/2), Monte Carlo's rule.  The states go a power of two of
-    at most BLOCK at a time, with one uint8 row of bits per vertex: the
-    rows of the bits below the block size are the same in every block,
-    and the others are constant in it.  Each vertex sums its d XORs
-    with its neighbour rows.  A graph over MAX_QUBITS or not regular is
-    refused before anything is allocated."""
+    d - floor(d/2), Monte Carlo's rule.  A count depends only on which
+    edges are cut, and the complement 2^n - 1 - x cuts the same edges as
+    x, so only the first half, x < 2^(n-1), is counted and the second
+    half is its reversed copy.  The states of the first half go a power
+    of two of at most BLOCK at a time, with one uint8 row of bits per
+    vertex: the rows of the bits below the block size are the same in
+    every block, and the others are constant in it.  Each vertex sums its
+    d XORs with its neighbour rows.  A graph over MAX_QUBITS or not
+    regular is refused before anything is allocated."""
     n, d = g.n, g.degree
     if n > MAX_QUBITS:
         raise ValueError(f"n={n} exceeds the {MAX_QUBITS}-qubit "
                          "statevector cap")
     if d is None:
         raise ValueError("graph is not regular")
-    size = 2 ** n
-    step = 1 << (min(size, hamiltonian.BLOCK).bit_length() - 1)
+    size, half = 2 ** n, 2 ** (n - 1)  # a regular graph has a vertex
+    step = 1 << (min(half, hamiltonian.BLOCK).bit_length() - 1)
     low = step.bit_length() - 1
     bits = np.empty((n, step), dtype=np.uint8)  # bit v of each state
     index = np.arange(step)
@@ -82,7 +86,7 @@ def satisfied_counts(g) -> np.ndarray:
     codes = np.empty(size, dtype=np.uint8)
     cut, flip = np.empty((2, step), dtype=np.uint8)
     rows = g.neighbours.tolist()
-    for start in range(0, size, step):
+    for start in range(0, half, step):
         bits[low:] = (start >> high & 1)[:, None]
         count = codes[start:start + step]
         count[:] = 0
@@ -92,6 +96,7 @@ def satisfied_counts(g) -> np.ndarray:
                 np.bitwise_xor(bits[v], bits[u], out=flip)
                 cut += flip
             count += cut >= d - d // 2
+    codes[half:] = codes[half - 1::-1]
     return codes
 
 

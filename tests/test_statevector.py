@@ -8,7 +8,7 @@ import pytest
 from derivations import butterfly_walsh, exp_phase, loop_mixer
 from localmaxcut import (MAX_QUBITS, apply_mixer, apply_phase,
                          build_localmaxcut_hamiltonian, load_edge_list,
-                         make_cycle, make_named)
+                         make_cycle, make_named, make_random_regular)
 from localmaxcut import hamiltonian, statevector
 from localmaxcut.hamiltonian import (BLOCK, block_entries, pair_walk,
                                     walsh_transform)
@@ -251,6 +251,54 @@ def test_satisfied_counts_hold_a_block_beside_the_codes():
     g = make_cycle(18)
     peak, codes = traced_peak(lambda: satisfied_counts(g))
     assert peak < codes.nbytes + (g.n + 32) * BLOCK
+
+
+def counted_state_by_state(g):
+    """The satisfied vertices of every basis state x, from the neighbour
+    rows: v's cut edges are the neighbours u with bit u of x not bit v."""
+    d = g.degree
+    x = np.arange(2 ** g.n)
+    count = np.zeros(2 ** g.n, dtype=np.int64)
+    for v, row in enumerate(g.neighbours.tolist()):
+        cut = sum((x >> v ^ x >> u) & 1 for u in row)
+        count += cut >= d - d // 2
+    return count
+
+
+@pytest.mark.parametrize("block, graph", [
+    (16, lambda: make_named("PETERSEN")), (16, lambda: make_cycle(10)),
+    (BLOCK, lambda: make_random_regular(18, 3, min_girth=4, seed=38))],
+    ids=["PETERSEN-block16", "cycle10-block16", "random18"])
+def test_satisfied_counts_across_blocks(monkeypatch, block, graph):
+    # the first half is counted a block at a time (32 blocks of 16 states
+    # at 10 qubits, 8 of BLOCK at 18) and the second half is its reversed
+    # copy; both halves agree with a count of each state on its own
+    monkeypatch.setattr(hamiltonian, "BLOCK", block)
+    g = graph()
+    codes = satisfied_counts(g)
+    half = 2 ** (g.n - 1)
+    assert codes.dtype == np.uint8 and codes.shape == (2 ** g.n,)
+    assert np.array_equal(codes, counted_state_by_state(g))
+    assert np.array_equal(codes[half:], codes[:half][::-1])
+
+
+def test_route_reads_only_the_first_half_of_the_codes():
+    # satisfied_counts makes the second half as the first half reversed,
+    # which the route never reads: 255 there moves no bit of F or Z
+    rng = np.random.default_rng(38)
+    for g in (make_cycle(5), make_named("K4"), make_named("PETERSEN"),
+              make_named("HEAWOOD")):
+        codes = satisfied_counts(g)
+        spoiled = codes.copy()
+        spoiled[2 ** (g.n - 1):] = 255
+        Ks = [m for m, _ in build_localmaxcut_hamiltonian(g).nonconstant_terms()]
+        for pairs in (1, 3):
+            gammas, betas = rng.uniform((-4.0, -4.0), (4.0, 4.0),
+                                        size=(pairs, 2)).T
+            F, Z = qaoa_values_sv(codes, Ks, gammas, betas)
+            F1, Z1 = qaoa_values_sv(spoiled, Ks, gammas, betas)
+            assert np.array_equal(bits(F), bits(F1))
+            assert np.array_equal(bits(Z), bits(Z1))
 
 
 SAMPLES = (1, 2, 3, 50)
