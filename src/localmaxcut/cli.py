@@ -291,6 +291,8 @@ def cmd_classical_run(args) -> int:
 def cmd_classical_exact(args) -> int:
     """Tree-exact satisfaction probability at the given (p, q)."""
     d = args.degree
+    if not 1 <= d <= EXACT_MAX_DEGREE:  # before a preset is looked up for d
+        raise ValueError(f"exact sum covers 1 <= d <= {EXACT_MAX_DEGREE}, got {d}")
     params = _params(args, d)
     value = exact_prob(d, params)
     _emit(args, {"value": value}, [f"value {_fmt(value)}"], p=params.p,

@@ -106,35 +106,55 @@ def compass_search(objective, starts, box, steps):
     still moving after MAX_ITERS steps is not converged.  No result is
     worse than its start.  Returns per-start arrays (argmax of shape (k, D),
     value, iterations, converged, final s*max(steps)).
+
+    The active starts are held compacted, in start order, with x as one
+    row per coordinate, so a step's stencil is one (D, active, 2J+1)
+    array and its rows are the coordinates the objective receives.  A
+    start's results are written out once, on the step it stops.
     """
     lo, hi = np.array(box, dtype=float).T
     x = np.atleast_2d(np.array(starts, dtype=float))
     if x.shape[1] != len(lo) or np.any((x < lo) | (x > hi)):
         raise ValueError(f"starts {x.tolist()} leave the search box {box}")
     moves = (np.eye(len(lo)) * steps)[np.flatnonzero(steps)]
-    stencil = np.vstack([np.zeros(len(lo)), moves, -moves])  # (2J+1, D)
+    # the stencil as (D, 1, 2J+1), and lo and hi as (D, 1, 1)
+    stencil = np.vstack([np.zeros(len(lo)), moves, -moves]).T[:, None, :]
+    lo, hi = lo[:, None, None], hi[:, None, None]
     reach = float(max(steps))
     k = len(x)
     value = np.empty(k)
-    scale = np.full(k, 0.5)
     iters = np.zeros(k, dtype=int)
-    active = np.ones(k, dtype=bool)
-    for _ in range(MAX_ITERS):
-        live = np.flatnonzero(active)
-        if live.size == 0:
+    converged = np.zeros(k, dtype=bool)
+    final = np.full(k, 0.5 * reach)
+    # the active starts: their indices, x as (D, active) and s
+    live, xs, scale = np.arange(k), x.T, np.full(k, 0.5)
+    rows = np.arange(k)
+    for n in range(1, MAX_ITERS + 1):
+        pts = np.minimum(np.maximum(xs[:, :, None] + scale[:, None] * stencil,
+                                    lo), hi)
+        vals = objective(tuple(pts))
+        if np.shape(vals) != pts.shape[1:]:
+            vals = np.broadcast_to(vals, pts.shape[1:])
+        best = vals.argmax(axis=1)
+        moved = pts[:, rows, best]
+        np.multiply(scale, 0.5, out=scale, where=(moved == xs).all(axis=0))
+        xs = moved
+        step = scale * reach
+        if n < MAX_ITERS and step.min() >= TOL:  # False on a NaN too
+            continue
+        going = step >= TOL
+        done = ~going | (n == MAX_ITERS)
+        gone = live[done]
+        x[gone] = xs[:, done].T
+        value[gone] = vals[rows[done], best[done]]
+        iters[gone] = n
+        converged[gone] = ~going[done]
+        final[gone] = step[done]
+        live, xs, scale = live[going], xs[:, going], scale[going]
+        if not live.size:
             break
-        pts = np.clip(x[live, None, :] + scale[live, None, None] * stencil,
-                      lo, hi)
-        vals = np.broadcast_to(objective(tuple(np.moveaxis(pts, -1, 0))),
-                               pts.shape[:2])
-        rows, best = np.arange(live.size), np.argmax(vals, axis=1)
-        stay = np.all(pts[rows, best] == x[live], axis=1)
-        x[live] = pts[rows, best]
-        value[live] = vals[rows, best]
-        scale[live] *= np.where(stay, 0.5, 1.0)
-        iters[live] += 1
-        active[live] = scale[live] * reach >= TOL
-    return x, value, iters, ~active, scale * reach
+        rows = np.arange(live.size)
+    return x, value, iters, converged, final
 
 
 def _top_k(scores):

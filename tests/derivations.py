@@ -60,6 +60,13 @@ weights, its 2^n diagonal read from its terms, and `loop_expectation`
 the plain-loop statevector on it: the package's statevector counts its
 diagonal from the graph, so these serve every H that is not a graph's
 LocalMaxCut, and the check that H's build matches the count.
+
+Optimizer.  `compass_search_rows` is compass search as first written:
+one row per start, every live start's state gathered by index and
+scattered back on every step, with `np.clip` and `np.moveaxis`.
+`optimize.compass_search` keeps its live starts compacted, with one
+coordinate per row, and must call the objective on the same points and
+return the same bits.
 """
 
 import cmath
@@ -70,7 +77,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.random import Generator, Philox
 
-from localmaxcut import graph, hamiltonian
+from localmaxcut import graph, hamiltonian, optimize
 from localmaxcut.classical import ClassicalParams, _check_params
 from localmaxcut.qaoa_engine import _families
 from localmaxcut.statevector import apply_mixer, apply_phase
@@ -617,3 +624,35 @@ def loop_expectation(h, angles) -> float:
     state = np.full(2 ** h.n, 2.0 ** (-h.n / 2), dtype=complex)
     state = loop_mixer(beta, exp_phase(diagonal, gamma, state))
     return float(np.abs(state) ** 2 @ diagonal)
+
+
+def compass_search_rows(objective, starts, box, steps):
+    """`optimize.compass_search` with each start's state gathered and
+    scattered by index on every step, under the module's TOL and
+    MAX_ITERS as they are at the call."""
+    lo, hi = np.array(box, dtype=float).T
+    x = np.atleast_2d(np.array(starts, dtype=float))
+    moves = (np.eye(len(lo)) * steps)[np.flatnonzero(steps)]
+    stencil = np.vstack([np.zeros(len(lo)), moves, -moves])  # (2J+1, D)
+    reach = float(max(steps))
+    k = len(x)
+    value = np.empty(k)
+    scale = np.full(k, 0.5)
+    iters = np.zeros(k, dtype=int)
+    active = np.ones(k, dtype=bool)
+    for _ in range(optimize.MAX_ITERS):
+        live = np.flatnonzero(active)
+        if live.size == 0:
+            break
+        pts = np.clip(x[live, None, :] + scale[live, None, None] * stencil,
+                      lo, hi)
+        vals = np.broadcast_to(objective(tuple(np.moveaxis(pts, -1, 0))),
+                               pts.shape[:2])
+        rows, best = np.arange(live.size), np.argmax(vals, axis=1)
+        stay = np.all(pts[rows, best] == x[live], axis=1)
+        x[live] = pts[rows, best]
+        value[live] = vals[rows, best]
+        scale[live] *= np.where(stay, 0.5, 1.0)
+        iters[live] += 1
+        active[live] = scale[live] * reach >= optimize.TOL
+    return x, value, iters, ~active, scale * reach

@@ -227,6 +227,10 @@ def test_classical_exact_degree_out_of_range(capsys, d):
     rc, _, err = run_cli(capsys, "classical", "exact", "--degree", str(d),
                          "--p", "0.5", "--q", q)
     assert rc == 2 and "exact sum covers" in err
+    # without --p and --q the range is checked before the preset is
+    # looked up (it used to report "tuned parameters cover d in {2, 3}")
+    rc, _, err = run_cli(capsys, "classical", "exact", "--degree", str(d))
+    assert rc == 2 and "exact sum covers 1 <= d <= 10" in err
 
 
 def test_classical_run(capsys):

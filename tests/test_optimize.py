@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from derivations import exact_prob_loops, q2_star
+from derivations import compass_search_rows, exact_prob_loops, q2_star
 from localmaxcut import (ClassicalParams, exact_prob, grid_sweep,
                          optimal_preset, optimize_classical)
 from localmaxcut import optimize
@@ -184,6 +184,70 @@ def test_compass_restarts_stalled_d2_point():
         classical_objective(2), [stalled], ((0.0, 1.0),) * 4, (0.1,) * 4)
     assert converged[0]
     assert value[0] == pytest.approx(0.95, abs=1e-12)
+
+
+def _compass_calls(run, *args):
+    """The arguments of every compass search that `run(*args)` makes."""
+    calls, search = [], optimize.compass_search
+
+    def recording(*call):
+        calls.append(call)
+        return search(*call)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimize, "compass_search", recording)
+        run(*args)
+    return calls
+
+
+def _logged(objective):
+    """`objective` and the list of the points it is called on."""
+    points = []
+
+    def logging(x):
+        points.append([np.array(c) for c in x])
+        return objective(x)
+    return logging, points
+
+
+def _tilted(x):
+    return paraboloid(x) + 0.3 * x[2] - x[0] * x[2]
+
+
+COMPASS_CASES = {
+    "qaoa-d2": lambda: _compass_calls(optimize.optimize_qaoa, 2),
+    "qaoa-d3": lambda: _compass_calls(optimize.optimize_qaoa, 3),
+    "classical-d2": lambda: _compass_calls(optimize_classical, 2),
+    "classical-d3": lambda: _compass_calls(optimize_classical, 3),
+    "curve-d3": lambda: _compass_calls(classical_curve, 3,
+                                       np.linspace(0.0, 1.0, 101)),
+    # starts on the box's faces and corners, stencils clamped both ways
+    "box-edge": lambda: [(_tilted, [(0.0, 0.0, 0.5), (1.0, 1.0, 1.0),
+                                    (0.0, 1.0, 0.25), (0.3, 0.7, 0.0)],
+                          ((0.0, 1.0),) * 3, (0.75, 0.0, 0.4))],
+}
+
+
+# the d = 3 classical starts take 37 to 46 steps, so a budget of 41
+# stops four of them on its last step and one of 3 stops all
+@pytest.mark.parametrize("case, budget", [
+    *((case, optimize.MAX_ITERS) for case in COMPASS_CASES),
+    ("classical-d3", 41), ("classical-d3", 3)])
+def test_compass_search_has_the_bits_of_the_row_loop(monkeypatch, case,
+                                                      budget):
+    monkeypatch.setattr(optimize, "MAX_ITERS", budget)
+    (objective, starts, box, steps), = COMPASS_CASES[case]()
+    ours, our_points = _logged(objective)
+    rows, row_points = _logged(objective)
+    got = compass_search(ours, starts, box, steps)
+    want = compass_search_rows(rows, starts, box, steps)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert a.tobytes() == b.tobytes()
+    assert len(our_points) == len(row_points)
+    for a, b in zip(our_points, row_points):
+        assert all(u.tobytes() == v.tobytes() and u.shape == v.shape
+                   for u, v in zip(a, b, strict=True))
 
 
 def test_canonical_classical():

@@ -1,11 +1,14 @@
 """The bytes of every command of the benchmark's seed-1 lists, pinned.
 
 `output_digests.json` records, for each command of the four workload
-lists in `bench/workloads.py` at seed 1, its argv, its exit code and the
-SHA-256 of its stdout (every command there passes `--json
---no-timestamp`), with the numpy version it was made under.  The test
-reruns the list in process through `cli.main` and names every command
-whose digest moved.  A change that means to move output bits
+lists in `bench/workloads.py` at seed 1, and of `OPTIMIZER_COMMANDS`,
+its argv, its exit code and the SHA-256 of its stdout, with the numpy
+version it was made under.  Every bench command passes `--json
+--no-timestamp`; the optimizer's commands are the tables and the
+report that no bench list runs, over the grid and the compass search at
+other degrees, and carry the label "optimizer".  The test reruns the
+list in process through `cli.main` and names every command whose digest
+moved.  A change that means to move output bits
 regenerates the file, so its diff shows which commands moved:
 
     PYTHONPATH=src python tests/test_output_digests.py
@@ -29,6 +32,13 @@ from localmaxcut import cli
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().with_name("output_digests.json")
 SEED = 1
+OPTIMIZER_COMMANDS = (
+    ["classical", "curve", "--degree", "2"],
+    ["classical", "curve", "--degree", "3"],
+    ["classical", "curve", "--degree", "10"],
+    ["sweep", "--degree", "3"],
+    ["reproduce", "--degree", "5", "--json", "--no-timestamp"],
+)
 
 
 def bench_commands():
@@ -39,11 +49,18 @@ def bench_commands():
             for argv in w.commands(SEED, False)]
 
 
+def pinned_commands():
+    """(label, argv) of every pinned command: the bench lists, then the
+    optimizer's."""
+    return bench_commands() + [("optimizer", argv)
+                               for argv in OPTIMIZER_COMMANDS]
+
+
 def digests() -> dict:
     """The record of every command, run in this process through
     `cli.main` as a bench session runs it."""
     commands = []
-    for name, argv in bench_commands():
+    for name, argv in pinned_commands():
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
@@ -59,7 +76,7 @@ def test_every_bench_command_keeps_its_bytes():
     now = digests()
     assert [(c["workload"], c["argv"]) for c in now["commands"]] == [
         (c["workload"], c["argv"]) for c in recorded["commands"]], (
-        "the bench command list changed; regenerate the digests")
+        "the pinned command list changed; regenerate the digests")
     moved = [f"{c['workload']}: localmaxcut {' '.join(c['argv'])} "
              f"(exit {was['exit']} -> {c['exit']})"
              for c, was in zip(now["commands"], recorded["commands"])
